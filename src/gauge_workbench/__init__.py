@@ -18,7 +18,6 @@ from .errors import (
     DegenerateError,
     DomainError,
     NearResonanceError,
-    NonConvergence,
     PoleError,
 )
 from .identities import IdentityCheck, VerificationReport, build_report
@@ -43,7 +42,6 @@ __all__ = [
     "GaugeAmplitudes",
     "IdentityCheck",
     "NearResonanceError",
-    "NonConvergence",
     "PhysicalConstants",
     "PoleError",
     "RESONANCE",

@@ -27,7 +27,7 @@ import sys
 import tempfile
 
 from .closedform import VARIANTS, gauge_pair, two_color_q
-from .errors import ConvergenceError, DomainError, NonConvergence
+from .errors import ConvergenceError, DomainError
 from .identities import VerificationReport, build_report
 from .oracle import RadialGrid
 from .rabi import PhysicalConstants, beta, load_constants
@@ -253,7 +253,7 @@ def main(argv: list[str] | None = None) -> int:
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
-    except (NonConvergence, ConvergenceError) as exc:
+    except ConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONVERGENCE
     except OSError as exc:

@@ -12,19 +12,22 @@ with the shared hypergeometric argument
 
 Evaluated term by term this shape is numerically treacherous at both window
 edges: the rational part and the low-order hypergeometric terms each diverge
-like 1/(1 - t) as x -> 0 although their sum stays finite.  The default
-evaluation therefore folds the k = 0..2 series terms into the rational part
-once and for all (the series head has closed form, so the fold is exact
-algebra, not an approximation).  What remains is
+like 1/(1 - t) as x -> 0 although their sum stays finite.  The evaluation
+therefore folds the k = 0..2 series terms into the rational part once and
+for all (the series head has closed form, so the fold is exact algebra, not
+an approximation), and folds the factor -Z^3/t of the remaining tail into
+its coefficient.  What remains is
 
-    Q(x) = S_Q(t) + c_Q(t) * T(t),     T(t) = sum_{k>=3} (-1/t) Z^k / (k - 1/t),
+    Q(x) = S_Q(t) + c_Q(t) * Phi(Z, 1, 3 - 1/t),    Phi(z, 1, a) = sum_{j>=0} z^j / (j + a),
 
-where S_Q and c_Q are rational functions whose only zero denominator in
-[1/2, 1] sits at t = 1/2, the physical intermediate-state resonance at the
-upper window edge, and T is a fast geometric tail with denominators k - 1/t
-bounded below by 1.  The same fold gives S_P and c_P; their denominators do
-not vanish anywhere on [1/2, 1] because the velocity-gauge coupling to the
-degenerate n = 2 level is zero.
+where S_Q is rational with its only zero denominator in [1/2, 1] at t = 1/2,
+the physical intermediate-state resonance at the upper window edge, and
+c_Q(t) = 4096 sqrt(2) (1 - t) / (3 (1 + t)^5 (1 + 2t)^6) has none.  The same
+fold gives S_P and c_P(t) = 256 sqrt(2) (1 - t)^2 (1 - 2t) / (3 (1 + t)^4
+(1 + 2t)^5); no denominator of P vanishes on [1/2, 1] because the
+velocity-gauge coupling to the degenerate n = 2 level is zero.  The tail's
+denominators j + 3 - 1/t are at least 1, so a fixed number of terms reaches
+double precision on the whole window; it is summed once per x for Q and P.
 
 Alternate transcriptions of the amplitude (differing in the denominator
 attached to the hypergeometric term) are kept behind the ``variant`` flag
@@ -38,8 +41,8 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from .errors import CancellationWarning, DomainError
-from .specfun import hyp2f1_special, hyp2f1_tail
+from .errors import CancellationWarning, DomainError, PoleError
+from .specfun import lerch_sum
 
 SQRT2 = math.sqrt(2.0)
 
@@ -66,11 +69,18 @@ _Q_SMOOTH_DEN = (46656.0, 279936.0, 711504.0, 979776.0, 755244.0, 262440.0,
 _P_SMOOTH_NUM = (256.0, 1280.0, 1984.0, 3008.0, -1088.0, 1472.0)
 _P_SMOOTH_DEN = (1296.0, 6480.0, 13608.0, 15552.0, 10449.0, 4131.0, 891.0, 81.0)
 
-# Coefficients multiplying the hypergeometric tail T(t).
-_Q_HYP_NUM = (4096.0, 0.0)
-_Q_HYP_DEN = (192.0, 0.0, -528.0, 0.0, 516.0, 0.0, -219.0, 0.0, 42.0, 0.0, -3.0)
-_P_HYP_NUM = (256.0, 0.0)
-_P_HYP_DEN = (48.0, 0.0, -72.0, 0.0, 27.0, 0.0, -3.0)
+# Terms of the tail Phi(Z, 1, 3 - 1/t).  On [1/2, 1], |Z| <= 0.0295 and the
+# shift lies in [1, 2], so the dropped remainder is at most
+# |Z|^11 / (12 (1 - |Z|)) < 1.3e-18, below 2.6e-18 relative to Phi >= 1/2.
+TAIL_TERMS = 11
+
+# Terms of Phi(z, 1, 1 - t) in the alternates' 2F1 = 1 - t z Phi.  There
+# 0 <= z <= 0.2 and 1 - t > 0, so the dropped part of the 2F1 is at most
+# z^22 / (21 (1 - z)) < 2.5e-17, below 3.2e-17 relative to 2F1 >= 0.78.
+ALT_TERMS = 21
+
+# |t - 1| below this puts the alternates' shift 1 - t on the pole at 0.
+_POLE_DISTANCE = 1e-12
 
 # Polynomial factors of the alternate transcriptions (negative controls).
 _ALT_Q_POLY = (419.0, 134.0, -15.0, 30.0, 60.0, -120.0, -32.0, 64.0)
@@ -115,7 +125,11 @@ def _z_arg(t: float) -> float:
     return (1.0 - t) * (1.0 - 2.0 * t) / ((1.0 + t) * (1.0 + 2.0 * t))
 
 
-def _warn_guard_band(t: float) -> None:
+def _checked_t(x: float, variant: str) -> float:
+    """Validate x and variant, warn inside the guard band, and return t."""
+    require_window(x)
+    _check_variant(variant)
+    t = t_of_x(x)
     if abs(t - 1.0) < GUARD_BAND:
         warnings.warn(
             "evaluation inside the small-x guard band |t - 1| < 1e-4; "
@@ -123,28 +137,33 @@ def _warn_guard_band(t: float) -> None:
             CancellationWarning,
             stacklevel=3,
         )
+    return t
 
 
-def _hyp_tail(t: float) -> float:
-    """Series tail sum_{k>=3} (-1/t) Z^k / (k - 1/t) for t in (1/2, 1)."""
-    return hyp2f1_tail(1.0 / t, _z_arg(t), 3).value
+def _tail(t: float) -> float:
+    """Phi(Z, 1, 3 - 1/t), the hypergeometric tail with Z^3 and -1/t folded out."""
+    return lerch_sum(_z_arg(t), 3.0 - 1.0 / t, TAIL_TERMS)
 
 
-def _q_derived(t: float) -> float:
+def _q_derived(t: float, tail: float) -> float:
     return (_rational(_Q_SMOOTH_NUM, _Q_SMOOTH_DEN, t)
-            + _rational(_Q_HYP_NUM, _Q_HYP_DEN, t) * _hyp_tail(t))
+            + 4096.0 * SQRT2 * (1.0 - t)
+            / (3.0 * (1.0 + t) ** 5 * (1.0 + 2.0 * t) ** 6) * tail)
 
 
-def _p_derived(t: float) -> float:
+def _p_derived(t: float, tail: float) -> float:
     return (_rational(_P_SMOOTH_NUM, _P_SMOOTH_DEN, t)
-            + _rational(_P_HYP_NUM, _P_HYP_DEN, t) * _hyp_tail(t))
+            + 256.0 * SQRT2 * (1.0 - t) ** 2 * (1.0 - 2.0 * t)
+            / (3.0 * (1.0 + t) ** 4 * (1.0 + 2.0 * t) ** 5) * tail)
 
 
 def _alt_hyp(t: float) -> float:
-    # The alternate transcriptions use the hypergeometric parameter t itself
-    # and the argument (1-t)(2-t)/((1+t)(2+t)).
+    """2F1(1, -t; 1 - t; z) = 1 - t z Phi(z, 1, 1 - t) at the alternates'
+    argument z = (1-t)(2-t)/((1+t)(2+t)); PoleError when 1 - t is ~0."""
+    if abs(t - 1.0) < _POLE_DISTANCE:
+        raise PoleError(f"parameter {t} sits within machine distance of the pole at 1")
     z = (1.0 - t) * (2.0 - t) / ((1.0 + t) * (2.0 + t))
-    return hyp2f1_special(t, z).value
+    return 1.0 - t * z * lerch_sum(z, 1.0 - t, ALT_TERMS)
 
 
 def _q_alternate(t: float, mirror: bool) -> float:
@@ -179,12 +198,9 @@ def q_length(x: float, variant: str = "derived") -> float:
     toward -infinity as x -> 3/8 where the intermediate state crosses the
     n = 2 shell.  A CancellationWarning is emitted inside the small-x
     guard band (see module docstring)."""
-    require_window(x)
-    _check_variant(variant)
-    t = t_of_x(x)
-    _warn_guard_band(t)
+    t = _checked_t(x, variant)
     if variant == "derived":
-        return _q_derived(t)
+        return _q_derived(t, _tail(t))
     return _q_alternate(t, mirror=(variant == "alt-b"))
 
 
@@ -194,12 +210,9 @@ def p_velocity(x: float, variant: str = "derived") -> float:
     Positive and finite on the whole window; unlike Q it stays bounded as
     x -> 3/8 because the velocity coupling between the degenerate n = 2
     states vanishes."""
-    require_window(x)
-    _check_variant(variant)
-    t = t_of_x(x)
-    _warn_guard_band(t)
+    t = _checked_t(x, variant)
     if variant == "derived":
-        return _p_derived(t)
+        return _p_derived(t, _tail(t))
     return _p_alternate(t)
 
 
@@ -217,12 +230,17 @@ class GaugeAmplitudes:
 
 
 def gauge_pair(x: float, variant: str = "derived") -> GaugeAmplitudes:
-    """Evaluate Q and P once and package the gauge comparison.
+    """Evaluate Q and P once, sharing one tail sum, and package the gauge
+    comparison.
 
     f1 and f2 agree only at x = 3/16; their difference is exactly linear,
     delta = DELTA_SLOPE * (x - 3/16)."""
-    q = q_length(x, variant)
-    p = p_velocity(x, variant)
+    t = _checked_t(x, variant)
+    if variant == "derived":
+        tail = _tail(t)
+        q, p = _q_derived(t, tail), _p_derived(t, tail)
+    else:
+        q, p = _q_alternate(t, mirror=(variant == "alt-b")), _p_alternate(t)
     f1 = p
     f2 = (X_MAX - x) * (-x) * q
     return GaugeAmplitudes(x=x, q=q, p=p, f1=f1, f2=f2, delta=f1 - f2)

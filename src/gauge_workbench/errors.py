@@ -2,7 +2,7 @@
 
 The hierarchy separates three failure families: arguments outside the
 supported mathematical domain (DomainError and its PoleError refinement),
-iterative procedures that fail to converge (NonConvergence, ConvergenceError,
+iterative procedures that fail to converge (ConvergenceError,
 NearResonanceError, DegenerateError), and loss-of-precision conditions that
 are survivable but worth surfacing (CancellationWarning).
 """
@@ -16,10 +16,6 @@ class DomainError(ValueError):
 
 class PoleError(DomainError):
     """A series parameter sits within machine distance of a pole."""
-
-
-class NonConvergence(RuntimeError):
-    """A series summation exceeded its term cap before meeting tolerance."""
 
 
 class ConvergenceError(RuntimeError):

@@ -1,214 +1,30 @@
-"""Series evaluation of the Lerch transcendent and a Gauss hypergeometric
-special case.
+"""Fixed-length partial sums of the Lerch transcendent at s = 1.
 
-Two families are provided:
+The closed forms need Phi(z, 1, a) = sum_{j>=0} z^j / (j + a) only for small
+|z| and for a shift a bounded away from the poles at a = 0, -1, -2, ...  On
+such arguments the series converges geometrically, so a fixed number of
+terms, chosen once from the a-priori remainder bound
 
-* ``lerch_phi`` sums Phi(z, s, a) = sum_{k>=0} z^k / (k + a)^s directly from
-  its defining series.  Only s = 1 is supported; that is the only exponent
-  the closed-form amplitudes need, and restricting s keeps the tail bound
-  elementary.
+    |sum_{j>=n} z^j / (j + a)|  <=  |z|^n / ((n + a)(1 - |z|))     (a > 0),
 
-* ``hyp2f1_special`` evaluates 2F1(1, -b, 1-b; z) through the reduction
-  2F1(1, -b, 1-b; z) = 1 + sum_{k>=1} (-b) z^k / (k - b), which is -b times
-  the Lerch series at shift a = -b.  The k = 1 term carries the only
-  denominator that can collapse (1 - b), so it is added as one exact
-  division instead of being buried inside the loop; call sites that need
-  to cancel it analytically can request the series tail alone through
-  ``hyp2f1_tail``.
-
-All summation is compensated (Kahan) so that double precision reaches the
-1e-10 relative targets without a big-number dependency.  Terms are summed
-until three consecutive terms fall below tol times the running sum, with a
-hard cap that turns runaway arguments into NonConvergence instead of a hang.
+reaches double precision with no runtime convergence test.  Each caller
+fixes its own term count next to the bound that justifies it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
-from .errors import DomainError, NonConvergence, PoleError
+def lerch_sum(z: float, a: float, terms: int) -> float:
+    """Sum the first ``terms`` terms of Phi(z, 1, a) = sum_j z^j / (j + a).
 
-TERM_CAP = 10**6
-_CONSECUTIVE_SMALL = 3
-_POLE_DISTANCE = 1e-12
-
-
-class KahanAccumulator:
-    """Compensated running sum: the float rounding error of every addition
-    is carried forward so long alternating series keep full precision.
-
-    Uses the Neumaier variant, which stays exact even when a term is larger
-    than the running sum (plain Kahan drops the correction in that case)."""
-
-    __slots__ = ("_sum", "_carry")
-
-    def __init__(self, start: float = 0.0) -> None:
-        self._sum = start
-        self._carry = 0.0
-
-    def add(self, term: float) -> None:
-        t = self._sum + term
-        if abs(self._sum) >= abs(term):
-            self._carry += (self._sum - t) + term
-        else:
-            self._carry += (term - t) + self._sum
-        self._sum = t
-
-    @property
-    def total(self) -> float:
-        return self._sum + self._carry
-
-
-@dataclass(frozen=True)
-class LerchParams:
-    """Arguments of Phi(z, s, a).
-
-    The series converges only for |z| < 1, and every denominator k + a with
-    k >= 0 must stay away from zero, so a may be any negative non-integer
-    or any positive number.
+    The sum is nested (Horner form), starting from the smallest term, so with
+    geometrically decaying terms the rounding error stays within a few units
+    in the last place of the leading term 1/a (Higham, *Accuracy and
+    Stability of Numerical Algorithms*, ch. 4).  No argument checks: the
+    caller keeps a off the poles 0, -1, -2, ... and takes its term count
+    from the bound above.
     """
-
-    z: float
-    s: int
-    a: float
-
-    def validate(self) -> None:
-        if not abs(self.z) < 1.0:
-            raise DomainError(f"series requires |z| < 1, got z = {self.z}")
-        if self.s != 1:
-            raise DomainError(f"only s = 1 is implemented, got s = {self.s}")
-        if self.a <= 0.0 and self.a == round(self.a):
-            raise DomainError(
-                f"shift a = {self.a} hits a pole at term k = {int(-self.a)}"
-            )
-
-
-@dataclass(frozen=True)
-class SeriesResult:
-    """A summed series value with its truncation bookkeeping."""
-
-    value: float
-    terms_used: int
-    tail_bound: float
-
-
-def _geometric_tail(z: float, k_next: int, a: float) -> float:
-    """Bound on |sum_{k>=k_next} z^k/(k+a)| assuming k_next + a > 0.
-
-    The denominators grow monotonically from k_next + a, so the remainder
-    is dominated by the geometric series |z|^k_next / ((k_next + a)(1-|z|)).
-    """
-    gap = k_next + a
-    if gap <= 0.0:
-        return float("inf")
-    return abs(z) ** k_next / (gap * (1.0 - abs(z)))
-
-
-def lerch_phi(params: LerchParams, tol: float = 1e-14) -> SeriesResult:
-    """Sum Phi(z, 1, a) = sum_{k>=0} z^k / (k + a).
-
-    Raises DomainError when the series cannot converge or a term hits a
-    pole exactly, and NonConvergence when the term cap is exceeded.
-    """
-    params.validate()
-    if not 0.0 < tol < 1.0:
-        raise DomainError(f"tolerance must lie in (0, 1), got {tol}")
-    z, a = params.z, params.a
-
-    acc = KahanAccumulator()
-    z_pow = 1.0
-    small_streak = 0
-    k = 0
-    while True:
-        term = z_pow / (k + a)
-        acc.add(term)
-        k += 1
-        if abs(term) <= tol * abs(acc.total):
-            small_streak += 1
-            if small_streak >= _CONSECUTIVE_SMALL:
-                break
-        else:
-            small_streak = 0
-        if k >= TERM_CAP:
-            raise NonConvergence(
-                f"Lerch series did not settle within {TERM_CAP} terms "
-                f"(z = {z}, a = {a})"
-            )
-        z_pow *= z
-        if z_pow == 0.0:
-            break
-    return SeriesResult(acc.total, k, _geometric_tail(z, k, a))
-
-
-def _check_hyp_pole(b: float, first_k: int) -> None:
-    """Reject b within machine distance of an integer k >= first_k, where
-    the term z^k/(k - b) divides by zero."""
-    nearest = round(b)
-    if nearest >= first_k and abs(b - nearest) < _POLE_DISTANCE:
-        raise PoleError(
-            f"parameter {b} sits within machine distance of the pole at {nearest}"
-        )
-
-
-def hyp2f1_tail(b: float, z: float, first_k: int, tol: float = 1e-14) -> SeriesResult:
-    """Sum the partial hypergeometric series sum_{k>=first_k} (-b) z^k / (k - b).
-
-    With first_k = 1 this is 2F1(1, -b, 1-b; z) minus its leading 1.  Larger
-    first_k lets a caller fold the low-order terms into a rational expression
-    exactly and keep only the benign remainder; the poles at k < first_k are
-    then irrelevant and deliberately not checked.
-    """
-    if not abs(z) < 1.0:
-        raise DomainError(f"series requires |z| < 1, got z = {z}")
-    if not 0.0 < tol < 1.0:
-        raise DomainError(f"tolerance must lie in (0, 1), got {tol}")
-    if first_k < 1:
-        raise DomainError(f"first_k must be >= 1, got {first_k}")
-    _check_hyp_pole(b, first_k)
-
-    acc = KahanAccumulator()
-    z_pow = z**first_k
-    small_streak = 0
-    k = first_k
-    terms = 0
-    while True:
-        term = -b * z_pow / (k - b)
-        acc.add(term)
-        terms += 1
-        scale = max(abs(acc.total), 1.0)
-        if abs(term) <= tol * scale:
-            small_streak += 1
-            if small_streak >= _CONSECUTIVE_SMALL:
-                break
-        else:
-            small_streak = 0
-        if terms >= TERM_CAP:
-            raise NonConvergence(
-                f"hypergeometric tail did not settle within {TERM_CAP} terms "
-                f"(b = {b}, z = {z})"
-            )
-        k += 1
-        z_pow *= z
-        if z_pow == 0.0:
-            break
-    tail = abs(b) * _geometric_tail(z, k + 1, -b)
-    return SeriesResult(acc.total, terms, tail)
-
-
-def hyp2f1_special(b: float, z: float, tol: float = 1e-14) -> SeriesResult:
-    """Evaluate 2F1(1, -b, 1-b; z) for |z| < 1.
-
-    The value is assembled as 1 + [-b z / (1 - b)] + tail(k >= 2): the k = 1
-    term is the only one whose denominator can approach zero for b near 1,
-    so it is computed in a single exact division rather than accumulated.
-    Raises PoleError when b is within machine distance of a positive integer.
-    """
-    _check_hyp_pole(b, 1)
-    if z == 0.0:
-        return SeriesResult(1.0, 1, 0.0)
-    tail = hyp2f1_tail(b, z, 2, tol)
-    first = -b * z / (1.0 - b)
-    acc = KahanAccumulator(1.0)
-    acc.add(first)
-    acc.add(tail.value)
-    return SeriesResult(acc.total, tail.terms_used + 2, tail.tail_bound)
+    acc = 0.0
+    for j in range(terms - 1, -1, -1):
+        acc = acc * z + 1.0 / (j + a)
+    return acc

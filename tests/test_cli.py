@@ -63,6 +63,20 @@ class TestCompute:
         assert proc.stdout == ""
         assert "error:" in proc.stderr
 
+    def test_t_rounding_to_one_is_computed(self):
+        proc = run_cli("compute", "--x", "1e-17", "--quantity", "q")
+        assert proc.returncode == 0
+        assert proc.stdout.endswith(" dimensionless\n")
+        assert "Traceback" not in proc.stderr
+
+    def test_t_rounding_to_one_is_a_pole_for_alternates(self):
+        proc = run_cli("compute", "--x", "1e-17", "--quantity", "q",
+                       "--formula-variant", "alt-a")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "error:" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
 
 class TestScan:
     def test_small_window(self, tmp_path):

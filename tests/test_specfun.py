@@ -1,94 +1,56 @@
-"""Series engine tests: compensated summation, Lerch, and the 2F1 case."""
+"""Series tests: the fixed-length Lerch sum, its term counts, and the 2F1
+reductions built on it."""
 
 import math
 
 import mpmath
+import numpy as np
 import pytest
 import scipy.special as sp
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from gauge_workbench.errors import DomainError, NonConvergence, PoleError
-from gauge_workbench.specfun import (
-    KahanAccumulator,
-    LerchParams,
-    hyp2f1_special,
-    hyp2f1_tail,
-    lerch_phi,
+from gauge_workbench.closedform import (
+    ALT_TERMS,
+    TAIL_TERMS,
+    _alt_hyp,
+    _tail,
+    _z_arg,
+    p_velocity,
+    q_length,
+    t_of_x,
 )
+from gauge_workbench.errors import CancellationWarning, PoleError
+from gauge_workbench.specfun import lerch_sum
+
+# enough terms for every |z| <= 0.9 used below: 0.9^400 < 1e-18
+MANY = 400
 
 
-class TestKahanAccumulator:
-    def test_small_term_survives_next_to_huge_one(self):
-        acc = KahanAccumulator()
-        for term in (1e16, 1.0, -1e16):
-            acc.add(term)
-        assert acc.total == 1.0
-
-    def test_long_sum_of_tenths(self):
-        acc = KahanAccumulator()
-        for _ in range(1000):
-            acc.add(0.1)
-        assert abs(acc.total - 100.0) < 1e-13
-
-    def test_order_insensitive_for_decaying_series(self):
-        terms = [0.97**k / (k + 1) for k in range(2000)]
-        fwd = KahanAccumulator()
-        rev = KahanAccumulator()
-        for term in terms:
-            fwd.add(term)
-        for term in reversed(terms):
-            rev.add(term)
-        assert math.isclose(fwd.total, rev.total, rel_tol=1e-15)
+def _remainder_bound(z, a, n):
+    return abs(z) ** n / ((n + a) * (1.0 - abs(z)))
 
 
 class TestLerchPhi:
     def test_zero_argument_is_inverse_shift(self):
-        result = lerch_phi(LerchParams(0.0, 1, 0.5))
-        assert result.value == 2.0
+        assert lerch_sum(0.0, 0.5, TAIL_TERMS) == 2.0
 
     def test_unit_shift_gives_log_series(self):
         # sum z^k/(k+1) = -ln(1-z)/z; at z = 1/2 that is 2 ln 2
-        result = lerch_phi(LerchParams(0.5, 1, 1.0))
-        assert math.isclose(result.value, 2.0 * math.log(2.0), rel_tol=1e-14)
+        assert math.isclose(lerch_sum(0.5, 1.0, 60), 2.0 * math.log(2.0), rel_tol=1e-14)
 
     @pytest.mark.parametrize(
         "z,a",
         [(0.5, 1.0), (0.8, 0.7), (-0.9, 2.3), (0.03, -1.7), (-0.2, -0.5)],
     )
     def test_matches_reference_implementation(self, z, a):
-        mine = lerch_phi(LerchParams(z, 1, a)).value
+        mine = lerch_sum(z, a, MANY)
         ref = float(mpmath.lerchphi(z, 1, a))
         assert math.isclose(mine, ref, rel_tol=1e-13)
 
-    @pytest.mark.parametrize("z", [1.0, -1.0, 1.5])
-    def test_rejects_nonconvergent_argument(self, z):
-        with pytest.raises(DomainError):
-            lerch_phi(LerchParams(z, 1, 0.5))
-
-    def test_rejects_unsupported_exponent(self):
-        with pytest.raises(DomainError):
-            lerch_phi(LerchParams(0.5, 2, 0.5))
-
-    @pytest.mark.parametrize("a", [0.0, -1.0, -7.0])
-    def test_rejects_pole_shifts(self, a):
-        with pytest.raises(DomainError):
-            lerch_phi(LerchParams(0.5, 1, a))
-
-    def test_rejects_bad_tolerance(self):
-        with pytest.raises(DomainError):
-            lerch_phi(LerchParams(0.5, 1, 0.5), tol=0.0)
-
-    def test_term_cap_raises_instead_of_hanging(self):
-        with pytest.raises(NonConvergence):
-            lerch_phi(LerchParams(0.999999, 1, 0.5))
-
     def test_tail_bound_covers_truncation_error(self):
-        params = LerchParams(0.8, 1, 0.7)
-        coarse = lerch_phi(params, tol=1e-6)
-        fine = lerch_phi(params, tol=1e-15)
-        assert abs(coarse.value - fine.value) <= coarse.tail_bound
-        assert coarse.terms_used < fine.terms_used
+        z, a, n = 0.8, 0.7, 20
+        assert abs(lerch_sum(z, a, n) - lerch_sum(z, a, MANY)) <= _remainder_bound(z, a, n)
 
     @settings(deadline=None, max_examples=60)
     @given(
@@ -97,7 +59,7 @@ class TestLerchPhi:
         a=st.floats(0.1, 5.0),
     )
     def test_against_reference_over_positive_shifts(self, z, a):
-        mine = lerch_phi(LerchParams(z, 1, a)).value
+        mine = lerch_sum(z, a, MANY)
         # some argument regions send mpmath down a complex route that
         # returns an mpc with roundoff imaginary part; keep the real part
         ref = mpmath.lerchphi(z, 1, a)
@@ -105,62 +67,70 @@ class TestLerchPhi:
         assert math.isclose(mine, float(mpmath.re(ref)), rel_tol=1e-12, abs_tol=1e-12)
 
 
-class TestHyp2F1Special:
-    def test_unit_value_at_zero_argument(self):
-        assert hyp2f1_special(1.3, 0.0).value == 1.0
+class TestTailLength:
+    def test_tail_argument_stays_small(self):
+        # TAIL_TERMS is justified by |Z| <= 0.0295 over the whole window
+        t = np.linspace(0.5, 1.0, 100_001)
+        z = (1.0 - t) * (1.0 - 2.0 * t) / ((1.0 + t) * (1.0 + 2.0 * t))
+        assert np.max(np.abs(z)) < 0.0295
 
+    def test_stated_bounds_reach_double_precision(self):
+        # the remainder bounds quoted next to TAIL_TERMS and ALT_TERMS,
+        # relative to the smallest value each sum takes on its domain
+        assert _remainder_bound(0.0295, 1.0, TAIL_TERMS) / 0.5 < 3e-18
+        assert 0.2 * _remainder_bound(0.2, 0.0, ALT_TERMS) / 0.78 < 2**-53
+
+    def test_production_tail_matches_lerchphi(self):
+        # Phi(z, 1, a) = 2F1(1, a; a + 1; z) / a, which mpmath evaluates about
+        # a thousand times faster than mpmath.lerchphi at the same precision
+        with mpmath.workdps(40):
+            for i in range(1, 201):
+                t = t_of_x(0.375 * i / 201.0)
+                z, a = mpmath.mpf(_z_arg(t)), mpmath.mpf(3.0 - 1.0 / t)
+                ref = mpmath.hyp2f1(1, a, a + 1, z) / a
+                assert abs(_tail(t) / ref - 1) <= 2 * 2**-52
+
+
+class TestHyp2F1Special:
     @pytest.mark.parametrize("b", [0.6, 1.1, 1.5, 1.9])
     @pytest.mark.parametrize("z", [-0.5, -0.03, 0.02, 0.5])
     def test_matches_scipy(self, b, z):
-        mine = hyp2f1_special(b, z).value
+        # the Lerch reduction 2F1(1,-b;1-b;z) = 1 - b z Phi(z, 1, 1-b)
+        mine = 1.0 - b * z * lerch_sum(z, 1.0 - b, MANY)
         ref = sp.hyp2f1(1.0, -b, 1.0 - b, z)
         assert math.isclose(mine, ref, rel_tol=1e-12)
 
-    @settings(deadline=None, max_examples=60)
-    @given(
-        b=st.floats(1.01, 1.99),
-        z=st.floats(-0.9, 0.9),
-    )
-    def test_lerch_reduction_identity(self, b, z):
-        # 2F1(1,-b;1-b;z) = 1 - b z Phi(z, 1, 1-b)
-        direct = hyp2f1_special(b, z).value
-        reduced = 1.0 - b * z * lerch_phi(LerchParams(z, 1, 1.0 - b)).value
-        assert math.isclose(direct, reduced, rel_tol=1e-11, abs_tol=1e-11)
+    @settings(deadline=None, max_examples=200)
+    @given(t=st.floats(0.5, 1.0, exclude_min=True, exclude_max=True))
+    def test_lerch_reduction_identity(self, t):
+        # the alternates evaluate 2F1(1,-t;1-t;z) through the same reduction
+        # with ALT_TERMS terms, at their argument z = (1-t)(2-t)/((1+t)(2+t))
+        assume(abs(t - 1.0) >= 1e-12)
+        z = (1.0 - t) * (2.0 - t) / ((1.0 + t) * (2.0 + t))
+        assert math.isclose(_alt_hyp(t), sp.hyp2f1(1.0, -t, 1.0 - t, z), rel_tol=1e-15)
 
-    @pytest.mark.parametrize("b", [1.0, 2.0, 3.0 + 1e-13])
-    def test_integer_parameter_hits_pole(self, b):
-        with pytest.raises(PoleError):
-            hyp2f1_special(b, 0.1)
-
-    def test_tail_ignores_poles_below_its_start(self):
-        # the k = 1 and k = 2 poles are the caller's business once folded out
-        assert math.isfinite(hyp2f1_tail(1.0, 0.02, 3).value)
-        assert math.isfinite(hyp2f1_tail(2.0, 0.02, 3).value)
-        with pytest.raises(PoleError):
-            hyp2f1_tail(3.0, 0.02, 3)
+    def test_integer_parameter_hits_pole(self):
+        # x = 1e-13 puts t within 1e-12 of the pole at t = 1
+        with pytest.warns(CancellationWarning), pytest.raises(PoleError):
+            q_length(1e-13, "alt-a")
+        with pytest.warns(CancellationWarning), pytest.raises(PoleError):
+            p_velocity(1e-13, "alt-b")
 
     def test_tail_plus_head_reassembles_full_value(self):
+        # folding the k <= 1 head out of 2F1(1,-b;1-b;z) leaves -b z^2 Phi(z, 1, 2-b)
         b, z = 1.25, 0.4
-        full = hyp2f1_special(b, z).value
+        full = sp.hyp2f1(1.0, -b, 1.0 - b, z)
         head = 1.0 + (-b * z / (1.0 - b))
-        tail = hyp2f1_tail(b, z, 2).value
+        tail = -b * z * z * lerch_sum(z, 2.0 - b, 60)
         assert math.isclose(full, head + tail, rel_tol=1e-14)
-
-    def test_tail_requires_positive_start(self):
-        with pytest.raises(DomainError):
-            hyp2f1_tail(1.5, 0.1, 0)
-
-    def test_tail_rejects_nonconvergent_argument(self):
-        with pytest.raises(DomainError):
-            hyp2f1_tail(1.5, 1.0, 3)
 
 
 def test_lerch_combination_reproduces_resonance_amplitude():
     # the resonance-point amplitude admits an expression through one Lerch
     # value at z = 6 sqrt(10) - 19 with shift -2 sqrt(2/5); assembling it
     # must land on the same number the production evaluator returns
-    phi = lerch_phi(LerchParams(6.0 * math.sqrt(10.0) - 19.0, 1,
-                                -2.0 * math.sqrt(0.4))).value
+    phi = float(mpmath.lerchphi(6.0 * math.sqrt(10.0) - 19.0, 1,
+                                -2.0 * math.sqrt(0.4)))
     value = -(2.0**15 / 3.0**6) * (
         19.0 * math.sqrt(2.0) + 16.0 * math.sqrt(5.0)
         + 64.0 * math.sqrt(2.0) * phi
