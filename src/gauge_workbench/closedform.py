@@ -79,7 +79,8 @@ TAIL_TERMS = 11
 # z^22 / (21 (1 - z)) < 2.5e-17, below 3.2e-17 relative to 2F1 >= 0.78.
 ALT_TERMS = 21
 
-# |t - 1| below this puts the alternates' shift 1 - t on the pole at 0.
+# |t - n| below this, for a positive integer n, puts the alternates' shift
+# 1 - t on the pole of the term j = n - 1.
 _POLE_DISTANCE = 1e-12
 
 # Polynomial factors of the alternate transcriptions (negative controls).
@@ -159,9 +160,11 @@ def _p_derived(t: float, tail: float) -> float:
 
 def _alt_hyp(t: float) -> float:
     """2F1(1, -t; 1 - t; z) = 1 - t z Phi(z, 1, 1 - t) at the alternates'
-    argument z = (1-t)(2-t)/((1+t)(2+t)); PoleError when 1 - t is ~0."""
-    if abs(t - 1.0) < _POLE_DISTANCE:
-        raise PoleError(f"parameter {t} sits within machine distance of the pole at 1")
+    argument z = (1-t)(2-t)/((1+t)(2+t)); PoleError when t is ~ a positive
+    integer n, where the shift 1 - t meets the pole of the term j = n - 1."""
+    n = round(t)
+    if n >= 1 and abs(t - n) < _POLE_DISTANCE:
+        raise PoleError(f"parameter {t} sits within machine distance of the pole at {n}")
     z = (1.0 - t) * (2.0 - t) / ((1.0 + t) * (2.0 + t))
     return 1.0 - t * z * lerch_sum(z, 1.0 - t, ALT_TERMS)
 

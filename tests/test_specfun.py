@@ -109,7 +109,13 @@ class TestHyp2F1Special:
         z = (1.0 - t) * (2.0 - t) / ((1.0 + t) * (2.0 + t))
         assert math.isclose(_alt_hyp(t), sp.hyp2f1(1.0, -t, 1.0 - t, z), rel_tol=1e-15)
 
-    def test_integer_parameter_hits_pole(self):
+    @pytest.mark.parametrize("b", [1.0, 2.0, 3.0 + 1e-13])
+    def test_integer_parameter_hits_pole(self, b):
+        # 1/(j + 1 - b) has a pole at every positive integer b = j + 1
+        with pytest.raises(PoleError):
+            _alt_hyp(b)
+
+    def test_alternates_raise_at_pole(self):
         # x = 1e-13 puts t within 1e-12 of the pole at t = 1
         with pytest.warns(CancellationWarning), pytest.raises(PoleError):
             q_length(1e-13, "alt-a")
