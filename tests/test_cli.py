@@ -12,7 +12,12 @@ import sys
 
 import pytest
 
+import gauge_workbench
+
 CLI = [sys.executable, "-m", "gauge_workbench.cli"]
+# The subprocess imports the same copy of the package as this process,
+# whether it came from PYTHONPATH, pytest's ``pythonpath`` or an install.
+PACKAGE_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(gauge_workbench.__file__)))
 
 CHECK_ORDER = [
     "master_identity",
@@ -27,6 +32,8 @@ CHECK_ORDER = [
 def run_cli(*args, env_extra=None):
     env = os.environ.copy()
     env.pop("GAUGE_WORKBENCH_CONSTANTS", None)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (PACKAGE_ROOT, env.get("PYTHONPATH")) if p)
     if env_extra:
         env.update(env_extra)
     return subprocess.run(CLI + list(args), capture_output=True,

@@ -8,9 +8,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import eig_banded
 
 from gauge_workbench.closedform import p_velocity, q_length
 from gauge_workbench.errors import (
+    ConvergenceError,
     DegenerateError,
     DomainError,
     NearResonanceError,
@@ -123,6 +125,14 @@ class TestGreenSolve:
         assert solve.l_channel == 1
         assert solve.energy_shift == energy
 
+    def test_overflowing_solve_is_an_error(self, small_grid):
+        # A driving term that overflows next to the 2P level must raise,
+        # not come back as a non-finite solution.
+        state = build_oracle(small_grid)
+        driving = np.full(small_grid.n_points, 1e300)
+        with pytest.raises(ConvergenceError, match="non-finite"):
+            green_solve(state, 1, state.s2p.energy, driving)
+
     def test_bra_ket_symmetry(self, default_grid):
         # <2S r|G|r 1S> = <1S r|G|r 2S> for the symmetric resolvent
         state = build_oracle(default_grid)
@@ -205,14 +215,57 @@ class TestAcStark:
             ac_stark_sides(default_grid, 0.5)
 
 
+def _pseudostate_reference(grid, xs, count=30):
+    """Partial sums from the full eig_banded eigenvector matrix, O(n^3).
+
+    Unit-Euclidean columns, so each bra * ket product carries one net
+    factor of h; one eigensolve serves every x."""
+    state = build_oracle(grid)
+    vals, vecs = eig_banded(state.bands(1), lower=False, select="i",
+                            select_range=(0, count - 1))
+    bra = (state.w2 * state.r) @ vecs
+    ket = (state.r * state.w1) @ vecs
+    return [np.cumsum(state.h * bra * ket / (vals - state.s1.energy - x) / 3.0)
+            for x in xs]
+
+
+def _assert_partial_sums_close_on_resolvent(grid, x=0.1):
+    target = q_oracle(grid, x)
+    errors = np.abs(pseudostate_q(grid, x, count=30) - target)
+    assert np.all(np.diff(errors) <= 0.0)
+    assert errors[-1] < 0.05 * errors[0]
+
+
 class TestPseudostateSum:
     def test_partial_sums_approach_resolvent_value(self, small_grid):
-        target = q_oracle(small_grid, 0.1)
-        partial = pseudostate_q(small_grid, 0.1, count=30)
-        errors = np.abs(partial - target)
-        assert np.all(np.diff(errors) <= 0.0)
-        assert errors[-1] < 0.05 * errors[0]
+        _assert_partial_sums_close_on_resolvent(small_grid)
+
+    def test_partial_sums_approach_resolvent_value_on_default_grid(self, default_grid):
+        _assert_partial_sums_close_on_resolvent(default_grid)
+
+    def test_matches_full_eigenvector_reference(self, small_grid):
+        xs = (0.02, 0.1, 0.1875, 0.3, 0.37)
+        for x, reference in zip(xs, _pseudostate_reference(small_grid, xs)):
+            partial = pseudostate_q(small_grid, x, count=30)
+            assert np.max(np.abs(partial / reference - 1.0)) <= 1e-10
+
+    def test_mode_between_two_eigenvalues_is_rejected(self, small_grid):
+        # Negative control for the per-mode residual gate: a shift midway
+        # between two eigenvalues converges to a mixture whose backward
+        # error is of the order of the gap.
+        from gauge_workbench.oracle import _mode_vector
+
+        state = build_oracle(small_grid)
+        vals = eig_banded(state.bands(1), lower=False, eigvals_only=True,
+                          select="i", select_range=(0, 1))
+        _mode_vector(state, 1, float(vals[0]))
+        with pytest.raises(ConvergenceError, match="backward error"):
+            _mode_vector(state, 1, float(0.5 * (vals[0] + vals[1])))
 
     def test_count_validation(self, small_grid):
         with pytest.raises(DomainError):
             pseudostate_q(small_grid, 0.1, count=0)
+
+    def test_count_above_grid_size_is_a_domain_error(self, small_grid):
+        with pytest.raises(DomainError):
+            pseudostate_q(small_grid, 0.1, count=small_grid.n_points + 1)
