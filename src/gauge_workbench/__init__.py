@@ -20,8 +20,6 @@ from .errors import (
     NearResonanceError,
     PoleError,
 )
-from .identities import IdentityCheck, VerificationReport, build_report
-from .oracle import RadialGrid, p_oracle, q_oracle, r2_overlap
 from .rabi import (
     PhysicalConstants,
     RabiInput,
@@ -40,27 +38,20 @@ __all__ = [
     "DegenerateError",
     "DomainError",
     "GaugeAmplitudes",
-    "IdentityCheck",
     "NearResonanceError",
     "PhysicalConstants",
     "PoleError",
     "RESONANCE",
     "RabiInput",
-    "RadialGrid",
-    "VerificationReport",
     "X_MAX",
     "X_RESONANCE",
     "beta",
     "beta_linearized",
     "beta_slope",
-    "build_report",
     "gauge_pair",
     "load_constants",
-    "p_oracle",
     "p_velocity",
     "q_length",
-    "q_oracle",
-    "r2_overlap",
     "rabi_frequency",
     "two_color_q",
     "__version__",

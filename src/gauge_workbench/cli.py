@@ -25,12 +25,15 @@ import json
 import os
 import sys
 import tempfile
+from typing import TYPE_CHECKING
 
 from .closedform import VARIANTS, gauge_pair, two_color_q
 from .errors import ConvergenceError, DomainError
-from .identities import VerificationReport, build_report
-from .oracle import RadialGrid
 from .rabi import PhysicalConstants, beta, load_constants
+
+if TYPE_CHECKING:
+    from .identities import VerificationReport
+    from .oracle import RadialGrid
 
 SCHEMA_VERSION = "1.0.0"
 
@@ -71,6 +74,8 @@ def _resolve_constants(args: argparse.Namespace) -> PhysicalConstants:
 
 
 def _resolve_grid(args: argparse.Namespace) -> RadialGrid:
+    from .oracle import RadialGrid
+
     kwargs = {}
     if getattr(args, "grid_points", None) is not None:
         kwargs["n_points"] = args.grid_points
@@ -169,6 +174,9 @@ def _report_document(report: VerificationReport, args: argparse.Namespace,
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    # numpy and scipy load here, so compute and scan run on the stdlib alone
+    from .identities import build_report
+
     k = _resolve_constants(args)
     grid = _resolve_grid(args)
     report = build_report(profile=args.profile, grid=grid,

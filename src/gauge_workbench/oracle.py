@@ -61,8 +61,9 @@ class RadialGrid:
     def __post_init__(self) -> None:
         if self.n_points < 2000:
             raise DomainError(f"n_points = {self.n_points} below the 2000 floor")
-        if self.r_max < 60.0:
-            raise DomainError(f"r_max = {self.r_max} truncates the 2S tail; need >= 60")
+        if not 60.0 <= self.r_max < np.inf:
+            raise DomainError(f"r_max = {self.r_max} must be finite and >= 60 "
+                              "(below 60 truncates the 2S tail)")
         if not 0.0 < self.r_min < 1.0:
             raise DomainError(f"r_min = {self.r_min} outside (0, 1)")
 
@@ -103,7 +104,16 @@ class OracleState:
         self.h = float(y[1] - y[0])
         self.r = np.exp(y)
         self.sqrt_r = np.sqrt(self.r)
-        self._bands = {l: _hamiltonian_bands(l, self.h, self.r) for l in (0, 1)}
+        # Near r = 0 the 1/(r r') band entries overflow when r_min is tiny.
+        # Past r ~ 1.3e154, r^2 overflows: those entries flush to zero instead
+        # and the r^(l+1) bound-state seeds become inf * 0 = NaN.
+        with np.errstate(over="ignore", divide="ignore"):
+            self._bands = {l: _hamiltonian_bands(l, self.h, self.r) for l in (0, 1)}
+            top = self.r[-1] * self.r[-1]
+        if not (np.isfinite(top) and all(np.isfinite(ab).all() for ab in self._bands.values())):
+            raise DomainError(
+                f"grid from r_min = {grid.r_min} to r_max = {grid.r_max} overflows "
+                "the Hamiltonian bands; lower r_max or raise r_min")
 
         self.s1 = self._solve(1, 0)
         self.s2 = self._solve(2, 0)

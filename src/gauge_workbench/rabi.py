@@ -22,6 +22,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import sys
 from dataclasses import dataclass, fields, replace
 
 from .closedform import X_RESONANCE, q_length
@@ -48,17 +49,26 @@ class PhysicalConstants:
     provenance_tag: str = "CODATA-2018"
 
     def __post_init__(self) -> None:
+        if not isinstance(self.provenance_tag, str):
+            raise DomainError(f"provenance_tag must be a string, got {self.provenance_tag!r}")
         for f in fields(self):
             if f.name == "provenance_tag":
                 continue
-            if not getattr(self, f.name) > 0.0:
-                raise DomainError(f"constant {f.name} must be positive")
+            value = getattr(self, f.name)
+            # bool is an int subclass, but true is no physical constant
+            if (isinstance(value, bool) or not isinstance(value, (int, float))
+                    or not 0.0 < value <= sys.float_info.max):
+                raise DomainError(
+                    f"constant {f.name} must be a positive finite number, got {value!r}")
 
     @classmethod
     def from_file(cls, path: str) -> "PhysicalConstants":
         """Load overrides from a JSON object of constant-name: value pairs."""
         with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
+            try:
+                raw = json.load(fh)
+            except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+                raise DomainError(f"constants file {path} is not valid JSON: {exc}") from exc
         if not isinstance(raw, dict):
             raise DomainError(f"constants file {path} must hold a JSON object")
         known = {f.name for f in fields(cls)}
@@ -68,7 +78,10 @@ class PhysicalConstants:
         base = cls()
         if "provenance_tag" not in raw:
             raw = dict(raw, provenance_tag=f"file:{os.path.basename(path)}")
-        return replace(base, **raw)
+        try:
+            return replace(base, **raw)
+        except DomainError as exc:
+            raise DomainError(f"constants file {path}: {exc}") from exc
 
 
 DEFAULT_CONSTANTS = PhysicalConstants()

@@ -29,15 +29,36 @@ CHECK_ORDER = [
 ]
 
 
-def run_cli(*args, env_extra=None):
+def _subprocess_env(env_extra=None):
     env = os.environ.copy()
     env.pop("GAUGE_WORKBENCH_CONSTANTS", None)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (PACKAGE_ROOT, env.get("PYTHONPATH")) if p)
     if env_extra:
         env.update(env_extra)
+    return env
+
+
+def run_cli(*args, env_extra=None):
     return subprocess.run(CLI + list(args), capture_output=True,
-                          text=True, env=env)
+                          text=True, env=_subprocess_env(env_extra))
+
+
+def heavy_modules_after(code):
+    """The numpy/scipy packages a fresh interpreter holds after running code."""
+    probe = ("\nimport sys\nprint(sorted({m.partition('.')[0] for m in sys.modules}"
+             " & {'numpy', 'scipy'}), file=sys.stderr)")
+    proc = subprocess.run([sys.executable, "-c", code + probe], capture_output=True,
+                          text=True, env=_subprocess_env())
+    assert proc.returncode == 0, proc.stderr
+    return proc.stderr.splitlines()[-1]
+
+
+def assert_input_error(proc):
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "error:" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 class TestCompute:
@@ -216,3 +237,48 @@ class TestVerify:
     def test_grid_override_is_validated(self):
         proc = run_cli("verify", "--grid-points", "100")
         assert proc.returncode == 2
+
+    @pytest.mark.parametrize("r_max", ["nan", "inf", "1e300"])
+    def test_unusable_r_max_is_an_input_error(self, r_max):
+        # exit 1 would claim a verification failure; the grid never existed
+        assert_input_error(run_cli("verify", "--r-max", r_max))
+
+
+class TestConstantsFile:
+    @pytest.mark.parametrize("content", [
+        b'{"alpha": ',
+        b'{"alpha": "x"}',
+        b'{"alpha": true}',
+        b'{"alpha": Infinity}',
+        b'\xff\xfe',
+    ], ids=["invalid-json", "string", "bool", "infinite", "not-utf8"])
+    def test_malformed_file_is_an_input_error(self, tmp_path, content):
+        consts = tmp_path / "bad.json"
+        consts.write_bytes(content)
+        proc = run_cli("compute", "--x", "0.1875", "--quantity", "beta",
+                       "--constants-file", str(consts))
+        assert_input_error(proc)
+        assert str(consts) in proc.stderr
+
+
+class TestImportCost:
+    """compute and scan are closed-form only and must run on the stdlib."""
+
+    @pytest.mark.parametrize("argv", [
+        ["compute", "--x", "0.1875", "--quantity", "beta"],
+        ["scan", "--x-min", "0.1", "--x-max", "0.3", "--steps", "5",
+         "--columns", "q,p,beta"],
+    ], ids=["compute", "scan"])
+    def test_closed_form_commands_load_no_numpy_or_scipy(self, tmp_path, argv):
+        if argv[0] == "scan":
+            argv = argv + ["--out", str(tmp_path / "scan.csv")]
+        code = f"from gauge_workbench.cli import main\nassert main({argv!r}) == 0"
+        assert heavy_modules_after(code) == "[]"
+
+    def test_package_import_and_all_names_load_no_numpy_or_scipy(self):
+        # the star import fails if a name in __all__ does not resolve
+        assert heavy_modules_after("from gauge_workbench import *") == "[]"
+
+    def test_oracle_import_is_detected(self):
+        # negative control: the probe does see both once the oracle loads
+        assert heavy_modules_after("import gauge_workbench.oracle") == "['numpy', 'scipy']"

@@ -18,6 +18,7 @@ from gauge_workbench.errors import (
     NearResonanceError,
 )
 from gauge_workbench.oracle import (
+    OracleState,
     RadialGrid,
     ac_stark_sides,
     build_oracle,
@@ -46,11 +47,20 @@ class TestRadialGrid:
             {"r_max": 50.0},
             {"r_min": 0.0},
             {"r_min": 1.5},
+            {"r_max": math.nan},
+            {"r_max": math.inf},
+            {"r_min": math.nan},
         ],
     )
     def test_rejects_unusable_parameters(self, kwargs):
         with pytest.raises(DomainError):
             RadialGrid(**kwargs)
+
+    @pytest.mark.parametrize("kwargs", [{"r_max": 1e300}, {"r_min": 1e-200}],
+                             ids=["r_max-squared-overflows", "r_min-bands-overflow"])
+    def test_overflowing_grid_is_rejected_before_any_solve(self, kwargs):
+        with pytest.raises(DomainError, match="overflows"):
+            OracleState(RadialGrid(**kwargs))
 
     def test_refined_doubles_points(self):
         grid = RadialGrid()

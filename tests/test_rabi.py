@@ -94,6 +94,15 @@ class TestConstantsHandling:
         with pytest.raises(DomainError):
             PhysicalConstants(hbar=0.0)
 
+    @pytest.mark.parametrize("value", ["x", True, None, math.inf, math.nan, 10**400],
+                             ids=["str", "bool", "none", "inf", "nan", "int-overflow"])
+    def test_non_real_or_non_finite_constants_rejected(self, value):
+        with pytest.raises(DomainError, match="alpha"):
+            PhysicalConstants(alpha=value)
+
+    def test_integer_constant_accepted(self):
+        assert PhysicalConstants(c=299792458).c == 299792458
+
     def test_file_overrides(self, tmp_path):
         path = tmp_path / "consts.json"
         path.write_text(json.dumps({"alpha": 7.3e-3}))
@@ -112,6 +121,15 @@ class TestConstantsHandling:
         path = tmp_path / "consts.json"
         path.write_text(json.dumps({"planck": 1.0}))
         with pytest.raises(DomainError):
+            PhysicalConstants.from_file(str(path))
+
+    @pytest.mark.parametrize("content", ['{"alpha": ', '{"alpha": "x"}', '{"alpha": false}',
+                                         '{"provenance_tag": 3}'],
+                             ids=["invalid-json", "string", "bool", "numeric-tag"])
+    def test_file_errors_name_the_file(self, tmp_path, content):
+        path = tmp_path / "consts.json"
+        path.write_text(content)
+        with pytest.raises(DomainError, match="consts.json"):
             PhysicalConstants.from_file(str(path))
 
     def test_file_rejects_non_object(self, tmp_path):
