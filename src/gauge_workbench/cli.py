@@ -46,6 +46,10 @@ EXIT_CONVERGENCE = 4
 _DIMENSIONLESS = "dimensionless"
 _BETA_UNIT = "Hz(W/m^2)^-1"
 
+# every scan row is held in memory until the atomic write, so the row
+# count is bounded
+MAX_SCAN_STEPS = 10**6
+
 # scan columns beyond the fixed x,f1,f2,delta, in output order
 _EXTRA_COLUMNS = ("q", "p", "beta")
 _SCAN_NAMES = ("f1", "f2", "delta") + _EXTRA_COLUMNS
@@ -111,8 +115,8 @@ def _parse_columns(raw: str | None) -> tuple[str, ...]:
 
 
 def cmd_scan(args: argparse.Namespace) -> int:
-    if args.steps < 2:
-        raise DomainError(f"steps must be >= 2, got {args.steps}")
+    if not 2 <= args.steps <= MAX_SCAN_STEPS:
+        raise DomainError(f"steps must lie in [2, {MAX_SCAN_STEPS}], got {args.steps}")
     if not (0.0 < args.x_min < args.x_max < 0.375):
         raise DomainError(
             f"window must satisfy 0 < x-min < x-max < 3/8, "
@@ -230,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--x-min", type=float, required=True)
     p_scan.add_argument("--x-max", type=float, required=True)
     p_scan.add_argument("--steps", type=int, required=True,
-                        help="number of rows, >= 2")
+                        help=f"number of rows, 2 to {MAX_SCAN_STEPS}")
     p_scan.add_argument("--out", required=True, help="CSV output path")
     p_scan.add_argument("--columns", default=None,
                         help="comma-separated extras from q,p,beta "

@@ -30,8 +30,7 @@ from .oracle import (
     ac_stark_sides,
     build_oracle,
     check_one_photon_ratio,
-    p_oracle,
-    q_oracle,
+    gauge_pair_oracle,
     r2_overlap,
 )
 from .rabi import DEFAULT_CONSTANTS, PhysicalConstants, beta, beta_slope
@@ -124,7 +123,7 @@ def check_master_identity(xs: tuple[float, ...] = MASTER_GRID,
         grid = grid if grid is not None else RadialGrid()
         r2 = r2_overlap(grid)
         residuals = tuple(
-            _master_residual(x, q_oracle(grid, x), p_oracle(grid, x), r2)
+            _master_residual(x, *gauge_pair_oracle(grid, x), r2)
             for x in xs
         )
         tol = TOL_ORACLE

@@ -16,8 +16,15 @@ turns that into an ordinary symmetric eigenproblem K w = E w with
 
 where w = sqrt(r) u and the y-grid quadrature is simply h * sum (the
 trapezoid weights of a decaying integrand on a uniform grid).  The second
-derivative uses the five-point stencil, making K pentadiagonal; banded
-LU solves then cost O(n) per right-hand side.
+derivative uses the five-point stencil, making K pentadiagonal, so every
+banded solve costs O(n) per right-hand side.  Resolvent solves factor
+K - E by banded Cholesky.  That is valid because every resolvent energy
+here lies below the whole l = 1 spectrum: E_1S +- x with 0 < x < 3/8, kept
+at least 1e-6 Hartree below the grid's 2P level, the lowest l = 1
+eigenvalue, so K - E is positive definite.  One factorization then serves
+the length- and the velocity-gauge driving terms at the same energy.
+Inverse iteration shifts onto an eigenvalue, where K - E is indefinite;
+it keeps the pivoted banded LU.
 
 Two systematic errors matter and set the grid defaults.  The stencil error
 scales as h^4 and is negligible at the default spacing.  Truncating the
@@ -39,13 +46,14 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eig_banded, solve_banded
+from scipy.linalg import eig_banded, solve_banded, solveh_banded
 from scipy.special import eval_genlaguerre
 
 from .closedform import X_MAX, require_window
 from .errors import ConvergenceError, DegenerateError, DomainError, NearResonanceError
 
 _RESIDUAL_TARGET = 1e-8
+_RESOLVENT_TARGET = 1e-12
 _NEAR_RESONANCE_GAP = 1e-6
 _DEGENERACY_GAP = 1e-9
 
@@ -80,19 +88,6 @@ class BoundState:
     energy: float
     radial_values: np.ndarray
     norm: float
-
-
-@dataclass(frozen=True, eq=False)
-class GreenSolve:
-    """Result of applying the resolvent (H_l - E)^-1 to a driving term.
-
-    ``driving`` and ``solution`` are stored in the symmetrized w = sqrt(r) u
-    representation used internally by the grid."""
-
-    driving: np.ndarray
-    energy_shift: float
-    l_channel: int
-    solution: np.ndarray
 
 
 class OracleState:
@@ -182,11 +177,12 @@ def _full_banded(ab: np.ndarray, shift: float) -> np.ndarray:
 
 
 def _apply_bands(ab: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """K w for the symmetric upper bands ab, applied along the last axis of w."""
     out = ab[2] * w
-    out[1:] += ab[1, 1:] * w[:-1]
-    out[:-1] += ab[1, 1:] * w[1:]
-    out[2:] += ab[0, 2:] * w[:-2]
-    out[:-2] += ab[0, 2:] * w[2:]
+    out[..., 1:] += ab[1, 1:] * w[..., :-1]
+    out[..., :-1] += ab[1, 1:] * w[..., 1:]
+    out[..., 2:] += ab[0, 2:] * w[..., :-2]
+    out[..., :-2] += ab[0, 2:] * w[..., 2:]
     return out
 
 
@@ -297,15 +293,53 @@ def solve_bound(grid: RadialGrid, n: int, l: int) -> BoundState:
     return _solve_on_state(state, n, l)
 
 
+def _componentwise_backward_error(shifted: np.ndarray, x: np.ndarray,
+                                  b: np.ndarray) -> np.ndarray:
+    """Oettli-Prager backward error of A x = b, A given by its bands.
+
+    max_i |r_i| / ((|A| |x|)_i + |b_i|) is the smallest relative perturbation
+    of each entry of A and b that makes x exact.  x and b hold one system
+    (n,) or one system per row (k, n); the result has one entry per
+    system.  Unlike the unscaled
+    |r| / |b| it stays at roundoff level for a backward-stable solve however
+    ill-conditioned A is.  Rows where the denominator is zero have r_i = 0
+    and count as 0.  A column whose products overflow comes back as NaN,
+    which no ``<=`` test accepts."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        residual = np.abs(_apply_bands(shifted, x) - b)
+        scale = _apply_bands(np.abs(shifted), np.abs(x)) + np.abs(b)
+        ratio = np.divide(residual, scale, out=np.zeros_like(residual), where=scale > 0.0)
+    return np.where(np.isfinite(scale).all(axis=-1), ratio.max(axis=-1), np.nan)
+
+
 def green_solve(state: OracleState, l: int, energy: float,
-                driving_w: np.ndarray) -> GreenSolve:
-    """Solve (H_l - energy) solution = driving and verify the residual."""
-    sol = _shifted_solve(state.bands(l), energy, driving_w, f"the l = {l} resolvent")
-    resid = _apply_bands(state.bands(l), sol) - energy * sol - driving_w
-    rel = np.sqrt(np.dot(resid, resid) / max(np.dot(driving_w, driving_w), 1e-300))
-    if not rel <= _RESIDUAL_TARGET:
-        raise ConvergenceError(f"resolvent solve residual {rel:.2e} above target")
-    return GreenSolve(driving=driving_w, energy_shift=energy, l_channel=l, solution=sol)
+                driving_w: np.ndarray) -> np.ndarray:
+    """Solve (H_l - energy) solution = driving for one or several driving terms.
+
+    ``driving_w`` is one column (n,) or a stack (n, k) in the symmetrized
+    w = sqrt(r) u representation; the solution comes back in the same
+    shape.  One banded Cholesky factorization of K_l - energy serves every
+    column.  The energy must lie below the spectrum of H_l: a matrix that is
+    not positive definite, a non-finite solution or a column whose
+    componentwise backward error exceeds the target is a ConvergenceError,
+    never a fallback to another solver."""
+    shifted = state.bands(l).copy()
+    shifted[2] -= energy
+    # column-major, so that LAPACK takes the stack without a copy and each
+    # column is one contiguous row of the transpose the gate works on
+    driving = np.asfortranarray(driving_w)
+    what = f"the l = {l} resolvent at energy {energy!r}"
+    try:
+        sol = solveh_banded(shifted, driving, check_finite=False)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"K - E is not positive definite for {what}") from exc
+    if not np.all(np.isfinite(sol)):
+        raise ConvergenceError(f"non-finite solve for {what}")
+    worst = float(np.max(_componentwise_backward_error(shifted, sol.T, driving.T)))
+    if not worst <= _RESOLVENT_TARGET:
+        raise ConvergenceError(
+            f"componentwise backward error {worst:.2e} above {_RESOLVENT_TARGET} for {what}")
+    return sol
 
 
 def _intermediate_energy(state: OracleState, x: float) -> float:
@@ -326,8 +360,8 @@ def q_oracle(grid: RadialGrid, x: float) -> float:
     require_window(x)
     state = build_oracle(grid)
     energy = _intermediate_energy(state, x)
-    solve = green_solve(state, 1, energy, state.r * state.w1)
-    return state.integrate(state.w2 * state.r, solve.solution) / 3.0
+    psi = green_solve(state, 1, energy, state.r * state.w1)
+    return state.integrate(state.w2 * state.r, psi) / 3.0
 
 
 def p_oracle(grid: RadialGrid, x: float) -> float:
@@ -339,8 +373,21 @@ def p_oracle(grid: RadialGrid, x: float) -> float:
     require_window(x)
     state = build_oracle(grid)
     energy = _intermediate_energy(state, x)
-    solve = green_solve(state, 1, energy, state.wd1)
-    return state.integrate(state.wd2, solve.solution) / 3.0
+    psi = green_solve(state, 1, energy, state.wd1)
+    return state.integrate(state.wd2, psi) / 3.0
+
+
+def gauge_pair_oracle(grid: RadialGrid, x: float) -> tuple[float, float]:
+    """(q_oracle, p_oracle) at x from one factorization of the resolvent.
+
+    Both gauges drive the same propagator G(E_1S + x), so the length- and
+    velocity-gauge driving terms are solved as two columns of one call."""
+    require_window(x)
+    state = build_oracle(grid)
+    energy = _intermediate_energy(state, x)
+    psi = green_solve(state, 1, energy, np.column_stack((state.r * state.w1, state.wd1)))
+    return (state.integrate(state.w2 * state.r, psi[:, 0]) / 3.0,
+            state.integrate(state.wd2, psi[:, 1]) / 3.0)
 
 
 def r2_overlap(grid: RadialGrid) -> float:
@@ -384,14 +431,14 @@ def ac_stark_sides(grid: RadialGrid, x: float) -> tuple[float, float]:
     norm_1s = state.integrate(state.w1, state.w1)
     lhs = -3.0 * norm_1s
     rhs = 0.0
+    driving = np.column_stack((state.wd1, state.r * state.w1))
     for sign in (+1.0, -1.0):
         energy = state.s1.energy + sign * x
         if abs(energy - state.s2p.energy) < _NEAR_RESONANCE_GAP:
             raise NearResonanceError("polarizability energy degenerate with n=2 level")
-        vel = green_solve(state, 1, energy, state.wd1)
-        lhs += state.integrate(state.wd1, vel.solution)
-        pos = green_solve(state, 1, energy, state.r * state.w1)
-        rhs += state.integrate(state.r * state.w1, pos.solution)
+        response = green_solve(state, 1, energy, driving)
+        lhs += state.integrate(driving[:, 0], response[:, 0])
+        rhs += state.integrate(driving[:, 1], response[:, 1])
     return lhs, x * x * rhs
 
 

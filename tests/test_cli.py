@@ -161,6 +161,15 @@ class TestScan:
         assert proc.returncode == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("steps", [str(10**6 + 1), str(10**20)])
+    def test_rejects_steps_above_the_cap(self, tmp_path, steps):
+        # the cap is checked before any row is built, so this returns at once
+        out = tmp_path / "never.csv"
+        proc = run_cli("scan", "--x-min", "0.1", "--x-max", "0.2",
+                       "--steps", steps, "--out", str(out))
+        assert_input_error(proc)
+        assert not out.exists()
+
     def test_rejects_inverted_window(self, tmp_path):
         proc = run_cli("scan", "--x-min", "0.2", "--x-max", "0.1",
                        "--steps", "5", "--out", str(tmp_path / "x.csv"))

@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.linalg import eig_banded
+from scipy.linalg import eig_banded, solve_banded
 
 from gauge_workbench.closedform import p_velocity, q_length
 from gauge_workbench.errors import (
@@ -23,6 +23,7 @@ from gauge_workbench.oracle import (
     ac_stark_sides,
     build_oracle,
     check_one_photon_ratio,
+    gauge_pair_oracle,
     green_solve,
     p_oracle,
     pseudostate_q,
@@ -127,13 +128,11 @@ class TestGreenSolve:
         state = build_oracle(default_grid)
         energy = state.s1.energy + 0.1
         driving = state.r * state.w1
-        solve = green_solve(state, 1, energy, driving)
-        resid = (_apply_bands(state.bands(1), solve.solution)
-                 - energy * solve.solution - driving)
+        solution = green_solve(state, 1, energy, driving)
+        resid = (_apply_bands(state.bands(1), solution)
+                 - energy * solution - driving)
         rel = np.sqrt(np.dot(resid, resid) / np.dot(driving, driving))
         assert rel < 1e-8
-        assert solve.l_channel == 1
-        assert solve.energy_shift == energy
 
     def test_overflowing_solve_is_an_error(self, small_grid):
         # A driving term that overflows next to the 2P level must raise,
@@ -149,11 +148,60 @@ class TestGreenSolve:
         energy = state.s1.energy + 0.1
         fwd = state.integrate(
             state.w2 * state.r,
-            green_solve(state, 1, energy, state.r * state.w1).solution)
+            green_solve(state, 1, energy, state.r * state.w1))
         rev = state.integrate(
             state.w1 * state.r,
-            green_solve(state, 1, energy, state.r * state.w2).solution)
+            green_solve(state, 1, energy, state.r * state.w2))
         assert math.isclose(fwd, rev, rel_tol=1e-10)
+
+    @pytest.mark.parametrize("offset", [0.001, 0.1875, 0.37, -0.15])
+    def test_cholesky_agrees_with_pivoted_lu(self, default_grid, offset):
+        from gauge_workbench.oracle import _full_banded
+
+        state = build_oracle(default_grid)
+        energy = state.s1.energy + offset
+        driving = np.column_stack((state.r * state.w1, state.wd1))
+        solution = green_solve(state, 1, energy, driving)
+        assert solution.shape == driving.shape
+        for k in range(driving.shape[1]):
+            lu = solve_banded((2, 2), _full_banded(state.bands(1), energy), driving[:, k])
+            assert np.max(np.abs(solution[:, k] - lu)) <= 1e-10 * np.max(np.abs(lu))
+
+    def test_stacked_call_with_one_overflowing_column_is_an_error(self, small_grid):
+        # one bad column fails the whole call rather than coming back partial
+        state = build_oracle(small_grid)
+        driving = np.column_stack((state.r * state.w1, np.full(small_grid.n_points, 1e300)))
+        with pytest.raises(ConvergenceError, match="non-finite"):
+            green_solve(state, 1, state.s2p.energy, driving)
+
+    def test_zero_driving_column_passes_the_gate(self, small_grid):
+        # rows with |K - E| |x| + |b| = 0 carry no residual, not a 0/0
+        state = build_oracle(small_grid)
+        driving = np.column_stack((state.r * state.w1, np.zeros(small_grid.n_points)))
+        solution = green_solve(state, 1, state.s1.energy + 0.1, driving)
+        assert not np.any(solution[:, 1])
+
+    def test_energy_inside_the_l1_spectrum_is_rejected(self, default_grid):
+        # Negative control for the Cholesky route: between 2P and 3P the
+        # shifted operator is indefinite, so there is no solution to return.
+        state = build_oracle(default_grid)
+        with pytest.raises(ConvergenceError, match="not positive definite"):
+            green_solve(state, 1, state.s2p.energy + 0.01, state.r * state.w1)
+
+    def test_backward_error_gate_sees_a_perturbed_solution(self, default_grid):
+        # Negative control for the componentwise gate: the exact solve sits
+        # at roundoff, a 1e-9 relative perturbation of it does not.
+        from gauge_workbench.oracle import _RESOLVENT_TARGET, _componentwise_backward_error
+
+        state = build_oracle(default_grid)
+        energy = state.s1.energy + 0.1
+        driving = state.r * state.w1
+        shifted = state.bands(1).copy()
+        shifted[2] -= energy
+        solution = green_solve(state, 1, energy, driving)
+        perturbed = solution * (1.0 + 1e-9 * np.cos(np.arange(solution.size)))
+        assert _componentwise_backward_error(shifted, solution, driving) <= 1e-15
+        assert _componentwise_backward_error(shifted, perturbed, driving) > _RESOLVENT_TARGET
 
 
 class TestAmplitudeOracles:
@@ -164,12 +212,33 @@ class TestAmplitudeOracles:
         assert math.isclose(p_oracle(default_grid, x), p_velocity(x),
                             rel_tol=1e-6)
 
+    @pytest.mark.parametrize("x", [0.05, 0.1875, 0.3749])
+    def test_gauge_pair_matches_single_column_solves(self, default_grid, x):
+        q, p = gauge_pair_oracle(default_grid, x)
+        assert math.isclose(q, q_oracle(default_grid, x), rel_tol=1e-12)
+        assert math.isclose(p, p_oracle(default_grid, x), rel_tol=1e-12)
+
+    @pytest.mark.parametrize("x", [0.3749, 0.37499])
+    def test_close_to_the_2p_pole_is_computed(self, default_grid, x):
+        # The gap to 2P is 1e-4 / 1e-5 Hartree here; the solves are
+        # backward stable and the remaining error is the r_min shift of
+        # E_1S relative to that gap (2e-5 / 2e-4 for Q).
+        assert math.isclose(q_oracle(default_grid, x), q_length(x), rel_tol=1e-3)
+        assert math.isclose(p_oracle(default_grid, x), p_velocity(x), rel_tol=1e-3)
+
     def test_near_resonance_is_flagged(self, default_grid):
         x_close = 0.375 - 5e-7
         with pytest.raises(NearResonanceError):
             q_oracle(default_grid, x_close)
         with pytest.raises(NearResonanceError):
             p_oracle(default_grid, x_close)
+
+    def test_guard_edge_is_flagged_for_every_amplitude(self, default_grid):
+        # x = 0.374999 leaves the grid's 2P level 1e-6 minus the 2e-9 r_min
+        # shift above E_1S + x: just inside the 1e-6 guard
+        for amplitude in (q_oracle, p_oracle, gauge_pair_oracle):
+            with pytest.raises(NearResonanceError):
+                amplitude(default_grid, 0.374999)
 
     def test_window_is_enforced(self, default_grid):
         with pytest.raises(DomainError):
