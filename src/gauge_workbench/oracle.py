@@ -24,7 +24,7 @@ at least 1e-6 Hartree below the grid's 2P level, the lowest l = 1
 eigenvalue, so K - E is positive definite.  One factorization then serves
 the length- and the velocity-gauge driving terms at the same energy.
 Inverse iteration shifts onto an eigenvalue, where K - E is indefinite;
-it keeps the pivoted banded LU.
+it uses the pivoted banded LU, factored once per shift.
 
 Two systematic errors matter and set the grid defaults.  The stencil error
 scales as h^4 and is negligible at the default spacing.  Truncating the
@@ -33,21 +33,25 @@ u'(0)^2 * r_min / 2 (2 r_min for the 1S state); r_min = 1e-9 pushes this
 to 2e-9 Hartree, inside every tolerance used here, while costing only a
 few extra points per decade thanks to the log map.
 
-Eigenpairs are found by inverse iteration with Rayleigh-quotient updates
-seeded at the known hydrogen energies; each step is one banded solve, so a
-full state build stays well under 0.1 s.  The pseudostate sum takes only
-eigenvalues from the dense banded eigensolver and gets each mode's vector
-by the same kind of banded inverse iteration.
+Eigenpairs are found by inverse iteration shifted to the known hydrogen
+energies.  K - E is factored once at that shift and every step is one
+pair of triangular solves with those factors; only when the Rayleigh
+quotient lands far from the shift (a large r_min) is K factored again at
+the quotient.  On grids with r_min up to 1e-3 a state costs one
+factorization and two solves.  The pseudostate sum takes only eigenvalues
+from the dense banded eigensolver and gets each mode's vector by the same
+banded inverse iteration, one factorization and two solves per mode.
 """
 
 from __future__ import annotations
 
 import functools
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eig_banded, solve_banded, solveh_banded
-from scipy.special import eval_genlaguerre
+from scipy.linalg import eig_banded, solveh_banded
+from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from .closedform import X_MAX, require_window
 from .errors import ConvergenceError, DegenerateError, DomainError, NearResonanceError
@@ -56,6 +60,7 @@ _RESIDUAL_TARGET = 1e-8
 _RESOLVENT_TARGET = 1e-12
 _NEAR_RESONANCE_GAP = 1e-6
 _DEGENERACY_GAP = 1e-9
+_REFACTOR_GAP = 1e-6
 
 
 @dataclass(frozen=True)
@@ -165,14 +170,17 @@ def _hamiltonian_bands(l: int, h: float, r: np.ndarray) -> np.ndarray:
 
 
 def _full_banded(ab: np.ndarray, shift: float) -> np.ndarray:
-    """Expand symmetric upper bands into the (2,2)-banded LU layout of K - shift."""
+    """Expand symmetric upper bands into the LAPACK banded-LU layout of K - shift.
+
+    Rows 2-6 hold the (2,2) bands; rows 0-1 are the workspace that partial
+    pivoting fills in.  Column-major, so LAPACK factors it in place."""
     n = ab.shape[1]
-    full = np.zeros((5, n))
-    full[0, 2:] = ab[0, 2:]
-    full[1, 1:] = ab[1, 1:]
-    full[2, :] = ab[2, :] - shift
-    full[3, :-1] = ab[1, 1:]
-    full[4, :-2] = ab[0, 2:]
+    full = np.zeros((7, n), order="F")
+    full[2, 2:] = ab[0, 2:]
+    full[3, 1:] = ab[1, 1:]
+    full[4, :] = ab[2, :] - shift
+    full[5, :-1] = ab[1, 1:]
+    full[6, :-2] = ab[0, 2:]
     return full
 
 
@@ -194,19 +202,32 @@ def _count_nodes(u: np.ndarray) -> int:
     return int(np.sum(live[1:] * live[:-1] < 0.0))
 
 
-def _shifted_solve(ab: np.ndarray, shift: float, rhs: np.ndarray, what: str) -> np.ndarray:
-    """Solve (K - shift) v = rhs; a singular or overflowing solve is an error.
+def _shifted_lu(ab: np.ndarray, shift: float, what: str) -> Callable[[np.ndarray], np.ndarray]:
+    """Factor K - shift once by pivoted banded LU; return the solve v = (K - shift)^-1 rhs.
 
-    Inverse iteration shifts onto an eigenvalue on purpose, so an exactly
-    singular factorization or a non-finite solution means the shift is
-    unusable, not that it should be nudged and retried."""
-    try:
-        v = solve_banded((2, 2), _full_banded(ab, shift), rhs)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(f"singular banded solve at shift {shift!r} for {what}") from exc
-    if not np.all(np.isfinite(v)):
-        raise ConvergenceError(f"non-finite banded solve at shift {shift!r} for {what}")
-    return v
+    Each solve reuses the factors, two triangular sweeps at O(n).  Inverse
+    iteration shifts onto an eigenvalue on purpose, so an exactly singular
+    factor or a non-finite solution means the shift is unusable, not that
+    it should be nudged and retried."""
+    lu, piv, info = dgbtrf(_full_banded(ab, shift), 2, 2, overwrite_ab=1)
+    if info > 0:
+        raise ConvergenceError(f"singular banded LU at shift {shift!r} for {what}")
+
+    def solve(rhs: np.ndarray) -> np.ndarray:
+        v, _ = dgbtrs(lu, 2, 2, rhs, piv)
+        if not np.all(np.isfinite(v)):
+            raise ConvergenceError(f"non-finite banded solve at shift {shift!r} for {what}")
+        return v
+
+    return solve
+
+
+def _laguerre(degree: int, alpha: int, x: np.ndarray) -> np.ndarray:
+    """Generalized Laguerre polynomial L_degree^(alpha)(x) by its three-term recurrence."""
+    prev, cur = np.zeros_like(x), np.ones_like(x)
+    for k in range(degree):
+        prev, cur = cur, ((2 * k + 1 + alpha - x) * cur - (k + alpha) * prev) / (k + 1)
+    return cur
 
 
 def _scaled_backward_error(ab: np.ndarray, h: float, w: np.ndarray, energy: float) -> float:
@@ -232,22 +253,36 @@ def _solve_on_state(state: OracleState, n: int, l: int) -> BoundState:
     # A bare r^(l+1) exp(-r/n) envelope is not safe here: for (n,l) = (3,0)
     # it is exactly orthogonal to the target state and the iteration would
     # lock onto a neighbor instead.
-    poly = eval_genlaguerre(n - l - 1, 2 * l + 1, 2.0 * r / n)
+    poly = _laguerre(n - l - 1, 2 * l + 1, 2.0 * r / n)
     w = (r ** (l + 1) * np.exp(-r / n) * poly) * state.sqrt_r
     w /= np.sqrt(h * np.dot(w, w))
-    energy = target
-    last_change = np.inf
-    for iteration in range(12):
-        v = _shifted_solve(ab, energy, w, f"(n,l)=({n},{l})")
+    what = f"(n,l)=({n},{l})"
+    # The hydrogen energy is already close to the grid eigenvalue (the r_min
+    # and h^4 shifts), so inverse iteration at that fixed shift gains many
+    # digits per step and one factorization serves every step.  Only when
+    # the quotient lands far from the shift (a large r_min) is K factored
+    # again at the quotient, which turns the loop into Rayleigh-quotient
+    # iteration.  The quotient carries roundoff that grows with the grid
+    # (changes of a few 1e-12 from 24000 points on, 2.5e-11 at 192000), so
+    # the loop stops at the stall threshold below instead of waiting for a
+    # change inside that noise.
+    shift = energy = target
+    solve = _shifted_lu(ab, shift, what)
+    for step in range(12):
+        v = solve(w)
         v /= np.sqrt(h * np.dot(v, v))
         updated = h * float(np.dot(v, _apply_bands(ab, v)))
         last_change = abs(updated - energy)
-        # the Rayleigh sequence bottoms out in roundoff noise around 1e-12;
-        # anything below 1e-13 is converged, anything above 1e-10 is stuck
-        done = last_change < 1e-13 and iteration > 0
         w, energy = v, updated
-        if done:
+        if step == 0:
+            # the first quotient still carries the seed's error; a second
+            # solve with the same factors is cheaper than a new factorization
+            continue
+        if last_change <= 1e-10 * max(1.0, abs(energy)):
             break
+        if abs(energy - shift) > _REFACTOR_GAP:
+            shift = energy
+            solve = _shifted_lu(ab, shift, what)
 
     if last_change > 1e-10 * max(1.0, abs(energy)):
         raise ConvergenceError(
@@ -445,14 +480,15 @@ def ac_stark_sides(grid: RadialGrid, x: float) -> tuple[float, float]:
 def _mode_vector(state: OracleState, l: int, eigenvalue: float) -> np.ndarray:
     """Quadrature-normalized eigenvector of K_l for a computed eigenvalue.
 
-    Two inverse-iteration steps from a fixed all-ones start, each one
-    banded solve at the eigenvalue itself; the mode is accepted only if its
-    scaled backward error meets the same target as the bound states."""
+    One banded LU at the eigenvalue itself, then two inverse-iteration
+    steps with it from a fixed all-ones start; the mode is accepted only if
+    its scaled backward error meets the same target as the bound states."""
     ab, h = state.bands(l), state.h
     what = f"l = {l} mode at {eigenvalue!r}"
+    solve = _shifted_lu(ab, eigenvalue, what)
     v = np.ones(state.grid.n_points)
     for _ in range(2):
-        v = _shifted_solve(ab, eigenvalue, v, what)
+        v = solve(v)
         v /= np.sqrt(h * np.dot(v, v))
     rnorm = _scaled_backward_error(ab, h, v, eigenvalue)
     if not rnorm <= _RESIDUAL_TARGET:

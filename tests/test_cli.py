@@ -288,6 +288,16 @@ class TestImportCost:
         # the star import fails if a name in __all__ does not resolve
         assert heavy_modules_after("from gauge_workbench import *") == "[]"
 
+    def test_verify_stack_loads_no_scipy_special(self):
+        # the bound-state seeds use a numpy Laguerre recurrence, which keeps
+        # scipy.special (~70 ms) out of every cold verify
+        code = ("import sys\nimport gauge_workbench.identities\n"
+                "assert 'scipy.linalg' in sys.modules\n"
+                "assert 'scipy.special' not in sys.modules, 'scipy.special loaded'")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env=_subprocess_env())
+        assert proc.returncode == 0, proc.stderr
+
     def test_oracle_import_is_detected(self):
         # negative control: the probe does see both once the oracle loads
         assert heavy_modules_after("import gauge_workbench.oracle") == "['numpy', 'scipy']"

@@ -9,7 +9,9 @@ import math
 import numpy as np
 import pytest
 from scipy.linalg import eig_banded, solve_banded
+from scipy.special import eval_genlaguerre
 
+from gauge_workbench import oracle
 from gauge_workbench.closedform import p_velocity, q_length
 from gauge_workbench.errors import (
     ConvergenceError,
@@ -33,6 +35,18 @@ from gauge_workbench.oracle import (
 )
 
 R2_EXACT = -512.0 * math.sqrt(2.0) / 243.0
+
+
+def _lu_bands(ab, shift):
+    """K - shift in the (2,2)-banded layout that solve_banded takes."""
+    n = ab.shape[1]
+    full = np.zeros((5, n))
+    full[0, 2:] = ab[0, 2:]
+    full[1, 1:] = ab[1, 1:]
+    full[2, :] = ab[2, :] - shift
+    full[3, :-1] = ab[1, 1:]
+    full[4, :-2] = ab[0, 2:]
+    return full
 
 
 class TestRadialGrid:
@@ -106,6 +120,86 @@ class TestBoundStates:
             build_oracle(default_grid).bands(2)
 
 
+def _rayleigh_quotient_iteration(state, n, l):
+    """Energy of (n, l) by Rayleigh-quotient iteration with a new pivoted LU
+    (solve_banded) at every step, stopping at a change below 1e-13 or after
+    12 steps: the eigensolve the factor-once inverse iteration replaced."""
+    ab, h, r = state.bands(l), state.h, state.r
+    poly = eval_genlaguerre(n - l - 1, 2 * l + 1, 2.0 * r / n)
+    w = r ** (l + 1) * np.exp(-r / n) * poly * state.sqrt_r
+    w /= np.sqrt(h * np.dot(w, w))
+    energy = -0.5 / (n * n)
+    for step in range(12):
+        v = solve_banded((2, 2), _lu_bands(ab, energy), w)
+        v /= np.sqrt(h * np.dot(v, v))
+        updated = h * float(np.dot(v, oracle._apply_bands(ab, v)))
+        done = step > 0 and abs(updated - energy) < 1e-13
+        w, energy = v, updated
+        if done:
+            break
+    return energy
+
+
+@pytest.fixture
+def lapack_calls(monkeypatch):
+    """Counts of the banded-LU factorizations and solves made through oracle."""
+    calls = {"dgbtrf": 0, "dgbtrs": 0}
+    for name in calls:
+        def counted(*args, _real=getattr(oracle, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(oracle, name, counted)
+    return calls
+
+
+class TestInverseIteration:
+    @pytest.mark.parametrize("n_points", [6000, 24000], ids=["default", "24000"])
+    def test_one_factorization_per_state(self, lapack_calls, n_points):
+        state = build_oracle(RadialGrid(n_points=n_points))
+        for n, l in [(1, 0), (2, 0), (2, 1)]:
+            lapack_calls.update(dgbtrf=0, dgbtrs=0)
+            oracle._solve_on_state(state, n, l)
+            assert lapack_calls["dgbtrf"] == 1
+            assert lapack_calls["dgbtrs"] <= 3
+
+    def test_large_r_min_refactors_and_matches_rayleigh_iteration(self, lapack_calls):
+        # r_min = 0.3 moves the s levels far from the hydrogen seeds, so K is
+        # factored again at the quotient; states and energies must still
+        # match the iteration that factors at every step
+        state = OracleState(RadialGrid(6000, r_min=0.3))
+        assert lapack_calls["dgbtrf"] > 3
+        for bound in (state.s1, state.s2, state.s2p):
+            n, l = bound.label
+            u = bound.radial_values
+            live = u[np.abs(u) > 1e-7 * np.max(np.abs(u))]
+            assert int(np.sum(live[1:] * live[:-1] < 0.0)) == n - l - 1
+            assert abs(bound.energy - _rayleigh_quotient_iteration(state, n, l)) <= 1e-10
+
+    def test_mode_vector_matches_two_solve_banded_steps(self, small_grid, lapack_calls):
+        state = build_oracle(small_grid)
+        lapack_calls.update(dgbtrf=0, dgbtrs=0)
+        ab = state.bands(1)
+        vals = eig_banded(ab, lower=False, eigvals_only=True, select="i", select_range=(0, 2))
+        for val in vals:
+            v = np.ones(small_grid.n_points)
+            for _ in range(2):
+                v = solve_banded((2, 2), _lu_bands(ab, val), v)
+                v /= np.sqrt(state.h * np.dot(v, v))
+            mode = oracle._mode_vector(state, 1, float(val))
+            assert np.max(np.abs(mode - v)) <= 1e-14 * np.max(np.abs(v))
+        assert lapack_calls == {"dgbtrf": 3, "dgbtrs": 6}
+
+    @pytest.mark.parametrize("alpha", [1, 3])
+    @pytest.mark.parametrize("degree", range(5))
+    def test_laguerre_recurrence_matches_scipy(self, degree, alpha):
+        # L(-x) sums the coefficient magnitudes, so it bounds the roundoff
+        x = np.concatenate((np.geomspace(1e-12, 400.0, 2000), np.linspace(0.0, 40.0, 4001)))
+        reference = eval_genlaguerre(degree, alpha, x)
+        scale = eval_genlaguerre(degree, alpha, -x)
+        error = np.abs(oracle._laguerre(degree, alpha, x) - reference)
+        assert np.all(error <= 8.0 * np.finfo(float).eps * scale)
+
+
 class TestR2Overlap:
     def test_matches_exact_integral(self, default_grid):
         assert math.isclose(r2_overlap(default_grid), R2_EXACT, rel_tol=1e-6)
@@ -136,11 +230,13 @@ class TestGreenSolve:
 
     def test_overflowing_solve_is_an_error(self, small_grid):
         # A driving term that overflows next to the 2P level must raise,
-        # not come back as a non-finite solution.
+        # not come back as a non-finite solution.  The energy sits 1e-9
+        # below the grid's 2P level: exactly on it, whether the factorization
+        # or the solve fails first depends on the last bits of E_2P.
         state = build_oracle(small_grid)
         driving = np.full(small_grid.n_points, 1e300)
         with pytest.raises(ConvergenceError, match="non-finite"):
-            green_solve(state, 1, state.s2p.energy, driving)
+            green_solve(state, 1, state.s2p.energy - 1e-9, driving)
 
     def test_bra_ket_symmetry(self, default_grid):
         # <2S r|G|r 1S> = <1S r|G|r 2S> for the symmetric resolvent
@@ -156,15 +252,13 @@ class TestGreenSolve:
 
     @pytest.mark.parametrize("offset", [0.001, 0.1875, 0.37, -0.15])
     def test_cholesky_agrees_with_pivoted_lu(self, default_grid, offset):
-        from gauge_workbench.oracle import _full_banded
-
         state = build_oracle(default_grid)
         energy = state.s1.energy + offset
         driving = np.column_stack((state.r * state.w1, state.wd1))
         solution = green_solve(state, 1, energy, driving)
         assert solution.shape == driving.shape
         for k in range(driving.shape[1]):
-            lu = solve_banded((2, 2), _full_banded(state.bands(1), energy), driving[:, k])
+            lu = solve_banded((2, 2), _lu_bands(state.bands(1), energy), driving[:, k])
             assert np.max(np.abs(solution[:, k] - lu)) <= 1e-10 * np.max(np.abs(lu))
 
     def test_stacked_call_with_one_overflowing_column_is_an_error(self, small_grid):
@@ -172,7 +266,7 @@ class TestGreenSolve:
         state = build_oracle(small_grid)
         driving = np.column_stack((state.r * state.w1, np.full(small_grid.n_points, 1e300)))
         with pytest.raises(ConvergenceError, match="non-finite"):
-            green_solve(state, 1, state.s2p.energy, driving)
+            green_solve(state, 1, state.s2p.energy - 1e-9, driving)
 
     def test_zero_driving_column_passes_the_gate(self, small_grid):
         # rows with |K - E| |x| + |b| = 0 carry no residual, not a 0/0
