@@ -13,7 +13,6 @@ from .closedform import (
     two_color_q,
 )
 from .errors import (
-    CancellationWarning,
     ConvergenceError,
     DegenerateError,
     DomainError,
@@ -33,7 +32,6 @@ from .rabi import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CancellationWarning",
     "ConvergenceError",
     "DegenerateError",
     "DomainError",

@@ -38,10 +38,9 @@ that it can reject a wrong reading, not merely confirm the right one.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
-from .errors import CancellationWarning, DomainError, PoleError
+from .errors import DomainError, PoleError
 from .specfun import lerch_sum
 
 SQRT2 = math.sqrt(2.0)
@@ -52,10 +51,6 @@ X_RESONANCE = 0.1875
 # d(delta)/dx: the gauge difference f1 - f2 is exactly linear in x with
 # this slope, crossing zero at x = 3/16.
 DELTA_SLOPE = -512.0 * SQRT2 / 729.0
-
-# |t - 1| below this means x < ~1e-4; the evaluation path is unchanged but
-# callers are warned that naive formulas would already have lost ~8 digits.
-GUARD_BAND = 1e-4
 
 VARIANTS = ("derived", "alt-a", "alt-b")
 
@@ -127,18 +122,10 @@ def _z_arg(t: float) -> float:
 
 
 def _checked_t(x: float, variant: str) -> float:
-    """Validate x and variant, warn inside the guard band, and return t."""
+    """Validate x and variant and return t."""
     require_window(x)
     _check_variant(variant)
-    t = t_of_x(x)
-    if abs(t - 1.0) < GUARD_BAND:
-        warnings.warn(
-            "evaluation inside the small-x guard band |t - 1| < 1e-4; "
-            "the folded form stays exact but term-by-term forms would not",
-            CancellationWarning,
-            stacklevel=3,
-        )
-    return t
+    return t_of_x(x)
 
 
 def _tail(t: float) -> float:
@@ -199,8 +186,8 @@ def q_length(x: float, variant: str = "derived") -> float:
 
     Finite on the whole open window and negative throughout; diverges
     toward -infinity as x -> 3/8 where the intermediate state crosses the
-    n = 2 shell.  A CancellationWarning is emitted inside the small-x
-    guard band (see module docstring)."""
+    n = 2 shell.  The folded form needs no small-x guard: it stays accurate
+    down to the smallest positive x (see module docstring)."""
     t = _checked_t(x, variant)
     if variant == "derived":
         return _q_derived(t, _tail(t))

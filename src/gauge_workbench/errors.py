@@ -1,10 +1,9 @@
-"""Exception and warning types shared across the package.
+"""Exception types shared across the package.
 
-The hierarchy separates three failure families: arguments outside the
+The hierarchy separates two failure families: arguments outside the
 supported mathematical domain (DomainError and its PoleError refinement),
-iterative procedures that fail to converge (ConvergenceError,
-NearResonanceError, DegenerateError), and loss-of-precision conditions that
-are survivable but worth surfacing (CancellationWarning).
+and iterative procedures that fail to converge (ConvergenceError,
+NearResonanceError, DegenerateError).
 """
 
 from __future__ import annotations
@@ -30,8 +29,3 @@ class NearResonanceError(ConvergenceError):
 class DegenerateError(ConvergenceError):
     """A ratio check was requested at the exact degeneracy where it
     becomes trivial (the limiting value is 1)."""
-
-
-class CancellationWarning(UserWarning):
-    """Evaluation entered a guard band where a naive formula would lose
-    precision; a cancellation-free path was used instead."""

@@ -22,7 +22,12 @@ K - E by banded Cholesky.  That is valid because every resolvent energy
 here lies below the whole l = 1 spectrum: E_1S +- x with 0 < x < 3/8, kept
 at least 1e-6 Hartree below the grid's 2P level, the lowest l = 1
 eigenvalue, so K - E is positive definite.  One factorization then serves
-the length- and the velocity-gauge driving terms at the same energy.
+the length- and the velocity-gauge driving terms at the same energy:
+q_oracle, p_oracle and gauge_pair_oracle all read one (Q, P) pair, solved
+as two columns of one call the first time a state sees x and memoized on
+the state (at most _AMPLITUDE_MEMO_SIZE pairs), so asking for Q and P
+separately costs one solve, not two.  The componentwise backward-error
+gate checks both columns of that solve, whichever amplitude was asked for.
 Inverse iteration shifts onto an eigenvalue, where K - E is indefinite;
 it uses the pivoted banded LU, factored once per shift.
 
@@ -46,6 +51,7 @@ banded inverse iteration, one factorization and two solves per mode.
 from __future__ import annotations
 
 import functools
+import operator
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -62,6 +68,18 @@ _NEAR_RESONANCE_GAP = 1e-6
 _DEGENERACY_GAP = 1e-9
 _REFACTOR_GAP = 1e-6
 
+# (Q, P) pairs kept per OracleState; the oldest is dropped beyond this, so
+# a long sweep of distinct x holds at most this many pairs per grid.
+_AMPLITUDE_MEMO_SIZE = 64
+
+
+def _is_index(value: object) -> bool:
+    try:
+        operator.index(value)
+    except TypeError:
+        return False
+    return True
+
 
 @dataclass(frozen=True)
 class RadialGrid:
@@ -72,6 +90,9 @@ class RadialGrid:
     r_min: float = 1e-9
 
     def __post_init__(self) -> None:
+        # bool passes operator.index, but True is no point count
+        if isinstance(self.n_points, bool) or not _is_index(self.n_points):
+            raise DomainError(f"n_points = {self.n_points!r} must be an integer")
         if self.n_points < 2000:
             raise DomainError(f"n_points = {self.n_points} below the 2000 floor")
         if not 60.0 <= self.r_max < np.inf:
@@ -96,7 +117,11 @@ class BoundState:
 
 
 class OracleState:
-    """Grid plus cached bound states; treat as immutable after construction."""
+    """Grid plus cached bound states and amplitude pairs.
+
+    Everything but ``_amplitudes`` is fixed after construction; the memo
+    maps x to the (Q, P) pair solved at E_1S + x and lives and dies with the
+    state, so ``build_oracle.cache_clear()`` drops it too."""
 
     def __init__(self, grid: RadialGrid) -> None:
         self.grid = grid
@@ -124,6 +149,10 @@ class OracleState:
         # Velocity-gauge driving terms u' - u/r, kept in the w representation.
         self.wd1 = self._velocity_reduce(self.s1.radial_values)
         self.wd2 = self._velocity_reduce(self.s2.radial_values)
+        # Both gauges' driving terms, r w1 and wd1, stacked column-major: the
+        # layout green_solve passes to LAPACK without a copy.
+        self._driving = np.asfortranarray(np.column_stack((self.r * self.w1, self.wd1)))
+        self._amplitudes: dict[float, tuple[float, float]] = {}
 
     def bands(self, l: int) -> np.ndarray:
         if l not in self._bands:
@@ -387,16 +416,38 @@ def _intermediate_energy(state: OracleState, x: float) -> float:
     return energy
 
 
+def _amplitude_pair(grid: RadialGrid, x: float) -> tuple[float, float]:
+    """(Q, P) at x, solved once per (state, x) and memoized on the state.
+
+    Both gauges drive the same propagator G(E_1S + x), so on a miss the
+    length- and velocity-gauge driving terms are solved as two columns of
+    one green_solve call, one factorization and one backward-error gate
+    over both columns.  The window and the near-resonance guard run before
+    the lookup, and a failed solve stores nothing, so every error is raised
+    again on every call."""
+    require_window(x)
+    state = build_oracle(grid)
+    energy = _intermediate_energy(state, x)
+    memo = state._amplitudes
+    pair = memo.get(x)
+    if pair is None:
+        psi = green_solve(state, 1, energy, state._driving)
+        pair = (state.integrate(state.w2 * state.r, psi[:, 0]) / 3.0,
+                state.integrate(state.wd2, psi[:, 1]) / 3.0)
+        if len(memo) >= _AMPLITUDE_MEMO_SIZE:
+            del memo[next(iter(memo))]
+        memo[x] = pair
+    return pair
+
+
 def q_oracle(grid: RadialGrid, x: float) -> float:
     """Length-gauge amplitude from the grid alone.
 
     Solves (H_{l=1} - E_1S - x) psi = r u_1S and integrates u_2S r psi / 3;
-    in Hartree atomic units this is already the dimensionless amplitude."""
-    require_window(x)
-    state = build_oracle(grid)
-    energy = _intermediate_energy(state, x)
-    psi = green_solve(state, 1, energy, state.r * state.w1)
-    return state.integrate(state.w2 * state.r, psi) / 3.0
+    in Hartree atomic units this is already the dimensionless amplitude.
+    The solve is shared with p_oracle at the same (grid, x), so a velocity
+    column that fails the backward-error gate raises here too."""
+    return _amplitude_pair(grid, x)[0]
 
 
 def p_oracle(grid: RadialGrid, x: float) -> float:
@@ -404,25 +455,15 @@ def p_oracle(grid: RadialGrid, x: float) -> float:
 
     The dipole-channel reduction of the momentum operator acting on an
     s state is the radial factor u' - u/r; the convention is locked by
-    check_one_photon_ratio before any value here is trusted."""
-    require_window(x)
-    state = build_oracle(grid)
-    energy = _intermediate_energy(state, x)
-    psi = green_solve(state, 1, energy, state.wd1)
-    return state.integrate(state.wd2, psi) / 3.0
+    check_one_photon_ratio before any value here is trusted.  The solve is
+    shared with q_oracle at the same (grid, x), so a length column that
+    fails the backward-error gate raises here too."""
+    return _amplitude_pair(grid, x)[1]
 
 
 def gauge_pair_oracle(grid: RadialGrid, x: float) -> tuple[float, float]:
-    """(q_oracle, p_oracle) at x from one factorization of the resolvent.
-
-    Both gauges drive the same propagator G(E_1S + x), so the length- and
-    velocity-gauge driving terms are solved as two columns of one call."""
-    require_window(x)
-    state = build_oracle(grid)
-    energy = _intermediate_energy(state, x)
-    psi = green_solve(state, 1, energy, np.column_stack((state.r * state.w1, state.wd1)))
-    return (state.integrate(state.w2 * state.r, psi[:, 0]) / 3.0,
-            state.integrate(state.wd2, psi[:, 1]) / 3.0)
+    """(q_oracle, p_oracle) at x from the one memoized two-column solve."""
+    return _amplitude_pair(grid, x)
 
 
 def r2_overlap(grid: RadialGrid) -> float:
@@ -438,8 +479,8 @@ def check_one_photon_ratio(grid: RadialGrid, omega: float) -> float:
     value must reproduce that factor; the resonant point omega = E_2P - E_1S
     (where the ratio crosses 1 trivially) is flagged as degenerate rather
     than evaluated."""
-    if omega <= 0.0:
-        raise DomainError(f"photon energy must be positive, got {omega}")
+    if not 0.0 < omega < np.inf:
+        raise DomainError(f"photon energy must be positive and finite, got {omega}")
     state = build_oracle(grid)
     gap = state.s2p.energy - state.s1.energy
     if abs(omega - gap) < _DEGENERACY_GAP:

@@ -105,8 +105,8 @@ class RabiInput:
     intensity: float
 
     def __post_init__(self) -> None:
-        if self.intensity < 0.0:
-            raise DomainError(f"intensity must be nonnegative, got {self.intensity}")
+        if not 0.0 <= self.intensity < math.inf:
+            raise DomainError(f"intensity must be nonnegative and finite, got {self.intensity}")
 
 
 def beta_prefactor(k: PhysicalConstants = DEFAULT_CONSTANTS) -> float:

@@ -97,6 +97,14 @@ class TestCompute:
         assert proc.stdout.endswith(" dimensionless\n")
         assert "Traceback" not in proc.stderr
 
+    def test_small_x_is_computed_with_warnings_as_errors(self):
+        proc = subprocess.run([sys.executable, "-W", "error"] + CLI[1:]
+                              + ["compute", "--x", "1e-5", "--quantity", "q"],
+                              capture_output=True, text=True, env=_subprocess_env())
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "-3.47647372967e+00 dimensionless\n"
+        assert proc.stderr == ""
+
     def test_t_rounding_to_one_is_a_pole_for_alternates(self):
         proc = run_cli("compute", "--x", "1e-17", "--quantity", "q",
                        "--formula-variant", "alt-a")

@@ -77,6 +77,14 @@ class TestRadialGrid:
         with pytest.raises(DomainError, match="overflows"):
             OracleState(RadialGrid(**kwargs))
 
+    @pytest.mark.parametrize("n_points", [6000.5, 6000.0, True, "6000", None])
+    def test_rejects_non_integer_point_counts(self, n_points):
+        with pytest.raises(DomainError, match="must be an integer"):
+            RadialGrid(n_points=n_points)
+
+    def test_accepts_numpy_integer_point_counts(self):
+        assert RadialGrid(n_points=np.int64(6000)) == RadialGrid()
+
     def test_refined_doubles_points(self):
         grid = RadialGrid()
         assert grid.refined().n_points == 12000
@@ -140,16 +148,34 @@ def _rayleigh_quotient_iteration(state, n, l):
     return energy
 
 
-@pytest.fixture
-def lapack_calls(monkeypatch):
-    """Counts of the banded-LU factorizations and solves made through oracle."""
-    calls = {"dgbtrf": 0, "dgbtrs": 0}
-    for name in calls:
+def _count_calls(monkeypatch, *names):
+    """Counts of the calls made through the named LAPACK entry points of oracle."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
         def counted(*args, _real=getattr(oracle, name), _name=name, **kwargs):
             calls[_name] += 1
             return _real(*args, **kwargs)
         monkeypatch.setattr(oracle, name, counted)
     return calls
+
+
+@pytest.fixture
+def lapack_calls(monkeypatch):
+    """Counts of the banded-LU factorizations and solves made through oracle."""
+    return _count_calls(monkeypatch, "dgbtrf", "dgbtrs")
+
+
+@pytest.fixture
+def cholesky_calls(monkeypatch):
+    """Count of the banded Cholesky factor-and-solve calls made through oracle."""
+    return _count_calls(monkeypatch, "solveh_banded")
+
+
+@pytest.fixture
+def fresh_grid(small_grid):
+    """small_grid with no cached state, so its amplitude memo starts empty."""
+    build_oracle.cache_clear()
+    return small_grid
 
 
 class TestInverseIteration:
@@ -308,9 +334,15 @@ class TestAmplitudeOracles:
 
     @pytest.mark.parametrize("x", [0.05, 0.1875, 0.3749])
     def test_gauge_pair_matches_single_column_solves(self, default_grid, x):
+        # one single-column solve per gauge, outside the shared memoized path
+        state = build_oracle(default_grid)
+        energy = state.s1.energy + x
+        q_ref = state.integrate(
+            state.w2 * state.r, green_solve(state, 1, energy, state.r * state.w1)) / 3.0
+        p_ref = state.integrate(state.wd2, green_solve(state, 1, energy, state.wd1)) / 3.0
         q, p = gauge_pair_oracle(default_grid, x)
-        assert math.isclose(q, q_oracle(default_grid, x), rel_tol=1e-12)
-        assert math.isclose(p, p_oracle(default_grid, x), rel_tol=1e-12)
+        assert math.isclose(q, q_ref, rel_tol=1e-12)
+        assert math.isclose(p, p_ref, rel_tol=1e-12)
 
     @pytest.mark.parametrize("x", [0.3749, 0.37499])
     def test_close_to_the_2p_pole_is_computed(self, default_grid, x):
@@ -337,6 +369,62 @@ class TestAmplitudeOracles:
     def test_window_is_enforced(self, default_grid):
         with pytest.raises(DomainError):
             q_oracle(default_grid, 0.4)
+
+
+class TestAmplitudeMemo:
+    def test_q_then_p_then_pair_make_one_solve(self, fresh_grid, cholesky_calls):
+        q = q_oracle(fresh_grid, 0.1)
+        p = p_oracle(fresh_grid, 0.1)
+        assert gauge_pair_oracle(fresh_grid, 0.1) == (q, p)
+        assert cholesky_calls["solveh_banded"] == 1
+
+    def test_cache_clear_starts_the_count_over(self, fresh_grid, cholesky_calls):
+        q_oracle(fresh_grid, 0.1)
+        p_oracle(fresh_grid, 0.1)
+        assert cholesky_calls["solveh_banded"] == 1
+        build_oracle.cache_clear()
+        p_oracle(fresh_grid, 0.1)
+        q_oracle(fresh_grid, 0.1)
+        assert cholesky_calls["solveh_banded"] == 2
+
+    def test_memo_is_bounded(self, fresh_grid, cholesky_calls):
+        size = oracle._AMPLITUDE_MEMO_SIZE
+        xs = [0.001 + 0.005 * k for k in range(size + 8)]
+        state = build_oracle(fresh_grid)
+        for x in xs:
+            gauge_pair_oracle(fresh_grid, x)
+            assert len(state._amplitudes) <= size
+        assert cholesky_calls["solveh_banded"] == len(xs)
+        # the newest pairs are still held, the oldest were dropped
+        for x in xs[-size:]:
+            q_oracle(fresh_grid, x)
+        assert cholesky_calls["solveh_banded"] == len(xs)
+        q_oracle(fresh_grid, xs[0])
+        assert cholesky_calls["solveh_banded"] == len(xs) + 1
+
+    @pytest.mark.parametrize("x,error", [(0.4, DomainError), (0.374999, NearResonanceError)],
+                             ids=["out-of-window", "guard-edge"])
+    def test_errors_repeat_and_are_never_stored(self, fresh_grid, cholesky_calls, x, error):
+        for _ in range(2):
+            for amplitude in (q_oracle, p_oracle, gauge_pair_oracle):
+                with pytest.raises(error):
+                    amplitude(fresh_grid, x)
+        assert not build_oracle(fresh_grid)._amplitudes
+        assert cholesky_calls["solveh_banded"] == 0
+
+    def test_failed_velocity_column_fails_q_and_is_not_stored(self, fresh_grid, monkeypatch):
+        # both columns are solved together, so a bad velocity column fails
+        # the length-gauge amplitude as well
+        state = build_oracle(fresh_grid)
+        bad = state._driving.copy(order="F")
+        bad[100, 1] = np.nan
+        monkeypatch.setattr(state, "_driving", bad)
+        for _ in range(2):
+            with pytest.raises(ConvergenceError, match="non-finite"):
+                q_oracle(fresh_grid, 0.1)
+        assert not state._amplitudes
+        monkeypatch.undo()
+        assert math.isclose(q_oracle(fresh_grid, 0.1), q_length(0.1), rel_tol=1e-5)
 
 
 class TestOnePhotonRatio:
@@ -367,6 +455,11 @@ class TestOnePhotonRatio:
     @pytest.mark.parametrize("omega", [0.0, -0.2])
     def test_rejects_nonpositive_frequency(self, default_grid, omega):
         with pytest.raises(DomainError):
+            check_one_photon_ratio(default_grid, omega)
+
+    @pytest.mark.parametrize("omega", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_frequency(self, default_grid, omega):
+        with pytest.raises(DomainError, match="positive and finite"):
             check_one_photon_ratio(default_grid, omega)
 
 

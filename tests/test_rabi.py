@@ -67,6 +67,11 @@ class TestRabiFrequency:
         with pytest.raises(DomainError):
             RabiInput(0.1875, -1.0)
 
+    @pytest.mark.parametrize("intensity", [math.nan, math.inf])
+    def test_non_finite_intensity_rejected(self, intensity):
+        with pytest.raises(DomainError, match="nonnegative and finite"):
+            RabiInput(0.1875, intensity)
+
 
 class TestLinearizedBeta:
     def test_anchors_at_resonance(self):
