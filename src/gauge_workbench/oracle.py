@@ -21,15 +21,21 @@ banded solve costs O(n) per right-hand side.  Resolvent solves factor
 K - E by banded Cholesky.  That is valid because every resolvent energy
 here lies below the whole l = 1 spectrum: E_1S +- x with 0 < x < 3/8, kept
 at least 1e-6 Hartree below the grid's 2P level, the lowest l = 1
-eigenvalue, so K - E is positive definite.  One factorization then serves
-the length- and the velocity-gauge driving terms at the same energy:
-q_oracle, p_oracle and gauge_pair_oracle all read one (Q, P) pair, solved
-as two columns of one call the first time a state sees x and memoized on
-the state (at most _AMPLITUDE_MEMO_SIZE pairs), so asking for Q and P
-separately costs one solve, not two.  The componentwise backward-error
-gate checks both columns of that solve, whichever amplitude was asked for.
-Inverse iteration shifts onto an eigenvalue, where K - E is indefinite;
-it uses the pivoted banded LU, factored once per shift.
+eigenvalue, so K - E is positive definite.  LAPACK's dpbtrf and dpbtrs
+are called directly on lower band storage: with two off-diagonals the
+factorization is one pair of BLAS calls per column, so its cost is call
+overhead and stride, and lower storage gives those calls unit stride.
+One factorization serves the length- and the velocity-gauge driving terms
+at the same energy: q_oracle, p_oracle and gauge_pair_oracle all read one
+(Q, P) pair, solved as two columns of one call the first time a state sees
+x and memoized on the state (at most _AMPLITUDE_MEMO_SIZE pairs), so
+asking for Q and P separately costs one solve, not two.  The componentwise
+backward-error gate checks both columns of that solve, whichever amplitude
+was asked for; it forms the residual and |K - E| |x| in one pass over the
+bands, bit for bit the values of two separate passes.  Inverse iteration
+shifts onto an eigenvalue, where K - E is indefinite; it uses the pivoted
+banded LU, factored once per shift from a copy of the LU layout of K that
+each state builds once.
 
 Two systematic errors matter and set the grid defaults.  The stencil error
 scales as h^4 and is negligible at the default spacing.  Truncating the
@@ -52,12 +58,12 @@ from __future__ import annotations
 
 import functools
 import operator
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eig_banded, solveh_banded
-from scipy.linalg.lapack import dgbtrf, dgbtrs
+from scipy.linalg import eig_banded
+from scipy.linalg.lapack import dgbtrf, dgbtrs, dpbtrf, dpbtrs
 
 from .closedform import X_MAX, require_window
 from .errors import ConvergenceError, DegenerateError, DomainError, NearResonanceError
@@ -74,6 +80,9 @@ _AMPLITUDE_MEMO_SIZE = 64
 
 
 def _is_index(value: object) -> bool:
+    """True for an integer count; bool passes operator.index, but True is no count."""
+    if isinstance(value, bool):
+        return False
     try:
         operator.index(value)
     except TypeError:
@@ -90,8 +99,7 @@ class RadialGrid:
     r_min: float = 1e-9
 
     def __post_init__(self) -> None:
-        # bool passes operator.index, but True is no point count
-        if isinstance(self.n_points, bool) or not _is_index(self.n_points):
+        if not _is_index(self.n_points):
             raise DomainError(f"n_points = {self.n_points!r} must be an integer")
         if self.n_points < 2000:
             raise DomainError(f"n_points = {self.n_points} below the 2000 floor")
@@ -139,6 +147,8 @@ class OracleState:
             raise DomainError(
                 f"grid from r_min = {grid.r_min} to r_max = {grid.r_max} overflows "
                 "the Hamiltonian bands; lower r_max or raise r_min")
+        # the dgbtrf layout of each K_l, built once; every LU shifts a copy
+        self._lu_layouts = {l: _full_banded(ab) for l, ab in self._bands.items()}
 
         self.s1 = self._solve(1, 0)
         self.s2 = self._solve(2, 0)
@@ -198,28 +208,35 @@ def _hamiltonian_bands(l: int, h: float, r: np.ndarray) -> np.ndarray:
     return ab
 
 
-def _full_banded(ab: np.ndarray, shift: float) -> np.ndarray:
-    """Expand symmetric upper bands into the LAPACK banded-LU layout of K - shift.
+def _full_banded(ab: np.ndarray) -> np.ndarray:
+    """Expand symmetric upper bands into the LAPACK banded-LU layout of K.
 
     Rows 2-6 hold the (2,2) bands; rows 0-1 are the workspace that partial
-    pivoting fills in.  Column-major, so LAPACK factors it in place."""
+    pivoting fills in.  Column-major, so LAPACK factors a copy in place."""
     n = ab.shape[1]
     full = np.zeros((7, n), order="F")
     full[2, 2:] = ab[0, 2:]
     full[3, 1:] = ab[1, 1:]
-    full[4, :] = ab[2, :] - shift
+    full[4, :] = ab[2, :]
     full[5, :-1] = ab[1, 1:]
     full[6, :-2] = ab[0, 2:]
     return full
 
 
+def _band_products(ab: np.ndarray, w: np.ndarray) -> Iterator[tuple[tuple, np.ndarray]]:
+    """The four off-diagonal products of K w as (target slice, product),
+    in the order _apply_bands sums them."""
+    for k in (1, 2):
+        coef = ab[2 - k, k:]
+        yield np.s_[..., k:], coef * w[..., :-k]
+        yield np.s_[..., :-k], coef * w[..., k:]
+
+
 def _apply_bands(ab: np.ndarray, w: np.ndarray) -> np.ndarray:
     """K w for the symmetric upper bands ab, applied along the last axis of w."""
     out = ab[2] * w
-    out[..., 1:] += ab[1, 1:] * w[..., :-1]
-    out[..., :-1] += ab[1, 1:] * w[..., 1:]
-    out[..., 2:] += ab[0, 2:] * w[..., :-2]
-    out[..., :-2] += ab[0, 2:] * w[..., 2:]
+    for rows, product in _band_products(ab, w):
+        out[rows] += product
     return out
 
 
@@ -231,14 +248,19 @@ def _count_nodes(u: np.ndarray) -> int:
     return int(np.sum(live[1:] * live[:-1] < 0.0))
 
 
-def _shifted_lu(ab: np.ndarray, shift: float, what: str) -> Callable[[np.ndarray], np.ndarray]:
+def _shifted_lu(layout: np.ndarray, shift: float,
+                what: str) -> Callable[[np.ndarray], np.ndarray]:
     """Factor K - shift once by pivoted banded LU; return the solve v = (K - shift)^-1 rhs.
 
-    Each solve reuses the factors, two triangular sweeps at O(n).  Inverse
-    iteration shifts onto an eigenvalue on purpose, so an exactly singular
-    factor or a non-finite solution means the shift is unusable, not that
-    it should be nudged and retried."""
-    lu, piv, info = dgbtrf(_full_banded(ab, shift), 2, 2, overwrite_ab=1)
+    ``layout`` is the state's dgbtrf layout of K (``_full_banded``); the
+    shift comes off the diagonal row of a copy.  Each solve reuses the
+    factors, two triangular sweeps at O(n).  Inverse iteration shifts onto
+    an eigenvalue on purpose, so an exactly singular factor or a non-finite
+    solution means the shift is unusable, not that it should be nudged and
+    retried."""
+    lu = layout.copy(order="F")
+    lu[4] -= shift
+    lu, piv, info = dgbtrf(lu, 2, 2, overwrite_ab=1)
     if info > 0:
         raise ConvergenceError(f"singular banded LU at shift {shift!r} for {what}")
 
@@ -259,14 +281,16 @@ def _laguerre(degree: int, alpha: int, x: np.ndarray) -> np.ndarray:
     return cur
 
 
-def _scaled_backward_error(ab: np.ndarray, h: float, w: np.ndarray, energy: float) -> float:
-    """Backward error of the eigenpair (energy, w), w quadrature-normalized.
+def _scaled_backward_error(ab: np.ndarray, h: float, w: np.ndarray, energy: float,
+                           kw: np.ndarray) -> float:
+    """Backward error of the eigenpair (energy, w), w quadrature-normalized
+    and kw = K w already applied.
 
     The residual is scaled by the local operator magnitude; the raw
     residual norm is meaningless here because the log-grid diagonal grows
     like 1/(h r)^2 toward the origin and amplifies roundoff.  A NaN
     residual comes back as NaN, which no ``<=`` test accepts."""
-    residual = _apply_bands(ab, w) - energy * w
+    residual = kw - energy * w
     scale = np.abs(ab[2]) + abs(energy)
     return float(np.sqrt(h * np.dot(residual / scale, residual / scale)))
 
@@ -295,14 +319,16 @@ def _solve_on_state(state: OracleState, n: int, l: int) -> BoundState:
     # (changes of a few 1e-12 from 24000 points on, 2.5e-11 at 192000), so
     # the loop stops at the stall threshold below instead of waiting for a
     # change inside that noise.
+    layout = state._lu_layouts[l]
     shift = energy = target
-    solve = _shifted_lu(ab, shift, what)
+    solve = _shifted_lu(layout, shift, what)
     for step in range(12):
         v = solve(w)
         v /= np.sqrt(h * np.dot(v, v))
-        updated = h * float(np.dot(v, _apply_bands(ab, v)))
+        kv = _apply_bands(ab, v)
+        updated = h * float(np.dot(v, kv))
         last_change = abs(updated - energy)
-        w, energy = v, updated
+        w, kw, energy = v, kv, updated
         if step == 0:
             # the first quotient still carries the seed's error; a second
             # solve with the same factors is cheaper than a new factorization
@@ -311,14 +337,14 @@ def _solve_on_state(state: OracleState, n: int, l: int) -> BoundState:
             break
         if abs(energy - shift) > _REFACTOR_GAP:
             shift = energy
-            solve = _shifted_lu(ab, shift, what)
+            solve = _shifted_lu(layout, shift, what)
 
     if last_change > 1e-10 * max(1.0, abs(energy)):
         raise ConvergenceError(
             f"eigensolve stalled at energy change {last_change:.2e} "
             f"for (n,l)=({n},{l})"
         )
-    rnorm = _scaled_backward_error(ab, h, w, energy)
+    rnorm = _scaled_backward_error(ab, h, w, energy, kw)
     if not rnorm <= _RESIDUAL_TARGET:
         raise ConvergenceError(
             f"eigensolve backward error {rnorm:.2e} above {_RESIDUAL_TARGET} "
@@ -347,6 +373,11 @@ def build_oracle(grid: RadialGrid) -> OracleState:
 
 def solve_bound(grid: RadialGrid, n: int, l: int) -> BoundState:
     """Eigensolve for the (n, l) hydrogen bound state on the grid."""
+    # checked before the cached states: (True, False) and (1.0, 0.0) compare
+    # equal to (1, 0)
+    if not (_is_index(n) and _is_index(l)):
+        raise DomainError(f"quantum numbers must be integers, got n = {n!r}, l = {l!r}")
+    n, l = operator.index(n), operator.index(l)
     state = build_oracle(grid)
     if (n, l) == (1, 0):
         return state.s1
@@ -368,10 +399,21 @@ def _componentwise_backward_error(shifted: np.ndarray, x: np.ndarray,
     |r| / |b| it stays at roundoff level for a backward-stable solve however
     ill-conditioned A is.  Rows where the denominator is zero have r_i = 0
     and count as 0.  A column whose products overflow comes back as NaN,
-    which no ``<=`` test accepts."""
+    which no ``<=`` test accepts.
+
+    One pass over the bands: each product p = a x goes into the residual
+    and |p| into |A| |x|.  |a x| = |a| |x| exactly in IEEE arithmetic and
+    both sums run in _apply_bands order, so this equals the two-pass
+    |A x - b| and |A| |x| + |b| bit for bit."""
     with np.errstate(over="ignore", invalid="ignore"):
-        residual = np.abs(_apply_bands(shifted, x) - b)
-        scale = _apply_bands(np.abs(shifted), np.abs(x)) + np.abs(b)
+        residual = shifted[2] * x
+        scale = np.abs(residual)
+        for rows, product in _band_products(shifted, x):
+            residual[rows] += product
+            scale[rows] += np.abs(product, out=product)
+        residual -= b
+        np.abs(residual, out=residual)
+        scale += np.abs(b)
         ratio = np.divide(residual, scale, out=np.zeros_like(residual), where=scale > 0.0)
     return np.where(np.isfinite(scale).all(axis=-1), ratio.max(axis=-1), np.nan)
 
@@ -382,21 +424,31 @@ def green_solve(state: OracleState, l: int, energy: float,
 
     ``driving_w`` is one column (n,) or a stack (n, k) in the symmetrized
     w = sqrt(r) u representation; the solution comes back in the same
-    shape.  One banded Cholesky factorization of K_l - energy serves every
-    column.  The energy must lie below the spectrum of H_l: a matrix that is
-    not positive definite, a non-finite solution or a column whose
+    shape.  One banded Cholesky factorization of K_l - energy (LAPACK
+    ``dpbtrf``, then ``dpbtrs``) serves every column.  The factors use
+    LAPACK's lower band storage: with two off-diagonals the unblocked
+    factorization makes two BLAS calls per column, and in lower storage
+    they run at unit stride instead of the upper layout's stride of 2,
+    which cuts the factorization time by about a third.  The lower layout
+    is three row copies of the shifted upper bands, made per call.  The
+    energy must lie below the spectrum of H_l: a matrix that is not
+    positive definite, a non-finite solution or a column whose
     componentwise backward error exceeds the target is a ConvergenceError,
     never a fallback to another solver."""
     shifted = state.bands(l).copy()
     shifted[2] -= energy
-    # column-major, so that LAPACK takes the stack without a copy and each
-    # column is one contiguous row of the transpose the gate works on
+    lower = np.zeros_like(shifted, order="F")
+    lower[0] = shifted[2]
+    lower[1, :-1] = shifted[1, 1:]
+    lower[2, :-2] = shifted[0, 2:]
+    # column-major, so that each column is one contiguous row of the
+    # transpose the gate works on
     driving = np.asfortranarray(driving_w)
     what = f"the l = {l} resolvent at energy {energy!r}"
-    try:
-        sol = solveh_banded(shifted, driving, check_finite=False)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(f"K - E is not positive definite for {what}") from exc
+    factor, info = dpbtrf(lower, lower=1, overwrite_ab=1)
+    if info > 0:
+        raise ConvergenceError(f"K - E is not positive definite for {what}")
+    sol, _ = dpbtrs(factor, driving, lower=1)
     if not np.all(np.isfinite(sol)):
         raise ConvergenceError(f"non-finite solve for {what}")
     worst = float(np.max(_componentwise_backward_error(shifted, sol.T, driving.T)))
@@ -526,12 +578,12 @@ def _mode_vector(state: OracleState, l: int, eigenvalue: float) -> np.ndarray:
     its scaled backward error meets the same target as the bound states."""
     ab, h = state.bands(l), state.h
     what = f"l = {l} mode at {eigenvalue!r}"
-    solve = _shifted_lu(ab, eigenvalue, what)
+    solve = _shifted_lu(state._lu_layouts[l], eigenvalue, what)
     v = np.ones(state.grid.n_points)
     for _ in range(2):
         v = solve(v)
         v /= np.sqrt(h * np.dot(v, v))
-    rnorm = _scaled_backward_error(ab, h, v, eigenvalue)
+    rnorm = _scaled_backward_error(ab, h, v, eigenvalue, _apply_bands(ab, v))
     if not rnorm <= _RESIDUAL_TARGET:
         raise ConvergenceError(
             f"mode backward error {rnorm:.2e} above {_RESIDUAL_TARGET} for {what}"
@@ -552,6 +604,8 @@ def pseudostate_q(grid: RadialGrid, x: float, count: int = 30) -> np.ndarray:
     the banded LU (``_mode_vector``), O(n) per mode, instead of the O(n^3)
     eigenvector matrix."""
     require_window(x)
+    if not _is_index(count):
+        raise DomainError(f"count = {count!r} must be an integer")
     if not 1 <= count <= grid.n_points:
         raise DomainError(f"count must lie in [1, {grid.n_points}], got {count}")
     state = build_oracle(grid)

@@ -8,7 +8,8 @@ import math
 
 import numpy as np
 import pytest
-from scipy.linalg import eig_banded, solve_banded
+from scipy.linalg import eig_banded, solve_banded, solveh_banded
+from scipy.linalg.lapack import dgbtrf, dgbtrs
 from scipy.special import eval_genlaguerre
 
 from gauge_workbench import oracle
@@ -123,6 +124,18 @@ class TestBoundStates:
         with pytest.raises(DomainError):
             solve_bound(default_grid, 1, 1)
 
+    @pytest.mark.parametrize("n,l", [(True, False), (1.0, 0.0), (3.0, 0), (2, 1.0)])
+    def test_rejects_non_integer_quantum_numbers(self, default_grid, n, l):
+        # (True, False) and (1.0, 0.0) compare equal to (1, 0), so they must
+        # be rejected before the cached 1S state is looked up
+        with pytest.raises(DomainError, match="must be integers"):
+            solve_bound(default_grid, n, l)
+
+    def test_accepts_numpy_integer_quantum_numbers(self, default_grid):
+        state = solve_bound(default_grid, np.int64(2), np.int64(1))
+        assert state is build_oracle(default_grid).s2p
+        assert solve_bound(default_grid, np.int64(3), np.int64(0)).label == (3, 0)
+
     def test_only_dipole_channels_are_built(self, default_grid):
         with pytest.raises(DomainError):
             build_oracle(default_grid).bands(2)
@@ -148,6 +161,68 @@ def _rayleigh_quotient_iteration(state, n, l):
     return energy
 
 
+def _apply_bands_reference(ab, w):
+    """K w from the symmetric upper bands, written out term by term."""
+    out = ab[2] * w
+    out[..., 1:] += ab[1, 1:] * w[..., :-1]
+    out[..., :-1] += ab[1, 1:] * w[..., 1:]
+    out[..., 2:] += ab[0, 2:] * w[..., :-2]
+    out[..., :-2] += ab[0, 2:] * w[..., 2:]
+    return out
+
+
+def _two_pass_backward_error(shifted, x, b):
+    """The componentwise backward error from two band applications,
+    |A x - b| and |A| |x| + |b|, each computed on its own."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        residual = np.abs(_apply_bands_reference(shifted, x) - b)
+        scale = _apply_bands_reference(np.abs(shifted), np.abs(x)) + np.abs(b)
+        ratio = np.divide(residual, scale, out=np.zeros_like(residual), where=scale > 0.0)
+    return np.where(np.isfinite(scale).all(axis=-1), ratio.max(axis=-1), np.nan)
+
+
+def _full_banded_reference(ab, shift):
+    """K - shift in the 7-row column-major layout dgbtrf factors in place."""
+    n = ab.shape[1]
+    full = np.zeros((7, n), order="F")
+    full[2:, :] = _lu_bands(ab, shift)
+    return full
+
+
+def _inverse_iteration_reference(state, n, l):
+    """(energy, u) of (n, l) by the inverse iteration of oracle._solve_on_state,
+    with every LU built from the upper bands at its shift and K v applied by
+    _apply_bands_reference."""
+    ab, h, r = state.bands(l), state.h, state.r
+    poly = oracle._laguerre(n - l - 1, 2 * l + 1, 2.0 * r / n)
+    w = (r ** (l + 1) * np.exp(-r / n) * poly) * state.sqrt_r
+    w /= np.sqrt(h * np.dot(w, w))
+
+    def factor(shift):
+        lu, piv, info = dgbtrf(_full_banded_reference(ab, shift), 2, 2, overwrite_ab=1)
+        assert info == 0
+        return lu, piv
+
+    shift = energy = -0.5 / (n * n)
+    lu, piv = factor(shift)
+    for step in range(12):
+        v, _ = dgbtrs(lu, 2, 2, w, piv)
+        v /= np.sqrt(h * np.dot(v, v))
+        updated = h * float(np.dot(v, _apply_bands_reference(ab, v)))
+        change = abs(updated - energy)
+        w, energy = v, updated
+        if step == 0:
+            continue
+        if change <= 1e-10 * max(1.0, abs(energy)):
+            break
+        if abs(energy - shift) > oracle._REFACTOR_GAP:
+            shift = energy
+            lu, piv = factor(shift)
+    u = w / state.sqrt_r
+    lead = np.argmax(np.abs(u) > 1e-8 * np.max(np.abs(u)))
+    return energy, (-u if u[lead] < 0.0 else u)
+
+
 def _count_calls(monkeypatch, *names):
     """Counts of the calls made through the named LAPACK entry points of oracle."""
     calls = dict.fromkeys(names, 0)
@@ -167,8 +242,8 @@ def lapack_calls(monkeypatch):
 
 @pytest.fixture
 def cholesky_calls(monkeypatch):
-    """Count of the banded Cholesky factor-and-solve calls made through oracle."""
-    return _count_calls(monkeypatch, "solveh_banded")
+    """Counts of the banded Cholesky factorizations and solves made through oracle."""
+    return _count_calls(monkeypatch, "dpbtrf", "dpbtrs")
 
 
 @pytest.fixture
@@ -214,6 +289,16 @@ class TestInverseIteration:
             mode = oracle._mode_vector(state, 1, float(val))
             assert np.max(np.abs(mode - v)) <= 1e-14 * np.max(np.abs(v))
         assert lapack_calls == {"dgbtrf": 3, "dgbtrs": 6}
+
+    @pytest.mark.parametrize("r_min", [1e-9, 0.3], ids=["default", "r_min-0.3"])
+    def test_bound_states_match_a_per_shift_layout_bit_for_bit(self, r_min):
+        # the per-state dgbtrf layout, shifted per factorization, and the
+        # reused K v change no bit of any state
+        state = build_oracle(RadialGrid(6000, r_min=r_min))
+        for bound in (state.s1, state.s2, state.s2p):
+            energy, u = _inverse_iteration_reference(state, *bound.label)
+            assert bound.energy == energy
+            assert np.array_equal(bound.radial_values, u)
 
     @pytest.mark.parametrize("alpha", [1, 3])
     @pytest.mark.parametrize("degree", range(5))
@@ -301,6 +386,35 @@ class TestGreenSolve:
         solution = green_solve(state, 1, state.s1.energy + 0.1, driving)
         assert not np.any(solution[:, 1])
 
+    def test_stacked_solve_makes_one_factorization_and_one_solve(self, small_grid,
+                                                                  cholesky_calls):
+        state = build_oracle(small_grid)
+        green_solve(state, 1, state.s1.energy + 0.1, state._driving)
+        assert cholesky_calls == {"dpbtrf": 1, "dpbtrs": 1}
+
+    @pytest.mark.parametrize("case", ["solve-0.001", "solve-0.1875", "solve-0.37", "perturbed",
+                                      "zero-column", "overflow", "one-dimensional"])
+    def test_one_pass_gate_equals_two_passes_bit_for_bit(self, default_grid, case):
+        state = build_oracle(default_grid)
+        offset = float(case.split("-")[1]) if case.startswith("solve-") else 0.1
+        energy = state.s1.energy + offset
+        shifted = state.bands(1).copy()
+        shifted[2] -= energy
+        b = np.array(state._driving.T)
+        if case == "zero-column":
+            b[1] = 0.0
+        x = green_solve(state, 1, energy, b.T).T
+        if case == "perturbed":
+            x = x * (1.0 + 1e-9 * np.cos(np.arange(x.shape[-1])))
+        elif case == "overflow":
+            x[1] = b[1] = 1e300
+        elif case == "one-dimensional":
+            x, b = x[0], b[0]
+        gate = oracle._componentwise_backward_error(shifted, x, b)
+        assert np.array_equal(gate, _two_pass_backward_error(shifted, x, b), equal_nan=True)
+        if case == "overflow":
+            assert gate[0] <= oracle._RESOLVENT_TARGET and np.isnan(gate[1])
+
     def test_energy_inside_the_l1_spectrum_is_rejected(self, default_grid):
         # Negative control for the Cholesky route: between 2P and 3P the
         # shifted operator is indefinite, so there is no solution to return.
@@ -344,6 +458,20 @@ class TestAmplitudeOracles:
         assert math.isclose(q, q_ref, rel_tol=1e-12)
         assert math.isclose(p, p_ref, rel_tol=1e-12)
 
+    @pytest.mark.parametrize("grid", [RadialGrid(), RadialGrid(24000, r_min=1e-11)],
+                             ids=["default", "24000-r_min-1e-11"])
+    def test_gauge_pair_matches_upper_storage_cholesky(self, grid):
+        state = build_oracle(grid)
+        driving = np.column_stack((state.r * state.w1, state.wd1))
+        for x in (0.001, 0.02, 0.05, 0.1, 0.15, 0.1875, 0.25, 0.3, 0.35, 0.37):
+            shifted = state.bands(1).copy()
+            shifted[2] -= state.s1.energy + x
+            psi = solveh_banded(shifted, driving)
+            q, p = gauge_pair_oracle(grid, x)
+            assert math.isclose(q, state.integrate(state.w2 * state.r, psi[:, 0]) / 3.0,
+                                rel_tol=1e-12)
+            assert math.isclose(p, state.integrate(state.wd2, psi[:, 1]) / 3.0, rel_tol=1e-12)
+
     @pytest.mark.parametrize("x", [0.3749, 0.37499])
     def test_close_to_the_2p_pole_is_computed(self, default_grid, x):
         # The gap to 2P is 1e-4 / 1e-5 Hartree here; the solves are
@@ -376,16 +504,16 @@ class TestAmplitudeMemo:
         q = q_oracle(fresh_grid, 0.1)
         p = p_oracle(fresh_grid, 0.1)
         assert gauge_pair_oracle(fresh_grid, 0.1) == (q, p)
-        assert cholesky_calls["solveh_banded"] == 1
+        assert cholesky_calls["dpbtrf"] == 1
 
     def test_cache_clear_starts_the_count_over(self, fresh_grid, cholesky_calls):
         q_oracle(fresh_grid, 0.1)
         p_oracle(fresh_grid, 0.1)
-        assert cholesky_calls["solveh_banded"] == 1
+        assert cholesky_calls["dpbtrf"] == 1
         build_oracle.cache_clear()
         p_oracle(fresh_grid, 0.1)
         q_oracle(fresh_grid, 0.1)
-        assert cholesky_calls["solveh_banded"] == 2
+        assert cholesky_calls["dpbtrf"] == 2
 
     def test_memo_is_bounded(self, fresh_grid, cholesky_calls):
         size = oracle._AMPLITUDE_MEMO_SIZE
@@ -394,13 +522,13 @@ class TestAmplitudeMemo:
         for x in xs:
             gauge_pair_oracle(fresh_grid, x)
             assert len(state._amplitudes) <= size
-        assert cholesky_calls["solveh_banded"] == len(xs)
+        assert cholesky_calls["dpbtrf"] == len(xs)
         # the newest pairs are still held, the oldest were dropped
         for x in xs[-size:]:
             q_oracle(fresh_grid, x)
-        assert cholesky_calls["solveh_banded"] == len(xs)
+        assert cholesky_calls["dpbtrf"] == len(xs)
         q_oracle(fresh_grid, xs[0])
-        assert cholesky_calls["solveh_banded"] == len(xs) + 1
+        assert cholesky_calls["dpbtrf"] == len(xs) + 1
 
     @pytest.mark.parametrize("x,error", [(0.4, DomainError), (0.374999, NearResonanceError)],
                              ids=["out-of-window", "guard-edge"])
@@ -410,7 +538,7 @@ class TestAmplitudeMemo:
                 with pytest.raises(error):
                     amplitude(fresh_grid, x)
         assert not build_oracle(fresh_grid)._amplitudes
-        assert cholesky_calls["solveh_banded"] == 0
+        assert cholesky_calls["dpbtrf"] == 0
 
     def test_failed_velocity_column_fails_q_and_is_not_stored(self, fresh_grid, monkeypatch):
         # both columns are solved together, so a bad velocity column fails
@@ -535,3 +663,8 @@ class TestPseudostateSum:
     def test_count_above_grid_size_is_a_domain_error(self, small_grid):
         with pytest.raises(DomainError):
             pseudostate_q(small_grid, 0.1, count=small_grid.n_points + 1)
+
+    @pytest.mark.parametrize("count", [2.5, 3.0, True])
+    def test_non_integer_count_is_a_domain_error(self, small_grid, count):
+        with pytest.raises(DomainError, match="must be an integer"):
+            pseudostate_q(small_grid, 0.1, count=count)
