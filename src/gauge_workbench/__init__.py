@@ -4,7 +4,6 @@ checks, and SI Rabi-frequency conversion."""
 
 from .closedform import (
     GaugeAmplitudes,
-    RESONANCE,
     X_MAX,
     X_RESONANCE,
     gauge_pair,
@@ -23,7 +22,6 @@ from .rabi import (
     PhysicalConstants,
     RabiInput,
     beta,
-    beta_linearized,
     beta_slope,
     load_constants,
     rabi_frequency,
@@ -39,12 +37,10 @@ __all__ = [
     "NearResonanceError",
     "PhysicalConstants",
     "PoleError",
-    "RESONANCE",
     "RabiInput",
     "X_MAX",
     "X_RESONANCE",
     "beta",
-    "beta_linearized",
     "beta_slope",
     "gauge_pair",
     "load_constants",

@@ -27,7 +27,7 @@ import sys
 import tempfile
 from typing import TYPE_CHECKING
 
-from .closedform import VARIANTS, gauge_pair, two_color_q
+from .closedform import SOURCES, GaugeAmplitudes, source_named, two_color_combination
 from .errors import ConvergenceError, DomainError
 from .rabi import PhysicalConstants, beta, load_constants
 
@@ -90,15 +90,14 @@ def _resolve_grid(args: argparse.Namespace) -> RadialGrid:
 
 def cmd_compute(args: argparse.Namespace) -> int:
     k = _resolve_constants(args)
-    variant = args.formula_variant
+    source = source_named(args.formula_variant)
     x = args.x
     if args.quantity == "two_color_q":
-        value, unit = two_color_q(x, variant), _DIMENSIONLESS
+        value, unit = two_color_combination(x, lambda xi: source(xi)[0]), _DIMENSIONLESS
     elif args.quantity == "beta":
         value, unit = beta(x, k), _BETA_UNIT
     else:
-        pair = gauge_pair(x, variant)
-        value = getattr(pair, args.quantity)
+        value = getattr(GaugeAmplitudes.at(x, source), args.quantity)
         unit = _DIMENSIONLESS
     print(f"{_fmt(value)} {unit}")
     return EXIT_OK
@@ -124,7 +123,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
         )
     extras = _parse_columns(args.columns)
     k = _resolve_constants(args)
-    variant = args.formula_variant
+    source = source_named(args.formula_variant)
 
     # all rows are evaluated before the file is opened, so a domain error
     # in any row leaves no partial output
@@ -132,7 +131,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
     lines = ["x,f1,f2,delta" + "".join("," + c for c in extras)]
     for i in range(args.steps):
         x = args.x_min + i * step
-        pair = gauge_pair(x, variant)
+        pair = GaugeAmplitudes.at(x, source)
         row = [x, pair.f1, pair.f2, pair.delta]
         for name in extras:
             row.append(beta(x, k) if name == "beta" else getattr(pair, name))
@@ -208,7 +207,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="JSON file overriding physical constants "
                              "(falls back to GAUGE_WORKBENCH_CONSTANTS)")
     parser.add_argument("--formula-variant", default="derived",
-                        choices=VARIANTS,
+                        choices=tuple(SOURCES),
                         help="closed-form variant; the alternates exist as "
                              "negative controls for the verifier")
 

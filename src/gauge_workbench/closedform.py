@@ -29,15 +29,20 @@ velocity-gauge coupling to the degenerate n = 2 level is zero.  The tail's
 denominators j + 3 - 1/t are at least 1, so a fixed number of terms reaches
 double precision on the whole window; it is summed once per x for Q and P.
 
-Alternate transcriptions of the amplitude (differing in the denominator
-attached to the hypergeometric term) are kept behind the ``variant`` flag
-as negative controls: the verification suite must be able to demonstrate
+Every check reads the amplitudes through an amplitude source, a callable
+x -> (Q, P).  ``SOURCES`` maps the names "derived", "alt-a" and "alt-b" to
+the derived forms and to two alternate transcriptions (differing in the
+denominator attached to the hypergeometric term).  The alternates are
+negative controls: the verification suite must be able to demonstrate
 that it can reject a wrong reading, not merely confirm the right one.
+The grid oracle's ``gauge_pair_oracle`` has the same shape once its grid
+is bound.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from .errors import DomainError, PoleError
@@ -52,7 +57,7 @@ X_RESONANCE = 0.1875
 # this slope, crossing zero at x = 3/16.
 DELTA_SLOPE = -512.0 * SQRT2 / 729.0
 
-VARIANTS = ("derived", "alt-a", "alt-b")
+AmplitudeSource = Callable[[float], tuple[float, float]]
 
 # Rational parts with the k <= 2 hypergeometric head folded in, as
 # coefficient arrays (highest power first) of numerator and denominator;
@@ -121,10 +126,9 @@ def _z_arg(t: float) -> float:
     return (1.0 - t) * (1.0 - 2.0 * t) / ((1.0 + t) * (1.0 + 2.0 * t))
 
 
-def _checked_t(x: float, variant: str) -> float:
-    """Validate x and variant and return t."""
+def _checked_t(x: float) -> float:
+    """Validate x and return t."""
     require_window(x)
-    _check_variant(variant)
     return t_of_x(x)
 
 
@@ -156,8 +160,7 @@ def _alt_hyp(t: float) -> float:
     return 1.0 - t * z * lerch_sum(z, 1.0 - t, ALT_TERMS)
 
 
-def _q_alternate(t: float, mirror: bool) -> float:
-    f = _alt_hyp(t)
+def _q_alternate(t: float, f: float, mirror: bool) -> float:
     t2 = t * t
     first = (512.0 * SQRT2 * t2 * _horner(_ALT_Q_POLY, t)
              / (729.0 * (t - 2.0) ** 3 * (t2 - 1.0) ** 2 * (t + 2.0) ** 2))
@@ -168,42 +171,63 @@ def _q_alternate(t: float, mirror: bool) -> float:
     return first - 4096.0 * SQRT2 * f / den
 
 
-def _p_alternate(t: float) -> float:
-    f = _alt_hyp(t)
+def _p_alternate(t: float, f: float) -> float:
     t2 = t * t
     first = (64.0 * SQRT2 * t2 * _horner(_ALT_P_POLY, t)
              / (81.0 * (t - 2.0) ** 2 * (t2 - 1.0) * (t + 2.0)))
     return first - 256.0 * SQRT2 * f / (3.0 * (t - 2.0) ** 2 * (t2 - 1.0) * (t + 2.0) ** 2)
 
 
-def _check_variant(variant: str) -> None:
-    if variant not in VARIANTS:
-        raise DomainError(f"unknown formula variant {variant!r}; choose from {VARIANTS}")
-
-
-def q_length(x: float, variant: str = "derived") -> float:
+def q_length(x: float) -> float:
     """Dimensionless length-gauge two-photon amplitude Q(x).
 
     Finite on the whole open window and negative throughout; diverges
     toward -infinity as x -> 3/8 where the intermediate state crosses the
     n = 2 shell.  The folded form needs no small-x guard: it stays accurate
     down to the smallest positive x (see module docstring)."""
-    t = _checked_t(x, variant)
-    if variant == "derived":
-        return _q_derived(t, _tail(t))
-    return _q_alternate(t, mirror=(variant == "alt-b"))
+    t = _checked_t(x)
+    return _q_derived(t, _tail(t))
 
 
-def p_velocity(x: float, variant: str = "derived") -> float:
+def p_velocity(x: float) -> float:
     """Dimensionless velocity-gauge two-photon amplitude P(x).
 
     Positive and finite on the whole window; unlike Q it stays bounded as
     x -> 3/8 because the velocity coupling between the degenerate n = 2
     states vanishes."""
-    t = _checked_t(x, variant)
-    if variant == "derived":
-        return _p_derived(t, _tail(t))
-    return _p_alternate(t)
+    t = _checked_t(x)
+    return _p_derived(t, _tail(t))
+
+
+def derived_pair(x: float) -> tuple[float, float]:
+    """(Q(x), P(x)) from the derived closed forms, sharing one tail sum."""
+    t = _checked_t(x)
+    tail = _tail(t)
+    return _q_derived(t, tail), _p_derived(t, tail)
+
+
+def _alternate(mirror: bool) -> AmplitudeSource:
+    """A negative-control source: (Q, P) from a wrong transcription, with
+    one 2F1 evaluation shared by both amplitudes."""
+    def source(x: float) -> tuple[float, float]:
+        t = _checked_t(x)
+        f = _alt_hyp(t)
+        return _q_alternate(t, f, mirror), _p_alternate(t, f)
+    return source
+
+
+SOURCES: dict[str, AmplitudeSource] = {
+    "derived": derived_pair,
+    "alt-a": _alternate(mirror=False),
+    "alt-b": _alternate(mirror=True),
+}
+
+
+def source_named(name: str) -> AmplitudeSource:
+    """The registered source for a name; DomainError for any other name."""
+    if name not in SOURCES:
+        raise DomainError(f"unknown formula variant {name!r}; choose from {tuple(SOURCES)}")
+    return SOURCES[name]
 
 
 @dataclass(frozen=True)
@@ -218,48 +242,34 @@ class GaugeAmplitudes:
     f2: float
     delta: float
 
+    @classmethod
+    def at(cls, x: float, source: AmplitudeSource) -> GaugeAmplitudes:
+        """Evaluate source once at x and package the gauge comparison."""
+        q, p = source(x)
+        f2 = (X_MAX - x) * (-x) * q
+        return cls(x, q, p, p, f2, p - f2)
 
-def gauge_pair(x: float, variant: str = "derived") -> GaugeAmplitudes:
+
+def gauge_pair(x: float) -> GaugeAmplitudes:
     """Evaluate Q and P once, sharing one tail sum, and package the gauge
     comparison.
 
     f1 and f2 agree only at x = 3/16; their difference is exactly linear,
     delta = DELTA_SLOPE * (x - 3/16)."""
-    t = _checked_t(x, variant)
-    if variant == "derived":
-        tail = _tail(t)
-        q, p = _q_derived(t, tail), _p_derived(t, tail)
-    else:
-        q, p = _q_alternate(t, mirror=(variant == "alt-b")), _p_alternate(t)
-    f1 = p
-    f2 = (X_MAX - x) * (-x) * q
-    return GaugeAmplitudes(x=x, q=q, p=p, f1=f1, f2=f2, delta=f1 - f2)
+    return GaugeAmplitudes.at(x, derived_pair)
 
 
-def two_color_q(x1: float, variant: str = "derived") -> float:
-    """Two-color resonant combination (3/4) [Q(x1) + Q(x2)], x2 = 3/8 - x1.
+def two_color_combination(x1: float, q: Callable[[float], float]) -> float:
+    """(3/4) [q(x1) + q(x2)], x2 = 3/8 - x1, for any evaluation q of Q.
 
     The partner frequency is fixed by the two-photon resonance condition
     x1 + x2 = 3/8, so x2 lies in the window exactly when x1 does.  The two
     terms are the two possible time orderings of the absorptions."""
     require_window(x1)
-    x2 = X_MAX - x1
-    return 0.75 * (q_length(x1, variant) + q_length(x2, variant))
+    return 0.75 * (q(x1) + q(X_MAX - x1))
 
 
-@dataclass(frozen=True)
-class ResonanceConstants:
-    """Frozen values at the two-photon resonance x = 3/16."""
-
-    x_r: float
-    q_r: float
-    p_r: float
-
-
-# q_r and p_r are the converged closed-form values; p_r = -(3/16)^2 q_r
-# holds exactly (the resonance gauge identity).
-RESONANCE = ResonanceConstants(
-    x_r=X_RESONANCE,
-    q_r=-7.853655422351426,
-    p_r=0.2761050734420423,
-)
+def two_color_q(x1: float) -> float:
+    """Two-color resonant combination (3/4) [Q(x1) + Q(x2)], x2 = 3/8 - x1,
+    from the derived Q alone."""
+    return two_color_combination(x1, q_length)

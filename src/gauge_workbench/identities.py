@@ -1,7 +1,9 @@
 """Residual checks for the gauge identities, bundled into one report.
 
 Each check evaluates an identity that must hold exactly in continuum
-mathematics and records the residual at a list of abscissas.  Closed-form
+mathematics and records the residual at a list of abscissas.  The checks
+of the gauge amplitudes read them from an amplitude source, x -> (Q, P):
+the derived closed forms, a negative control or the grid oracle.  Closed-form
 checks are held to 1e-9 (double precision with headroom); checks that go
 through the radial grid are held to 1e-6 (grid truncation).  All inputs
 are fixed tuples, so repeated runs produce bit-identical residual lists.
@@ -14,15 +16,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 from .closedform import (
     DELTA_SLOPE,
     X_MAX,
     X_RESONANCE,
-    gauge_pair,
-    p_velocity,
-    q_length,
-    two_color_q,
+    AmplitudeSource,
+    GaugeAmplitudes,
+    derived_pair,
+    source_named,
+    two_color_combination,
 )
 from .errors import DomainError
 from .oracle import (
@@ -77,12 +81,20 @@ class IdentityCheck:
 
     @property
     def max_residual(self) -> float:
-        return max(abs(r) for r in self.residuals)
+        return _worst(self.residuals)
+
+
+def _worst(residuals: tuple[float, ...]) -> float:
+    """Largest |r|, or NaN if any residual is NaN; max() alone keeps a
+    NaN only when it comes first."""
+    sizes = [abs(r) for r in residuals]
+    return math.nan if any(math.isnan(a) for a in sizes) else max(sizes)
 
 
 def _make_check(name: str, xs: tuple[float, ...],
                 residuals: tuple[float, ...], tol: float) -> IdentityCheck:
-    passed = max(abs(r) for r in residuals) <= tol
+    # NaN <= tol is false, so a NaN residual fails the check
+    passed = _worst(residuals) <= tol
     return IdentityCheck(name, xs, residuals, tol, passed)
 
 
@@ -110,37 +122,26 @@ def _master_residual(x: float, q: float, p: float, r2: float) -> float:
     return p - ((X_MAX - x) * (-x) * q + (x - X_RESONANCE) * r2 / 3.0)
 
 
-def check_master_identity(xs: tuple[float, ...] = MASTER_GRID,
-                          use_oracle: bool = False,
-                          grid: RadialGrid | None = None,
-                          variant: str = "derived") -> IdentityCheck:
+def check_master_identity(source: AmplitudeSource = derived_pair,
+                          r2: float = R2_OVERLAP_EXACT,
+                          tol: float = TOL_CLOSED,
+                          xs: tuple[float, ...] = MASTER_GRID) -> IdentityCheck:
     """Velocity amplitude against the length amplitude plus the r^2 shift.
 
     The correction term vanishes at the resonance and is linear in x, so
     this single relation subsumes both the resonance equality and the
-    linear gauge-difference law."""
-    if use_oracle:
-        grid = grid if grid is not None else RadialGrid()
-        r2 = r2_overlap(grid)
-        residuals = tuple(
-            _master_residual(x, *gauge_pair_oracle(grid, x), r2)
-            for x in xs
-        )
-        tol = TOL_ORACLE
-    else:
-        r2 = R2_OVERLAP_EXACT
-        residuals = tuple(
-            _master_residual(x, q_length(x, variant), p_velocity(x, variant), r2)
-            for x in xs
-        )
-        tol = TOL_CLOSED
+    linear gauge-difference law.  r2 is <2S| r^2 |1S> from the same
+    evaluation as the source: exact for closed forms, the grid quadrature
+    for the oracle."""
+    residuals = tuple(_master_residual(x, *source(x), r2) for x in xs)
     return _make_check("master_identity", tuple(xs), residuals, tol)
 
 
-def check_resonance_pq(variant: str = "derived") -> IdentityCheck:
-    """P = -(3/16)^2 Q at the two-photon resonance, from closed forms."""
+def check_resonance_pq(source: AmplitudeSource = derived_pair) -> IdentityCheck:
+    """P = -(3/16)^2 Q at the two-photon resonance."""
     x = X_RESONANCE
-    residual = p_velocity(x, variant) + (3.0 / 16.0) ** 2 * q_length(x, variant)
+    q, p = source(x)
+    residual = p + (3.0 / 16.0) ** 2 * q
     return _make_check("resonance_pq", (x,), (residual,), TOL_CLOSED)
 
 
@@ -156,23 +157,22 @@ def check_ac_stark(xs: tuple[float, ...] = AC_STARK_POINTS,
     return _make_check("ac_stark", tuple(xs), tuple(residuals), TOL_ORACLE)
 
 
-def check_two_color(x1s: tuple[float, ...] = TWO_COLOR_POINTS,
-                    variant: str = "derived") -> IdentityCheck:
+def check_two_color(source: AmplitudeSource = derived_pair,
+                    x1s: tuple[float, ...] = TWO_COLOR_POINTS) -> IdentityCheck:
     """P(x1) + P(x2) = -x1 x2 [Q(x1) + Q(x2)] for x2 = 3/8 - x1."""
     residuals = []
     for x1 in x1s:
         x2 = X_MAX - x1
-        q_sum = q_length(x1, variant) + q_length(x2, variant)
-        p_sum = p_velocity(x1, variant) + p_velocity(x2, variant)
-        residuals.append(p_sum + x1 * x2 * q_sum)
+        (q1, p1), (q2, p2) = source(x1), source(x2)
+        residuals.append((p1 + p2) + x1 * x2 * (q1 + q2))
     return _make_check("two_color", tuple(x1s), tuple(residuals), TOL_CLOSED)
 
 
-def check_delta_linear(xs: tuple[float, ...] = DELTA_GRID,
-                       variant: str = "derived") -> IdentityCheck:
+def check_delta_linear(source: AmplitudeSource = derived_pair,
+                       xs: tuple[float, ...] = DELTA_GRID) -> IdentityCheck:
     """f1 - f2 against the exact straight line through the resonance."""
     residuals = tuple(
-        gauge_pair(x, variant).delta - DELTA_SLOPE * (x - X_RESONANCE)
+        GaugeAmplitudes.at(x, source).delta - DELTA_SLOPE * (x - X_RESONANCE)
         for x in xs
     )
     return _make_check("delta_linear", tuple(xs), residuals, TOL_CLOSED)
@@ -202,18 +202,22 @@ def _compare(name: str, computed: float, reference: float,
                               provenance, rel <= rel_tol)
 
 
-def constants_table(variant: str = "derived",
+def constants_table(source: AmplitudeSource = derived_pair,
                     constants: PhysicalConstants = DEFAULT_CONSTANTS,
                     ) -> tuple[ConstantComparison, ...]:
     """Headline numbers against their published references.
 
-    The dimensionless entries carry reference values quoted to ten
-    significant digits; the SI entries depend on the constants vintage,
-    so their tolerance is looser."""
+    The dimensionless entries read Q from the source and carry reference
+    values quoted to ten significant digits; the SI entries are built on
+    the derived Q and depend on the constants vintage, so their tolerance
+    is looser."""
+    def q(x: float) -> float:
+        return source(x)[0]
+
     return (
-        _compare("resonance_q", q_length(X_RESONANCE, variant),
+        _compare("resonance_q", q(X_RESONANCE),
                  -7.853655422, 1.5e-9, "published"),
-        _compare("two_color_q", two_color_q(0.35, variant),
+        _compare("two_color_q", two_color_combination(0.35, q),
                  -62.659473633, 2e-10, "published"),
         _compare("beta_resonance", beta(X_RESONANCE, constants),
                  3.68111e-5, 1e-3, "published"),
@@ -229,23 +233,29 @@ def build_report(profile: str = "strict",
                  ) -> VerificationReport:
     """Run all six identity checks and the constants table.
 
+    variant names the closed-form source in ``closedform.SOURCES``.
     profile selects the source of the master-identity residuals: "strict"
-    uses the closed forms at 1e-9, "oracle" recomputes both amplitudes on
-    the radial grid at 1e-6.  The grid-backed checks (ac_stark,
-    one_photon_ratio) always use the oracle since no closed form exists
-    for them here."""
+    uses that closed-form source at 1e-9, "oracle" recomputes both
+    amplitudes on the radial grid at 1e-6.  The grid-backed checks
+    (ac_stark, one_photon_ratio) always use the oracle since no closed
+    form exists for them here."""
     if profile not in ("strict", "oracle"):
         raise DomainError(f"unknown profile {profile!r}")
+    source = source_named(variant)
     grid = grid if grid is not None else RadialGrid()
+    if profile == "oracle":
+        master = check_master_identity(partial(gauge_pair_oracle, grid),
+                                       r2_overlap(grid), TOL_ORACLE)
+    else:
+        master = check_master_identity(source)
     checks = (
-        check_master_identity(use_oracle=(profile == "oracle"),
-                              grid=grid, variant=variant),
-        check_resonance_pq(variant),
+        master,
+        check_resonance_pq(source),
         check_ac_stark(grid=grid),
-        check_two_color(variant=variant),
-        check_delta_linear(variant=variant),
+        check_two_color(source),
+        check_delta_linear(source),
         check_one_photon(grid=grid),
     )
-    consts = constants_table(variant, constants)
+    consts = constants_table(source, constants)
     overall = all(c.passed for c in checks) and all(c.passed for c in consts)
     return VerificationReport(checks, consts, overall)

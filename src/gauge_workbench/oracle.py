@@ -65,7 +65,7 @@ import numpy as np
 from scipy.linalg import eig_banded
 from scipy.linalg.lapack import dgbtrf, dgbtrs, dpbtrf, dpbtrs
 
-from .closedform import X_MAX, require_window
+from .closedform import require_window
 from .errors import ConvergenceError, DegenerateError, DomainError, NearResonanceError
 
 _RESIDUAL_TARGET = 1e-8
@@ -373,19 +373,9 @@ def build_oracle(grid: RadialGrid) -> OracleState:
 
 def solve_bound(grid: RadialGrid, n: int, l: int) -> BoundState:
     """Eigensolve for the (n, l) hydrogen bound state on the grid."""
-    # checked before the cached states: (True, False) and (1.0, 0.0) compare
-    # equal to (1, 0)
     if not (_is_index(n) and _is_index(l)):
         raise DomainError(f"quantum numbers must be integers, got n = {n!r}, l = {l!r}")
-    n, l = operator.index(n), operator.index(l)
-    state = build_oracle(grid)
-    if (n, l) == (1, 0):
-        return state.s1
-    if (n, l) == (2, 0):
-        return state.s2
-    if (n, l) == (2, 1):
-        return state.s2p
-    return _solve_on_state(state, n, l)
+    return _solve_on_state(build_oracle(grid), operator.index(n), operator.index(l))
 
 
 def _componentwise_backward_error(shifted: np.ndarray, x: np.ndarray,
@@ -553,18 +543,14 @@ def ac_stark_sides(grid: RadialGrid, x: float) -> tuple[float, float]:
     the contact normalization 3 <1S|1S>.  Right: x^2 times the position-form
     response summed the same way.  Exact algebra makes these equal; the
     returned pair exposes the grid residual."""
-    if not 0.0 < x < X_MAX:
-        raise DomainError(f"need 0 < x < {X_MAX} to keep both signs resolvable, got {x}")
+    require_window(x)
     state = build_oracle(grid)
     norm_1s = state.integrate(state.w1, state.w1)
     lhs = -3.0 * norm_1s
     rhs = 0.0
     driving = np.column_stack((state.wd1, state.r * state.w1))
     for sign in (+1.0, -1.0):
-        energy = state.s1.energy + sign * x
-        if abs(energy - state.s2p.energy) < _NEAR_RESONANCE_GAP:
-            raise NearResonanceError("polarizability energy degenerate with n=2 level")
-        response = green_solve(state, 1, energy, driving)
+        response = green_solve(state, 1, _intermediate_energy(state, sign * x), driving)
         lhs += state.integrate(driving[:, 0], response[:, 0])
         rhs += state.integrate(driving[:, 1], response[:, 1])
     return lhs, x * x * rhs

@@ -2,7 +2,7 @@
 
 The dimensionless amplitude is turned into the two-photon excitation
 coefficient beta(x) in Hz per (W/m^2), the Rabi frequency at a given laser
-intensity, and the linear expansion of beta about the two-photon resonance.
+intensity, and the slope of beta at the two-photon resonance.
 The SI prefactor is
 
     beta = - e^2 hbar / (alpha^4 m^3 c^5 (4 pi eps0)) * Q(x),
@@ -30,7 +30,6 @@ from .errors import ConvergenceError, DomainError
 
 ENV_CONSTANTS = "GAUGE_WORKBENCH_CONSTANTS"
 
-_LINEAR_TRUST_RADIUS = 0.05
 _SLOPE_STEP = 1e-6
 _SLOPE_CHECK_STEP = 1e-7
 _SLOPE_AGREEMENT = 1e-4
@@ -142,15 +141,3 @@ def beta_slope(k: PhysicalConstants = DEFAULT_CONSTANTS) -> float:
             f"finite-difference slopes disagree: {slope!r} vs {check!r}"
         )
     return slope
-
-
-def beta_linearized(x: float, k: PhysicalConstants = DEFAULT_CONSTANTS) -> float:
-    """First-order expansion of beta about the resonance.
-
-    Only trusted within |x - 3/16| < 0.05; outside that radius the full
-    evaluation must be used instead."""
-    if abs(x - X_RESONANCE) >= _LINEAR_TRUST_RADIUS:
-        raise DomainError(
-            f"x = {x} outside the linearization trust region around {X_RESONANCE}"
-        )
-    return beta(X_RESONANCE, k) + beta_slope(k) * (x - X_RESONANCE)

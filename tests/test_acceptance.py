@@ -7,6 +7,7 @@ recover the verdicts without parsing the pytest summary.
 
 import math
 import time
+from functools import partial
 
 from gauge_workbench.closedform import (
     DELTA_SLOPE,
@@ -16,12 +17,14 @@ from gauge_workbench.closedform import (
     two_color_q,
 )
 from gauge_workbench.identities import (
+    TOL_ORACLE,
     check_ac_stark,
     check_master_identity,
     check_one_photon,
 )
 from gauge_workbench.oracle import (
     build_oracle,
+    gauge_pair_oracle,
     q_oracle,
     r2_overlap,
 )
@@ -125,7 +128,8 @@ def test_05_single_crossing_by_bisection():
 def test_06_master_identity_both_sources(default_grid):
     start = time.perf_counter()
     closed = check_master_identity()
-    grid = check_master_identity(use_oracle=True, grid=default_grid)
+    grid = check_master_identity(partial(gauge_pair_oracle, default_grid),
+                                 r2_overlap(default_grid), TOL_ORACLE)
     elapsed = time.perf_counter() - start
     _verdict(
         "propagator identity",

@@ -7,15 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gauge_workbench import closedform
 from gauge_workbench.closedform import (
     DELTA_SLOPE,
-    RESONANCE,
-    VARIANTS,
+    SOURCES,
     X_MAX,
     X_RESONANCE,
+    derived_pair,
     gauge_pair,
     p_velocity,
     q_length,
+    source_named,
     t_of_x,
     two_color_q,
     x_of_t,
@@ -90,8 +92,8 @@ class TestWindow:
             two_color_q(x)
 
     def test_unknown_variant_rejected(self):
-        with pytest.raises(DomainError):
-            q_length(0.1, variant="no-such-thing")
+        with pytest.raises(DomainError, match="unknown formula variant"):
+            source_named("no-such-thing")
 
     def test_divergence_toward_upper_edge(self):
         # Q has a simple pole at the n = 2 crossing; P stays bounded
@@ -107,10 +109,10 @@ class TestResonance:
         assert abs(p + (3.0 / 16.0) ** 2 * q) < 1e-14
 
     def test_frozen_resonance_constants(self):
-        assert math.isclose(q_length(RESONANCE.x_r), RESONANCE.q_r, rel_tol=1e-14)
-        assert math.isclose(p_velocity(RESONANCE.x_r), RESONANCE.p_r, rel_tol=1e-14)
-        assert math.isclose(RESONANCE.p_r, -(3.0 / 16.0) ** 2 * RESONANCE.q_r,
-                            rel_tol=1e-14)
+        q_r, p_r = AMPLITUDE_TABLE[X_RESONANCE]
+        assert math.isclose(q_length(X_RESONANCE), q_r, rel_tol=1e-14)
+        assert math.isclose(p_velocity(X_RESONANCE), p_r, rel_tol=1e-14)
+        assert math.isclose(p_r, -(3.0 / 16.0) ** 2 * q_r, rel_tol=1e-14)
 
 
 class TestGaugePair:
@@ -199,16 +201,55 @@ class TestGuardBand:
 
 class TestVariants:
     def test_variant_registry(self):
-        assert VARIANTS == ("derived", "alt-a", "alt-b")
+        assert tuple(SOURCES) == ("derived", "alt-a", "alt-b")
+        assert SOURCES["derived"] is derived_pair
+        assert all(source_named(name) is SOURCES[name] for name in SOURCES)
+
+    @pytest.mark.parametrize("x", [1e-8, 0.01, 0.1875, 0.35, 0.374999])
+    def test_derived_source_matches_the_scalar_evaluators(self, x):
+        assert derived_pair(x) == (q_length(x), p_velocity(x))
 
     @pytest.mark.parametrize("variant", ["alt-a", "alt-b"])
     def test_alternates_deviate_measurably(self, variant):
         # the alternates transcribe the amplitude with a different
         # denominator reading; the verifier must be able to reject them
-        assert abs(q_length(X_RESONANCE, variant) - RESONANCE.q_r) > 1e-2
-        assert abs(p_velocity(X_RESONANCE, variant) - RESONANCE.p_r) > 1e-3
+        q_r, p_r = AMPLITUDE_TABLE[X_RESONANCE]
+        q, p = SOURCES[variant](X_RESONANCE)
+        assert abs(q - q_r) > 1e-2
+        assert abs(p - p_r) > 1e-3
 
     @pytest.mark.parametrize("variant", ["alt-a", "alt-b"])
     def test_alternates_still_respect_the_window(self, variant):
         with pytest.raises(DomainError):
-            q_length(0.5, variant)
+            SOURCES[variant](0.5)
+
+
+class TestHotPaths:
+    """Each derived evaluator sums one Lerch tail per photon energy."""
+
+    @pytest.fixture
+    def tail_calls(self, monkeypatch):
+        calls = []
+        real = closedform.lerch_sum
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(closedform, "lerch_sum", counted)
+        return calls
+
+    @pytest.mark.parametrize("evaluate,expected", [
+        (gauge_pair, 1), (derived_pair, 1), (q_length, 1), (p_velocity, 1),
+        (two_color_q, 2),
+    ])
+    def test_lerch_sums_per_call(self, tail_calls, evaluate, expected):
+        for x in (0.01, 0.1875, 0.3):
+            tail_calls.clear()
+            evaluate(x)
+            assert len(tail_calls) == expected
+
+    @pytest.mark.parametrize("variant", ["alt-a", "alt-b"])
+    def test_alternates_share_one_hypergeometric_per_pair(self, tail_calls, variant):
+        SOURCES[variant](0.1)
+        assert len(tail_calls) == 1

@@ -1,6 +1,7 @@
 """Verification-report tests: the six checks, determinism, negative controls."""
 
 import math
+from functools import partial
 
 import pytest
 
@@ -8,7 +9,9 @@ from gauge_workbench.closedform import gauge_pair
 from gauge_workbench.errors import DomainError
 from gauge_workbench.identities import (
     CHECK_NAMES,
+    TOL_ORACLE,
     IdentityCheck,
+    _make_check,
     build_report,
     check_ac_stark,
     check_delta_linear,
@@ -18,6 +21,7 @@ from gauge_workbench.identities import (
     check_two_color,
     constants_table,
 )
+from gauge_workbench.oracle import gauge_pair_oracle, r2_overlap
 
 
 class TestIdentityCheck:
@@ -28,6 +32,12 @@ class TestIdentityCheck:
     def test_max_residual(self):
         check = IdentityCheck("x", (0.1, 0.2), (1e-12, -3e-11), 1e-9, True)
         assert check.max_residual == 3e-11
+        # a NaN fails its check and is the reported maximum wherever it sits
+        for residuals in ((0.0, math.nan), (math.nan, 0.0)):
+            check = _make_check("x", (0.1, 0.2), residuals, 1e-9)
+            assert not check.passed
+            assert math.isnan(check.max_residual)
+        assert not _make_check("x", (0.1, 0.2), (0.0, -math.inf), 1e-9).passed
 
 
 class TestIndividualChecks:
@@ -39,7 +49,8 @@ class TestIndividualChecks:
         assert check.passed
 
     def test_master_identity_oracle(self, default_grid):
-        check = check_master_identity(use_oracle=True, grid=default_grid)
+        check = check_master_identity(partial(gauge_pair_oracle, default_grid),
+                                      r2_overlap(default_grid), TOL_ORACLE)
         assert check.tolerance == 1e-6
         assert check.passed
         # the grid result is genuinely coarser than the closed forms
@@ -63,6 +74,20 @@ class TestIndividualChecks:
         check = check_delta_linear()
         assert len(check.x_values) == 200
         assert check.passed
+
+    def test_grid_atom_as_the_source_of_three_claims(self, default_grid):
+        # independent numerical evidence for the resonance lock, the
+        # two-color law and the straight gauge difference: each check reads
+        # Q and P from the grid instead of the closed forms, and the
+        # residuals sit inside the grid tolerance
+        source = partial(gauge_pair_oracle, default_grid)
+        for check, points in ((check_resonance_pq(source), 1),
+                              (check_two_color(source), 3),
+                              (check_delta_linear(source), 200)):
+            assert len(check.residuals) == points
+            assert check.max_residual <= TOL_ORACLE, check.name
+            # coarser than the closed forms, so the grid really was read
+            assert check.max_residual > 1e-12, check.name
 
     def test_one_photon(self, default_grid):
         check = check_one_photon(grid=default_grid)
@@ -119,12 +144,15 @@ class TestNegativeControls:
     @pytest.mark.parametrize("variant", ["alt-a", "alt-b"])
     def test_wrong_transcription_fails_the_report(self, default_grid, variant):
         report = build_report("strict", grid=default_grid, variant=variant)
-        failed = {c.name for c in report.checks if not c.passed}
-        assert "master_identity" in failed
         assert not report.overall_pass
-        # grid-only checks cannot depend on the closed-form variant
-        still_good = {c.name for c in report.checks if c.passed}
-        assert {"ac_stark", "one_photon_ratio"} <= still_good
+        # every check and constant that reads the closed forms fails; the
+        # grid-only checks and the SI constants (built on the derived Q)
+        # cannot depend on the variant
+        failed = {c.name for c in report.checks + report.constants if not c.passed}
+        passed = {c.name for c in report.checks + report.constants if c.passed}
+        assert failed == {"master_identity", "resonance_pq", "two_color", "delta_linear",
+                          "resonance_q", "two_color_q"}
+        assert passed == {"ac_stark", "one_photon_ratio", "beta_resonance", "beta_slope"}
 
     def test_gauge_difference_is_real_off_resonance(self):
         assert abs(gauge_pair(0.10).delta) > 1e-2

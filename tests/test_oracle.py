@@ -126,14 +126,17 @@ class TestBoundStates:
 
     @pytest.mark.parametrize("n,l", [(True, False), (1.0, 0.0), (3.0, 0), (2, 1.0)])
     def test_rejects_non_integer_quantum_numbers(self, default_grid, n, l):
-        # (True, False) and (1.0, 0.0) compare equal to (1, 0), so they must
-        # be rejected before the cached 1S state is looked up
+        # (True, False) and (1.0, 0.0) compare equal to (1, 0) but are no
+        # quantum numbers
         with pytest.raises(DomainError, match="must be integers"):
             solve_bound(default_grid, n, l)
 
     def test_accepts_numpy_integer_quantum_numbers(self, default_grid):
         state = solve_bound(default_grid, np.int64(2), np.int64(1))
-        assert state is build_oracle(default_grid).s2p
+        cached = build_oracle(default_grid).s2p
+        assert state.label == (2, 1)
+        assert state.energy == cached.energy
+        assert np.array_equal(state.radial_values, cached.radial_values)
         assert solve_bound(default_grid, np.int64(3), np.int64(0)).label == (3, 0)
 
     def test_only_dipole_channels_are_built(self, default_grid):

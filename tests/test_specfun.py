@@ -12,11 +12,12 @@ from hypothesis import strategies as st
 
 from gauge_workbench.closedform import (
     ALT_TERMS,
+    SOURCES,
     TAIL_TERMS,
+    X_RESONANCE,
     _alt_hyp,
     _tail,
     _z_arg,
-    p_velocity,
     q_length,
     t_of_x,
 )
@@ -117,10 +118,9 @@ class TestHyp2F1Special:
 
     def test_alternates_raise_at_pole(self):
         # x = 1e-13 puts t within 1e-12 of the pole at t = 1
-        with pytest.raises(PoleError):
-            q_length(1e-13, "alt-a")
-        with pytest.raises(PoleError):
-            p_velocity(1e-13, "alt-b")
+        for variant in ("alt-a", "alt-b"):
+            with pytest.raises(PoleError):
+                SOURCES[variant](1e-13)
 
     def test_tail_plus_head_reassembles_full_value(self):
         # folding the k <= 1 head out of 2F1(1,-b;1-b;z) leaves -b z^2 Phi(z, 1, 2-b)
@@ -142,6 +142,4 @@ def test_lerch_combination_reproduces_resonance_amplitude():
         + 64.0 * math.sqrt(2.0) * phi
     )
     assert abs(value - (-7.853655422)) < 1e-8
-    from gauge_workbench.closedform import RESONANCE
-
-    assert math.isclose(value, RESONANCE.q_r, rel_tol=1e-10)
+    assert math.isclose(value, q_length(X_RESONANCE), rel_tol=1e-10)
