@@ -29,7 +29,7 @@ from typing import TYPE_CHECKING
 
 from .closedform import SOURCES, GaugeAmplitudes, source_named, two_color_combination
 from .errors import ConvergenceError, DomainError
-from .rabi import PhysicalConstants, beta, load_constants
+from .rabi import beta_prefactor, load_constants
 
 if TYPE_CHECKING:
     from .identities import VerificationReport
@@ -73,29 +73,25 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
-def _resolve_constants(args: argparse.Namespace) -> PhysicalConstants:
-    return load_constants(getattr(args, "constants_file", None))
-
-
 def _resolve_grid(args: argparse.Namespace) -> RadialGrid:
     from .oracle import RadialGrid
 
     kwargs = {}
-    if getattr(args, "grid_points", None) is not None:
+    if args.grid_points is not None:
         kwargs["n_points"] = args.grid_points
-    if getattr(args, "r_max", None) is not None:
+    if args.r_max is not None:
         kwargs["r_max"] = args.r_max
     return RadialGrid(**kwargs)
 
 
 def cmd_compute(args: argparse.Namespace) -> int:
-    k = _resolve_constants(args)
+    k = load_constants(args.constants_file)
     source = source_named(args.formula_variant)
     x = args.x
     if args.quantity == "two_color_q":
         value, unit = two_color_combination(x, lambda xi: source(xi)[0]), _DIMENSIONLESS
     elif args.quantity == "beta":
-        value, unit = beta(x, k), _BETA_UNIT
+        value, unit = -beta_prefactor(k) * source(x)[0], _BETA_UNIT
     else:
         value = getattr(GaugeAmplitudes.at(x, source), args.quantity)
         unit = _DIMENSIONLESS
@@ -122,7 +118,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
             f"got [{args.x_min}, {args.x_max}]"
         )
     extras = _parse_columns(args.columns)
-    k = _resolve_constants(args)
+    prefactor = beta_prefactor(load_constants(args.constants_file))
     source = source_named(args.formula_variant)
 
     # all rows are evaluated before the file is opened, so a domain error
@@ -134,7 +130,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
         pair = GaugeAmplitudes.at(x, source)
         row = [x, pair.f1, pair.f2, pair.delta]
         for name in extras:
-            row.append(beta(x, k) if name == "beta" else getattr(pair, name))
+            row.append(-prefactor * pair.q if name == "beta" else getattr(pair, name))
         lines.append(",".join(_fmt(v) for v in row))
     _atomic_write(args.out, "\n".join(lines) + "\n")
     return EXIT_OK
@@ -180,7 +176,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     # numpy and scipy load here, so compute and scan run on the stdlib alone
     from .identities import build_report
 
-    k = _resolve_constants(args)
+    k = load_constants(args.constants_file)
     grid = _resolve_grid(args)
     report = build_report(profile=args.profile, grid=grid,
                           variant=args.formula_variant, constants=k)

@@ -69,6 +69,12 @@ _Q_SMOOTH_DEN = (46656.0, 279936.0, 711504.0, 979776.0, 755244.0, 262440.0,
 _P_SMOOTH_NUM = (256.0, 1280.0, 1984.0, 3008.0, -1088.0, 1472.0)
 _P_SMOOTH_DEN = (1296.0, 6480.0, 13608.0, 15552.0, 10449.0, 4131.0, 891.0, 81.0)
 
+# Imaginary step of q_slope.  Its value does not matter: no difference is
+# taken, so nothing cancels, and the step enters only through the relative
+# term h^2 Q'''/(6 Q'), below 1e-40 at the resonance and 1e-28 at
+# x = 0.374999.  h = 1e-20 and h = 1e-30 give bit-identical slopes.
+_COMPLEX_STEP = 1e-20
+
 # Terms of the tail Phi(Z, 1, 3 - 1/t).  On [1/2, 1], |Z| <= 0.0295 and the
 # shift lies in [1, 2], so the dropped remainder is at most
 # |Z|^11 / (12 (1 - |Z|)) < 1.3e-18, below 2.6e-18 relative to Phi >= 1/2.
@@ -115,11 +121,6 @@ def t_of_x(x: float) -> float:
     if not 0.0 < x < 0.5:
         raise DomainError(f"t = sqrt(1 - 2x) needs 0 < x < 1/2, got x = {x}")
     return math.sqrt(1.0 - 2.0 * x)
-
-
-def x_of_t(t: float) -> float:
-    """Inverse map; round-trips with t_of_x to machine precision."""
-    return 0.5 * (1.0 - t * t)
 
 
 def _z_arg(t: float) -> float:
@@ -197,6 +198,20 @@ def p_velocity(x: float) -> float:
     states vanishes."""
     t = _checked_t(x)
     return _p_derived(t, _tail(t))
+
+
+def q_slope(x: float) -> float:
+    """dQ/dx of the derived Q by a complex step.  The folded form has no
+    branch, abs or comparison, so it is analytic in t and Im Q(x + ih) / h
+    is dQ/dx to rounding, from one evaluation with no subtraction (Lyness &
+    Moler, SIAM J. Numer. Anal. 4, 202 (1967)).  Like Q, its relative error
+    grows as x / (3/8 - x) next to the pole."""
+    t = _checked_t(x)
+    # t(x + ih) = t - ih/t + O(h^2), and the step keeps only the first order:
+    # the slopes match those through cmath.sqrt(1 - 2(x + ih)) bit for bit,
+    # and compute and scan start without importing cmath
+    t = complex(t, -_COMPLEX_STEP / t)
+    return _q_derived(t, _tail(t)).imag / _COMPLEX_STEP
 
 
 def derived_pair(x: float) -> tuple[float, float]:

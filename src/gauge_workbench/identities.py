@@ -146,10 +146,9 @@ def check_resonance_pq(source: AmplitudeSource = derived_pair) -> IdentityCheck:
 
 
 def check_ac_stark(xs: tuple[float, ...] = AC_STARK_POINTS,
-                   grid: RadialGrid | None = None) -> IdentityCheck:
+                   grid: RadialGrid = RadialGrid()) -> IdentityCheck:
     """Velocity-form ac-Stark response of 1S against the x^2-weighted
     length form, evaluated on the radial grid."""
-    grid = grid if grid is not None else RadialGrid()
     residuals = []
     for x in xs:
         lhs, rhs = ac_stark_sides(grid, x)
@@ -179,12 +178,11 @@ def check_delta_linear(source: AmplitudeSource = derived_pair,
 
 
 def check_one_photon(omegas: tuple[float, ...] = ONE_PHOTON_OMEGAS,
-                     grid: RadialGrid | None = None) -> IdentityCheck:
+                     grid: RadialGrid = RadialGrid()) -> IdentityCheck:
     """Velocity over length 1S-2P dipole element against (E_f - E_i)/omega.
 
     Both matrix elements and the energies come from the same grid, so the
     residual isolates the gauge relation from discretization error."""
-    grid = grid if grid is not None else RadialGrid()
     state = build_oracle(grid)
     gap = state.s2p.energy - state.s1.energy
     residuals = tuple(
@@ -227,7 +225,7 @@ def constants_table(source: AmplitudeSource = derived_pair,
 
 
 def build_report(profile: str = "strict",
-                 grid: RadialGrid | None = None,
+                 grid: RadialGrid = RadialGrid(),
                  variant: str = "derived",
                  constants: PhysicalConstants = DEFAULT_CONSTANTS,
                  ) -> VerificationReport:
@@ -242,7 +240,6 @@ def build_report(profile: str = "strict",
     if profile not in ("strict", "oracle"):
         raise DomainError(f"unknown profile {profile!r}")
     source = source_named(variant)
-    grid = grid if grid is not None else RadialGrid()
     if profile == "oracle":
         master = check_master_identity(partial(gauge_pair_oracle, grid),
                                        r2_overlap(grid), TOL_ORACLE)

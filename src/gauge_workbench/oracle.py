@@ -150,9 +150,9 @@ class OracleState:
         # the dgbtrf layout of each K_l, built once; every LU shifts a copy
         self._lu_layouts = {l: _full_banded(ab) for l, ab in self._bands.items()}
 
-        self.s1 = self._solve(1, 0)
-        self.s2 = self._solve(2, 0)
-        self.s2p = self._solve(2, 1)
+        self.s1 = _solve_on_state(self, 1, 0)
+        self.s2 = _solve_on_state(self, 2, 0)
+        self.s2p = _solve_on_state(self, 2, 1)
         self.w1 = self.sqrt_r * self.s1.radial_values
         self.w2 = self.sqrt_r * self.s2.radial_values
         self.w2p = self.sqrt_r * self.s2p.radial_values
@@ -168,9 +168,6 @@ class OracleState:
         if l not in self._bands:
             raise DomainError(f"only l = 0 and l = 1 channels are built, got l = {l}")
         return self._bands[l]
-
-    def _solve(self, n: int, l: int) -> BoundState:
-        return _solve_on_state(self, n, l)
 
     def _velocity_reduce(self, u: np.ndarray) -> np.ndarray:
         """w representation of u'(r) - u(r)/r for an l = 0 state.

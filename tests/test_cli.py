@@ -13,6 +13,8 @@ import sys
 import pytest
 
 import gauge_workbench
+from gauge_workbench.closedform import SOURCES
+from gauge_workbench.rabi import beta_prefactor
 
 CLI = [sys.executable, "-m", "gauge_workbench.cli"]
 # The subprocess imports the same copy of the package as this process,
@@ -27,6 +29,67 @@ CHECK_ORDER = [
     "delta_linear",
     "one_photon_ratio",
 ]
+
+# Exact stdout lines of ``verify --profile strict`` that are computed in pure
+# Python, so they must not move by a single byte unless a change means to
+# move them.  ac_stark and one_photon_ratio go through BLAS and may differ in
+# the last digit between CPUs, so they are left out.
+STRICT_REPORT_LINES = {
+    "derived": [
+        "PASS master_identity: max residual 3.33066907388e-16"
+        " (tolerance 1.00000000000e-09, 20 points)",
+        "PASS resonance_pq: max residual 5.55111512313e-17"
+        " (tolerance 1.00000000000e-09, 1 points)",
+        "PASS two_color: max residual 4.44089209850e-16"
+        " (tolerance 1.00000000000e-09, 3 points)",
+        "PASS delta_linear: max residual 1.58206781009e-15"
+        " (tolerance 1.00000000000e-09, 200 points)",
+        "PASS resonance_q: computed -7.85365542235e+00 vs published -7.85365542200e+00"
+        " (relative error 4.47464106718e-11)",
+        "PASS two_color_q: computed -6.26594736335e+01 vs published -6.26594736330e+01"
+        " (relative error 8.46637038563e-12)",
+        "PASS beta_resonance: computed 3.68110645721e-05 vs published 3.68111000000e-05"
+        " (relative error 9.62424290552e-07)",
+        "PASS beta_slope: computed 2.32293391278e-04 vs published 2.32293000000e-04"
+        " (relative error 1.68441453720e-06)",
+    ],
+    "alt-a": [
+        "FAIL master_identity: max residual 6.14190747753e+03"
+        " (tolerance 1.00000000000e-09, 20 points)",
+        "FAIL resonance_pq: max residual 1.64434014004e+02"
+        " (tolerance 1.00000000000e-09, 1 points)",
+        "FAIL two_color: max residual 4.72868968320e+03"
+        " (tolerance 1.00000000000e-09, 3 points)",
+        "FAIL delta_linear: max residual 1.33538970709e+04"
+        " (tolerance 1.00000000000e-09, 200 points)",
+        "FAIL resonance_q: computed 4.22545491781e+03 vs published -7.85365542200e+00"
+        " (relative error 5.39023976195e+02)",
+        "FAIL two_color_q: computed 4.02266866733e+05 vs published -6.26594736330e+01"
+        " (relative error 6.42088901933e+03)",
+        "PASS beta_resonance: computed 3.68110645721e-05 vs published 3.68111000000e-05"
+        " (relative error 9.62424290552e-07)",
+        "PASS beta_slope: computed 2.32293391278e-04 vs published 2.32293000000e-04"
+        " (relative error 1.68441453720e-06)",
+    ],
+    "alt-b": [
+        "FAIL master_identity: max residual 5.70287162173e+02"
+        " (tolerance 1.00000000000e-09, 20 points)",
+        "FAIL resonance_pq: max residual 4.28728557387e+01"
+        " (tolerance 1.00000000000e-09, 1 points)",
+        "FAIL two_color: max residual 4.67963032337e+02"
+        " (tolerance 1.00000000000e-09, 3 points)",
+        "FAIL delta_linear: max residual 1.13236370454e+03"
+        " (tolerance 1.00000000000e-09, 200 points)",
+        "FAIL resonance_q: computed 7.67715304924e+02 vs published -7.85365542200e+00"
+        " (relative error 9.87526086482e+01)",
+        "FAIL two_color_q: computed 3.70617252311e+04 vs published -6.26594736330e+01"
+        " (relative error 5.92478400349e+02)",
+        "PASS beta_resonance: computed 3.68110645721e-05 vs published 3.68111000000e-05"
+        " (relative error 9.62424290552e-07)",
+        "PASS beta_slope: computed 2.32293391278e-04 vs published 2.32293000000e-04"
+        " (relative error 1.68441453720e-06)",
+    ],
+}
 
 
 def _subprocess_env(env_extra=None):
@@ -113,6 +176,16 @@ class TestCompute:
         assert "error:" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    def test_beta_reads_the_chosen_source(self):
+        # the alternate's pole at t = 1 reaches beta too
+        assert_input_error(run_cli("compute", "--x", "1e-17", "--quantity", "beta",
+                                   "--formula-variant", "alt-a"))
+        proc = run_cli("compute", "--x", "0.1875", "--quantity", "beta",
+                       "--formula-variant", "alt-a")
+        assert proc.returncode == 0
+        expected = -beta_prefactor() * SOURCES["alt-a"](0.1875)[0]
+        assert proc.stdout == f"{expected:.11e} Hz(W/m^2)^-1\n"
+
 
 class TestScan:
     def test_small_window(self, tmp_path):
@@ -134,6 +207,19 @@ class TestScan:
         run_cli("scan", "--x-min", "0.1", "--x-max", "0.2", "--steps", "2",
                 "--out", str(out))
         assert out.read_text().splitlines()[0] == "x,f1,f2,delta"
+
+    def test_beta_column_reads_the_chosen_source(self, tmp_path):
+        out = tmp_path / "scan.csv"
+        proc = run_cli("scan", "--x-min", "0.1", "--x-max", "0.3", "--steps", "5",
+                       "--columns", "q,beta", "--formula-variant", "alt-b",
+                       "--out", str(out))
+        assert proc.returncode == 0
+        header, *rows = out.read_text().splitlines()
+        assert header == "x,f1,f2,delta,q,beta"
+        for row in rows:
+            q, b = (float(v) for v in row.split(",")[4:])
+            assert q > 0.0  # the alternate, not the derived Q < 0
+            assert math.isclose(b, -beta_prefactor() * q, rel_tol=1e-11)
 
     def test_byte_determinism(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -208,6 +294,17 @@ class TestVerify:
         assert [c["name"] for c in doc["constants"]] == [
             "resonance_q", "two_color_q", "beta_resonance", "beta_slope"]
         assert doc["generated_inputs"]["profile"] == "strict"
+
+    @pytest.mark.parametrize("variant", sorted(STRICT_REPORT_LINES))
+    def test_strict_report_lines_are_golden(self, variant):
+        proc = run_cli("verify", "--profile", "strict", "--formula-variant", variant)
+        verdict = "PASS" if variant == "derived" else "FAIL"
+        assert proc.returncode == (0 if variant == "derived" else 1)
+        *lines, overall = proc.stdout.splitlines()
+        assert overall == f"overall: {verdict}"
+        pinned = [line for line in lines
+                  if line.split()[1] not in ("ac_stark:", "one_photon_ratio:")]
+        assert pinned == STRICT_REPORT_LINES[variant]
 
     def test_oracle_profile_passes(self):
         proc = run_cli("verify", "--profile", "oracle")

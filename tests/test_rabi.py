@@ -6,14 +6,13 @@ from dataclasses import replace
 
 import pytest
 
-from gauge_workbench.closedform import X_RESONANCE
+from gauge_workbench.closedform import X_RESONANCE, q_slope
 from gauge_workbench.errors import DomainError
 from gauge_workbench.rabi import (
     DEFAULT_CONSTANTS,
     ENV_CONSTANTS,
     PhysicalConstants,
     RabiInput,
-    _slope_at_resonance,
     beta,
     beta_prefactor,
     beta_slope,
@@ -36,12 +35,13 @@ class TestBetaValues:
     def test_slope_about_resonance(self):
         slope = beta_slope()
         assert math.isclose(slope, 2.32293e-4, rel_tol=1e-3)
-        assert math.isclose(slope, 2.3229339128237256e-04, rel_tol=1e-10)
+        # the prefactor times a 40-digit mpmath.diff of the folded Q
+        assert math.isclose(slope, 2.3229339127770627e-04, rel_tol=1e-14)
 
-    def test_slope_step_sizes_agree(self):
-        coarse = _slope_at_resonance(DEFAULT_CONSTANTS, 1e-6)
-        fine = _slope_at_resonance(DEFAULT_CONSTANTS, 1e-7)
-        assert math.isclose(coarse, fine, rel_tol=1e-5)
+    def test_slope_is_the_prefactor_times_the_q_slope(self):
+        doubled = replace(DEFAULT_CONSTANTS, hbar=2.0 * DEFAULT_CONSTANTS.hbar)
+        for k in (DEFAULT_CONSTANTS, doubled):
+            assert beta_slope(k) == -beta_prefactor(k) * q_slope(X_RESONANCE)
 
     def test_prefactor_scales_linearly_with_hbar(self):
         doubled = replace(DEFAULT_CONSTANTS, hbar=2.0 * DEFAULT_CONSTANTS.hbar)
