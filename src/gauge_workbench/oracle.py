@@ -16,15 +16,18 @@ turns that into an ordinary symmetric eigenproblem K w = E w with
 
 where w = sqrt(r) u and the y-grid quadrature is simply h * sum (the
 trapezoid weights of a decaying integrand on a uniform grid).  The second
-derivative uses the five-point stencil, making K pentadiagonal, so every
-banded solve costs O(n) per right-hand side.  Resolvent solves factor
-K - E by banded Cholesky.  That is valid because every resolvent energy
-here lies below the whole l = 1 spectrum: E_1S +- x with 0 < x < 3/8, kept
-at least 1e-6 Hartree below the grid's 2P level, the lowest l = 1
-eigenvalue, so K - E is positive definite.  LAPACK's dpbtrf and dpbtrs
-are called directly on lower band storage: with two off-diagonals the
-factorization is one pair of BLAS calls per column, so its cost is call
-overhead and stride, and lower storage gives those calls unit stride.
+derivative uses the five-point stencil (_STENCIL), making K banded with
+half-bandwidth _KD = 2, so every banded solve costs O(n) per right-hand
+side.  Each K_l is stored once per state in LAPACK's lower symmetric band
+storage (row k holds K[j + k, j] at column j; row 0 is the diagonal), and
+every consumer reads that one layout: K w, the backward-error gates,
+banded Cholesky, the banded eigensolver, and the pivoted-LU layout each
+state expands from it once.  Resolvent solves factor K - E by banded
+Cholesky (dpbtrf/dpbtrs, called directly; lower storage gives their BLAS
+calls unit stride).  That is valid because every resolvent energy here
+lies below the whole l = 1 spectrum: E_1S +- x with 0 < x < 3/8, at least
+1e-6 Hartree below the grid's 2P level, the lowest l = 1 eigenvalue, so
+K - E is positive definite.
 One factorization serves the length- and the velocity-gauge driving terms
 at the same energy: q_oracle, p_oracle and gauge_pair_oracle all read one
 (Q, P) pair, solved as two columns of one call the first time a state sees
@@ -34,8 +37,7 @@ backward-error gate checks both columns of that solve, whichever amplitude
 was asked for; it forms the residual and |K - E| |x| in one pass over the
 bands, bit for bit the values of two separate passes.  Inverse iteration
 shifts onto an eigenvalue, where K - E is indefinite; it uses the pivoted
-banded LU, factored once per shift from a copy of the LU layout of K that
-each state builds once.
+banded LU, factored once per shift from a copy of that LU layout.
 
 Two systematic errors matter and set the grid defaults.  The stencil error
 scales as h^4 and is negligible at the default spacing.  Truncating the
@@ -73,6 +75,11 @@ _RESOLVENT_TARGET = 1e-12
 _NEAR_RESONANCE_GAP = 1e-6
 _DEGENERACY_GAP = 1e-9
 _REFACTOR_GAP = 1e-6
+
+# Five-point weights of -(1/2) d^2/dy^2 in units of 1/(24 h^2), diagonal
+# first; K_l has one off-diagonal per further weight.
+_STENCIL = (30.0, -16.0, 1.0)
+_KD = len(_STENCIL) - 1
 
 # (Q, P) pairs kept per OracleState; the oldest is dropped beyond this, so
 # a long sweep of distinct x holds at most this many pairs per grid.
@@ -193,45 +200,42 @@ class OracleState:
 
 
 def _hamiltonian_bands(l: int, h: float, r: np.ndarray) -> np.ndarray:
-    """Upper bands (3 x n) of the symmetric pentadiagonal operator K_l."""
+    """K_l in lower symmetric band storage, (_KD + 1) x n: row k holds
+    K[j + k, j] at column j, the diagonal is row 0."""
     n = r.size
-    c0 = 30.0 / (24.0 * h * h)
-    c1 = -16.0 / (24.0 * h * h)
-    c2 = 1.0 / (24.0 * h * h)
-    ab = np.zeros((3, n))
-    ab[0, 2:] = c2 / (r[:-2] * r[2:])
-    ab[1, 1:] = c1 / (r[:-1] * r[1:])
-    ab[2, :] = (c0 + 0.5 * l * (l + 1) + 0.125 - r) / (r * r)
+    scale = 24.0 * h * h
+    ab = np.zeros((_KD + 1, n))
+    ab[0] = (_STENCIL[0] / scale + 0.5 * l * (l + 1) + 0.125 - r) / (r * r)
+    for k in range(1, _KD + 1):
+        ab[k, :-k] = _STENCIL[k] / scale / (r[:-k] * r[k:])
     return ab
 
 
 def _full_banded(ab: np.ndarray) -> np.ndarray:
-    """Expand symmetric upper bands into the LAPACK banded-LU layout of K.
+    """Expand lower symmetric bands into the LAPACK banded-LU layout of K.
 
-    Rows 2-6 hold the (2,2) bands; rows 0-1 are the workspace that partial
-    pivoting fills in.  Column-major, so LAPACK factors a copy in place."""
+    K[i, j] sits at row 2 _KD + i - j of column j; rows 0 to _KD - 1 are the
+    workspace that partial pivoting fills in.  Column-major, so LAPACK
+    factors a copy in place."""
     n = ab.shape[1]
-    full = np.zeros((7, n), order="F")
-    full[2, 2:] = ab[0, 2:]
-    full[3, 1:] = ab[1, 1:]
-    full[4, :] = ab[2, :]
-    full[5, :-1] = ab[1, 1:]
-    full[6, :-2] = ab[0, 2:]
+    full = np.zeros((3 * _KD + 1, n), order="F")
+    for k in range(_KD + 1):
+        full[2 * _KD - k, k:] = full[2 * _KD + k, :n - k] = ab[k, :n - k]
     return full
 
 
 def _band_products(ab: np.ndarray, w: np.ndarray) -> Iterator[tuple[tuple, np.ndarray]]:
-    """The four off-diagonal products of K w as (target slice, product),
-    in the order _apply_bands sums them."""
-    for k in (1, 2):
-        coef = ab[2 - k, k:]
+    """The off-diagonal products of K w as (target slice, product), two
+    per off-diagonal, in the order _apply_bands sums them."""
+    for k in range(1, _KD + 1):
+        coef = ab[k, :-k]
         yield np.s_[..., k:], coef * w[..., :-k]
         yield np.s_[..., :-k], coef * w[..., k:]
 
 
 def _apply_bands(ab: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """K w for the symmetric upper bands ab, applied along the last axis of w."""
-    out = ab[2] * w
+    """K w for the lower symmetric bands ab, applied along the last axis of w."""
+    out = ab[0] * w
     for rows, product in _band_products(ab, w):
         out[rows] += product
     return out
@@ -256,13 +260,13 @@ def _shifted_lu(layout: np.ndarray, shift: float,
     solution means the shift is unusable, not that it should be nudged and
     retried."""
     lu = layout.copy(order="F")
-    lu[4] -= shift
-    lu, piv, info = dgbtrf(lu, 2, 2, overwrite_ab=1)
+    lu[2 * _KD] -= shift
+    lu, piv, info = dgbtrf(lu, _KD, _KD, overwrite_ab=1)
     if info > 0:
         raise ConvergenceError(f"singular banded LU at shift {shift!r} for {what}")
 
     def solve(rhs: np.ndarray) -> np.ndarray:
-        v, _ = dgbtrs(lu, 2, 2, rhs, piv)
+        v, _ = dgbtrs(lu, _KD, _KD, rhs, piv)
         if not np.all(np.isfinite(v)):
             raise ConvergenceError(f"non-finite banded solve at shift {shift!r} for {what}")
         return v
@@ -288,7 +292,7 @@ def _scaled_backward_error(ab: np.ndarray, h: float, w: np.ndarray, energy: floa
     like 1/(h r)^2 toward the origin and amplifies roundoff.  A NaN
     residual comes back as NaN, which no ``<=`` test accepts."""
     residual = kw - energy * w
-    scale = np.abs(ab[2]) + abs(energy)
+    scale = np.abs(ab[0]) + abs(energy)
     return float(np.sqrt(h * np.dot(residual / scale, residual / scale)))
 
 
@@ -377,7 +381,7 @@ def solve_bound(grid: RadialGrid, n: int, l: int) -> BoundState:
 
 def _componentwise_backward_error(shifted: np.ndarray, x: np.ndarray,
                                   b: np.ndarray) -> np.ndarray:
-    """Oettli-Prager backward error of A x = b, A given by its bands.
+    """Oettli-Prager backward error of A x = b, A given by its lower bands.
 
     max_i |r_i| / ((|A| |x|)_i + |b_i|) is the smallest relative perturbation
     of each entry of A and b that makes x exact.  x and b hold one system
@@ -393,7 +397,7 @@ def _componentwise_backward_error(shifted: np.ndarray, x: np.ndarray,
     both sums run in _apply_bands order, so this equals the two-pass
     |A x - b| and |A| |x| + |b| bit for bit."""
     with np.errstate(over="ignore", invalid="ignore"):
-        residual = shifted[2] * x
+        residual = shifted[0] * x
         scale = np.abs(residual)
         for rows, product in _band_products(shifted, x):
             residual[rows] += product
@@ -412,27 +416,21 @@ def green_solve(state: OracleState, l: int, energy: float,
     ``driving_w`` is one column (n,) or a stack (n, k) in the symmetrized
     w = sqrt(r) u representation; the solution comes back in the same
     shape.  One banded Cholesky factorization of K_l - energy (LAPACK
-    ``dpbtrf``, then ``dpbtrs``) serves every column.  The factors use
-    LAPACK's lower band storage: with two off-diagonals the unblocked
-    factorization makes two BLAS calls per column, and in lower storage
-    they run at unit stride instead of the upper layout's stride of 2,
-    which cuts the factorization time by about a third.  The lower layout
-    is three row copies of the shifted upper bands, made per call.  The
-    energy must lie below the spectrum of H_l: a matrix that is not
-    positive definite, a non-finite solution or a column whose
-    componentwise backward error exceeds the target is a ConvergenceError,
-    never a fallback to another solver."""
+    ``dpbtrf``, then ``dpbtrs``) serves every column.  The state's bands
+    are already in LAPACK's lower storage, where the unblocked
+    factorization's BLAS calls run at unit stride; dpbtrf factors a copy
+    of the shifted bands, which the gate then reads intact.  The energy
+    must lie below the spectrum of H_l: a matrix that is not positive
+    definite, a non-finite solution or a column whose componentwise
+    backward error exceeds the target is a ConvergenceError, never a
+    fallback to another solver."""
     shifted = state.bands(l).copy()
-    shifted[2] -= energy
-    lower = np.zeros_like(shifted, order="F")
-    lower[0] = shifted[2]
-    lower[1, :-1] = shifted[1, 1:]
-    lower[2, :-2] = shifted[0, 2:]
+    shifted[0] -= energy
     # column-major, so that each column is one contiguous row of the
     # transpose the gate works on
     driving = np.asfortranarray(driving_w)
     what = f"the l = {l} resolvent at energy {energy!r}"
-    factor, info = dpbtrf(lower, lower=1, overwrite_ab=1)
+    factor, info = dpbtrf(shifted, lower=1)
     if info > 0:
         raise ConvergenceError(f"K - E is not positive definite for {what}")
     sol, _ = dpbtrs(factor, driving, lower=1)
@@ -446,11 +444,11 @@ def green_solve(state: OracleState, l: int, energy: float,
 
 
 def _intermediate_energy(state: OracleState, x: float) -> float:
-    """E_1S + x, rejecting energies that sit on the discrete l = 1 level."""
+    """E_1S + x, rejected unless at least _NEAR_RESONANCE_GAP below the grid's 2P level."""
     energy = state.s1.energy + x
-    if abs(energy - state.s2p.energy) < _NEAR_RESONANCE_GAP:
+    if not energy <= state.s2p.energy - _NEAR_RESONANCE_GAP:
         raise NearResonanceError(
-            f"intermediate energy within {_NEAR_RESONANCE_GAP} Hartree of the n=2 level"
+            f"intermediate energy not at least {_NEAR_RESONANCE_GAP} Hartree below the n=2 level"
         )
     return energy
 
@@ -593,7 +591,7 @@ def pseudostate_q(grid: RadialGrid, x: float, count: int = 30) -> np.ndarray:
         raise DomainError(f"count must lie in [1, {grid.n_points}], got {count}")
     state = build_oracle(grid)
     energy = _intermediate_energy(state, x)
-    vals = eig_banded(state.bands(1), lower=False, eigvals_only=True,
+    vals = eig_banded(state.bands(1), lower=True, eigvals_only=True,
                       select="i", select_range=(0, count - 1))
     vecs = np.column_stack([_mode_vector(state, 1, float(val)) for val in vals])
     # quadrature-normalized columns: each projection is an h-weighted sum

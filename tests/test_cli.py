@@ -275,10 +275,25 @@ class TestScan:
         assert proc.returncode == 3
 
 
+@pytest.fixture(scope="module")
+def strict_report(tmp_path_factory):
+    """``verify --profile strict --formula-variant SOURCE --out`` run once per
+    source and module: returns (completed process, path of the JSON report)."""
+    runs = {}
+
+    def run(source):
+        if source not in runs:
+            out = tmp_path_factory.mktemp(source) / "report.json"
+            runs[source] = (run_cli("verify", "--profile", "strict", "--formula-variant",
+                                    source, "--out", str(out)), out)
+        return runs[source]
+
+    return run
+
+
 class TestVerify:
-    def test_strict_profile_passes(self, tmp_path):
-        out = tmp_path / "report.json"
-        proc = run_cli("verify", "--profile", "strict", "--out", str(out))
+    def test_strict_profile_passes(self, strict_report):
+        proc, out = strict_report("derived")
         assert proc.returncode == 0
         assert "PASS master_identity" in proc.stdout
         assert proc.stdout.rstrip().endswith("overall: PASS")
@@ -296,8 +311,8 @@ class TestVerify:
         assert doc["generated_inputs"]["profile"] == "strict"
 
     @pytest.mark.parametrize("variant", sorted(STRICT_REPORT_LINES))
-    def test_strict_report_lines_are_golden(self, variant):
-        proc = run_cli("verify", "--profile", "strict", "--formula-variant", variant)
+    def test_strict_report_lines_are_golden(self, strict_report, variant):
+        proc, _ = strict_report(variant)
         verdict = "PASS" if variant == "derived" else "FAIL"
         assert proc.returncode == (0 if variant == "derived" else 1)
         *lines, overall = proc.stdout.splitlines()
@@ -310,16 +325,15 @@ class TestVerify:
         proc = run_cli("verify", "--profile", "oracle")
         assert proc.returncode == 0
 
-    def test_report_bytes_are_deterministic(self, tmp_path):
-        a, b = tmp_path / "a.json", tmp_path / "b.json"
-        run_cli("verify", "--out", str(a))
+    def test_report_bytes_are_deterministic(self, strict_report, tmp_path):
+        # the second run spells out no option: the defaults are strict and derived
+        _, a = strict_report("derived")
+        b = tmp_path / "b.json"
         run_cli("verify", "--out", str(b))
         assert a.read_bytes() == b.read_bytes()
 
-    def test_wrong_transcription_fails(self, tmp_path):
-        out = tmp_path / "report.json"
-        proc = run_cli("verify", "--formula-variant", "alt-a",
-                       "--out", str(out))
+    def test_wrong_transcription_fails(self, strict_report):
+        proc, out = strict_report("alt-a")
         assert proc.returncode == 1
         assert "FAIL master_identity" in proc.stdout
         doc = json.loads(out.read_text())

@@ -38,6 +38,17 @@ from gauge_workbench.oracle import (
 R2_EXACT = -512.0 * math.sqrt(2.0) / 243.0
 
 
+def _upper(ab):
+    """Lower symmetric bands (row k holds K[j + k, j]) in the upper layout
+    that solveh_banded and eig_banded(lower=False) take (row 2 - k holds
+    K[j - k, j]), written out row by row."""
+    upper = np.zeros_like(ab)
+    upper[0, 2:] = ab[2, :-2]
+    upper[1, 1:] = ab[1, :-1]
+    upper[2, :] = ab[0, :]
+    return upper
+
+
 def _lu_bands(ab, shift):
     """K - shift in the (2,2)-banded layout that solve_banded takes."""
     n = ab.shape[1]
@@ -144,11 +155,83 @@ class TestBoundStates:
             build_oracle(default_grid).bands(2)
 
 
+def _dense_operator(l, h, r):
+    """K_l as a dense matrix, entry by entry from the five-point formula:
+    (30, -16, 1) / (24 h^2) on the diagonal and the first two off-diagonals,
+    conjugated by diag(1/r), plus (l(l+1)/2 + 1/8 - r) / r^2 on the diagonal."""
+    n = r.size
+    dense = np.zeros((n, n))
+    for i in range(n):
+        dense[i, i] = (30.0 / (24.0 * h * h) + 0.5 * l * (l + 1) + 0.125 - r[i]) / (r[i] * r[i])
+        for k, weight in ((1, -16.0), (2, 1.0)):
+            if i + k < n:
+                dense[i, i + k] = dense[i + k, i] = weight / (24.0 * h * h) / (r[i] * r[i + k])
+    return dense
+
+
+def _dense_from_lower(ab):
+    """Unpack lower symmetric band storage: ab[k, j] is K[j + k, j]; the
+    last k slots of row k lie outside the matrix and must hold zero."""
+    rows, n = ab.shape
+    dense = np.zeros((n, n))
+    for k in range(rows):
+        for j in range(n):
+            if j + k < n:
+                dense[j + k, j] = dense[j, j + k] = ab[k, j]
+            else:
+                assert ab[k, j] == 0.0
+    return dense
+
+
+def _dense_from_lu_layout(full):
+    """Unpack the (2, 2) dgbtrf layout: K[i, j] is full[4 + i - j, j]; the
+    two workspace rows and every slot outside the matrix must hold zero."""
+    rows, n = full.shape
+    dense = np.zeros((n, n))
+    for row in range(rows):
+        for j in range(n):
+            i = row - 4 + j
+            if row >= 2 and 0 <= i < n:
+                dense[i, j] = full[row, j]
+            else:
+                assert full[row, j] == 0.0
+    return dense
+
+
+class TestBandStorage:
+    """The one band layout every consumer of K_l reads, pinned against a
+    dense matrix written out by hand."""
+
+    @pytest.mark.parametrize("l", [0, 1])
+    def test_lower_bands_and_lu_layout_unpack_to_the_dense_operator(self, l):
+        y = np.linspace(math.log(0.01), math.log(5.0), 12)
+        h, r = float(y[1] - y[0]), np.exp(y)
+        dense = _dense_operator(l, h, r)
+        ab = oracle._hamiltonian_bands(l, h, r)
+        full = oracle._full_banded(ab)
+        assert ab.shape == (3, 12) and full.shape == (7, 12)
+        assert full.flags.f_contiguous
+        assert np.array_equal(_dense_from_lower(ab), dense)
+        assert np.array_equal(_dense_from_lu_layout(full), dense)
+
+    def test_nothing_factors_the_shared_operator_in_place(self, small_grid):
+        state = build_oracle(small_grid)
+        green_solve(state, 1, state.s1.energy + 0.1, state._driving)
+        for n, l in [(1, 0), (2, 0), (2, 1)]:
+            solve_bound(small_grid, n, l)
+        pseudostate_q(small_grid, 0.1, count=5)
+        assert build_oracle(small_grid) is state
+        for l in (0, 1):
+            fresh = oracle._hamiltonian_bands(l, state.h, state.r)
+            assert np.array_equal(state.bands(l), fresh)
+            assert np.array_equal(state._lu_layouts[l], oracle._full_banded(fresh))
+
+
 def _rayleigh_quotient_iteration(state, n, l):
     """Energy of (n, l) by Rayleigh-quotient iteration with a new pivoted LU
     (solve_banded) at every step, stopping at a change below 1e-13 or after
     12 steps: the eigensolve the factor-once inverse iteration replaced."""
-    ab, h, r = state.bands(l), state.h, state.r
+    ab, h, r = _upper(state.bands(l)), state.h, state.r
     poly = eval_genlaguerre(n - l - 1, 2 * l + 1, 2.0 * r / n)
     w = r ** (l + 1) * np.exp(-r / n) * poly * state.sqrt_r
     w /= np.sqrt(h * np.dot(w, w))
@@ -156,7 +239,7 @@ def _rayleigh_quotient_iteration(state, n, l):
     for step in range(12):
         v = solve_banded((2, 2), _lu_bands(ab, energy), w)
         v /= np.sqrt(h * np.dot(v, v))
-        updated = h * float(np.dot(v, oracle._apply_bands(ab, v)))
+        updated = h * float(np.dot(v, _apply_bands_reference(ab, v)))
         done = step > 0 and abs(updated - energy) < 1e-13
         w, energy = v, updated
         if done:
@@ -196,7 +279,7 @@ def _inverse_iteration_reference(state, n, l):
     """(energy, u) of (n, l) by the inverse iteration of oracle._solve_on_state,
     with every LU built from the upper bands at its shift and K v applied by
     _apply_bands_reference."""
-    ab, h, r = state.bands(l), state.h, state.r
+    ab, h, r = _upper(state.bands(l)), state.h, state.r
     poly = oracle._laguerre(n - l - 1, 2 * l + 1, 2.0 * r / n)
     w = (r ** (l + 1) * np.exp(-r / n) * poly) * state.sqrt_r
     w /= np.sqrt(h * np.dot(w, w))
@@ -282,7 +365,7 @@ class TestInverseIteration:
     def test_mode_vector_matches_two_solve_banded_steps(self, small_grid, lapack_calls):
         state = build_oracle(small_grid)
         lapack_calls.update(dgbtrf=0, dgbtrs=0)
-        ab = state.bands(1)
+        ab = _upper(state.bands(1))
         vals = eig_banded(ab, lower=False, eigvals_only=True, select="i", select_range=(0, 2))
         for val in vals:
             v = np.ones(small_grid.n_points)
@@ -372,7 +455,7 @@ class TestGreenSolve:
         solution = green_solve(state, 1, energy, driving)
         assert solution.shape == driving.shape
         for k in range(driving.shape[1]):
-            lu = solve_banded((2, 2), _lu_bands(state.bands(1), energy), driving[:, k])
+            lu = solve_banded((2, 2), _lu_bands(_upper(state.bands(1)), energy), driving[:, k])
             assert np.max(np.abs(solution[:, k] - lu)) <= 1e-10 * np.max(np.abs(lu))
 
     def test_stacked_call_with_one_overflowing_column_is_an_error(self, small_grid):
@@ -402,7 +485,7 @@ class TestGreenSolve:
         offset = float(case.split("-")[1]) if case.startswith("solve-") else 0.1
         energy = state.s1.energy + offset
         shifted = state.bands(1).copy()
-        shifted[2] -= energy
+        shifted[0] -= energy
         b = np.array(state._driving.T)
         if case == "zero-column":
             b[1] = 0.0
@@ -414,7 +497,8 @@ class TestGreenSolve:
         elif case == "one-dimensional":
             x, b = x[0], b[0]
         gate = oracle._componentwise_backward_error(shifted, x, b)
-        assert np.array_equal(gate, _two_pass_backward_error(shifted, x, b), equal_nan=True)
+        assert np.array_equal(gate, _two_pass_backward_error(_upper(shifted), x, b),
+                              equal_nan=True)
         if case == "overflow":
             assert gate[0] <= oracle._RESOLVENT_TARGET and np.isnan(gate[1])
 
@@ -434,7 +518,7 @@ class TestGreenSolve:
         energy = state.s1.energy + 0.1
         driving = state.r * state.w1
         shifted = state.bands(1).copy()
-        shifted[2] -= energy
+        shifted[0] -= energy
         solution = green_solve(state, 1, energy, driving)
         perturbed = solution * (1.0 + 1e-9 * np.cos(np.arange(solution.size)))
         assert _componentwise_backward_error(shifted, solution, driving) <= 1e-15
@@ -468,8 +552,8 @@ class TestAmplitudeOracles:
         driving = np.column_stack((state.r * state.w1, state.wd1))
         for x in (0.001, 0.02, 0.05, 0.1, 0.15, 0.1875, 0.25, 0.3, 0.35, 0.37):
             shifted = state.bands(1).copy()
-            shifted[2] -= state.s1.energy + x
-            psi = solveh_banded(shifted, driving)
+            shifted[0] -= state.s1.energy + x
+            psi = solveh_banded(_upper(shifted), driving)
             q, p = gauge_pair_oracle(grid, x)
             assert math.isclose(q, state.integrate(state.w2 * state.r, psi[:, 0]) / 3.0,
                                 rel_tol=1e-12)
@@ -542,6 +626,26 @@ class TestAmplitudeMemo:
                     amplitude(fresh_grid, x)
         assert not build_oracle(fresh_grid)._amplitudes
         assert cholesky_calls["dpbtrf"] == 0
+
+    @pytest.mark.parametrize("r_min,x", [(1e-5, 0.37499), (1e-3, 0.37402)],
+                             ids=["r_min-1e-5", "r_min-1e-3"])
+    def test_energy_above_the_2p_level_is_near_resonance(self, cholesky_calls, r_min, x):
+        # A large r_min lifts E_1S, so x < 3/8 can put E_1S + x above the
+        # grid's 2P level, where K - E is indefinite: the guard must reject
+        # it before any factorization, not only within 1e-6 of the level.
+        grid = RadialGrid(6000, r_min=r_min)
+        state = build_oracle(grid)
+        assert state.s1.energy + x - state.s2p.energy > oracle._NEAR_RESONANCE_GAP
+        for _ in range(2):
+            for amplitude in (q_oracle, p_oracle, gauge_pair_oracle, pseudostate_q):
+                with pytest.raises(NearResonanceError):
+                    amplitude(grid, x)
+        assert not state._amplitudes
+        assert cholesky_calls["dpbtrf"] == 0
+        # negative control: just below the level the pair is computed
+        q, p = gauge_pair_oracle(grid, state.s2p.energy - state.s1.energy - 1e-5)
+        assert math.isfinite(q) and math.isfinite(p)
+        assert cholesky_calls["dpbtrf"] == 1
 
     def test_failed_velocity_column_fails_q_and_is_not_stored(self, fresh_grid, monkeypatch):
         # both columns are solved together, so a bad velocity column fails
@@ -618,7 +722,7 @@ def _pseudostate_reference(grid, xs, count=30):
     Unit-Euclidean columns, so each bra * ket product carries one net
     factor of h; one eigensolve serves every x."""
     state = build_oracle(grid)
-    vals, vecs = eig_banded(state.bands(1), lower=False, select="i",
+    vals, vecs = eig_banded(_upper(state.bands(1)), lower=False, select="i",
                             select_range=(0, count - 1))
     bra = (state.w2 * state.r) @ vecs
     ket = (state.r * state.w1) @ vecs
@@ -653,7 +757,7 @@ class TestPseudostateSum:
         from gauge_workbench.oracle import _mode_vector
 
         state = build_oracle(small_grid)
-        vals = eig_banded(state.bands(1), lower=False, eigvals_only=True,
+        vals = eig_banded(_upper(state.bands(1)), lower=False, eigvals_only=True,
                           select="i", select_range=(0, 1))
         _mode_vector(state, 1, float(vals[0]))
         with pytest.raises(ConvergenceError, match="backward error"):
