@@ -15,42 +15,43 @@ turns that into an ordinary symmetric eigenproblem K w = E w with
     K = D [ -(1/2) d^2/dy^2 + l(l+1)/2 + 1/8 - r ] D,      D = diag(1/r),
 
 where w = sqrt(r) u and the y-grid quadrature is simply h * sum (the
-trapezoid weights of a decaying integrand on a uniform grid).  The second
-derivative uses the five-point stencil (_STENCIL), making K banded with
-half-bandwidth _KD = 2, so every banded solve costs O(n) per right-hand
-side.  Each K_l is stored once per state in LAPACK's lower symmetric band
-storage (row k holds K[j + k, j] at column j; row 0 is the diagonal), and
-every consumer reads that one layout: K w, the backward-error gates,
-banded Cholesky, the banded eigensolver, and the pivoted-LU layout each
-state expands from it once.  Resolvent solves factor K - E by banded
-Cholesky (dpbtrf/dpbtrs, called directly; lower storage gives their BLAS
-calls unit stride).  That is valid because every resolvent energy here
-lies below the whole l = 1 spectrum: E_1S +- x with 0 < x < 3/8, at least
-1e-6 Hartree below the grid's 2P level, the lowest l = 1 eigenvalue, so
-K - E is positive definite.
-One factorization serves the length- and the velocity-gauge driving terms
-at the same energy: q_oracle, p_oracle and gauge_pair_oracle all read one
-(Q, P) pair, solved as two columns of one call the first time a state sees
-x and memoized on the state (at most _AMPLITUDE_MEMO_SIZE pairs), so
-asking for Q and P separately costs one solve, not two.  The componentwise
-backward-error gate checks both columns of that solve, whichever amplitude
-was asked for; it forms the residual and |K - E| |x| in one pass over the
-bands, bit for bit the values of two separate passes.  Inverse iteration
-shifts onto an eigenvalue, where K - E is indefinite; it uses the pivoted
-banded LU, factored once per shift from a copy of that LU layout.
+trapezoid weights of a decaying integrand on a uniform grid).  Every grid
+derivative comes from a weight table with its own denominator, _STENCIL
+for -(1/2) d^2/dy^2 in K and _DERIVATIVE for d/dy in the velocity-gauge
+driving term u' - u/r, applied with u = 0 past both ends of the grid, the
+closure K imposes by ending its bands there.  No edge row is written out,
+and the order of the discretization (fourth) is stated in the tables
+alone.  K has half-bandwidth _KD = 2 and is stored once per state in
+LAPACK's lower symmetric band storage (row k holds K[j + k, j] at column
+j; row 0 is the diagonal); every consumer reads that one layout: K w, the
+backward-error gates, banded Cholesky, the banded eigensolver, and the
+pivoted-LU layout each state expands from it once.  Resolvent solves
+factor K - E by banded Cholesky (dpbtrf/dpbtrs, called directly; lower
+storage gives their BLAS calls unit stride), O(n) per right-hand side.
+That is valid because every resolvent energy here lies below the whole
+l = 1 spectrum: E_1S +- x with 0 < x < 3/8, at least 1e-6 Hartree below
+the grid's 2P level, so K - E is positive definite.  One factorization
+and one componentwise backward-error gate serve both gauges at the same
+energy (gauge_pair_oracle); the gate forms the residual and |K - E| |x|
+in one pass over the bands.
 
 Two systematic errors matter and set the grid defaults.  The stencil error
 scales as h^4 and is negligible at the default spacing.  Truncating the
 grid at r_min imposes u(r_min) = 0, which shifts s-state energies by
-u'(0)^2 * r_min / 2 (2 r_min for the 1S state); r_min = 1e-9 pushes this
-to 2e-9 Hartree, inside every tolerance used here, while costing only a
-few extra points per decade thanks to the log map.
+u'(0)^2 * r_min / 2 (2 r_min for the 1S state).  At the default
+r_min = 1e-9 that is 2e-9 Hartree in E_1S and the oracle's largest error:
+4.2e-7 relative in Q at x = 0.37, within a factor of 2.4 of TOL_ORACLE,
+and growing like 1 / (3/8 - x) toward the 2P pole.  At the origin, where
+the exact u is 2 r_min, the zero closure is that same term; the derivative
+rows it changes meet l = 1 partners that vanish like r^(5/2) in w, so up
+to r_min = 1e-5 no amplitude moves by a bit.
 
 Eigenpairs are found by inverse iteration shifted to the known hydrogen
-energies.  K - E is factored once at that shift and every step is one
-pair of triangular solves with those factors; only when the Rayleigh
-quotient lands far from the shift (a large r_min) is K factored again at
-the quotient.  On grids with r_min up to 1e-3 a state costs one
+energies, where K - E is indefinite: K is factored by pivoted banded LU,
+from a copy of the state's LU layout, once at that shift, and every step
+is one pair of triangular solves with those factors; only when the
+Rayleigh quotient lands far from the shift (a large r_min) is K factored
+again at the quotient.  On grids with r_min up to 1e-3 a state costs one
 factorization and two solves.  The pseudostate sum takes only eigenvalues
 from the dense banded eigensolver and gets each mode's vector by the same
 banded inverse iteration, one factorization and two solves per mode.
@@ -76,10 +77,13 @@ _NEAR_RESONANCE_GAP = 1e-6
 _DEGENERACY_GAP = 1e-9
 _REFACTOR_GAP = 1e-6
 
-# Five-point weights of -(1/2) d^2/dy^2 in units of 1/(24 h^2), diagonal
-# first; K_l has one off-diagonal per further weight.
-_STENCIL = (30.0, -16.0, 1.0)
-_KD = len(_STENCIL) - 1
+# Every grid derivative, as (weights, denominator) with u = 0 past the grid.
+# -(1/2) d^2/dy^2: offsets 0, 1, ... over denominator * h^2; K_l has one
+# off-diagonal per weight after the first.
+_STENCIL = ((30.0, -16.0, 1.0), 24.0)
+_KD = len(_STENCIL[0]) - 1
+# d/dy: offsets 1, 2, ... over denominator * h; offset -k takes minus the weight.
+_DERIVATIVE = ((8.0, -1.0), 12.0)
 
 # (Q, P) pairs kept per OracleState; the oldest is dropped beyond this, so
 # a long sweep of distinct x holds at most this many pairs per grid.
@@ -110,6 +114,9 @@ class RadialGrid:
             raise DomainError(f"n_points = {self.n_points!r} must be an integer")
         if self.n_points < 2000:
             raise DomainError(f"n_points = {self.n_points} below the 2000 floor")
+        if self.n_points > 200000:
+            raise DomainError(f"n_points = {self.n_points} above the 200000 ceiling "
+                              "(past ~48000 points roundoff outgrows the stencil error)")
         if not 60.0 <= self.r_max < np.inf:
             raise DomainError(f"r_max = {self.r_max} must be finite and >= 60 "
                               "(below 60 truncates the 2S tail)")
@@ -177,22 +184,18 @@ class OracleState:
         return self._bands[l]
 
     def _velocity_reduce(self, u: np.ndarray) -> np.ndarray:
-        """w representation of u'(r) - u(r)/r for an l = 0 state.
-
-        du/dr = (du/dy)/r on the log grid; the five-point first-derivative
-        stencil keeps the differentiation error at the h^4 level of the
-        Hamiltonian itself.  One-sided stencils at the edges are harmless
-        because u decays to ~1e-12 there."""
-        h, r = self.h, self.r
-        du = np.empty_like(u)
-        du[2:-2] = (u[:-4] - 8.0 * u[1:-3] + 8.0 * u[3:-1] - u[4:]) / (12.0 * h)
-        du[0] = u[1] - u[0]
-        du[1] = (u[2] - u[0]) / 2.0
-        du[-2] = (u[-1] - u[-3]) / 2.0
-        du[-1] = u[-1] - u[-2]
-        du[:2] /= h
-        du[-2:] /= h
-        return self.sqrt_r * (du / r - u / r)
+        """w representation of u'(r) - u(r)/r for an l = 0 state: du/dr is
+        (du/dy)/r, with du/dy from _DERIVATIVE and u = 0 past both ends of
+        the grid, summed from offset -m up to +m."""
+        weights, denominator = _DERIVATIVE
+        m, n, r = len(weights), u.size, self.r
+        padded = np.concatenate((np.zeros(m), u, np.zeros(m)))
+        du = np.zeros_like(u)
+        for k in range(m, 0, -1):
+            du -= weights[k - 1] * padded[m - k:m - k + n]
+        for k in range(1, m + 1):
+            du += weights[k - 1] * padded[m + k:m + k + n]
+        return self.sqrt_r * (du / (denominator * self.h) / r - u / r)
 
     def integrate(self, wa: np.ndarray, wb: np.ndarray) -> float:
         """Radial integral of a*b dr from w-representation arrays."""
@@ -202,12 +205,13 @@ class OracleState:
 def _hamiltonian_bands(l: int, h: float, r: np.ndarray) -> np.ndarray:
     """K_l in lower symmetric band storage, (_KD + 1) x n: row k holds
     K[j + k, j] at column j, the diagonal is row 0."""
+    weights, denominator = _STENCIL
     n = r.size
-    scale = 24.0 * h * h
+    scale = denominator * h * h
     ab = np.zeros((_KD + 1, n))
-    ab[0] = (_STENCIL[0] / scale + 0.5 * l * (l + 1) + 0.125 - r) / (r * r)
+    ab[0] = (weights[0] / scale + 0.5 * l * (l + 1) + 0.125 - r) / (r * r)
     for k in range(1, _KD + 1):
-        ab[k, :-k] = _STENCIL[k] / scale / (r[:-k] * r[k:])
+        ab[k, :-k] = weights[k] / scale / (r[:-k] * r[k:])
     return ab
 
 
@@ -409,27 +413,28 @@ def _componentwise_backward_error(shifted: np.ndarray, x: np.ndarray,
     return np.where(np.isfinite(scale).all(axis=-1), ratio.max(axis=-1), np.nan)
 
 
-def green_solve(state: OracleState, l: int, energy: float,
-                driving_w: np.ndarray) -> np.ndarray:
-    """Solve (H_l - energy) solution = driving for one or several driving terms.
+def green_solve(state: OracleState, energy: float, driving_w: np.ndarray) -> np.ndarray:
+    """Solve (H_1 - energy) solution = driving for one or several driving terms.
 
     ``driving_w`` is one column (n,) or a stack (n, k) in the symmetrized
     w = sqrt(r) u representation; the solution comes back in the same
-    shape.  One banded Cholesky factorization of K_l - energy (LAPACK
+    shape.  The l = 1 channel is the only intermediate one of a dipole
+    transition out of an S state.  One banded Cholesky factorization of
+    K_1 - energy (LAPACK
     ``dpbtrf``, then ``dpbtrs``) serves every column.  The state's bands
     are already in LAPACK's lower storage, where the unblocked
     factorization's BLAS calls run at unit stride; dpbtrf factors a copy
     of the shifted bands, which the gate then reads intact.  The energy
-    must lie below the spectrum of H_l: a matrix that is not positive
+    must lie below the spectrum of H_1: a matrix that is not positive
     definite, a non-finite solution or a column whose componentwise
     backward error exceeds the target is a ConvergenceError, never a
     fallback to another solver."""
-    shifted = state.bands(l).copy()
+    shifted = state.bands(1).copy()
     shifted[0] -= energy
     # column-major, so that each column is one contiguous row of the
     # transpose the gate works on
     driving = np.asfortranarray(driving_w)
-    what = f"the l = {l} resolvent at energy {energy!r}"
+    what = f"the l = 1 resolvent at energy {energy!r}"
     factor, info = dpbtrf(shifted, lower=1)
     if info > 0:
         raise ConvergenceError(f"K - E is not positive definite for {what}")
@@ -453,8 +458,8 @@ def _intermediate_energy(state: OracleState, x: float) -> float:
     return energy
 
 
-def _amplitude_pair(grid: RadialGrid, x: float) -> tuple[float, float]:
-    """(Q, P) at x, solved once per (state, x) and memoized on the state.
+def gauge_pair_oracle(grid: RadialGrid, x: float) -> tuple[float, float]:
+    """(Q, P) at x from the grid alone, one solve per (state, x), memoized on the state.
 
     Both gauges drive the same propagator G(E_1S + x), so on a miss the
     length- and velocity-gauge driving terms are solved as two columns of
@@ -468,7 +473,7 @@ def _amplitude_pair(grid: RadialGrid, x: float) -> tuple[float, float]:
     memo = state._amplitudes
     pair = memo.get(x)
     if pair is None:
-        psi = green_solve(state, 1, energy, state._driving)
+        psi = green_solve(state, energy, state._driving)
         pair = (state.integrate(state.w2 * state.r, psi[:, 0]) / 3.0,
                 state.integrate(state.wd2, psi[:, 1]) / 3.0)
         if len(memo) >= _AMPLITUDE_MEMO_SIZE:
@@ -484,7 +489,7 @@ def q_oracle(grid: RadialGrid, x: float) -> float:
     in Hartree atomic units this is already the dimensionless amplitude.
     The solve is shared with p_oracle at the same (grid, x), so a velocity
     column that fails the backward-error gate raises here too."""
-    return _amplitude_pair(grid, x)[0]
+    return gauge_pair_oracle(grid, x)[0]
 
 
 def p_oracle(grid: RadialGrid, x: float) -> float:
@@ -495,12 +500,7 @@ def p_oracle(grid: RadialGrid, x: float) -> float:
     check_one_photon_ratio before any value here is trusted.  The solve is
     shared with q_oracle at the same (grid, x), so a length column that
     fails the backward-error gate raises here too."""
-    return _amplitude_pair(grid, x)[1]
-
-
-def gauge_pair_oracle(grid: RadialGrid, x: float) -> tuple[float, float]:
-    """(q_oracle, p_oracle) at x from the one memoized two-column solve."""
-    return _amplitude_pair(grid, x)
+    return gauge_pair_oracle(grid, x)[1]
 
 
 def r2_overlap(grid: RadialGrid) -> float:
@@ -545,21 +545,21 @@ def ac_stark_sides(grid: RadialGrid, x: float) -> tuple[float, float]:
     rhs = 0.0
     driving = np.column_stack((state.wd1, state.r * state.w1))
     for sign in (+1.0, -1.0):
-        response = green_solve(state, 1, _intermediate_energy(state, sign * x), driving)
+        response = green_solve(state, _intermediate_energy(state, sign * x), driving)
         lhs += state.integrate(driving[:, 0], response[:, 0])
         rhs += state.integrate(driving[:, 1], response[:, 1])
     return lhs, x * x * rhs
 
 
-def _mode_vector(state: OracleState, l: int, eigenvalue: float) -> np.ndarray:
-    """Quadrature-normalized eigenvector of K_l for a computed eigenvalue.
+def _mode_vector(state: OracleState, eigenvalue: float) -> np.ndarray:
+    """Quadrature-normalized eigenvector of K_1 for a computed eigenvalue.
 
     One banded LU at the eigenvalue itself, then two inverse-iteration
     steps with it from a fixed all-ones start; the mode is accepted only if
     its scaled backward error meets the same target as the bound states."""
-    ab, h = state.bands(l), state.h
-    what = f"l = {l} mode at {eigenvalue!r}"
-    solve = _shifted_lu(state._lu_layouts[l], eigenvalue, what)
+    ab, h = state.bands(1), state.h
+    what = f"l = 1 mode at {eigenvalue!r}"
+    solve = _shifted_lu(state._lu_layouts[1], eigenvalue, what)
     v = np.ones(state.grid.n_points)
     for _ in range(2):
         v = solve(v)
@@ -593,7 +593,7 @@ def pseudostate_q(grid: RadialGrid, x: float, count: int = 30) -> np.ndarray:
     energy = _intermediate_energy(state, x)
     vals = eig_banded(state.bands(1), lower=True, eigvals_only=True,
                       select="i", select_range=(0, count - 1))
-    vecs = np.column_stack([_mode_vector(state, 1, float(val)) for val in vals])
+    vecs = np.column_stack([_mode_vector(state, float(val)) for val in vals])
     # quadrature-normalized columns: each projection is an h-weighted sum
     bra = state.h * ((state.w2 * state.r) @ vecs)
     ket = state.h * ((state.r * state.w1) @ vecs)

@@ -366,6 +366,10 @@ class TestVerify:
         proc = run_cli("verify", "--grid-points", "100")
         assert proc.returncode == 2
 
+    def test_grid_above_the_ceiling_is_an_input_error(self):
+        # rejected before any array is allocated, not a MemoryError traceback
+        assert_input_error(run_cli("verify", "--grid-points", "1000000000"))
+
     @pytest.mark.parametrize("r_max", ["nan", "inf", "1e300"])
     def test_unusable_r_max_is_an_input_error(self, r_max):
         # exit 1 would claim a verification failure; the grid never existed

@@ -20,6 +20,7 @@ from gauge_workbench.errors import (
     DomainError,
     NearResonanceError,
 )
+from gauge_workbench.identities import TOL_ORACLE
 from gauge_workbench.oracle import (
     OracleState,
     RadialGrid,
@@ -77,6 +78,8 @@ class TestRadialGrid:
             {"r_max": math.nan},
             {"r_max": math.inf},
             {"r_min": math.nan},
+            {"n_points": 200001},
+            {"n_points": 10**9},
         ],
     )
     def test_rejects_unusable_parameters(self, kwargs):
@@ -216,7 +219,7 @@ class TestBandStorage:
 
     def test_nothing_factors_the_shared_operator_in_place(self, small_grid):
         state = build_oracle(small_grid)
-        green_solve(state, 1, state.s1.energy + 0.1, state._driving)
+        green_solve(state, state.s1.energy + 0.1, state._driving)
         for n, l in [(1, 0), (2, 0), (2, 1)]:
             solve_bound(small_grid, n, l)
         pseudostate_q(small_grid, 0.1, count=5)
@@ -225,6 +228,48 @@ class TestBandStorage:
             fresh = oracle._hamiltonian_bands(l, state.h, state.r)
             assert np.array_equal(state.bands(l), fresh)
             assert np.array_equal(state._lu_layouts[l], oracle._full_banded(fresh))
+
+
+def _five_point_driving_term(state, u):
+    """u' - u/r in the w representation: the five-point first derivative
+    (u[i-2] - 8 u[i-1] + 8 u[i+1] - u[i+2]) / (12 h) of u padded with two
+    zeros at each end, then divided by r."""
+    padded = np.concatenate((np.zeros(2), u, np.zeros(2)))
+    du = (padded[:-4] - 8.0 * padded[1:-3] + 8.0 * padded[3:-1] - padded[4:]) / (12.0 * state.h)
+    return state.sqrt_r * (du / state.r - u / state.r)
+
+
+class TestStencilTables:
+    """Every grid derivative comes from _STENCIL or _DERIVATIVE, applied with
+    u = 0 past both ends of the grid."""
+
+    @pytest.mark.parametrize("grid", [RadialGrid(), RadialGrid(2000)], ids=["default", "2000"])
+    def test_driving_terms_equal_the_zero_padded_five_point_formula(self, grid):
+        state = build_oracle(grid)
+        assert np.array_equal(state.wd1, _five_point_driving_term(state, state.s1.radial_values))
+        assert np.array_equal(state.wd2, _five_point_driving_term(state, state.s2.radial_values))
+
+    def test_sixth_order_tables_pass_every_gate(self, monkeypatch):
+        # -(1/2) d^2/dy^2 = (490, -270, 27, -2) / (360 h^2) and
+        # f' = (45 (f1 - f-1) - 9 (f2 - f-2) + (f3 - f-3)) / (60 h)
+        monkeypatch.setattr(oracle, "_STENCIL", ((490.0, -270.0, 27.0, -2.0), 360.0))
+        monkeypatch.setattr(oracle, "_KD", 3)
+        monkeypatch.setattr(oracle, "_DERIVATIVE", ((45.0, -9.0, 1.0), 60.0))
+        try:
+            # built directly, so no sixth-order state enters build_oracle's cache
+            state = OracleState(RadialGrid(3000))
+            assert state.bands(1).shape == (4, 3000)
+            assert state._lu_layouts[1].shape == (10, 3000)
+            assert not np.array_equal(
+                state.wd1, _five_point_driving_term(state, state.s1.radial_values))
+            for x in (0.05, 3.0 / 16.0, 0.37):
+                psi = green_solve(state, state.s1.energy + x, state._driving)
+                q = state.integrate(state.w2 * state.r, psi[:, 0]) / 3.0
+                p = state.integrate(state.wd2, psi[:, 1]) / 3.0
+                assert math.isclose(q, q_length(x), rel_tol=TOL_ORACLE)
+                assert math.isclose(p, p_velocity(x), rel_tol=TOL_ORACLE)
+        finally:
+            build_oracle.cache_clear()
 
 
 def _rayleigh_quotient_iteration(state, n, l):
@@ -372,7 +417,7 @@ class TestInverseIteration:
             for _ in range(2):
                 v = solve_banded((2, 2), _lu_bands(ab, val), v)
                 v /= np.sqrt(state.h * np.dot(v, v))
-            mode = oracle._mode_vector(state, 1, float(val))
+            mode = oracle._mode_vector(state, float(val))
             assert np.max(np.abs(mode - v)) <= 1e-14 * np.max(np.abs(v))
         assert lapack_calls == {"dgbtrf": 3, "dgbtrs": 6}
 
@@ -419,7 +464,7 @@ class TestGreenSolve:
         state = build_oracle(default_grid)
         energy = state.s1.energy + 0.1
         driving = state.r * state.w1
-        solution = green_solve(state, 1, energy, driving)
+        solution = green_solve(state, energy, driving)
         resid = (_apply_bands(state.bands(1), solution)
                  - energy * solution - driving)
         rel = np.sqrt(np.dot(resid, resid) / np.dot(driving, driving))
@@ -433,7 +478,7 @@ class TestGreenSolve:
         state = build_oracle(small_grid)
         driving = np.full(small_grid.n_points, 1e300)
         with pytest.raises(ConvergenceError, match="non-finite"):
-            green_solve(state, 1, state.s2p.energy - 1e-9, driving)
+            green_solve(state, state.s2p.energy - 1e-9, driving)
 
     def test_bra_ket_symmetry(self, default_grid):
         # <2S r|G|r 1S> = <1S r|G|r 2S> for the symmetric resolvent
@@ -441,10 +486,10 @@ class TestGreenSolve:
         energy = state.s1.energy + 0.1
         fwd = state.integrate(
             state.w2 * state.r,
-            green_solve(state, 1, energy, state.r * state.w1))
+            green_solve(state, energy, state.r * state.w1))
         rev = state.integrate(
             state.w1 * state.r,
-            green_solve(state, 1, energy, state.r * state.w2))
+            green_solve(state, energy, state.r * state.w2))
         assert math.isclose(fwd, rev, rel_tol=1e-10)
 
     @pytest.mark.parametrize("offset", [0.001, 0.1875, 0.37, -0.15])
@@ -452,7 +497,7 @@ class TestGreenSolve:
         state = build_oracle(default_grid)
         energy = state.s1.energy + offset
         driving = np.column_stack((state.r * state.w1, state.wd1))
-        solution = green_solve(state, 1, energy, driving)
+        solution = green_solve(state, energy, driving)
         assert solution.shape == driving.shape
         for k in range(driving.shape[1]):
             lu = solve_banded((2, 2), _lu_bands(_upper(state.bands(1)), energy), driving[:, k])
@@ -463,19 +508,19 @@ class TestGreenSolve:
         state = build_oracle(small_grid)
         driving = np.column_stack((state.r * state.w1, np.full(small_grid.n_points, 1e300)))
         with pytest.raises(ConvergenceError, match="non-finite"):
-            green_solve(state, 1, state.s2p.energy - 1e-9, driving)
+            green_solve(state, state.s2p.energy - 1e-9, driving)
 
     def test_zero_driving_column_passes_the_gate(self, small_grid):
         # rows with |K - E| |x| + |b| = 0 carry no residual, not a 0/0
         state = build_oracle(small_grid)
         driving = np.column_stack((state.r * state.w1, np.zeros(small_grid.n_points)))
-        solution = green_solve(state, 1, state.s1.energy + 0.1, driving)
+        solution = green_solve(state, state.s1.energy + 0.1, driving)
         assert not np.any(solution[:, 1])
 
     def test_stacked_solve_makes_one_factorization_and_one_solve(self, small_grid,
                                                                   cholesky_calls):
         state = build_oracle(small_grid)
-        green_solve(state, 1, state.s1.energy + 0.1, state._driving)
+        green_solve(state, state.s1.energy + 0.1, state._driving)
         assert cholesky_calls == {"dpbtrf": 1, "dpbtrs": 1}
 
     @pytest.mark.parametrize("case", ["solve-0.001", "solve-0.1875", "solve-0.37", "perturbed",
@@ -489,7 +534,7 @@ class TestGreenSolve:
         b = np.array(state._driving.T)
         if case == "zero-column":
             b[1] = 0.0
-        x = green_solve(state, 1, energy, b.T).T
+        x = green_solve(state, energy, b.T).T
         if case == "perturbed":
             x = x * (1.0 + 1e-9 * np.cos(np.arange(x.shape[-1])))
         elif case == "overflow":
@@ -507,7 +552,7 @@ class TestGreenSolve:
         # shifted operator is indefinite, so there is no solution to return.
         state = build_oracle(default_grid)
         with pytest.raises(ConvergenceError, match="not positive definite"):
-            green_solve(state, 1, state.s2p.energy + 0.01, state.r * state.w1)
+            green_solve(state, state.s2p.energy + 0.01, state.r * state.w1)
 
     def test_backward_error_gate_sees_a_perturbed_solution(self, default_grid):
         # Negative control for the componentwise gate: the exact solve sits
@@ -519,7 +564,7 @@ class TestGreenSolve:
         driving = state.r * state.w1
         shifted = state.bands(1).copy()
         shifted[0] -= energy
-        solution = green_solve(state, 1, energy, driving)
+        solution = green_solve(state, energy, driving)
         perturbed = solution * (1.0 + 1e-9 * np.cos(np.arange(solution.size)))
         assert _componentwise_backward_error(shifted, solution, driving) <= 1e-15
         assert _componentwise_backward_error(shifted, perturbed, driving) > _RESOLVENT_TARGET
@@ -539,8 +584,8 @@ class TestAmplitudeOracles:
         state = build_oracle(default_grid)
         energy = state.s1.energy + x
         q_ref = state.integrate(
-            state.w2 * state.r, green_solve(state, 1, energy, state.r * state.w1)) / 3.0
-        p_ref = state.integrate(state.wd2, green_solve(state, 1, energy, state.wd1)) / 3.0
+            state.w2 * state.r, green_solve(state, energy, state.r * state.w1)) / 3.0
+        p_ref = state.integrate(state.wd2, green_solve(state, energy, state.wd1)) / 3.0
         q, p = gauge_pair_oracle(default_grid, x)
         assert math.isclose(q, q_ref, rel_tol=1e-12)
         assert math.isclose(p, p_ref, rel_tol=1e-12)
@@ -759,9 +804,9 @@ class TestPseudostateSum:
         state = build_oracle(small_grid)
         vals = eig_banded(_upper(state.bands(1)), lower=False, eigvals_only=True,
                           select="i", select_range=(0, 1))
-        _mode_vector(state, 1, float(vals[0]))
+        _mode_vector(state, float(vals[0]))
         with pytest.raises(ConvergenceError, match="backward error"):
-            _mode_vector(state, 1, float(0.5 * (vals[0] + vals[1])))
+            _mode_vector(state, float(0.5 * (vals[0] + vals[1])))
 
     def test_count_validation(self, small_grid):
         with pytest.raises(DomainError):
