@@ -35,6 +35,14 @@ and one componentwise backward-error gate serve both gauges at the same
 energy (gauge_pair_oracle); the gate forms the residual and |K - E| |x|
 in one pass over the bands.
 
+LAPACK comes from scipy's f2py extension scipy/linalg/_flapack, loaded
+from its file (_load_lapack) after a plain ``import scipy``: the
+scipy.linalg package __init__, about half the wall time of a cold
+``verify``, never runs.  The extension registers itself in sys.modules
+under its own dotted name, so a later ``import scipy.linalg`` reuses the
+same routine objects.  Where the file is not found, the routines come
+from scipy.linalg.lapack instead, which holds the same objects.
+
 Two systematic errors matter and set the grid defaults.  The stencil error
 scales as h^4 and is negligible at the default spacing.  Truncating the
 grid at r_min imposes u(r_min) = 0, which shifts s-state energies by
@@ -53,20 +61,24 @@ is one pair of triangular solves with those factors; only when the
 Rayleigh quotient lands far from the shift (a large r_min) is K factored
 again at the quotient.  On grids with r_min up to 1e-3 a state costs one
 factorization and two solves.  The pseudostate sum takes only eigenvalues
-from the dense banded eigensolver and gets each mode's vector by the same
-banded inverse iteration, one factorization and two solves per mode.
+from LAPACK's banded eigensolver dsbevx, called directly, and gets each
+mode's vector by the same banded inverse iteration, one factorization and
+two solves per mode, for at most _MAX_MODES modes.
 """
 
 from __future__ import annotations
 
 import functools
+import importlib.machinery
+import importlib.util
 import operator
+import os
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
+from types import ModuleType
 
 import numpy as np
-from scipy.linalg import eig_banded
-from scipy.linalg.lapack import dgbtrf, dgbtrs, dpbtrf, dpbtrs
+import scipy
 
 from .closedform import require_window
 from .errors import ConvergenceError, DegenerateError, DomainError, NearResonanceError
@@ -88,6 +100,31 @@ _DERIVATIVE = ((8.0, -1.0), 12.0)
 # (Q, P) pairs kept per OracleState; the oldest is dropped beyond this, so
 # a long sweep of distinct x holds at most this many pairs per grid.
 _AMPLITUDE_MEMO_SIZE = 64
+
+# Most modes one pseudostate_q call sums; each mode costs one banded LU
+# and keeps an n-vector, so this bounds its time and memory.
+_MAX_MODES = 200
+
+
+def _load_lapack(directory: str) -> ModuleType:
+    """scipy's f2py LAPACK extension ``_flapack``, loaded from its file in
+    ``directory`` without importing the scipy.linalg package; where no such
+    file exists, scipy.linalg.lapack, which holds the same routines."""
+    paths = (os.path.join(directory, "_flapack" + suffix)
+             for suffix in importlib.machinery.EXTENSION_SUFFIXES)
+    path = next(filter(os.path.isfile, paths), None)
+    if path is None:
+        from scipy.linalg import lapack
+        return lapack
+    spec = importlib.util.spec_from_file_location("scipy.linalg._flapack", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+_flapack = _load_lapack(os.path.join(os.path.dirname(scipy.__file__), "linalg"))
+dgbtrf, dgbtrs = _flapack.dgbtrf, _flapack.dgbtrs
+dpbtrf, dpbtrs = _flapack.dpbtrf, _flapack.dpbtrs
 
 
 def _is_index(value: object) -> bool:
@@ -580,19 +617,31 @@ def pseudostate_q(grid: RadialGrid, x: float, count: int = 30) -> np.ndarray:
     intermediate energy lies below the whole l = 1 spectrum; useful as an
     independent consistency path, not as the primary evaluator.
 
-    Only the ``count`` lowest eigenvalues come from the dense banded
-    eigensolver; each mode's vector then comes from inverse iteration with
-    the banded LU (``_mode_vector``), O(n) per mode, instead of the O(n^3)
-    eigenvector matrix."""
+    Only the ``count`` lowest eigenvalues come from LAPACK's banded
+    eigensolver (``dsbevx``, with the arguments scipy's ``eig_banded``
+    passes for ``eigvals_only=True, select="i"``); each mode's vector then
+    comes from inverse iteration with the banded LU (``_mode_vector``),
+    O(n) per mode, instead of the O(n^3) eigenvector matrix.  ``count`` is
+    at most _MAX_MODES, checked before anything is built or solved; a
+    failed eigensolve or one that returns fewer than ``count`` eigenvalues
+    is a ConvergenceError."""
     require_window(x)
     if not _is_index(count):
         raise DomainError(f"count = {count!r} must be an integer")
-    if not 1 <= count <= grid.n_points:
-        raise DomainError(f"count must lie in [1, {grid.n_points}], got {count}")
+    if not 1 <= count <= _MAX_MODES:
+        raise DomainError(f"count must lie in [1, {_MAX_MODES}], got {count}")
     state = build_oracle(grid)
     energy = _intermediate_energy(state, x)
-    vals = eig_banded(state.bands(1), lower=True, eigvals_only=True,
-                      select="i", select_range=(0, count - 1))
+    # the bands are finite (OracleState rejects any other), so eig_banded's
+    # check_finite has nothing to add
+    vals, _, found, _, info = _flapack.dsbevx(
+        state.bands(1), 0.0, 0.0, 1, count, compute_v=0, mmax=1, range=2, lower=1,
+        overwrite_ab=0, abstol=2 * _flapack.dlamch("s"))
+    if info != 0 or found < count:
+        raise ConvergenceError(
+            f"banded eigensolve found {found} of the {count} lowest l = 1 "
+            f"eigenvalues (dsbevx info = {info})")
+    vals = vals[:count]
     vecs = np.column_stack([_mode_vector(state, float(val)) for val in vals])
     # quadrature-normalized columns: each projection is an h-weighted sum
     bra = state.h * ((state.w2 * state.r) @ vecs)

@@ -413,10 +413,14 @@ class TestImportCost:
 
     def test_verify_stack_loads_no_scipy_special(self):
         # the bound-state seeds use a numpy Laguerre recurrence, which keeps
-        # scipy.special (~70 ms) out of every cold verify
+        # scipy.special (~70 ms) out of every cold verify; the oracle loads
+        # LAPACK without the scipy.linalg package, also once a full oracle
+        # report has run
         code = ("import sys\nimport gauge_workbench.identities\n"
-                "assert 'scipy.linalg' in sys.modules\n"
-                "assert 'scipy.special' not in sys.modules, 'scipy.special loaded'")
+                "assert 'scipy.linalg' not in sys.modules, 'scipy.linalg loaded'\n"
+                "assert 'scipy.special' not in sys.modules, 'scipy.special loaded'\n"
+                "gauge_workbench.identities.build_report('oracle')\n"
+                "assert 'scipy.linalg' not in sys.modules, 'scipy.linalg loaded'")
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                               text=True, env=_subprocess_env())
         assert proc.returncode == 0, proc.stderr

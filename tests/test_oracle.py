@@ -5,10 +5,11 @@ these tests mostly cost one banded solve each.
 """
 
 import math
+import types
 
 import numpy as np
 import pytest
-from scipy.linalg import eig_banded, solve_banded, solveh_banded
+from scipy.linalg import eig_banded, lapack, solve_banded, solveh_banded
 from scipy.linalg.lapack import dgbtrf, dgbtrs
 from scipy.special import eval_genlaguerre
 
@@ -228,6 +229,49 @@ class TestBandStorage:
             fresh = oracle._hamiltonian_bands(l, state.h, state.r)
             assert np.array_equal(state.bands(l), fresh)
             assert np.array_equal(state._lu_layouts[l], oracle._full_banded(fresh))
+
+
+def _lapack_results(routines, state):
+    """Every output of the four bound LAPACK routines on one banded system
+    of the state: Cholesky of K_1 - (E_1S + 0.1) and pivoted LU of the
+    indefinite K_1 - (E_2P + 1e-3), each with a two-column solve."""
+    shifted = state.bands(1).copy()
+    shifted[0] -= state.s1.energy + 0.1
+    factor, info = routines.dpbtrf(shifted, lower=1)
+    sol, sinfo = routines.dpbtrs(factor, state._driving, lower=1)
+    layout = state._lu_layouts[1].copy(order="F")
+    layout[2 * oracle._KD] -= state.s2p.energy + 1e-3
+    lu, piv, luinfo = routines.dgbtrf(layout, oracle._KD, oracle._KD)
+    v, vinfo = routines.dgbtrs(lu, oracle._KD, oracle._KD, state._driving, piv)
+    return factor, sol, lu, piv, v, (info, sinfo, luinfo, vinfo)
+
+
+class TestLapackBinding:
+    """The oracle loads scipy's private _flapack extension from its file;
+    these pin what it binds to the public scipy.linalg.lapack routines."""
+
+    def test_bound_routines_match_scipy_linalg_lapack_bit_for_bit(self, small_grid):
+        state = build_oracle(small_grid)
+        ours = _lapack_results(oracle, state)
+        public = _lapack_results(lapack, state)
+        assert ours[-1] == public[-1] == (0, 0, 0, 0)
+        for mine, theirs in zip(ours[:-1], public[:-1]):
+            assert np.array_equal(mine, theirs)
+
+    def test_missing_extension_falls_back_to_the_same_values(self, fresh_grid, tmp_path,
+                                                             monkeypatch):
+        expected = (gauge_pair_oracle(fresh_grid, 0.1), pseudostate_q(fresh_grid, 0.1, count=5))
+        fallback = oracle._load_lapack(str(tmp_path))
+        assert fallback is lapack
+        monkeypatch.setattr(oracle, "_flapack", fallback)
+        for name in ("dgbtrf", "dgbtrs", "dpbtrf", "dpbtrs"):
+            monkeypatch.setattr(oracle, name, getattr(fallback, name))
+        build_oracle.cache_clear()
+        pair = gauge_pair_oracle(fresh_grid, 0.1)
+        partial = pseudostate_q(fresh_grid, 0.1, count=5)
+        build_oracle.cache_clear()
+        assert pair == expected[0]
+        assert np.array_equal(partial, expected[1])
 
 
 def _five_point_driving_term(state, u):
@@ -775,6 +819,33 @@ def _pseudostate_reference(grid, xs, count=30):
             for x in xs]
 
 
+def _eig_banded_partial_sums(grid, x, count):
+    """pseudostate_q with its eigenvalues from scipy's eig_banded on the
+    state's lower bands, the call whose LAPACK routine it makes directly."""
+    state = build_oracle(grid)
+    vals = eig_banded(state.bands(1), lower=True, eigvals_only=True,
+                      select="i", select_range=(0, count - 1))
+    vecs = np.column_stack([oracle._mode_vector(state, float(val)) for val in vals])
+    bra = state.h * ((state.w2 * state.r) @ vecs)
+    ket = state.h * ((state.r * state.w1) @ vecs)
+    return np.cumsum(bra * ket / (vals - (state.s1.energy + x)) / 3.0)
+
+
+def _stub_eigensolver(monkeypatch, **override):
+    """Replace oracle._flapack by one whose dsbevx returns its real
+    (w, z, m, ifail, info) with the named fields overridden."""
+    real = oracle._flapack
+    fields = ("w", "z", "m", "ifail", "info")
+
+    def dsbevx(*args, **kwargs):
+        result = dict(zip(fields, real.dsbevx(*args, **kwargs)))
+        result.update(override)
+        return tuple(result[field] for field in fields)
+
+    monkeypatch.setattr(oracle, "_flapack", types.SimpleNamespace(dsbevx=dsbevx,
+                                                                  dlamch=real.dlamch))
+
+
 def _assert_partial_sums_close_on_resolvent(grid, x=0.1):
     target = q_oracle(grid, x)
     errors = np.abs(pseudostate_q(grid, x, count=30) - target)
@@ -794,6 +865,7 @@ class TestPseudostateSum:
         for x, reference in zip(xs, _pseudostate_reference(small_grid, xs)):
             partial = pseudostate_q(small_grid, x, count=30)
             assert np.max(np.abs(partial / reference - 1.0)) <= 1e-10
+            assert np.array_equal(partial, _eig_banded_partial_sums(small_grid, x, 30))
 
     def test_mode_between_two_eigenvalues_is_rejected(self, small_grid):
         # Negative control for the per-mode residual gate: a shift midway
@@ -815,6 +887,25 @@ class TestPseudostateSum:
     def test_count_above_grid_size_is_a_domain_error(self, small_grid):
         with pytest.raises(DomainError):
             pseudostate_q(small_grid, 0.1, count=small_grid.n_points + 1)
+
+    def test_count_above_the_mode_cap_starts_no_factorization(self, fresh_grid, lapack_calls):
+        with pytest.raises(DomainError, match="count must lie in"):
+            pseudostate_q(fresh_grid, 0.1, count=oracle._MAX_MODES + 1)
+        assert lapack_calls == {"dgbtrf": 0, "dgbtrs": 0}
+
+    def test_mode_cap_is_accepted(self, small_grid):
+        partial = pseudostate_q(small_grid, 0.1, count=oracle._MAX_MODES)
+        assert partial.shape == (oracle._MAX_MODES,)
+        assert np.all(np.isfinite(partial))
+
+    @pytest.mark.parametrize("override, message", [({"info": 1}, "info = 1"),
+                                                   ({"m": 4}, "found 4 of the 5")],
+                             ids=["failed", "short"])
+    def test_failed_or_short_eigensolve_is_a_convergence_error(self, small_grid, monkeypatch,
+                                                               override, message):
+        _stub_eigensolver(monkeypatch, **override)
+        with pytest.raises(ConvergenceError, match=message):
+            pseudostate_q(small_grid, 0.1, count=5)
 
     @pytest.mark.parametrize("count", [2.5, 3.0, True])
     def test_non_integer_count_is_a_domain_error(self, small_grid, count):
