@@ -27,7 +27,7 @@ import sys
 import tempfile
 from typing import TYPE_CHECKING
 
-from .closedform import SOURCES, GaugeAmplitudes, source_named, two_color_combination
+from .closedform import SOURCES, X_MAX, GaugeAmplitudes, source_named, two_color_combination
 from .errors import ConvergenceError, DomainError
 from .rabi import beta_prefactor, load_constants
 
@@ -112,7 +112,7 @@ def _parse_columns(raw: str | None) -> tuple[str, ...]:
 def cmd_scan(args: argparse.Namespace) -> int:
     if not 2 <= args.steps <= MAX_SCAN_STEPS:
         raise DomainError(f"steps must lie in [2, {MAX_SCAN_STEPS}], got {args.steps}")
-    if not (0.0 < args.x_min < args.x_max < 0.375):
+    if not (0.0 < args.x_min < args.x_max < X_MAX):
         raise DomainError(
             f"window must satisfy 0 < x-min < x-max < 3/8, "
             f"got [{args.x_min}, {args.x_max}]"

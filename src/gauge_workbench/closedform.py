@@ -116,21 +116,14 @@ def require_window(x: float) -> None:
         raise DomainError(f"photon energy fraction x = {x} outside (0, {X_MAX})")
 
 
-def t_of_x(x: float) -> float:
-    """Map x to t = sqrt(1 - 2x); requires 0 < x < 1/2 so t stays real."""
-    if not 0.0 < x < 0.5:
-        raise DomainError(f"t = sqrt(1 - 2x) needs 0 < x < 1/2, got x = {x}")
-    return math.sqrt(1.0 - 2.0 * x)
-
-
 def _z_arg(t: float) -> float:
     return (1.0 - t) * (1.0 - 2.0 * t) / ((1.0 + t) * (1.0 + 2.0 * t))
 
 
 def _checked_t(x: float) -> float:
-    """Validate x and return t."""
+    """Validate x and return t = sqrt(1 - 2x), real inside the window."""
     require_window(x)
-    return t_of_x(x)
+    return math.sqrt(1.0 - 2.0 * x)
 
 
 def _tail(t: float) -> float:

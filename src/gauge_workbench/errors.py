@@ -2,8 +2,10 @@
 
 The hierarchy separates two failure families: arguments outside the
 supported mathematical domain (DomainError and its PoleError refinement),
-and iterative procedures that fail to converge (ConvergenceError,
-NearResonanceError, DegenerateError).
+and grid solves that miss their targets (ConvergenceError).  Two
+ConvergenceError subclasses are guards raised before any solve:
+NearResonanceError for a resolvent energy too close to a level, and
+DegenerateError for a ratio asked for where it is trivially 1.
 """
 
 from __future__ import annotations

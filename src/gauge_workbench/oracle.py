@@ -88,6 +88,9 @@ _RESOLVENT_TARGET = 1e-12
 _NEAR_RESONANCE_GAP = 1e-6
 _DEGENERACY_GAP = 1e-9
 _REFACTOR_GAP = 1e-6
+# inverse iteration stops once the energy changes by at most this, relative
+# to max(1, |E|)
+_STALL = 1e-10
 
 # Every grid derivative, as (weights, denominator) with u = 0 past the grid.
 # -(1/2) d^2/dy^2: offsets 0, 1, ... over denominator * h^2; K_l has one
@@ -160,9 +163,9 @@ class RadialGrid:
         if not 0.0 < self.r_min < 1.0:
             raise DomainError(f"r_min = {self.r_min} outside (0, 1)")
 
-    def refined(self, factor: int = 2) -> "RadialGrid":
-        """Same span with n_points multiplied, for convergence estimates."""
-        return RadialGrid(self.n_points * factor, self.r_max, self.r_min)
+    def refined(self) -> "RadialGrid":
+        """Same span with n_points doubled, for convergence estimates."""
+        return RadialGrid(2 * self.n_points, self.r_max, self.r_min)
 
 
 @dataclass(frozen=True, eq=False)
@@ -172,12 +175,12 @@ class BoundState:
     label: tuple[int, int]
     energy: float
     radial_values: np.ndarray
-    norm: float
 
 
 class OracleState:
     """Grid plus cached bound states and amplitude pairs.
 
+    ``bands[l]`` is K_l for l = 0 and l = 1, the channels of 1S, 2S and 2P.
     Everything but ``_amplitudes`` is fixed after construction; the memo
     maps x to the (Q, P) pair solved at E_1S + x and lives and dies with the
     state, so ``build_oracle.cache_clear()`` drops it too."""
@@ -192,14 +195,14 @@ class OracleState:
         # Past r ~ 1.3e154, r^2 overflows: those entries flush to zero instead
         # and the r^(l+1) bound-state seeds become inf * 0 = NaN.
         with np.errstate(over="ignore", divide="ignore"):
-            self._bands = {l: _hamiltonian_bands(l, self.h, self.r) for l in (0, 1)}
+            self.bands = {l: _hamiltonian_bands(l, self.h, self.r) for l in (0, 1)}
             top = self.r[-1] * self.r[-1]
-        if not (np.isfinite(top) and all(np.isfinite(ab).all() for ab in self._bands.values())):
+        if not (np.isfinite(top) and all(np.isfinite(ab).all() for ab in self.bands.values())):
             raise DomainError(
                 f"grid from r_min = {grid.r_min} to r_max = {grid.r_max} overflows "
                 "the Hamiltonian bands; lower r_max or raise r_min")
         # the dgbtrf layout of each K_l, built once; every LU shifts a copy
-        self._lu_layouts = {l: _full_banded(ab) for l, ab in self._bands.items()}
+        self._lu_layouts = {l: _full_banded(ab) for l, ab in self.bands.items()}
 
         self.s1 = _solve_on_state(self, 1, 0)
         self.s2 = _solve_on_state(self, 2, 0)
@@ -214,11 +217,6 @@ class OracleState:
         # layout green_solve passes to LAPACK without a copy.
         self._driving = np.asfortranarray(np.column_stack((self.r * self.w1, self.wd1)))
         self._amplitudes: dict[float, tuple[float, float]] = {}
-
-    def bands(self, l: int) -> np.ndarray:
-        if l not in self._bands:
-            raise DomainError(f"only l = 0 and l = 1 channels are built, got l = {l}")
-        return self._bands[l]
 
     def _velocity_reduce(self, u: np.ndarray) -> np.ndarray:
         """w representation of u'(r) - u(r)/r for an l = 0 state: du/dr is
@@ -323,29 +321,31 @@ def _laguerre(degree: int, alpha: int, x: np.ndarray) -> np.ndarray:
     return cur
 
 
-def _scaled_backward_error(ab: np.ndarray, h: float, w: np.ndarray, energy: float,
-                           kw: np.ndarray) -> float:
-    """Backward error of the eigenpair (energy, w), w quadrature-normalized
-    and kw = K w already applied.
+def _check_eigenpair(ab: np.ndarray, h: float, w: np.ndarray, energy: float,
+                     kw: np.ndarray, what: str) -> None:
+    """Reject the eigenpair (energy, w) of ``what`` unless its backward error
+    meets _RESIDUAL_TARGET; w is quadrature-normalized and kw = K w already
+    applied.
 
     The residual is scaled by the local operator magnitude; the raw
     residual norm is meaningless here because the log-grid diagonal grows
     like 1/(h r)^2 toward the origin and amplifies roundoff.  A NaN
-    residual comes back as NaN, which no ``<=`` test accepts."""
+    residual fails the ``<=`` test."""
     residual = kw - energy * w
     scale = np.abs(ab[0]) + abs(energy)
-    return float(np.sqrt(h * np.dot(residual / scale, residual / scale)))
+    rnorm = float(np.sqrt(h * np.dot(residual / scale, residual / scale)))
+    if not rnorm <= _RESIDUAL_TARGET:
+        raise ConvergenceError(
+            f"eigensolve backward error {rnorm:.2e} above {_RESIDUAL_TARGET} for {what}")
 
 
 def _solve_on_state(state: OracleState, n: int, l: int) -> BoundState:
-    if not 0 <= l < n:
-        raise DomainError(f"need 0 <= l < n, got n = {n}, l = {l}")
-    ab = state.bands(l)
+    ab = state.bands[l]
     h, r = state.h, state.r
     target = -0.5 / (n * n)
 
     # Seed with the full analytic radial shape, Laguerre factor included.
-    # A bare r^(l+1) exp(-r/n) envelope is not safe here: for (n,l) = (3,0)
+    # A bare r^(l+1) exp(-r/n) envelope is not safe in general: for (n,l) = (3,0)
     # it is exactly orthogonal to the target state and the iteration would
     # lock onto a neighbor instead.
     poly = _laguerre(n - l - 1, 2 * l + 1, 2.0 * r / n)
@@ -359,8 +359,8 @@ def _solve_on_state(state: OracleState, n: int, l: int) -> BoundState:
     # again at the quotient, which turns the loop into Rayleigh-quotient
     # iteration.  The quotient carries roundoff that grows with the grid
     # (changes of a few 1e-12 from 24000 points on, 2.5e-11 at 192000), so
-    # the loop stops at the stall threshold below instead of waiting for a
-    # change inside that noise.
+    # the loop stops at the _STALL threshold instead of waiting for a change
+    # inside that noise.
     layout = state._lu_layouts[l]
     shift = energy = target
     solve = _shifted_lu(layout, shift, what)
@@ -375,49 +375,30 @@ def _solve_on_state(state: OracleState, n: int, l: int) -> BoundState:
             # the first quotient still carries the seed's error; a second
             # solve with the same factors is cheaper than a new factorization
             continue
-        if last_change <= 1e-10 * max(1.0, abs(energy)):
+        if last_change <= _STALL * max(1.0, abs(energy)):
             break
         if abs(energy - shift) > _REFACTOR_GAP:
             shift = energy
             solve = _shifted_lu(layout, shift, what)
-
-    if last_change > 1e-10 * max(1.0, abs(energy)):
+    else:
         raise ConvergenceError(
-            f"eigensolve stalled at energy change {last_change:.2e} "
-            f"for (n,l)=({n},{l})"
-        )
-    rnorm = _scaled_backward_error(ab, h, w, energy, kw)
-    if not rnorm <= _RESIDUAL_TARGET:
-        raise ConvergenceError(
-            f"eigensolve backward error {rnorm:.2e} above {_RESIDUAL_TARGET} "
-            f"for (n,l)=({n},{l})"
-        )
+            f"eigensolve stalled at energy change {last_change:.2e} for {what}")
+    _check_eigenpair(ab, h, w, energy, kw, what)
 
     u = w / state.sqrt_r
     lead = np.argmax(np.abs(u) > 1e-8 * np.max(np.abs(u)))
     if u[lead] < 0.0:
         u = -u
-        w = -w
     nodes = _count_nodes(u)
     if nodes != n - l - 1:
-        raise ConvergenceError(
-            f"state (n,l)=({n},{l}) shows {nodes} nodes, expected {n - l - 1}"
-        )
-    norm = h * float(np.dot(w, w))
-    return BoundState(label=(n, l), energy=energy, radial_values=u, norm=norm)
+        raise ConvergenceError(f"state {what} shows {nodes} nodes, expected {n - l - 1}")
+    return BoundState(label=(n, l), energy=energy, radial_values=u)
 
 
 @functools.lru_cache(maxsize=8)
 def build_oracle(grid: RadialGrid) -> OracleState:
     """Construct (and memoize) the grid state for a given discretization."""
     return OracleState(grid)
-
-
-def solve_bound(grid: RadialGrid, n: int, l: int) -> BoundState:
-    """Eigensolve for the (n, l) hydrogen bound state on the grid."""
-    if not (_is_index(n) and _is_index(l)):
-        raise DomainError(f"quantum numbers must be integers, got n = {n!r}, l = {l!r}")
-    return _solve_on_state(build_oracle(grid), operator.index(n), operator.index(l))
 
 
 def _componentwise_backward_error(shifted: np.ndarray, x: np.ndarray,
@@ -466,7 +447,7 @@ def green_solve(state: OracleState, energy: float, driving_w: np.ndarray) -> np.
     definite, a non-finite solution or a column whose componentwise
     backward error exceeds the target is a ConvergenceError, never a
     fallback to another solver."""
-    shifted = state.bands(1).copy()
+    shifted = state.bands[1].copy()
     shifted[0] -= energy
     # column-major, so that each column is one contiguous row of the
     # transpose the gate works on
@@ -594,18 +575,14 @@ def _mode_vector(state: OracleState, eigenvalue: float) -> np.ndarray:
     One banded LU at the eigenvalue itself, then two inverse-iteration
     steps with it from a fixed all-ones start; the mode is accepted only if
     its scaled backward error meets the same target as the bound states."""
-    ab, h = state.bands(1), state.h
+    ab, h = state.bands[1], state.h
     what = f"l = 1 mode at {eigenvalue!r}"
     solve = _shifted_lu(state._lu_layouts[1], eigenvalue, what)
     v = np.ones(state.grid.n_points)
     for _ in range(2):
         v = solve(v)
         v /= np.sqrt(h * np.dot(v, v))
-    rnorm = _scaled_backward_error(ab, h, v, eigenvalue, _apply_bands(ab, v))
-    if not rnorm <= _RESIDUAL_TARGET:
-        raise ConvergenceError(
-            f"mode backward error {rnorm:.2e} above {_RESIDUAL_TARGET} for {what}"
-        )
+    _check_eigenpair(ab, h, v, eigenvalue, _apply_bands(ab, v), what)
     return v
 
 
@@ -635,7 +612,7 @@ def pseudostate_q(grid: RadialGrid, x: float, count: int = 30) -> np.ndarray:
     # the bands are finite (OracleState rejects any other), so eig_banded's
     # check_finite has nothing to add
     vals, _, found, _, info = _flapack.dsbevx(
-        state.bands(1), 0.0, 0.0, 1, count, compute_v=0, mmax=1, range=2, lower=1,
+        state.bands[1], 0.0, 0.0, 1, count, compute_v=0, mmax=1, range=2, lower=1,
         overwrite_ab=0, abstol=2 * _flapack.dlamch("s"))
     if info != 0 or found < count:
         raise ConvergenceError(

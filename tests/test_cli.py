@@ -375,6 +375,17 @@ class TestVerify:
         # exit 1 would claim a verification failure; the grid never existed
         assert_input_error(run_cli("verify", "--r-max", r_max))
 
+    def test_failed_solve_exits_4_and_writes_no_report(self, tmp_path):
+        # the grid builds, but at r_max = 1e20 the resolvent misses its
+        # componentwise backward-error target
+        out = tmp_path / "report.json"
+        proc = run_cli("verify", "--grid-points", "2000", "--r-max", "1e20", "--out", str(out))
+        assert proc.returncode == 4
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: componentwise backward error ")
+        assert len(proc.stderr.splitlines()) == 1
+        assert not out.exists()
+
 
 class TestConstantsFile:
     @pytest.mark.parametrize("content", [

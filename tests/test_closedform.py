@@ -21,7 +21,6 @@ from gauge_workbench.closedform import (
     q_length,
     q_slope,
     source_named,
-    t_of_x,
     two_color_q,
 )
 from gauge_workbench.errors import DomainError
@@ -94,19 +93,6 @@ class TestQSlope:
     def test_outside_the_window_is_a_domain_error(self, x):
         with pytest.raises(DomainError):
             q_slope(x)
-
-
-class TestSubstitution:
-    def test_exact_point(self):
-        assert t_of_x(0.18) == 0.8
-
-    def test_window_midpoint(self):
-        assert math.isclose(t_of_x(X_RESONANCE), math.sqrt(0.625), rel_tol=1e-15)
-
-    @pytest.mark.parametrize("x", [0.0, 0.5, -0.1, 0.6])
-    def test_rejects_out_of_range(self, x):
-        with pytest.raises(DomainError):
-            t_of_x(x)
 
 
 class TestWindow:
@@ -210,7 +196,7 @@ class TestGuardBand:
     @pytest.mark.parametrize("x", [1e-17, 5e-324])
     def test_t_rounding_to_one_stays_finite(self, x):
         # below x ~ 1.1e-16, t = sqrt(1 - 2x) rounds to exactly 1.0
-        assert t_of_x(x) == 1.0
+        assert closedform._checked_t(x) == 1.0
         pair, near = gauge_pair(x), gauge_pair(1e-15)
         q, p = q_length(x), p_velocity(x)
         assert math.isclose(pair.q, near.q, rel_tol=1e-14)

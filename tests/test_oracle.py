@@ -34,7 +34,6 @@ from gauge_workbench.oracle import (
     pseudostate_q,
     q_oracle,
     r2_overlap,
-    solve_bound,
 )
 
 R2_EXACT = -512.0 * math.sqrt(2.0) / 243.0
@@ -104,29 +103,33 @@ class TestRadialGrid:
     def test_refined_doubles_points(self):
         grid = RadialGrid()
         assert grid.refined().n_points == 12000
-        assert grid.refined(3).n_points == 18000
+
+
+def _bound_state(grid, n, l):
+    """The (n, l) state of the grid's oracle: 1S, 2S or 2P."""
+    state = build_oracle(grid)
+    return {(1, 0): state.s1, (2, 0): state.s2, (2, 1): state.s2p}[n, l]
 
 
 class TestBoundStates:
-    @pytest.mark.parametrize(
-        "n,l",
-        [(1, 0), (2, 0), (2, 1), (3, 0), (3, 1)],
-    )
+    @pytest.mark.parametrize("n,l", [(1, 0), (2, 0), (2, 1)])
     def test_energies_and_norms(self, default_grid, n, l):
-        state = solve_bound(default_grid, n, l)
-        assert abs(state.energy + 0.5 / (n * n)) < 1e-8
-        assert abs(state.norm - 1.0) < 1e-10
-        assert state.label == (n, l)
+        state = build_oracle(default_grid)
+        bound = _bound_state(default_grid, n, l)
+        w = state.sqrt_r * bound.radial_values
+        assert abs(bound.energy + 0.5 / (n * n)) < 1e-8
+        assert abs(state.integrate(w, w) - 1.0) < 1e-10
+        assert bound.label == (n, l)
 
     def test_sign_convention_is_positive_near_origin(self, default_grid):
         for n, l in [(1, 0), (2, 0), (2, 1)]:
-            u = solve_bound(default_grid, n, l).radial_values
+            u = _bound_state(default_grid, n, l).radial_values
             lead = np.argmax(np.abs(u) > 1e-8 * np.max(np.abs(u)))
             assert u[lead] > 0.0
 
     def test_node_counts_via_sign_changes(self, default_grid):
-        for n, l, nodes in [(1, 0, 0), (2, 0, 1), (2, 1, 0), (3, 0, 2)]:
-            u = solve_bound(default_grid, n, l).radial_values
+        for n, l, nodes in [(1, 0, 0), (2, 0, 1), (2, 1, 0)]:
+            u = _bound_state(default_grid, n, l).radial_values
             floor = 1e-7 * np.max(np.abs(u))
             live = u[np.abs(u) > floor]
             assert int(np.sum(live[1:] * live[:-1] < 0.0)) == nodes
@@ -134,29 +137,6 @@ class TestBoundStates:
     def test_orthogonality(self, default_grid):
         state = build_oracle(default_grid)
         assert abs(state.integrate(state.w1, state.w2)) < 1e-10
-
-    def test_rejects_bad_quantum_numbers(self, default_grid):
-        with pytest.raises(DomainError):
-            solve_bound(default_grid, 1, 1)
-
-    @pytest.mark.parametrize("n,l", [(True, False), (1.0, 0.0), (3.0, 0), (2, 1.0)])
-    def test_rejects_non_integer_quantum_numbers(self, default_grid, n, l):
-        # (True, False) and (1.0, 0.0) compare equal to (1, 0) but are no
-        # quantum numbers
-        with pytest.raises(DomainError, match="must be integers"):
-            solve_bound(default_grid, n, l)
-
-    def test_accepts_numpy_integer_quantum_numbers(self, default_grid):
-        state = solve_bound(default_grid, np.int64(2), np.int64(1))
-        cached = build_oracle(default_grid).s2p
-        assert state.label == (2, 1)
-        assert state.energy == cached.energy
-        assert np.array_equal(state.radial_values, cached.radial_values)
-        assert solve_bound(default_grid, np.int64(3), np.int64(0)).label == (3, 0)
-
-    def test_only_dipole_channels_are_built(self, default_grid):
-        with pytest.raises(DomainError):
-            build_oracle(default_grid).bands(2)
 
 
 def _dense_operator(l, h, r):
@@ -222,12 +202,12 @@ class TestBandStorage:
         state = build_oracle(small_grid)
         green_solve(state, state.s1.energy + 0.1, state._driving)
         for n, l in [(1, 0), (2, 0), (2, 1)]:
-            solve_bound(small_grid, n, l)
+            oracle._solve_on_state(state, n, l)
         pseudostate_q(small_grid, 0.1, count=5)
         assert build_oracle(small_grid) is state
         for l in (0, 1):
             fresh = oracle._hamiltonian_bands(l, state.h, state.r)
-            assert np.array_equal(state.bands(l), fresh)
+            assert np.array_equal(state.bands[l], fresh)
             assert np.array_equal(state._lu_layouts[l], oracle._full_banded(fresh))
 
 
@@ -235,7 +215,7 @@ def _lapack_results(routines, state):
     """Every output of the four bound LAPACK routines on one banded system
     of the state: Cholesky of K_1 - (E_1S + 0.1) and pivoted LU of the
     indefinite K_1 - (E_2P + 1e-3), each with a two-column solve."""
-    shifted = state.bands(1).copy()
+    shifted = state.bands[1].copy()
     shifted[0] -= state.s1.energy + 0.1
     factor, info = routines.dpbtrf(shifted, lower=1)
     sol, sinfo = routines.dpbtrs(factor, state._driving, lower=1)
@@ -302,7 +282,7 @@ class TestStencilTables:
         try:
             # built directly, so no sixth-order state enters build_oracle's cache
             state = OracleState(RadialGrid(3000))
-            assert state.bands(1).shape == (4, 3000)
+            assert state.bands[1].shape == (4, 3000)
             assert state._lu_layouts[1].shape == (10, 3000)
             assert not np.array_equal(
                 state.wd1, _five_point_driving_term(state, state.s1.radial_values))
@@ -320,7 +300,7 @@ def _rayleigh_quotient_iteration(state, n, l):
     """Energy of (n, l) by Rayleigh-quotient iteration with a new pivoted LU
     (solve_banded) at every step, stopping at a change below 1e-13 or after
     12 steps: the eigensolve the factor-once inverse iteration replaced."""
-    ab, h, r = _upper(state.bands(l)), state.h, state.r
+    ab, h, r = _upper(state.bands[l]), state.h, state.r
     poly = eval_genlaguerre(n - l - 1, 2 * l + 1, 2.0 * r / n)
     w = r ** (l + 1) * np.exp(-r / n) * poly * state.sqrt_r
     w /= np.sqrt(h * np.dot(w, w))
@@ -368,7 +348,7 @@ def _inverse_iteration_reference(state, n, l):
     """(energy, u) of (n, l) by the inverse iteration of oracle._solve_on_state,
     with every LU built from the upper bands at its shift and K v applied by
     _apply_bands_reference."""
-    ab, h, r = _upper(state.bands(l)), state.h, state.r
+    ab, h, r = _upper(state.bands[l]), state.h, state.r
     poly = oracle._laguerre(n - l - 1, 2 * l + 1, 2.0 * r / n)
     w = (r ** (l + 1) * np.exp(-r / n) * poly) * state.sqrt_r
     w /= np.sqrt(h * np.dot(w, w))
@@ -454,7 +434,7 @@ class TestInverseIteration:
     def test_mode_vector_matches_two_solve_banded_steps(self, small_grid, lapack_calls):
         state = build_oracle(small_grid)
         lapack_calls.update(dgbtrf=0, dgbtrs=0)
-        ab = _upper(state.bands(1))
+        ab = _upper(state.bands[1])
         vals = eig_banded(ab, lower=False, eigvals_only=True, select="i", select_range=(0, 2))
         for val in vals:
             v = np.ones(small_grid.n_points)
@@ -486,6 +466,55 @@ class TestInverseIteration:
         assert np.all(error <= 8.0 * np.finfo(float).eps * scale)
 
 
+def _stub_outputs(monkeypatch, name, alter):
+    """Rebind oracle.<name> to the real routine with its outputs passed through alter."""
+    real = getattr(oracle, name)
+    monkeypatch.setattr(oracle, name, lambda *args, **kwargs: alter(*real(*args, **kwargs)))
+
+
+class TestEigensolveGates:
+    """Negative controls: every gate of the bound-state eigensolve and of the
+    resolvent fires.  States are built with OracleState, or the cache is
+    cleared after the test, so no broken state stays in build_oracle's cache."""
+
+    def test_wrong_node_count(self):
+        with pytest.raises(ConvergenceError,
+                           match=r"state \(n,l\)=\(2,0\) shows 2 nodes, expected 1"):
+            OracleState(RadialGrid(2000, r_max=1e150))
+
+    def test_singular_lu(self, small_grid, monkeypatch):
+        _stub_outputs(monkeypatch, "dgbtrf", lambda lu, piv, info: (lu, piv, 1))
+        with pytest.raises(ConvergenceError, match=r"singular banded LU .* for \(n,l\)=\(1,0\)"):
+            OracleState(small_grid)
+
+    def test_non_finite_solve(self, small_grid, monkeypatch):
+        _stub_outputs(monkeypatch, "dgbtrs", lambda v, info: (np.full_like(v, np.nan), info))
+        with pytest.raises(ConvergenceError, match="non-finite banded solve"):
+            OracleState(small_grid)
+
+    def test_backward_error(self, small_grid, monkeypatch):
+        monkeypatch.setattr(oracle, "_RESIDUAL_TARGET", 0.0)
+        with pytest.raises(ConvergenceError, match=r"eigensolve backward error .* above 0\.0"):
+            OracleState(small_grid)
+
+    def test_stall(self, small_grid, lapack_calls, monkeypatch):
+        # a threshold of 0.0 would still stop: on 2000 points the 1S
+        # quotient repeats exactly
+        monkeypatch.setattr(oracle, "_STALL", -1.0)
+        with pytest.raises(ConvergenceError, match=r"eigensolve stalled .* for \(n,l\)=\(1,0\)"):
+            OracleState(small_grid)
+        assert lapack_calls["dgbtrs"] == 12
+
+    def test_resolvent_backward_error(self):
+        # the grid builds, but at r_max = 1e20 the l = 1 solve misses the gate
+        try:
+            with pytest.raises(ConvergenceError,
+                               match=r"componentwise backward error 1\.00e\+00 above 1e-12"):
+                ac_stark_sides(RadialGrid(2000, r_max=1e20), 0.001)
+        finally:
+            build_oracle.cache_clear()
+
+
 class TestR2Overlap:
     def test_matches_exact_integral(self, default_grid):
         assert math.isclose(r2_overlap(default_grid), R2_EXACT, rel_tol=1e-6)
@@ -509,7 +538,7 @@ class TestGreenSolve:
         energy = state.s1.energy + 0.1
         driving = state.r * state.w1
         solution = green_solve(state, energy, driving)
-        resid = (_apply_bands(state.bands(1), solution)
+        resid = (_apply_bands(state.bands[1], solution)
                  - energy * solution - driving)
         rel = np.sqrt(np.dot(resid, resid) / np.dot(driving, driving))
         assert rel < 1e-8
@@ -544,7 +573,7 @@ class TestGreenSolve:
         solution = green_solve(state, energy, driving)
         assert solution.shape == driving.shape
         for k in range(driving.shape[1]):
-            lu = solve_banded((2, 2), _lu_bands(_upper(state.bands(1)), energy), driving[:, k])
+            lu = solve_banded((2, 2), _lu_bands(_upper(state.bands[1]), energy), driving[:, k])
             assert np.max(np.abs(solution[:, k] - lu)) <= 1e-10 * np.max(np.abs(lu))
 
     def test_stacked_call_with_one_overflowing_column_is_an_error(self, small_grid):
@@ -573,7 +602,7 @@ class TestGreenSolve:
         state = build_oracle(default_grid)
         offset = float(case.split("-")[1]) if case.startswith("solve-") else 0.1
         energy = state.s1.energy + offset
-        shifted = state.bands(1).copy()
+        shifted = state.bands[1].copy()
         shifted[0] -= energy
         b = np.array(state._driving.T)
         if case == "zero-column":
@@ -606,7 +635,7 @@ class TestGreenSolve:
         state = build_oracle(default_grid)
         energy = state.s1.energy + 0.1
         driving = state.r * state.w1
-        shifted = state.bands(1).copy()
+        shifted = state.bands[1].copy()
         shifted[0] -= energy
         solution = green_solve(state, energy, driving)
         perturbed = solution * (1.0 + 1e-9 * np.cos(np.arange(solution.size)))
@@ -640,7 +669,7 @@ class TestAmplitudeOracles:
         state = build_oracle(grid)
         driving = np.column_stack((state.r * state.w1, state.wd1))
         for x in (0.001, 0.02, 0.05, 0.1, 0.15, 0.1875, 0.25, 0.3, 0.35, 0.37):
-            shifted = state.bands(1).copy()
+            shifted = state.bands[1].copy()
             shifted[0] -= state.s1.energy + x
             psi = solveh_banded(_upper(shifted), driving)
             q, p = gauge_pair_oracle(grid, x)
@@ -811,7 +840,7 @@ def _pseudostate_reference(grid, xs, count=30):
     Unit-Euclidean columns, so each bra * ket product carries one net
     factor of h; one eigensolve serves every x."""
     state = build_oracle(grid)
-    vals, vecs = eig_banded(_upper(state.bands(1)), lower=False, select="i",
+    vals, vecs = eig_banded(_upper(state.bands[1]), lower=False, select="i",
                             select_range=(0, count - 1))
     bra = (state.w2 * state.r) @ vecs
     ket = (state.r * state.w1) @ vecs
@@ -823,7 +852,7 @@ def _eig_banded_partial_sums(grid, x, count):
     """pseudostate_q with its eigenvalues from scipy's eig_banded on the
     state's lower bands, the call whose LAPACK routine it makes directly."""
     state = build_oracle(grid)
-    vals = eig_banded(state.bands(1), lower=True, eigvals_only=True,
+    vals = eig_banded(state.bands[1], lower=True, eigvals_only=True,
                       select="i", select_range=(0, count - 1))
     vecs = np.column_stack([oracle._mode_vector(state, float(val)) for val in vals])
     bra = state.h * ((state.w2 * state.r) @ vecs)
@@ -874,7 +903,7 @@ class TestPseudostateSum:
         from gauge_workbench.oracle import _mode_vector
 
         state = build_oracle(small_grid)
-        vals = eig_banded(_upper(state.bands(1)), lower=False, eigvals_only=True,
+        vals = eig_banded(_upper(state.bands[1]), lower=False, eigvals_only=True,
                           select="i", select_range=(0, 1))
         _mode_vector(state, float(vals[0]))
         with pytest.raises(ConvergenceError, match="backward error"):
