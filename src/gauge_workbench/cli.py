@@ -35,7 +35,7 @@ if TYPE_CHECKING:
     from .identities import VerificationReport
     from .oracle import RadialGrid
 
-SCHEMA_VERSION = "1.0.0"
+SCHEMA_VERSION = "1.1.0"
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -137,15 +137,17 @@ def cmd_scan(args: argparse.Namespace) -> int:
 
 
 def _report_document(report: VerificationReport, args: argparse.Namespace,
-                     constants_provenance: str) -> dict:
+                     grid: RadialGrid, constants_provenance: str) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
         "constants_provenance": constants_provenance,
         "formula_variant": args.formula_variant,
         "generated_inputs": {
             "profile": args.profile,
-            "grid_points": args.grid_points,
-            "r_max": args.r_max,
+            # the grid as resolved, defaults included
+            "grid_points": grid.n_points,
+            "r_max": grid.r_max,
+            "r_min": grid.r_min,
             "constants_file": args.constants_file,
             "formula_variant": args.formula_variant,
         },
@@ -193,7 +195,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     print(f"overall: {'PASS' if report.overall_pass else 'FAIL'}")
 
     if args.out:
-        doc = _report_document(report, args, k.provenance_tag)
+        doc = _report_document(report, args, grid, k.provenance_tag)
         _atomic_write(args.out, json.dumps(doc, indent=2) + "\n")
     return EXIT_OK if report.overall_pass else EXIT_VERIFY_FAIL
 

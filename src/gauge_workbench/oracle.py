@@ -18,10 +18,12 @@ where w = sqrt(r) u and the y-grid quadrature is simply h * sum (the
 trapezoid weights of a decaying integrand on a uniform grid).  Every grid
 derivative comes from a weight table with its own denominator, _STENCIL
 for -(1/2) d^2/dy^2 in K and _DERIVATIVE for d/dy in the velocity-gauge
-driving term u' - u/r, applied with u = 0 past both ends of the grid, the
-closure K imposes by ending its bands there.  No edge row is written out,
-and the order of the discretization (fourth) is stated in the tables
-alone.  K has half-bandwidth _KD = 2 and is stored once per state in
+driving term u' - u/r.  Past r_max both take u = 0.  Below r_min, K takes
+ghost points on the regular-origin power law D w ~ r^(l + 1/2), which
+fold into its first _KD diagonal entries (_hamiltonian_bands); the
+driving term keeps u = 0 there.  No edge row is written out, and the
+order of the discretization (fourth) is stated in the tables alone.  K
+has half-bandwidth _KD = 2 and is stored once per state in
 LAPACK's lower symmetric band storage (row k holds K[j + k, j] at column
 j; row 0 is the diagonal); every consumer reads that one layout: K w, the
 backward-error gates, banded Cholesky, the banded eigensolver, and the
@@ -43,23 +45,26 @@ under its own dotted name, so a later ``import scipy.linalg`` reuses the
 same routine objects.  Where the file is not found, the routines come
 from scipy.linalg.lapack instead, which holds the same objects.
 
-Two systematic errors matter and set the grid defaults.  The stencil error
-scales as h^4 and is negligible at the default spacing.  Truncating the
-grid at r_min imposes u(r_min) = 0, which shifts s-state energies by
-u'(0)^2 * r_min / 2 (2 r_min for the 1S state).  At the default
-r_min = 1e-9 that is 2e-9 Hartree in E_1S and the oracle's largest error:
-4.2e-7 relative in Q at x = 0.37, within a factor of 2.4 of TOL_ORACLE,
-and growing like 1 / (3/8 - x) toward the 2P pole.  At the origin, where
-the exact u is 2 r_min, the zero closure is that same term; the derivative
-rows it changes meet l = 1 partners that vanish like r^(5/2) in w, so up
-to r_min = 1e-5 no amplitude moves by a bit.
+Three error terms set the grid defaults.  Truncating the grid at r_min
+with the power-law ghosts shifts E_1S by 2 r_min^2 (u = 0 at r_min would
+cost 2 r_min): 2e-12 Hartree at the default r_min = 1e-6.  The stencil
+error scales as h^4, and roundoff in the Rayleigh quotient grows like
+eps / h^2, because the diagonal of K reaches 1/(h r_min)^2; together they
+leave E_1S scattered by up to a few 1e-11 from one point count to the
+next.  That floor is why r_min stops at 1e-6: smaller values only add
+points below r = 1e-6, and 4350 points keep the spacing h = 0.0041843
+of the former 6000-point grid from 1e-9.  On the default grid Q reads
+1e-11 relative at x = 3/16 and 5e-10 at x = 0.37, the error growing
+like 1 / (3/8 - x) toward the 2P pole (2e-8 at x = 0.3749).  The
+driving term's u = 0 below r_min meets l = 1 partners that vanish like
+r^(5/2) in w, so up to r_min = 1e-5 no amplitude moves by a bit.
 
 Eigenpairs are found by inverse iteration shifted to the known hydrogen
 energies, where K - E is indefinite: K is factored by pivoted banded LU,
 from a copy of the state's LU layout, once at that shift, and every step
 is one pair of triangular solves with those factors; only when the
 Rayleigh quotient lands far from the shift (a large r_min) is K factored
-again at the quotient.  On grids with r_min up to 1e-3 a state costs one
+again at the quotient.  On grids with r_min up to 3e-2 a state costs one
 factorization and two solves.  The pseudostate sum takes only eigenvalues
 from LAPACK's banded eigensolver dsbevx, called directly, and gets each
 mode's vector by the same banded inverse iteration, one factorization and
@@ -71,6 +76,7 @@ from __future__ import annotations
 import functools
 import importlib.machinery
 import importlib.util
+import math
 import operator
 import os
 from collections.abc import Callable, Iterator
@@ -92,12 +98,13 @@ _REFACTOR_GAP = 1e-6
 # to max(1, |E|)
 _STALL = 1e-10
 
-# Every grid derivative, as (weights, denominator) with u = 0 past the grid.
+# Every grid derivative, as (weights, denominator).
 # -(1/2) d^2/dy^2: offsets 0, 1, ... over denominator * h^2; K_l has one
-# off-diagonal per weight after the first.
+# off-diagonal per weight after the first, and ghost points below r_min.
 _STENCIL = ((30.0, -16.0, 1.0), 24.0)
 _KD = len(_STENCIL[0]) - 1
-# d/dy: offsets 1, 2, ... over denominator * h; offset -k takes minus the weight.
+# d/dy: offsets 1, 2, ... over denominator * h; offset -k takes minus the
+# weight; u = 0 past the grid.
 _DERIVATIVE = ((8.0, -1.0), 12.0)
 
 # (Q, P) pairs kept per OracleState; the oldest is dropped beyond this, so
@@ -143,11 +150,16 @@ def _is_index(value: object) -> bool:
 
 @dataclass(frozen=True)
 class RadialGrid:
-    """Log-mapped radial grid: n_points from r_min to r_max (Bohr radii)."""
+    """Log-mapped radial grid: n_points from r_min to r_max (Bohr radii).
 
-    n_points: int = 6000
+    The defaults put the r_min error, 2 r_min^2 in E_1S with the oracle's
+    regular-origin closure, at 2e-12, under the ~1e-11 scatter of the
+    stencil and roundoff; 4350 points then give the spacing h = 0.0041843
+    (see the oracle module docstring for the budget)."""
+
+    n_points: int = 4350
     r_max: float = 80.0
-    r_min: float = 1e-9
+    r_min: float = 1e-6
 
     def __post_init__(self) -> None:
         if not _is_index(self.n_points):
@@ -216,6 +228,8 @@ class OracleState:
         # Both gauges' driving terms, r w1 and wd1, stacked column-major: the
         # layout green_solve passes to LAPACK without a copy.
         self._driving = np.asfortranarray(np.column_stack((self.r * self.w1, self.wd1)))
+        # the length-gauge bra r w2 that every <2S| r G r |1S> integral reads
+        self._bra = self.w2 * self.r
         self._amplitudes: dict[float, tuple[float, float]] = {}
 
     def _velocity_reduce(self, u: np.ndarray) -> np.ndarray:
@@ -239,12 +253,23 @@ class OracleState:
 
 def _hamiltonian_bands(l: int, h: float, r: np.ndarray) -> np.ndarray:
     """K_l in lower symmetric band storage, (_KD + 1) x n: row k holds
-    K[j + k, j] at column j, the diagonal is row 0."""
+    K[j + k, j] at column j, the diagonal is row 0.
+
+    The stencil's neighbours below the grid are ghost points on the
+    regular-origin power law D w ~ r^(l + 1/2): k steps below row i the
+    value is (D w)_i e^(-k (l + 1/2) h).  Each ghost is a multiple of its
+    own row's value, so it folds into the first _KD diagonal entries and K
+    stays symmetric.  It is added before the division by r^2, so a grid
+    whose r^2 underflows yields inf there, never inf - inf."""
     weights, denominator = _STENCIL
     n = r.size
     scale = denominator * h * h
+    a = l + 0.5
+    ghost = np.zeros(n)
+    for i in range(_KD):
+        ghost[i] = sum(weights[k] * math.exp(-k * a * h) for k in range(i + 1, _KD + 1)) / scale
     ab = np.zeros((_KD + 1, n))
-    ab[0] = (weights[0] / scale + 0.5 * l * (l + 1) + 0.125 - r) / (r * r)
+    ab[0] = (weights[0] / scale + ghost + 0.5 * l * (l + 1) + 0.125 - r) / (r * r)
     for k in range(1, _KD + 1):
         ab[k, :-k] = weights[k] / scale / (r[:-k] * r[k:])
     return ab
@@ -492,7 +517,7 @@ def gauge_pair_oracle(grid: RadialGrid, x: float) -> tuple[float, float]:
     pair = memo.get(x)
     if pair is None:
         psi = green_solve(state, energy, state._driving)
-        pair = (state.integrate(state.w2 * state.r, psi[:, 0]) / 3.0,
+        pair = (state.integrate(state._bra, psi[:, 0]) / 3.0,
                 state.integrate(state.wd2, psi[:, 1]) / 3.0)
         if len(memo) >= _AMPLITUDE_MEMO_SIZE:
             del memo[next(iter(memo))]
@@ -524,7 +549,7 @@ def p_oracle(grid: RadialGrid, x: float) -> float:
 def r2_overlap(grid: RadialGrid) -> float:
     """Quadrature of <2S| r^2 |1S> in Bohr-radius squared units."""
     state = build_oracle(grid)
-    return state.integrate(state.w2 * state.r, state.r * state.w1)
+    return state.integrate(state._bra, state._driving[:, 0])
 
 
 def check_one_photon_ratio(grid: RadialGrid, omega: float) -> float:
@@ -542,7 +567,7 @@ def check_one_photon_ratio(grid: RadialGrid, omega: float) -> float:
         raise DegenerateError(
             "one-photon resonance: the gauge ratio tends to 1 trivially"
         )
-    m_len = state.integrate(state.w2p, state.r * state.w1)
+    m_len = state.integrate(state.w2p, state._driving[:, 0])
     m_vel = state.integrate(state.w2p, state.wd1)
     # The two i factors from the momentum operator make the physical ratio
     # -m_vel / (omega * m_len).
@@ -621,7 +646,7 @@ def pseudostate_q(grid: RadialGrid, x: float, count: int = 30) -> np.ndarray:
     vals = vals[:count]
     vecs = np.column_stack([_mode_vector(state, float(val)) for val in vals])
     # quadrature-normalized columns: each projection is an h-weighted sum
-    bra = state.h * ((state.w2 * state.r) @ vecs)
-    ket = state.h * ((state.r * state.w1) @ vecs)
+    bra = state.h * (state._bra @ vecs)
+    ket = state.h * (state._driving[:, 0] @ vecs)
     terms = bra * ket / (vals - energy) / 3.0
     return np.cumsum(terms)

@@ -53,3 +53,10 @@ def test_negative_controls_are_flagged(context):
     assert [label for label, _ in workload.controls] == ["control_alt-a", "control_alt-b"]
     for _, control in workload.controls:
         control()
+
+
+def test_crosscheck_grids_are_distinct():
+    # build_oracle caches by grid, so two equal grids would silently drop one
+    # size from the sweep; a change of RadialGrid's defaults can cause that
+    grids = workloads.CROSSCHECK_GRIDS
+    assert len(set(grids)) == len(grids)

@@ -299,7 +299,7 @@ class TestVerify:
         assert proc.stdout.rstrip().endswith("overall: PASS")
 
         doc = json.loads(out.read_text())
-        assert doc["schema_version"] == "1.0.0"
+        assert doc["schema_version"] == "1.1.0"
         assert doc["constants_provenance"] == "CODATA-2018"
         assert doc["overall_pass"] is True
         assert [c["name"] for c in doc["checks"]] == CHECK_ORDER
@@ -331,6 +331,18 @@ class TestVerify:
         b = tmp_path / "b.json"
         run_cli("verify", "--out", str(b))
         assert a.read_bytes() == b.read_bytes()
+
+    def test_report_records_the_resolved_grid(self, strict_report, tmp_path):
+        # defaulted options are written as the grid they resolved to, so a
+        # report names its grid whatever the defaults of its version were
+        _, out = strict_report("derived")
+        inputs = json.loads(out.read_text())["generated_inputs"]
+        assert (inputs["grid_points"], inputs["r_max"], inputs["r_min"]) == (4350, 80.0, 1e-6)
+        override = tmp_path / "override.json"
+        proc = run_cli("verify", "--grid-points", "2000", "--r-max", "100", "--out", str(override))
+        assert proc.returncode == 0
+        inputs = json.loads(override.read_text())["generated_inputs"]
+        assert (inputs["grid_points"], inputs["r_max"], inputs["r_min"]) == (2000, 100.0, 1e-6)
 
     def test_wrong_transcription_fails(self, strict_report):
         proc, out = strict_report("alt-a")

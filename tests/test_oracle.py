@@ -4,6 +4,7 @@ The default grid is built once per session (construction is cached), so
 these tests mostly cost one banded solve each.
 """
 
+import functools
 import math
 import types
 
@@ -13,7 +14,7 @@ from scipy.linalg import eig_banded, lapack, solve_banded, solveh_banded
 from scipy.linalg.lapack import dgbtrf, dgbtrs
 from scipy.special import eval_genlaguerre
 
-from gauge_workbench import oracle
+from gauge_workbench import identities, oracle
 from gauge_workbench.closedform import p_velocity, q_length
 from gauge_workbench.errors import (
     ConvergenceError,
@@ -65,8 +66,9 @@ def _lu_bands(ab, shift):
 class TestRadialGrid:
     def test_defaults_satisfy_floors(self):
         grid = RadialGrid()
-        assert grid.n_points == 6000
+        assert grid.n_points == 4350
         assert grid.r_max == 80.0
+        assert grid.r_min == 1e-6
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -98,11 +100,11 @@ class TestRadialGrid:
             RadialGrid(n_points=n_points)
 
     def test_accepts_numpy_integer_point_counts(self):
-        assert RadialGrid(n_points=np.int64(6000)) == RadialGrid()
+        assert RadialGrid(n_points=np.int64(4350)) == RadialGrid()
 
     def test_refined_doubles_points(self):
         grid = RadialGrid()
-        assert grid.refined().n_points == 12000
+        assert grid.refined().n_points == 8700
 
 
 def _bound_state(grid, n, l):
@@ -142,11 +144,19 @@ class TestBoundStates:
 def _dense_operator(l, h, r):
     """K_l as a dense matrix, entry by entry from the five-point formula:
     (30, -16, 1) / (24 h^2) on the diagonal and the first two off-diagonals,
-    conjugated by diag(1/r), plus (l(l+1)/2 + 1/8 - r) / r^2 on the diagonal."""
+    conjugated by diag(1/r), plus (l(l+1)/2 + 1/8 - r) / r^2 on the diagonal.
+    The ghost points below the grid, (D w)_i e^(-k (l + 1/2) h) for the
+    neighbour k steps below row i, add (-16 e^(-ah) + e^(-2ah)) / (24 h^2)
+    to row 0 and e^(-2ah) / (24 h^2) to row 1 before the division by r^2."""
     n = r.size
+    a = l + 0.5
+    ghost = np.zeros(n)
+    ghost[0] = (-16.0 * math.exp(-a * h) + 1.0 * math.exp(-2.0 * a * h)) / (24.0 * h * h)
+    ghost[1] = 1.0 * math.exp(-2.0 * a * h) / (24.0 * h * h)
     dense = np.zeros((n, n))
     for i in range(n):
-        dense[i, i] = (30.0 / (24.0 * h * h) + 0.5 * l * (l + 1) + 0.125 - r[i]) / (r[i] * r[i])
+        dense[i, i] = (30.0 / (24.0 * h * h) + ghost[i] + 0.5 * l * (l + 1) + 0.125
+                       - r[i]) / (r[i] * r[i])
         for k, weight in ((1, -16.0), (2, 1.0)):
             if i + k < n:
                 dense[i, i + k] = dense[i + k, i] = weight / (24.0 * h * h) / (r[i] * r[i + k])
@@ -506,11 +516,12 @@ class TestEigensolveGates:
         assert lapack_calls["dgbtrs"] == 12
 
     def test_resolvent_backward_error(self):
-        # the grid builds, but at r_max = 1e20 the l = 1 solve misses the gate
+        # the grid builds, but at r_max = 1e20 the l = 1 solve misses the
+        # gate; r_min = 1e-9 keeps the box at the spacing this figure reads
         try:
             with pytest.raises(ConvergenceError,
                                match=r"componentwise backward error 1\.00e\+00 above 1e-12"):
-                ac_stark_sides(RadialGrid(2000, r_max=1e20), 0.001)
+                ac_stark_sides(RadialGrid(2000, r_max=1e20, r_min=1e-9), 0.001)
         finally:
             build_oracle.cache_clear()
 
@@ -693,11 +704,11 @@ class TestAmplitudeOracles:
             p_oracle(default_grid, x_close)
 
     def test_guard_edge_is_flagged_for_every_amplitude(self, default_grid):
-        # x = 0.374999 leaves the grid's 2P level 1e-6 minus the 2e-9 r_min
-        # shift above E_1S + x: just inside the 1e-6 guard
+        # x = 0.3749995 leaves the grid's 2P level 5e-7 above E_1S + x,
+        # plainly inside the 1e-6 guard: the grid's level shifts are ~1e-11
         for amplitude in (q_oracle, p_oracle, gauge_pair_oracle):
             with pytest.raises(NearResonanceError):
-                amplitude(default_grid, 0.374999)
+                amplitude(default_grid, 0.3749995)
 
     def test_window_is_enforced(self, default_grid):
         with pytest.raises(DomainError):
@@ -735,7 +746,7 @@ class TestAmplitudeMemo:
         q_oracle(fresh_grid, xs[0])
         assert cholesky_calls["dpbtrf"] == len(xs) + 1
 
-    @pytest.mark.parametrize("x,error", [(0.4, DomainError), (0.374999, NearResonanceError)],
+    @pytest.mark.parametrize("x,error", [(0.4, DomainError), (0.3749995, NearResonanceError)],
                              ids=["out-of-window", "guard-edge"])
     def test_errors_repeat_and_are_never_stored(self, fresh_grid, cholesky_calls, x, error):
         for _ in range(2):
@@ -745,12 +756,13 @@ class TestAmplitudeMemo:
         assert not build_oracle(fresh_grid)._amplitudes
         assert cholesky_calls["dpbtrf"] == 0
 
-    @pytest.mark.parametrize("r_min,x", [(1e-5, 0.37499), (1e-3, 0.37402)],
-                             ids=["r_min-1e-5", "r_min-1e-3"])
+    @pytest.mark.parametrize("r_min,x", [(1e-2, 0.3749), (1e-3, 0.3749995)],
+                             ids=["r_min-1e-2", "r_min-1e-3"])
     def test_energy_above_the_2p_level_is_near_resonance(self, cholesky_calls, r_min, x):
-        # A large r_min lifts E_1S, so x < 3/8 can put E_1S + x above the
-        # grid's 2P level, where K - E is indefinite: the guard must reject
-        # it before any factorization, not only within 1e-6 of the level.
+        # A large r_min lifts E_1S by about 2 r_min^2 (2e-4 at 1e-2, 2e-6 at
+        # 1e-3), so x < 3/8 can put E_1S + x above the grid's 2P level,
+        # where K - E is indefinite: the guard must reject it before any
+        # factorization, not only within 1e-6 of the level.
         grid = RadialGrid(6000, r_min=r_min)
         state = build_oracle(grid)
         assert state.s1.energy + x - state.s2p.energy > oracle._NEAR_RESONANCE_GAP
@@ -832,6 +844,47 @@ class TestAcStark:
     def test_window_is_enforced(self, default_grid):
         with pytest.raises(DomainError):
             ac_stark_sides(default_grid, 0.5)
+
+
+def _relative_error(computed, exact):
+    return abs(computed / exact - 1.0)
+
+
+class TestDefaultGridAccuracy:
+    """What the regular-origin closure buys on RadialGrid() (4350 points from
+    r_min = 1e-6).  Each bound is three times the worst value over the
+    neighbouring grids of 4340 to 4360 points, whose scatter is the
+    roundoff floor ~eps/h^2 in the energies.  With the u(r_min) = 0 closure
+    at the former default (6000 points from 1e-9) every column but the two
+    roundoff-level checks reads 13 to 29 times its bound."""
+
+    def test_energy_and_matrix_elements(self, default_grid):
+        state = build_oracle(default_grid)
+        assert abs(state.s1.energy + 0.5) < 8e-11
+        assert _relative_error(q_oracle(default_grid, 3.0 / 16.0), q_length(3.0 / 16.0)) < 7e-10
+        assert _relative_error(q_oracle(default_grid, 0.37), q_length(0.37)) < 1.5e-8
+        assert _relative_error(p_oracle(default_grid, 0.37), p_velocity(0.37)) < 6e-9
+        assert _relative_error(r2_overlap(default_grid), R2_EXACT) < 4e-10
+        assert _relative_error(q_oracle(default_grid, 0.3749), q_length(0.3749)) < 8e-7
+
+    def test_grid_checks(self, default_grid):
+        source = functools.partial(gauge_pair_oracle, default_grid)
+        checks = (
+            (identities.check_master_identity(source, r2_overlap(default_grid), TOL_ORACLE), 3e-9),
+            (identities.check_ac_stark(default_grid), 4e-10),
+            (identities.check_one_photon(default_grid), 9e-11),
+        )
+        for check, bound in checks:
+            assert check.max_residual < bound, check.name
+
+    def test_r_min_error_is_quadratic(self):
+        # E_1S + 1/2 = 2 r_min^2 with the closure; u(r_min) = 0 gives
+        # 2 r_min (2e-4 and 2e-5 here, a ratio of 10 instead of 100)
+        lifts = {r_min: OracleState(RadialGrid(6000, r_min=r_min)).s1.energy + 0.5
+                 for r_min in (1e-4, 1e-5)}
+        for r_min, lift in lifts.items():
+            assert math.isclose(lift, 2.0 * r_min * r_min, rel_tol=0.01)
+        assert 90.0 < lifts[1e-4] / lifts[1e-5] < 110.0
 
 
 def _pseudostate_reference(grid, xs, count=30):
