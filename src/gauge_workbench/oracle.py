@@ -59,16 +59,22 @@ like 1 / (3/8 - x) toward the 2P pole (2e-8 at x = 0.3749).  The
 driving term's u = 0 below r_min meets l = 1 partners that vanish like
 r^(5/2) in w, so up to r_min = 1e-5 no amplitude moves by a bit.
 
+RadialGrid states the grid's domain with a reason for each bound: r_min
+in [1e-12, 1e-2], where the closure error 2 r_min^2 stays under 2e-4
+Hartree and every 1/r^2 band entry is finite, and r_max in [60, 700],
+short of r ~ 708, where the 1S tail e^-r falls below the smallest normal
+double (from r_max = 1000 the l = 1 resolvent misses its gate).
+
 Eigenpairs are found by inverse iteration shifted to the known hydrogen
 energies, where K - E is indefinite: K is factored by pivoted banded LU,
 from a copy of the state's LU layout, once at that shift, and every step
-is one pair of triangular solves with those factors; only when the
-Rayleigh quotient lands far from the shift (a large r_min) is K factored
-again at the quotient.  On grids with r_min up to 3e-2 a state costs one
-factorization and two solves.  The pseudostate sum takes only eigenvalues
-from LAPACK's banded eigensolver dsbevx, called directly, and gets each
-mode's vector by the same banded inverse iteration, one factorization and
-two solves per mode, for at most _MAX_MODES modes.
+is one pair of triangular solves with those factors.  Inside the domain
+every grid level lies within 2e-4 Hartree of its shift, so one
+factorization converges each state, in two solves on the default grid.
+The pseudostate sum takes only eigenvalues from LAPACK's banded
+eigensolver dsbevx, called directly, and gets each mode's vector by the
+same banded inverse iteration, one factorization and two solves per mode,
+for at most _MAX_MODES modes.
 """
 
 from __future__ import annotations
@@ -93,7 +99,6 @@ _RESIDUAL_TARGET = 1e-8
 _RESOLVENT_TARGET = 1e-12
 _NEAR_RESONANCE_GAP = 1e-6
 _DEGENERACY_GAP = 1e-9
-_REFACTOR_GAP = 1e-6
 # inverse iteration stops once the energy changes by at most this, relative
 # to max(1, |E|)
 _STALL = 1e-10
@@ -152,6 +157,8 @@ def _is_index(value: object) -> bool:
 class RadialGrid:
     """Log-mapped radial grid: n_points from r_min to r_max (Bohr radii).
 
+    Its checks state the oracle's whole domain, each bound with its reason:
+    n_points in [2000, 200000], r_max in [60, 700], r_min in [1e-12, 1e-2].
     The defaults put the r_min error, 2 r_min^2 in E_1S with the oracle's
     regular-origin closure, at 2e-12, under the ~1e-11 scatter of the
     stencil and roundoff; 4350 points then give the spacing h = 0.0041843
@@ -169,11 +176,13 @@ class RadialGrid:
         if self.n_points > 200000:
             raise DomainError(f"n_points = {self.n_points} above the 200000 ceiling "
                               "(past ~48000 points roundoff outgrows the stencil error)")
-        if not 60.0 <= self.r_max < np.inf:
-            raise DomainError(f"r_max = {self.r_max} must be finite and >= 60 "
-                              "(below 60 truncates the 2S tail)")
-        if not 0.0 < self.r_min < 1.0:
-            raise DomainError(f"r_min = {self.r_min} outside (0, 1)")
+        if not 60.0 <= self.r_max <= 700.0:
+            raise DomainError(f"r_max = {self.r_max} outside [60, 700] (below 60 truncates "
+                              "the 2S tail; past r ~ 708 the 1S tail e^-r underflows)")
+        if not 1e-12 <= self.r_min <= 1e-2:
+            raise DomainError(f"r_min = {self.r_min} outside [1e-12, 1e-2] (at 1e-2 E_1S "
+                              "is off by 2 r_min^2 = 2e-4; at 1e-12 that is far under "
+                              "roundoff and the bands stay finite)")
 
     def refined(self) -> "RadialGrid":
         """Same span with n_points doubled, for convergence estimates."""
@@ -203,16 +212,7 @@ class OracleState:
         self.h = float(y[1] - y[0])
         self.r = np.exp(y)
         self.sqrt_r = np.sqrt(self.r)
-        # Near r = 0 the 1/(r r') band entries overflow when r_min is tiny.
-        # Past r ~ 1.3e154, r^2 overflows: those entries flush to zero instead
-        # and the r^(l+1) bound-state seeds become inf * 0 = NaN.
-        with np.errstate(over="ignore", divide="ignore"):
-            self.bands = {l: _hamiltonian_bands(l, self.h, self.r) for l in (0, 1)}
-            top = self.r[-1] * self.r[-1]
-        if not (np.isfinite(top) and all(np.isfinite(ab).all() for ab in self.bands.values())):
-            raise DomainError(
-                f"grid from r_min = {grid.r_min} to r_max = {grid.r_max} overflows "
-                "the Hamiltonian bands; lower r_max or raise r_min")
+        self.bands = {l: _hamiltonian_bands(l, self.h, self.r) for l in (0, 1)}
         # the dgbtrf layout of each K_l, built once; every LU shifts a copy
         self._lu_layouts = {l: _full_banded(ab) for l, ab in self.bands.items()}
 
@@ -259,8 +259,7 @@ def _hamiltonian_bands(l: int, h: float, r: np.ndarray) -> np.ndarray:
     regular-origin power law D w ~ r^(l + 1/2): k steps below row i the
     value is (D w)_i e^(-k (l + 1/2) h).  Each ghost is a multiple of its
     own row's value, so it folds into the first _KD diagonal entries and K
-    stays symmetric.  It is added before the division by r^2, so a grid
-    whose r^2 underflows yields inf there, never inf - inf."""
+    stays symmetric."""
     weights, denominator = _STENCIL
     n = r.size
     scale = denominator * h * h
@@ -377,18 +376,16 @@ def _solve_on_state(state: OracleState, n: int, l: int) -> BoundState:
     w = (r ** (l + 1) * np.exp(-r / n) * poly) * state.sqrt_r
     w /= np.sqrt(h * np.dot(w, w))
     what = f"(n,l)=({n},{l})"
-    # The hydrogen energy is already close to the grid eigenvalue (the r_min
-    # and h^4 shifts), so inverse iteration at that fixed shift gains many
-    # digits per step and one factorization serves every step.  Only when
-    # the quotient lands far from the shift (a large r_min) is K factored
-    # again at the quotient, which turns the loop into Rayleigh-quotient
-    # iteration.  The quotient carries roundoff that grows with the grid
-    # (changes of a few 1e-12 from 24000 points on, 2.5e-11 at 192000), so
-    # the loop stops at the _STALL threshold instead of waiting for a change
-    # inside that noise.
-    layout = state._lu_layouts[l]
-    shift = energy = target
-    solve = _shifted_lu(layout, shift, what)
+    # On every grid RadialGrid accepts, the hydrogen energy lies within the
+    # r_min and h^4 shifts (at most 2e-4 Hartree) of the grid eigenvalue, so
+    # inverse iteration at that fixed shift gains many digits per step and
+    # one factorization serves every step.  The first quotient still carries
+    # the seed's error, so the loop always takes a second solve.  Roundoff
+    # in the quotient grows with the grid (changes of a few 1e-12 from 24000
+    # points on, 2.5e-11 at 192000), so the loop stops at the _STALL
+    # threshold instead of waiting for a change inside that noise.
+    solve = _shifted_lu(state._lu_layouts[l], target, what)
+    energy = target
     for step in range(12):
         v = solve(w)
         v /= np.sqrt(h * np.dot(v, v))
@@ -396,15 +393,8 @@ def _solve_on_state(state: OracleState, n: int, l: int) -> BoundState:
         updated = h * float(np.dot(v, kv))
         last_change = abs(updated - energy)
         w, kw, energy = v, kv, updated
-        if step == 0:
-            # the first quotient still carries the seed's error; a second
-            # solve with the same factors is cheaper than a new factorization
-            continue
-        if last_change <= _STALL * max(1.0, abs(energy)):
+        if step > 0 and last_change <= _STALL * max(1.0, abs(energy)):
             break
-        if abs(energy - shift) > _REFACTOR_GAP:
-            shift = energy
-            solve = _shifted_lu(layout, shift, what)
     else:
         raise ConvergenceError(
             f"eigensolve stalled at energy change {last_change:.2e} for {what}")
@@ -634,7 +624,7 @@ def pseudostate_q(grid: RadialGrid, x: float, count: int = 30) -> np.ndarray:
         raise DomainError(f"count must lie in [1, {_MAX_MODES}], got {count}")
     state = build_oracle(grid)
     energy = _intermediate_energy(state, x)
-    # the bands are finite (OracleState rejects any other), so eig_banded's
+    # the bands are finite on every grid RadialGrid accepts, so eig_banded's
     # check_finite has nothing to add
     vals, _, found, _, info = _flapack.dsbevx(
         state.bands[1], 0.0, 0.0, 1, count, compute_v=0, mmax=1, range=2, lower=1,

@@ -382,16 +382,27 @@ class TestVerify:
         # rejected before any array is allocated, not a MemoryError traceback
         assert_input_error(run_cli("verify", "--grid-points", "1000000000"))
 
-    @pytest.mark.parametrize("r_max", ["nan", "inf", "1e300"])
+    @pytest.mark.parametrize("r_max", ["nan", "inf", "1e300", "1000", "1e20"])
     def test_unusable_r_max_is_an_input_error(self, r_max):
         # exit 1 would claim a verification failure; the grid never existed
         assert_input_error(run_cli("verify", "--r-max", r_max))
 
     def test_failed_solve_exits_4_and_writes_no_report(self, tmp_path):
-        # the grid builds, but at r_max = 1e20 the resolvent misses its
-        # componentwise backward-error target
+        # the grid builds, but a resolvent solve perturbed to zero misses
+        # its componentwise backward-error target
         out = tmp_path / "report.json"
-        proc = run_cli("verify", "--grid-points", "2000", "--r-max", "1e20", "--out", str(out))
+        code = ("import sys\n"
+                "import numpy as np\n"
+                "from gauge_workbench import cli, oracle\n"
+                "real = oracle.dpbtrs\n"
+                "def zeroed(*args, **kwargs):\n"
+                "    sol, info = real(*args, **kwargs)\n"
+                "    return np.zeros_like(sol), info\n"
+                "oracle.dpbtrs = zeroed\n"
+                "sys.exit(cli.main(sys.argv[1:]))\n")
+        proc = subprocess.run(
+            [sys.executable, "-c", code, "verify", "--grid-points", "2000", "--out", str(out)],
+            capture_output=True, text=True, env=_subprocess_env())
         assert proc.returncode == 4
         assert proc.stdout == ""
         assert proc.stderr.startswith("error: componentwise backward error ")

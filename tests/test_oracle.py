@@ -82,17 +82,19 @@ class TestRadialGrid:
             {"r_min": math.nan},
             {"n_points": 200001},
             {"n_points": 10**9},
+            # past the domain's edges: r^2 overflows at 1e300 and the bands
+            # at 1e-200; the 1S tail underflows past r ~ 708; the closure
+            # error passes 2e-4 Hartree above r_min = 1e-2
+            {"r_max": 1e300},
+            {"r_min": 1e-200},
+            {"r_min": 1e-13},
+            {"r_min": 0.02},
+            {"r_max": 701.0},
         ],
     )
     def test_rejects_unusable_parameters(self, kwargs):
         with pytest.raises(DomainError):
             RadialGrid(**kwargs)
-
-    @pytest.mark.parametrize("kwargs", [{"r_max": 1e300}, {"r_min": 1e-200}],
-                             ids=["r_max-squared-overflows", "r_min-bands-overflow"])
-    def test_overflowing_grid_is_rejected_before_any_solve(self, kwargs):
-        with pytest.raises(DomainError, match="overflows"):
-            OracleState(RadialGrid(**kwargs))
 
     @pytest.mark.parametrize("n_points", [6000.5, 6000.0, True, "6000", None])
     def test_rejects_non_integer_point_counts(self, n_points):
@@ -356,33 +358,24 @@ def _full_banded_reference(ab, shift):
 
 def _inverse_iteration_reference(state, n, l):
     """(energy, u) of (n, l) by the inverse iteration of oracle._solve_on_state,
-    with every LU built from the upper bands at its shift and K v applied by
-    _apply_bands_reference."""
+    with the one LU built from the upper bands at the hydrogen level and
+    K v applied by _apply_bands_reference."""
     ab, h, r = _upper(state.bands[l]), state.h, state.r
     poly = oracle._laguerre(n - l - 1, 2 * l + 1, 2.0 * r / n)
     w = (r ** (l + 1) * np.exp(-r / n) * poly) * state.sqrt_r
     w /= np.sqrt(h * np.dot(w, w))
 
-    def factor(shift):
-        lu, piv, info = dgbtrf(_full_banded_reference(ab, shift), 2, 2, overwrite_ab=1)
-        assert info == 0
-        return lu, piv
-
-    shift = energy = -0.5 / (n * n)
-    lu, piv = factor(shift)
+    energy = -0.5 / (n * n)
+    lu, piv, info = dgbtrf(_full_banded_reference(ab, energy), 2, 2, overwrite_ab=1)
+    assert info == 0
     for step in range(12):
         v, _ = dgbtrs(lu, 2, 2, w, piv)
         v /= np.sqrt(h * np.dot(v, v))
         updated = h * float(np.dot(v, _apply_bands_reference(ab, v)))
         change = abs(updated - energy)
         w, energy = v, updated
-        if step == 0:
-            continue
-        if change <= 1e-10 * max(1.0, abs(energy)):
+        if step > 0 and change <= 1e-10 * max(1.0, abs(energy)):
             break
-        if abs(energy - shift) > oracle._REFACTOR_GAP:
-            shift = energy
-            lu, piv = factor(shift)
     u = w / state.sqrt_r
     lead = np.argmax(np.abs(u) > 1e-8 * np.max(np.abs(u)))
     return energy, (-u if u[lead] < 0.0 else u)
@@ -419,21 +412,25 @@ def fresh_grid(small_grid):
 
 
 class TestInverseIteration:
-    @pytest.mark.parametrize("n_points", [6000, 24000], ids=["default", "24000"])
-    def test_one_factorization_per_state(self, lapack_calls, n_points):
-        state = build_oracle(RadialGrid(n_points=n_points))
+    @pytest.mark.parametrize(
+        "grid",
+        [RadialGrid(6000), RadialGrid(24000),
+         RadialGrid(2000, r_max=700.0, r_min=1e-12), RadialGrid(2000, r_max=700.0, r_min=1e-2)],
+        ids=["default", "24000", "r_min-1e-12-r_max-700", "r_min-1e-2-r_max-700"])
+    def test_one_factorization_per_state(self, lapack_calls, grid):
+        state = build_oracle(grid)
         for n, l in [(1, 0), (2, 0), (2, 1)]:
             lapack_calls.update(dgbtrf=0, dgbtrs=0)
             oracle._solve_on_state(state, n, l)
             assert lapack_calls["dgbtrf"] == 1
             assert lapack_calls["dgbtrs"] <= 3
 
-    def test_large_r_min_refactors_and_matches_rayleigh_iteration(self, lapack_calls):
-        # r_min = 0.3 moves the s levels far from the hydrogen seeds, so K is
-        # factored again at the quotient; states and energies must still
-        # match the iteration that factors at every step
-        state = OracleState(RadialGrid(6000, r_min=0.3))
-        assert lapack_calls["dgbtrf"] > 3
+    def test_r_min_cap_matches_rayleigh_iteration(self, lapack_calls):
+        # r_min = 1e-2, the domain's cap, lifts E_1S by 2e-4 off its
+        # hydrogen shift; one factorization per state still converges, to
+        # the states and energies of the iteration that factors at every step
+        state = OracleState(RadialGrid(6000, r_min=1e-2))
+        assert lapack_calls["dgbtrf"] == 3
         for bound in (state.s1, state.s2, state.s2p):
             n, l = bound.label
             u = bound.radial_values
@@ -455,7 +452,7 @@ class TestInverseIteration:
             assert np.max(np.abs(mode - v)) <= 1e-14 * np.max(np.abs(v))
         assert lapack_calls == {"dgbtrf": 3, "dgbtrs": 6}
 
-    @pytest.mark.parametrize("r_min", [1e-9, 0.3], ids=["default", "r_min-0.3"])
+    @pytest.mark.parametrize("r_min", [1e-9, 1e-2], ids=["default", "r_min-1e-2"])
     def test_bound_states_match_a_per_shift_layout_bit_for_bit(self, r_min):
         # the per-state dgbtrf layout, shifted per factorization, and the
         # reused K v change no bit of any state
@@ -487,10 +484,17 @@ class TestEigensolveGates:
     resolvent fires.  States are built with OracleState, or the cache is
     cleared after the test, so no broken state stays in build_oracle's cache."""
 
-    def test_wrong_node_count(self):
+    def test_wrong_node_count(self, small_grid, monkeypatch):
+        # the (2,0) state factored at the 3S level, -1/18, converges onto 3S
+        real = oracle._shifted_lu
+
+        def at_3s(layout, shift, what):
+            return real(layout, -1.0 / 18.0 if what == "(n,l)=(2,0)" else shift, what)
+
+        monkeypatch.setattr(oracle, "_shifted_lu", at_3s)
         with pytest.raises(ConvergenceError,
                            match=r"state \(n,l\)=\(2,0\) shows 2 nodes, expected 1"):
-            OracleState(RadialGrid(2000, r_max=1e150))
+            OracleState(small_grid)
 
     def test_singular_lu(self, small_grid, monkeypatch):
         _stub_outputs(monkeypatch, "dgbtrf", lambda lu, piv, info: (lu, piv, 1))
@@ -515,13 +519,14 @@ class TestEigensolveGates:
             OracleState(small_grid)
         assert lapack_calls["dgbtrs"] == 12
 
-    def test_resolvent_backward_error(self):
-        # the grid builds, but at r_max = 1e20 the l = 1 solve misses the
-        # gate; r_min = 1e-9 keeps the box at the spacing this figure reads
+    def test_resolvent_backward_error(self, small_grid, monkeypatch):
+        # a solve perturbed to zero leaves the residual -b, so every row
+        # with b_i != 0 has backward error |b_i| / |b_i| = 1 exactly
+        _stub_outputs(monkeypatch, "dpbtrs", lambda sol, info: (np.zeros_like(sol), info))
         try:
             with pytest.raises(ConvergenceError,
                                match=r"componentwise backward error 1\.00e\+00 above 1e-12"):
-                ac_stark_sides(RadialGrid(2000, r_max=1e20, r_min=1e-9), 0.001)
+                ac_stark_sides(small_grid, 0.001)
         finally:
             build_oracle.cache_clear()
 
