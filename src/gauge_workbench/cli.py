@@ -30,12 +30,13 @@ from typing import TYPE_CHECKING
 from .closedform import SOURCES, X_MAX, GaugeAmplitudes, source_named, two_color_combination
 from .errors import ConvergenceError, DomainError
 from .rabi import beta_prefactor, load_constants
+from .sturmian import BASIS_SIZE, LAMBDA
 
 if TYPE_CHECKING:
     from .identities import VerificationReport
     from .oracle import RadialGrid
 
-SCHEMA_VERSION = "1.1.0"
+SCHEMA_VERSION = "1.2.0"
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -73,14 +74,17 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
-def _resolve_grid(args: argparse.Namespace) -> RadialGrid:
+def _resolve_grid(args: argparse.Namespace) -> RadialGrid | None:
+    """The grid of --profile oracle, defaults filled in; None for strict,
+    which builds no grid, so a grid option there is an input error."""
+    grid_options = {"n_points": args.grid_points, "r_max": args.r_max}
+    kwargs = {name: value for name, value in grid_options.items() if value is not None}
+    if args.profile != "oracle":
+        if kwargs:
+            raise DomainError("grid options apply to --profile oracle")
+        return None
     from .oracle import RadialGrid
 
-    kwargs = {}
-    if args.grid_points is not None:
-        kwargs["n_points"] = args.grid_points
-    if args.r_max is not None:
-        kwargs["r_max"] = args.r_max
     return RadialGrid(**kwargs)
 
 
@@ -137,17 +141,20 @@ def cmd_scan(args: argparse.Namespace) -> int:
 
 
 def _report_document(report: VerificationReport, args: argparse.Namespace,
-                     grid: RadialGrid, constants_provenance: str) -> dict:
+                     grid: RadialGrid | None, constants_provenance: str) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
         "constants_provenance": constants_provenance,
         "formula_variant": args.formula_variant,
         "generated_inputs": {
             "profile": args.profile,
-            # the grid as resolved, defaults included
-            "grid_points": grid.n_points,
-            "r_max": grid.r_max,
-            "r_min": grid.r_min,
+            # the grid as resolved, defaults included, for --profile oracle;
+            # the Sturmian basis for strict, which builds no grid
+            "grid_points": None if grid is None else grid.n_points,
+            "r_max": None if grid is None else grid.r_max,
+            "r_min": None if grid is None else grid.r_min,
+            "basis_size": BASIS_SIZE if grid is None else None,
+            "basis_lambda": LAMBDA if grid is None else None,
             "constants_file": args.constants_file,
             "formula_variant": args.formula_variant,
         },
@@ -155,6 +162,7 @@ def _report_document(report: VerificationReport, args: argparse.Namespace,
         "checks": [
             {
                 "name": c.name,
+                "source": c.source,
                 "tolerance": c.tolerance,
                 "max_residual": c.max_residual,
                 "passed": c.passed,
@@ -175,7 +183,8 @@ def _report_document(report: VerificationReport, args: argparse.Namespace,
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    # numpy and scipy load here, so compute and scan run on the stdlib alone
+    # identities imports the grid oracle, and with it numpy and scipy, only
+    # for --profile oracle; compute, scan and strict verify run on the stdlib
     from .identities import build_report
 
     k = load_constants(args.constants_file)
@@ -242,12 +251,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run the verification suite")
     p_verify.add_argument("--profile", default="strict",
                           choices=("strict", "oracle"),
-                          help="source of the master-identity residuals")
+                          help="strict: closed forms and the Sturmian basis; oracle: "
+                               "the radial grid for master_identity, ac_stark and "
+                               "one_photon_ratio")
     p_verify.add_argument("--out", default=None, help="JSON report path")
     p_verify.add_argument("--grid-points", type=int, default=None,
-                          help="radial grid size override")
+                          help="radial grid size override (--profile oracle only)")
     p_verify.add_argument("--r-max", type=float, default=None,
-                          help="radial box size override, Bohr radii")
+                          help="radial box size override, Bohr radii "
+                               "(--profile oracle only)")
     _add_common(p_verify)
     p_verify.set_defaults(func=cmd_verify)
 

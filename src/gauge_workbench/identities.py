@@ -4,13 +4,25 @@ Each check evaluates an identity that must hold exactly in continuum
 mathematics and records the residual at the fixed abscissas of its module
 constant.  The checks of the gauge amplitudes read them from an amplitude
 source, x -> (Q, P): the derived closed forms, a negative control or the
-grid oracle.  Closed-form checks are held to TOL_CLOSED = 1e-9 (double
-precision with headroom).  Checks that go through the radial grid are
-held to TOL_ORACLE = 1e-6 (grid truncation), except one_photon_ratio,
-held to TOL_ONE_PHOTON = 1e-8: both of its elements and the level gap
-come from the same grid states, so truncation largely cancels.  All
-inputs are fixed tuples, so repeated runs produce bit-identical residual
-lists.
+grid oracle.  ac_stark and one_photon_ratio read a sides source instead,
+x -> (left side, right side) of their identity.
+
+The two profiles of build_report differ in those sources:
+
+- "strict" reads the chosen closed-form variant, and ac_stark and
+  one_photon_ratio from the Coulomb-Sturmian resolvent (sturmian.py),
+  every check at TOL_CLOSED = 1e-9 (double precision with headroom).  It
+  builds no grid and imports neither numpy nor scipy.  At the basis's
+  LAMBDA = 1 the two Sturmian identities hold exactly in the Galerkin
+  algebra, so their residuals are roundoff, not a convergence measure.
+- "oracle" reads master_identity, ac_stark and one_photon_ratio from the
+  radial grid (the oracle module, imported only here).  The first two are
+  held to TOL_ORACLE = 1e-6 (grid truncation), one_photon_ratio to
+  TOL_ONE_PHOTON = 1e-8: both of its elements and the level gap come from
+  the same grid states, so truncation largely cancels.
+
+All inputs are fixed tuples, so repeated runs produce bit-identical
+residual lists.  Every check records which source it read.
 
 The report also compares a handful of headline constants against their
 externally published values, with the provenance of each reference noted.
@@ -19,9 +31,12 @@ externally published values, with the provenance of each reference noted.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, replace
 from functools import partial
+from typing import TYPE_CHECKING
 
+from . import sturmian
 from .closedform import (
     DELTA_SLOPE,
     X_MAX,
@@ -33,19 +48,17 @@ from .closedform import (
     two_color_combination,
 )
 from .errors import DomainError
-from .oracle import (
-    RadialGrid,
-    ac_stark_sides,
-    build_oracle,
-    check_one_photon_ratio,
-    gauge_pair_oracle,
-    r2_overlap,
-)
 from .rabi import DEFAULT_CONSTANTS, PhysicalConstants, beta, beta_slope
+
+if TYPE_CHECKING:
+    from .oracle import RadialGrid
 
 TOL_CLOSED = 1e-9
 TOL_ORACLE = 1e-6
 TOL_ONE_PHOTON = 1e-8
+
+# x -> (left side, right side) of one identity; exact algebra makes them equal
+SidesSource = Callable[[float], tuple[float, float]]
 
 # <2S| r^2 |1S> in units of the squared Bohr radius.
 R2_OVERLAP_EXACT = -512.0 * math.sqrt(2.0) / 243.0
@@ -71,13 +84,16 @@ class IdentityCheck:
     """Residuals of one identity over a list of abscissas.
 
     For one_photon_ratio the abscissas are photon energies in atomic
-    units rather than energy fractions; everything else uses x."""
+    units rather than energy fractions; everything else uses x.  source
+    names what the residuals were computed from: "closed_form",
+    "sturmian" or "grid"."""
 
     name: str
     x_values: tuple[float, ...]
     residuals: tuple[float, ...]
     tolerance: float
     passed: bool
+    source: str = "closed_form"
 
     def __post_init__(self) -> None:
         if len(self.x_values) != len(self.residuals):
@@ -148,14 +164,13 @@ def check_resonance_pq(source: AmplitudeSource = derived_pair) -> IdentityCheck:
     return _make_check("resonance_pq", (x,), (residual,), TOL_CLOSED)
 
 
-def check_ac_stark(grid: RadialGrid = RadialGrid()) -> IdentityCheck:
+def check_ac_stark(sides: SidesSource = sturmian.ac_stark_sides,
+                   tol: float = TOL_CLOSED) -> IdentityCheck:
     """Velocity-form ac-Stark response of 1S against the x^2-weighted
-    length form, evaluated on the radial grid."""
-    residuals = []
-    for x in AC_STARK_POINTS:
-        lhs, rhs = ac_stark_sides(grid, x)
-        residuals.append(lhs - rhs)
-    return _make_check("ac_stark", AC_STARK_POINTS, tuple(residuals), TOL_ORACLE)
+    length form: the Sturmian resolvent by default, the grid through
+    ``partial(oracle.ac_stark_sides, grid)``."""
+    residuals = tuple(lhs - rhs for lhs, rhs in map(sides, AC_STARK_POINTS))
+    return _make_check("ac_stark", AC_STARK_POINTS, residuals, tol)
 
 
 def check_two_color(source: AmplitudeSource = derived_pair) -> IdentityCheck:
@@ -177,18 +192,16 @@ def check_delta_linear(source: AmplitudeSource = derived_pair) -> IdentityCheck:
     return _make_check("delta_linear", DELTA_GRID, residuals, TOL_CLOSED)
 
 
-def check_one_photon(grid: RadialGrid = RadialGrid()) -> IdentityCheck:
+def check_one_photon(sides: SidesSource = sturmian.one_photon_ratio,
+                     tol: float = TOL_CLOSED) -> IdentityCheck:
     """Velocity over length 1S-2P dipole element against (E_f - E_i)/omega.
 
-    Both matrix elements and the energies come from the same grid, so the
-    residual isolates the gauge relation from discretization error."""
-    state = build_oracle(grid)
-    gap = state.s2p.energy - state.s1.energy
-    residuals = tuple(
-        check_one_photon_ratio(grid, omega) - gap / omega
-        for omega in ONE_PHOTON_OMEGAS
-    )
-    return _make_check("one_photon_ratio", ONE_PHOTON_OMEGAS, residuals, TOL_ONE_PHOTON)
+    Both matrix elements and the energies come from the same source (the
+    Sturmian basis by default, or ``partial(oracle.one_photon_ratio,
+    grid)``), so the residual isolates the gauge relation from the
+    source's own truncation error."""
+    residuals = tuple(ratio - gap for ratio, gap in map(sides, ONE_PHOTON_OMEGAS))
+    return _make_check("one_photon_ratio", ONE_PHOTON_OMEGAS, residuals, tol)
 
 
 def _compare(name: str, computed: float, reference: float,
@@ -223,33 +236,46 @@ def constants_table(source: AmplitudeSource = derived_pair,
 
 
 def build_report(profile: str = "strict",
-                 grid: RadialGrid = RadialGrid(),
+                 grid: RadialGrid | None = None,
                  variant: str = "derived",
                  constants: PhysicalConstants = DEFAULT_CONSTANTS,
                  ) -> VerificationReport:
     """Run all six identity checks and the constants table.
 
     variant names the closed-form source in ``closedform.SOURCES``.
-    profile selects the source of the master-identity residuals: "strict"
-    uses that closed-form source at 1e-9, "oracle" recomputes both
-    amplitudes on the radial grid at 1e-6.  The grid-backed checks
-    (ac_stark, one_photon_ratio) always use the oracle since no closed
-    form exists for them here."""
+    profile "strict" reads that source and the Sturmian resolvent, all at
+    1e-9, and takes no grid.  Profile "oracle" recomputes master_identity,
+    ac_stark and one_photon_ratio on the radial grid (RadialGrid() unless
+    grid is given) at their grid tolerances; the other checks still read
+    the closed-form source."""
     if profile not in ("strict", "oracle"):
         raise DomainError(f"unknown profile {profile!r}")
     source = source_named(variant)
     if profile == "oracle":
-        master = check_master_identity(partial(gauge_pair_oracle, grid),
-                                       r2_overlap(grid), TOL_ORACLE)
+        # numpy and scipy load here, so a strict report runs on the stdlib
+        from . import oracle
+
+        grid = oracle.RadialGrid() if grid is None else grid
+        master = replace(check_master_identity(partial(oracle.gauge_pair_oracle, grid),
+                                               oracle.r2_overlap(grid), TOL_ORACLE),
+                         source="grid")
+        ac_stark = replace(check_ac_stark(partial(oracle.ac_stark_sides, grid), TOL_ORACLE),
+                           source="grid")
+        one_photon = replace(check_one_photon(partial(oracle.one_photon_ratio, grid),
+                                              TOL_ONE_PHOTON), source="grid")
     else:
+        if grid is not None:
+            raise DomainError("a grid applies to profile 'oracle' only")
         master = check_master_identity(source)
+        ac_stark = replace(check_ac_stark(), source="sturmian")
+        one_photon = replace(check_one_photon(), source="sturmian")
     checks = (
         master,
         check_resonance_pq(source),
-        check_ac_stark(grid=grid),
+        ac_stark,
         check_two_color(source),
         check_delta_linear(source),
-        check_one_photon(grid=grid),
+        one_photon,
     )
     consts = constants_table(source, constants)
     overall = all(c.passed for c in checks) and all(c.passed for c in consts)

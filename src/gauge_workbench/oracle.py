@@ -530,7 +530,7 @@ def p_oracle(grid: RadialGrid, x: float) -> float:
 
     The dipole-channel reduction of the momentum operator acting on an
     s state is the radial factor u' - u/r; the convention is locked by
-    check_one_photon_ratio before any value here is trusted.  The solve is
+    one_photon_ratio before any value here is trusted.  The solve is
     shared with q_oracle at the same (grid, x), so a length column that
     fails the backward-error gate raises here too."""
     return gauge_pair_oracle(grid, x)[1]
@@ -542,13 +542,13 @@ def r2_overlap(grid: RadialGrid) -> float:
     return state.integrate(state._bra, state._driving[:, 0])
 
 
-def check_one_photon_ratio(grid: RadialGrid, omega: float) -> float:
-    """Ratio of velocity- to length-gauge one-photon 1S-2P elements.
+def one_photon_ratio(grid: RadialGrid, omega: float) -> tuple[float, float]:
+    """Velocity- over length-gauge one-photon 1S-2P element, and the
+    grid's (E_2P - E_1S) / omega.
 
-    Exact states satisfy M_v / M_l = (E_2P - E_1S) / omega, so the grid
-    value must reproduce that factor; the resonant point omega = E_2P - E_1S
-    (where the ratio crosses 1 trivially) is flagged as degenerate rather
-    than evaluated."""
+    Exact states make the two equal, so the grid value must reproduce that
+    factor; the resonant point omega = E_2P - E_1S (where the ratio crosses
+    1 trivially) is flagged as degenerate rather than evaluated."""
     if not 0.0 < omega < np.inf:
         raise DomainError(f"photon energy must be positive and finite, got {omega}")
     state = build_oracle(grid)
@@ -561,7 +561,7 @@ def check_one_photon_ratio(grid: RadialGrid, omega: float) -> float:
     m_vel = state.integrate(state.w2p, state.wd1)
     # The two i factors from the momentum operator make the physical ratio
     # -m_vel / (omega * m_len).
-    return -m_vel / (omega * m_len)
+    return -m_vel / (omega * m_len), gap / omega
 
 
 def ac_stark_sides(grid: RadialGrid, x: float) -> tuple[float, float]:

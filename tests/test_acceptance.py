@@ -17,14 +17,17 @@ from gauge_workbench.closedform import (
     two_color_q,
 )
 from gauge_workbench.identities import (
+    TOL_ONE_PHOTON,
     TOL_ORACLE,
     check_ac_stark,
     check_master_identity,
     check_one_photon,
 )
 from gauge_workbench.oracle import (
+    ac_stark_sides,
     build_oracle,
     gauge_pair_oracle,
+    one_photon_ratio,
     q_oracle,
     r2_overlap,
 )
@@ -142,13 +145,15 @@ def test_06_master_identity_both_sources(default_grid):
 
 def test_07_dynamic_polarizability_identity(default_grid):
     start = time.perf_counter()
-    check = check_ac_stark(grid=default_grid)
+    basis = check_ac_stark()
+    grid = check_ac_stark(partial(ac_stark_sides, default_grid), TOL_ORACLE)
     elapsed = time.perf_counter() - start
     _verdict(
         "dynamic polarizability identity",
-        check.passed and check.max_residual < 1e-6 and elapsed < 30.0,
-        f"max residual {check.max_residual:.2e} over x = "
-        f"{check.x_values}, {elapsed:.2f}s",
+        basis.passed and basis.max_residual < 1e-9
+        and grid.passed and grid.max_residual < 1e-6 and elapsed < 30.0,
+        f"Sturmian {basis.max_residual:.2e}, grid {grid.max_residual:.2e} over x = "
+        f"{grid.x_values}, {elapsed:.2f}s",
     )
 
 
@@ -178,13 +183,15 @@ def test_08_grid_self_checks(default_grid):
 
 def test_09_one_photon_gauge_factor(default_grid):
     start = time.perf_counter()
-    check = check_one_photon(grid=default_grid)
+    basis = check_one_photon()
+    grid = check_one_photon(partial(one_photon_ratio, default_grid), TOL_ONE_PHOTON)
     elapsed = time.perf_counter() - start
     _verdict(
         "one-photon gauge factor",
-        check.passed and check.max_residual < 1e-8 and elapsed < 5.0,
-        f"max residual {check.max_residual:.2e} at omega = "
-        f"{check.x_values}, {elapsed:.2f}s",
+        basis.passed and basis.max_residual < 1e-9
+        and grid.passed and grid.max_residual < 1e-8 and elapsed < 5.0,
+        f"Sturmian {basis.max_residual:.2e}, grid {grid.max_residual:.2e} at omega = "
+        f"{grid.x_values}, {elapsed:.2f}s",
     )
 
 

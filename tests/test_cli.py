@@ -30,20 +30,30 @@ CHECK_ORDER = [
     "one_photon_ratio",
 ]
 
-# Exact stdout lines of ``verify --profile strict`` that are computed in pure
+# Sturmian lines of ``verify --profile strict``; they read no closed form, so
+# they are the same for every variant.
+_STURMIAN_LINES = (
+    "PASS ac_stark: max residual 4.99600361081e-16"
+    " (tolerance 1.00000000000e-09, 4 points)",
+    "PASS one_photon_ratio: max residual 0.00000000000e+00"
+    " (tolerance 1.00000000000e-09, 3 points)",
+)
+
+# Exact stdout lines of ``verify --profile strict``, all computed in pure
 # Python, so they must not move by a single byte unless a change means to
-# move them.  ac_stark and one_photon_ratio go through BLAS and may differ in
-# the last digit between CPUs, so they are left out.
+# move them.
 STRICT_REPORT_LINES = {
     "derived": [
         "PASS master_identity: max residual 3.33066907388e-16"
         " (tolerance 1.00000000000e-09, 20 points)",
         "PASS resonance_pq: max residual 5.55111512313e-17"
         " (tolerance 1.00000000000e-09, 1 points)",
+        _STURMIAN_LINES[0],
         "PASS two_color: max residual 4.44089209850e-16"
         " (tolerance 1.00000000000e-09, 3 points)",
         "PASS delta_linear: max residual 1.58206781009e-15"
         " (tolerance 1.00000000000e-09, 200 points)",
+        _STURMIAN_LINES[1],
         "PASS resonance_q: computed -7.85365542235e+00 vs published -7.85365542200e+00"
         " (relative error 4.47464106718e-11)",
         "PASS two_color_q: computed -6.26594736335e+01 vs published -6.26594736330e+01"
@@ -58,10 +68,12 @@ STRICT_REPORT_LINES = {
         " (tolerance 1.00000000000e-09, 20 points)",
         "FAIL resonance_pq: max residual 1.64434014004e+02"
         " (tolerance 1.00000000000e-09, 1 points)",
+        _STURMIAN_LINES[0],
         "FAIL two_color: max residual 4.72868968320e+03"
         " (tolerance 1.00000000000e-09, 3 points)",
         "FAIL delta_linear: max residual 1.33538970709e+04"
         " (tolerance 1.00000000000e-09, 200 points)",
+        _STURMIAN_LINES[1],
         "FAIL resonance_q: computed 4.22545491781e+03 vs published -7.85365542200e+00"
         " (relative error 5.39023976195e+02)",
         "FAIL two_color_q: computed 4.02266866733e+05 vs published -6.26594736330e+01"
@@ -76,10 +88,12 @@ STRICT_REPORT_LINES = {
         " (tolerance 1.00000000000e-09, 20 points)",
         "FAIL resonance_pq: max residual 4.28728557387e+01"
         " (tolerance 1.00000000000e-09, 1 points)",
+        _STURMIAN_LINES[0],
         "FAIL two_color: max residual 4.67963032337e+02"
         " (tolerance 1.00000000000e-09, 3 points)",
         "FAIL delta_linear: max residual 1.13236370454e+03"
         " (tolerance 1.00000000000e-09, 200 points)",
+        _STURMIAN_LINES[1],
         "FAIL resonance_q: computed 7.67715304924e+02 vs published -7.85365542200e+00"
         " (relative error 9.87526086482e+01)",
         "FAIL two_color_q: computed 3.70617252311e+04 vs published -6.26594736330e+01"
@@ -299,7 +313,7 @@ class TestVerify:
         assert proc.stdout.rstrip().endswith("overall: PASS")
 
         doc = json.loads(out.read_text())
-        assert doc["schema_version"] == "1.1.0"
+        assert doc["schema_version"] == "1.2.0"
         assert doc["constants_provenance"] == "CODATA-2018"
         assert doc["overall_pass"] is True
         assert [c["name"] for c in doc["checks"]] == CHECK_ORDER
@@ -317,9 +331,7 @@ class TestVerify:
         assert proc.returncode == (0 if variant == "derived" else 1)
         *lines, overall = proc.stdout.splitlines()
         assert overall == f"overall: {verdict}"
-        pinned = [line for line in lines
-                  if line.split()[1] not in ("ac_stark:", "one_photon_ratio:")]
-        assert pinned == STRICT_REPORT_LINES[variant]
+        assert lines == STRICT_REPORT_LINES[variant]
 
     def test_oracle_profile_passes(self):
         proc = run_cli("verify", "--profile", "oracle")
@@ -333,16 +345,24 @@ class TestVerify:
         assert a.read_bytes() == b.read_bytes()
 
     def test_report_records_the_resolved_grid(self, strict_report, tmp_path):
-        # defaulted options are written as the grid they resolved to, so a
-        # report names its grid whatever the defaults of its version were
+        # a strict report builds no grid and records the Sturmian basis; an
+        # oracle report writes defaulted options as the grid they resolved
+        # to, so a report names its grid whatever the defaults of its version
+        # were
+        fields = ("grid_points", "r_max", "r_min", "basis_size", "basis_lambda")
         _, out = strict_report("derived")
-        inputs = json.loads(out.read_text())["generated_inputs"]
-        assert (inputs["grid_points"], inputs["r_max"], inputs["r_min"]) == (4350, 80.0, 1e-6)
+        doc = json.loads(out.read_text())
+        assert tuple(doc["generated_inputs"][f] for f in fields) == (None, None, None, 30, 1.0)
+        assert [c["source"] for c in doc["checks"]] == [
+            "closed_form", "closed_form", "sturmian", "closed_form", "closed_form", "sturmian"]
         override = tmp_path / "override.json"
-        proc = run_cli("verify", "--grid-points", "2000", "--r-max", "100", "--out", str(override))
+        proc = run_cli("verify", "--profile", "oracle", "--grid-points", "2000",
+                       "--r-max", "100", "--out", str(override))
         assert proc.returncode == 0
-        inputs = json.loads(override.read_text())["generated_inputs"]
-        assert (inputs["grid_points"], inputs["r_max"], inputs["r_min"]) == (2000, 100.0, 1e-6)
+        doc = json.loads(override.read_text())
+        assert tuple(doc["generated_inputs"][f] for f in fields) == (2000, 100.0, 1e-6, None, None)
+        assert [c["source"] for c in doc["checks"]] == [
+            "grid", "closed_form", "grid", "closed_form", "closed_form", "grid"]
 
     def test_wrong_transcription_fails(self, strict_report):
         proc, out = strict_report("alt-a")
@@ -375,17 +395,31 @@ class TestVerify:
         assert not math.isclose(shifted, 3.68110645721e-05, rel_tol=1e-4)
 
     def test_grid_override_is_validated(self):
-        proc = run_cli("verify", "--grid-points", "100")
+        proc = run_cli("verify", "--profile", "oracle", "--grid-points", "100")
         assert proc.returncode == 2
 
     def test_grid_above_the_ceiling_is_an_input_error(self):
         # rejected before any array is allocated, not a MemoryError traceback
-        assert_input_error(run_cli("verify", "--grid-points", "1000000000"))
+        assert_input_error(run_cli("verify", "--profile", "oracle",
+                                   "--grid-points", "1000000000"))
 
     @pytest.mark.parametrize("r_max", ["nan", "inf", "1e300", "1000", "1e20"])
     def test_unusable_r_max_is_an_input_error(self, r_max):
         # exit 1 would claim a verification failure; the grid never existed
-        assert_input_error(run_cli("verify", "--r-max", r_max))
+        assert_input_error(run_cli("verify", "--profile", "oracle", "--r-max", r_max))
+
+    @pytest.mark.parametrize("options", [
+        ["--grid-points", "2000"],
+        ["--profile", "strict", "--r-max", "100"],
+        ["--profile", "strict", "--grid-points", "4350", "--r-max", "80"],
+    ], ids=["default-profile", "r-max", "both"])
+    def test_grid_options_under_strict_are_an_input_error(self, tmp_path, options):
+        # the strict profile builds no grid, so a grid option would do nothing
+        out = tmp_path / "report.json"
+        proc = run_cli("verify", *options, "--out", str(out))
+        assert_input_error(proc)
+        assert "grid options apply to --profile oracle" in proc.stderr
+        assert not out.exists()
 
     def test_failed_solve_exits_4_and_writes_no_report(self, tmp_path):
         # the grid builds, but a resolvent solve perturbed to zero misses
@@ -401,7 +435,8 @@ class TestVerify:
                 "oracle.dpbtrs = zeroed\n"
                 "sys.exit(cli.main(sys.argv[1:]))\n")
         proc = subprocess.run(
-            [sys.executable, "-c", code, "verify", "--grid-points", "2000", "--out", str(out)],
+            [sys.executable, "-c", code, "verify", "--profile", "oracle", "--grid-points", "2000",
+             "--out", str(out)],
             capture_output=True, text=True, env=_subprocess_env())
         assert proc.returncode == 4
         assert proc.stdout == ""
@@ -428,18 +463,29 @@ class TestConstantsFile:
 
 
 class TestImportCost:
-    """compute and scan are closed-form only and must run on the stdlib."""
+    """compute, scan and strict verify read the closed forms and the
+    Sturmian basis only, and must run on the stdlib."""
 
     @pytest.mark.parametrize("argv", [
         ["compute", "--x", "0.1875", "--quantity", "beta"],
         ["scan", "--x-min", "0.1", "--x-max", "0.3", "--steps", "5",
          "--columns", "q,p,beta"],
-    ], ids=["compute", "scan"])
+        ["verify", "--profile", "strict"],
+    ], ids=["compute", "scan", "verify-strict"])
     def test_closed_form_commands_load_no_numpy_or_scipy(self, tmp_path, argv):
-        if argv[0] == "scan":
-            argv = argv + ["--out", str(tmp_path / "scan.csv")]
+        if argv[0] != "compute":
+            argv = argv + ["--out", str(tmp_path / "out")]
         code = f"from gauge_workbench.cli import main\nassert main({argv!r}) == 0"
         assert heavy_modules_after(code) == "[]"
+
+    def test_identities_import_loads_no_numpy_or_scipy(self):
+        assert heavy_modules_after("import gauge_workbench.identities") == "[]"
+
+    def test_oracle_verify_is_detected(self, tmp_path):
+        # negative control: the grid profile does load both
+        argv = ["verify", "--profile", "oracle", "--out", str(tmp_path / "report.json")]
+        code = f"from gauge_workbench.cli import main\nassert main({argv!r}) == 0"
+        assert heavy_modules_after(code) == "['numpy', 'scipy']"
 
     def test_package_import_and_all_names_load_no_numpy_or_scipy(self):
         # the star import fails if a name in __all__ does not resolve

@@ -9,6 +9,7 @@ from gauge_workbench.closedform import gauge_pair
 from gauge_workbench.errors import DomainError
 from gauge_workbench.identities import (
     CHECK_NAMES,
+    TOL_ONE_PHOTON,
     TOL_ORACLE,
     IdentityCheck,
     _make_check,
@@ -21,7 +22,7 @@ from gauge_workbench.identities import (
     check_two_color,
     constants_table,
 )
-from gauge_workbench.oracle import gauge_pair_oracle, r2_overlap
+from gauge_workbench.oracle import ac_stark_sides, gauge_pair_oracle, one_photon_ratio, r2_overlap
 
 
 class TestIdentityCheck:
@@ -62,9 +63,14 @@ class TestIndividualChecks:
         assert check.passed
 
     def test_ac_stark(self, default_grid):
-        check = check_ac_stark(grid=default_grid)
+        # the Sturmian resolvent by default, at the closed-form tolerance
+        check = check_ac_stark()
         assert check.x_values == (0.001, 0.05, 0.10, 0.15)
+        assert check.tolerance == 1e-9
         assert check.passed
+        grid = check_ac_stark(partial(ac_stark_sides, default_grid), TOL_ORACLE)
+        assert grid.x_values == check.x_values
+        assert grid.passed
 
     def test_two_color(self):
         check = check_two_color()
@@ -90,21 +96,24 @@ class TestIndividualChecks:
             assert check.max_residual > 1e-12, check.name
 
     def test_one_photon(self, default_grid):
-        check = check_one_photon(grid=default_grid)
+        check = check_one_photon()
         assert check.name == "one_photon_ratio"
-        assert check.tolerance == 1e-8
+        assert check.tolerance == 1e-9
         assert check.passed
+        grid = check_one_photon(partial(one_photon_ratio, default_grid), TOL_ONE_PHOTON)
+        assert grid.tolerance == 1e-8
+        assert grid.passed
 
 
 class TestReport:
-    def test_all_six_checks_present_in_order(self, default_grid):
-        report = build_report("strict", grid=default_grid)
+    def test_all_six_checks_present_in_order(self):
+        report = build_report("strict")
         assert tuple(c.name for c in report.checks) == CHECK_NAMES
         assert report.overall_pass
         assert all(c.passed for c in report.checks)
 
     def test_oracle_profile_swaps_master_source(self, default_grid):
-        strict = build_report("strict", grid=default_grid)
+        strict = build_report("strict")
         oracle = build_report("oracle", grid=default_grid)
         get = lambda rep: next(c for c in rep.checks
                                if c.name == "master_identity")
@@ -112,9 +121,32 @@ class TestReport:
         assert get(oracle).tolerance == 1e-6
         assert oracle.overall_pass
 
-    def test_repeated_runs_are_bit_identical(self, default_grid):
-        first = build_report("strict", grid=default_grid)
-        second = build_report("strict", grid=default_grid)
+    def test_every_check_names_its_source(self, default_grid):
+        closed = {"resonance_pq": "closed_form", "two_color": "closed_form",
+                  "delta_linear": "closed_form"}
+        expected = {
+            "strict": {**closed, "master_identity": "closed_form",
+                       "ac_stark": "sturmian", "one_photon_ratio": "sturmian"},
+            "oracle": {**closed, "master_identity": "grid",
+                       "ac_stark": "grid", "one_photon_ratio": "grid"},
+        }
+        tolerances = {"strict": {"ac_stark": 1e-9, "one_photon_ratio": 1e-9},
+                      "oracle": {"ac_stark": 1e-6, "one_photon_ratio": 1e-8}}
+        for profile, grid in (("strict", None), ("oracle", default_grid)):
+            report = build_report(profile, grid=grid)
+            assert {c.name: c.source for c in report.checks} == expected[profile]
+            for check in report.checks:
+                if check.name in tolerances[profile]:
+                    assert check.tolerance == tolerances[profile][check.name]
+
+    def test_strict_profile_takes_no_grid(self, default_grid):
+        # the strict profile builds no grid, so a grid given to it is an error
+        with pytest.raises(DomainError, match="profile 'oracle'"):
+            build_report("strict", grid=default_grid)
+
+    def test_repeated_runs_are_bit_identical(self):
+        first = build_report("strict")
+        second = build_report("strict")
         for a, b in zip(first.checks, second.checks):
             assert a.residuals == b.residuals
 
@@ -142,11 +174,11 @@ class TestReport:
 
 class TestNegativeControls:
     @pytest.mark.parametrize("variant", ["alt-a", "alt-b"])
-    def test_wrong_transcription_fails_the_report(self, default_grid, variant):
-        report = build_report("strict", grid=default_grid, variant=variant)
+    def test_wrong_transcription_fails_the_report(self, variant):
+        report = build_report("strict", variant=variant)
         assert not report.overall_pass
         # every check and constant that reads the closed forms fails; the
-        # grid-only checks and the SI constants (built on the derived Q)
+        # Sturmian checks and the SI constants (built on the derived Q)
         # cannot depend on the variant
         failed = {c.name for c in report.checks + report.constants if not c.passed}
         passed = {c.name for c in report.checks + report.constants if c.passed}

@@ -22,15 +22,15 @@ from gauge_workbench.errors import (
     DomainError,
     NearResonanceError,
 )
-from gauge_workbench.identities import TOL_ORACLE
+from gauge_workbench.identities import TOL_ONE_PHOTON, TOL_ORACLE
 from gauge_workbench.oracle import (
     OracleState,
     RadialGrid,
     ac_stark_sides,
     build_oracle,
-    check_one_photon_ratio,
     gauge_pair_oracle,
     green_solve,
+    one_photon_ratio,
     p_oracle,
     pseudostate_q,
     q_oracle,
@@ -414,7 +414,7 @@ def fresh_grid(small_grid):
 class TestInverseIteration:
     @pytest.mark.parametrize(
         "grid",
-        [RadialGrid(6000), RadialGrid(24000),
+        [RadialGrid(), RadialGrid(24000),
          RadialGrid(2000, r_max=700.0, r_min=1e-12), RadialGrid(2000, r_max=700.0, r_min=1e-2)],
         ids=["default", "24000", "r_min-1e-12-r_max-700", "r_min-1e-2-r_max-700"])
     def test_one_factorization_per_state(self, lapack_calls, grid):
@@ -452,11 +452,13 @@ class TestInverseIteration:
             assert np.max(np.abs(mode - v)) <= 1e-14 * np.max(np.abs(v))
         assert lapack_calls == {"dgbtrf": 3, "dgbtrs": 6}
 
-    @pytest.mark.parametrize("r_min", [1e-9, 1e-2], ids=["default", "r_min-1e-2"])
-    def test_bound_states_match_a_per_shift_layout_bit_for_bit(self, r_min):
+    @pytest.mark.parametrize(
+        "grid", [RadialGrid(), RadialGrid(6000, r_min=1e-9), RadialGrid(6000, r_min=1e-2)],
+        ids=["default", "6000-r_min-1e-9", "r_min-1e-2"])
+    def test_bound_states_match_a_per_shift_layout_bit_for_bit(self, grid):
         # the per-state dgbtrf layout, shifted per factorization, and the
         # reused K v change no bit of any state
-        state = build_oracle(RadialGrid(6000, r_min=r_min))
+        state = build_oracle(grid)
         for bound in (state.s1, state.s2, state.s2p):
             energy, u = _inverse_iteration_reference(state, *bound.label)
             assert bound.energy == energy
@@ -803,34 +805,35 @@ class TestOnePhotonRatio:
         state = build_oracle(default_grid)
         gap = state.s2p.energy - state.s1.energy
         for omega in (0.1, 0.2, 0.3):
-            ratio = check_one_photon_ratio(default_grid, omega)
+            ratio, expected = one_photon_ratio(default_grid, omega)
             assert abs(ratio * omega - gap) < 1e-8
+            assert expected == gap / omega
 
     def test_half_gap_doubles_the_ratio(self, default_grid):
         state = build_oracle(default_grid)
         gap = state.s2p.energy - state.s1.energy
-        ratio = check_one_photon_ratio(default_grid, gap / 2.0)
+        ratio, _ = one_photon_ratio(default_grid, gap / 2.0)
         assert math.isclose(ratio, 2.0, rel_tol=1e-8)
 
     def test_known_frequency_value(self, default_grid):
-        assert math.isclose(check_one_photon_ratio(default_grid, 0.2),
+        assert math.isclose(one_photon_ratio(default_grid, 0.2)[0],
                             1.875, rel_tol=1e-8)
 
     def test_degenerate_frequency_is_flagged(self, default_grid):
         state = build_oracle(default_grid)
         gap = state.s2p.energy - state.s1.energy
         with pytest.raises(DegenerateError):
-            check_one_photon_ratio(default_grid, gap)
+            one_photon_ratio(default_grid, gap)
 
     @pytest.mark.parametrize("omega", [0.0, -0.2])
     def test_rejects_nonpositive_frequency(self, default_grid, omega):
         with pytest.raises(DomainError):
-            check_one_photon_ratio(default_grid, omega)
+            one_photon_ratio(default_grid, omega)
 
     @pytest.mark.parametrize("omega", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_frequency(self, default_grid, omega):
         with pytest.raises(DomainError, match="positive and finite"):
-            check_one_photon_ratio(default_grid, omega)
+            one_photon_ratio(default_grid, omega)
 
 
 class TestAcStark:
@@ -876,8 +879,10 @@ class TestDefaultGridAccuracy:
         source = functools.partial(gauge_pair_oracle, default_grid)
         checks = (
             (identities.check_master_identity(source, r2_overlap(default_grid), TOL_ORACLE), 3e-9),
-            (identities.check_ac_stark(default_grid), 4e-10),
-            (identities.check_one_photon(default_grid), 9e-11),
+            (identities.check_ac_stark(functools.partial(ac_stark_sides, default_grid),
+                                       TOL_ORACLE), 4e-10),
+            (identities.check_one_photon(functools.partial(one_photon_ratio, default_grid),
+                                         TOL_ONE_PHOTON), 9e-11),
         )
         for check, bound in checks:
             assert check.max_residual < bound, check.name
