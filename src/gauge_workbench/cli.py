@@ -30,7 +30,6 @@ from typing import TYPE_CHECKING
 from .closedform import SOURCES, X_MAX, GaugeAmplitudes, source_named, two_color_combination
 from .errors import ConvergenceError, DomainError
 from .rabi import beta_prefactor, load_constants
-from .sturmian import BASIS_SIZE, LAMBDA
 
 if TYPE_CHECKING:
     from .identities import VerificationReport
@@ -141,7 +140,8 @@ def cmd_scan(args: argparse.Namespace) -> int:
 
 
 def _report_document(report: VerificationReport, args: argparse.Namespace,
-                     grid: RadialGrid | None, constants_provenance: str) -> dict:
+                     grid: RadialGrid | None, basis: tuple[int, float],
+                     constants_provenance: str) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
         "constants_provenance": constants_provenance,
@@ -153,8 +153,8 @@ def _report_document(report: VerificationReport, args: argparse.Namespace,
             "grid_points": None if grid is None else grid.n_points,
             "r_max": None if grid is None else grid.r_max,
             "r_min": None if grid is None else grid.r_min,
-            "basis_size": BASIS_SIZE if grid is None else None,
-            "basis_lambda": LAMBDA if grid is None else None,
+            "basis_size": basis[0] if grid is None else None,
+            "basis_lambda": basis[1] if grid is None else None,
             "constants_file": args.constants_file,
             "formula_variant": args.formula_variant,
         },
@@ -184,8 +184,10 @@ def _report_document(report: VerificationReport, args: argparse.Namespace,
 
 def cmd_verify(args: argparse.Namespace) -> int:
     # identities imports the grid oracle, and with it numpy and scipy, only
-    # for --profile oracle; compute, scan and strict verify run on the stdlib
+    # for --profile oracle; compute, scan and strict verify run on the stdlib,
+    # and compute and scan load neither identities nor the Sturmian basis
     from .identities import build_report
+    from .sturmian import BASIS_SIZE, LAMBDA
 
     k = load_constants(args.constants_file)
     grid = _resolve_grid(args)
@@ -204,7 +206,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     print(f"overall: {'PASS' if report.overall_pass else 'FAIL'}")
 
     if args.out:
-        doc = _report_document(report, args, grid, k.provenance_tag)
+        doc = _report_document(report, args, grid, (BASIS_SIZE, LAMBDA), k.provenance_tag)
         _atomic_write(args.out, json.dumps(doc, indent=2) + "\n")
     return EXIT_OK if report.overall_pass else EXIT_VERIFY_FAIL
 

@@ -267,8 +267,9 @@ def build_report(profile: str = "strict",
         if grid is not None:
             raise DomainError("a grid applies to profile 'oracle' only")
         master = check_master_identity(source)
-        ac_stark = replace(check_ac_stark(), source="sturmian")
-        one_photon = replace(check_one_photon(), source="sturmian")
+        ac_stark_sides, one_photon_sides = sturmian.report_sides()
+        ac_stark = replace(check_ac_stark(ac_stark_sides), source="sturmian")
+        one_photon = replace(check_one_photon(one_photon_sides), source="sturmian")
     checks = (
         master,
         check_resonance_pq(source),

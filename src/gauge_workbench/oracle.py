@@ -18,18 +18,19 @@ where w = sqrt(r) u and the y-grid quadrature is simply h * sum (the
 trapezoid weights of a decaying integrand on a uniform grid).  Every grid
 derivative comes from a weight table with its own denominator, _STENCIL
 for -(1/2) d^2/dy^2 in K and _DERIVATIVE for d/dy in the velocity-gauge
-driving term u' - u/r.  Past r_max both take u = 0.  Below r_min, K takes
-ghost points on the regular-origin power law D w ~ r^(l + 1/2), which
-fold into its first _KD diagonal entries (_hamiltonian_bands); the
-driving term keeps u = 0 there.  No edge row is written out, and the
-order of the discretization (fourth) is stated in the tables alone.  K
-has half-bandwidth _KD = 2 and is stored once per state in
-LAPACK's lower symmetric band storage (row k holds K[j + k, j] at column
-j; row 0 is the diagonal); every consumer reads that one layout: K w, the
-backward-error gates, banded Cholesky, the banded eigensolver, and the
-pivoted-LU layout each state expands from it once.  Resolvent solves
-factor K - E by banded Cholesky (dpbtrf/dpbtrs, called directly; lower
-storage gives their BLAS calls unit stride), O(n) per right-hand side.
+driving term u' - u/r.  Past r_max both take u = 0.  Below r_min, K
+takes ghost points on the first two terms of the regular solution, D w ~
+r^(l + 1/2) (1 - r / (l + 1)), which fold into its first _KD diagonal
+entries (_hamiltonian_bands); the driving term keeps u = 0 there.  No
+edge row is written out, and the order of the discretization (fourth) is
+stated in the tables alone.  K has half-bandwidth _KD = 2 and is stored
+once per state in LAPACK's lower symmetric band storage (row k holds
+K[j + k, j] at column j; row 0 is the diagonal); every consumer reads
+that one layout: K w, the backward-error gates, banded Cholesky, the
+banded eigensolver, and the pivoted-LU layout each state expands from it
+once.  Resolvent solves factor K - E by banded Cholesky (dpbtrf/dpbtrs,
+called directly; lower storage gives their BLAS calls unit stride), O(n)
+per right-hand side.
 That is valid because every resolvent energy here lies below the whole
 l = 1 spectrum: E_1S +- x with 0 < x < 3/8, at least 1e-6 Hartree below
 the grid's 2P level, so K - E is positive definite.  One factorization
@@ -46,21 +47,24 @@ same routine objects.  Where the file is not found, the routines come
 from scipy.linalg.lapack instead, which holds the same objects.
 
 Three error terms set the grid defaults.  Truncating the grid at r_min
-with the power-law ghosts shifts E_1S by 2 r_min^2 (u = 0 at r_min would
-cost 2 r_min): 2e-12 Hartree at the default r_min = 1e-6.  The stencil
-error scales as h^4, and roundoff in the Rayleigh quotient grows like
-eps / h^2, because the diagonal of K reaches 1/(h r_min)^2; together they
-leave E_1S scattered by up to a few 1e-11 from one point count to the
-next.  That floor is why r_min stops at 1e-6: smaller values only add
-points below r = 1e-6, and 4350 points keep the spacing h = 0.0041843
-of the former 6000-point grid from 1e-9.  On the default grid Q reads
-1e-11 relative at x = 3/16 and 5e-10 at x = 0.37, the error growing
-like 1 / (3/8 - x) toward the 2P pole (2e-8 at x = 0.3749).  The
-driving term's u = 0 below r_min meets l = 1 partners that vanish like
-r^(5/2) in w, so up to r_min = 1e-5 no amplitude moves by a bit.
+with these ghosts shifts E_1S by -2 r_min^3 (ghosts on the power law
+r^(l + 1/2) alone cost +2 r_min^2, u = 0 at r_min 2 r_min): 2e-12 Hartree
+at the default r_min = 1e-4.  The stencil error scales as h^4, and
+roundoff in the Rayleigh quotient grows like eps / h^2, because the
+diagonal of K reaches 1/(h r_min)^2; together they leave E_1S scattered
+by up to a few 1e-11 from one point count to the next.  That floor is
+why r_min stops at 1e-4: smaller values only add points below r = 1e-4,
+and 3249 points keep the spacing h = 0.0041848 of the former 4350-point
+grid from 1e-6.  On the default grid Q reads 6e-12 relative at x = 3/16
+and 3e-11 at x = 0.37, up to 2e-10 and 4e-9 within 10 points of the
+default count, the error growing like 1 / (3/8 - x) toward the 2P pole
+(up to 2e-7 at x = 0.3749).  The driving term's u = 0 below r_min meets
+l = 1 partners that vanish like r^(5/2) in w: at r_min = 1e-4 it moves P
+by 2e-12 to 5e-12 relative against ghosts on u ~ r (1 - r), far under
+the grid's own 1e-10 to 1e-9 error in P.
 
 RadialGrid states the grid's domain with a reason for each bound: r_min
-in [1e-12, 1e-2], where the closure error 2 r_min^2 stays under 2e-4
+in [1e-12, 1e-2], where the closure error -2 r_min^3 stays under 2e-6
 Hartree and every 1/r^2 band entry is finite, and r_max in [60, 700],
 short of r ~ 708, where the 1S tail e^-r falls below the smallest normal
 double (from r_max = 1000 the l = 1 resolvent misses its gate).
@@ -69,7 +73,7 @@ Eigenpairs are found by inverse iteration shifted to the known hydrogen
 energies, where K - E is indefinite: K is factored by pivoted banded LU,
 from a copy of the state's LU layout, once at that shift, and every step
 is one pair of triangular solves with those factors.  Inside the domain
-every grid level lies within 2e-4 Hartree of its shift, so one
+every grid level lies within 2e-6 Hartree of its shift, so one
 factorization converges each state, in two solves on the default grid.
 The pseudostate sum takes only eigenvalues from LAPACK's banded
 eigensolver dsbevx, called directly, and gets each mode's vector by the
@@ -159,14 +163,14 @@ class RadialGrid:
 
     Its checks state the oracle's whole domain, each bound with its reason:
     n_points in [2000, 200000], r_max in [60, 700], r_min in [1e-12, 1e-2].
-    The defaults put the r_min error, 2 r_min^2 in E_1S with the oracle's
-    regular-origin closure, at 2e-12, under the ~1e-11 scatter of the
-    stencil and roundoff; 4350 points then give the spacing h = 0.0041843
+    The defaults put the r_min error, -2 r_min^3 in E_1S with the oracle's
+    cusp-corrected closure, at 2e-12, under the ~1e-11 scatter of the
+    stencil and roundoff; 3249 points then give the spacing h = 0.0041848
     (see the oracle module docstring for the budget)."""
 
-    n_points: int = 4350
+    n_points: int = 3249
     r_max: float = 80.0
-    r_min: float = 1e-6
+    r_min: float = 1e-4
 
     def __post_init__(self) -> None:
         if not _is_index(self.n_points):
@@ -181,7 +185,7 @@ class RadialGrid:
                               "the 2S tail; past r ~ 708 the 1S tail e^-r underflows)")
         if not 1e-12 <= self.r_min <= 1e-2:
             raise DomainError(f"r_min = {self.r_min} outside [1e-12, 1e-2] (at 1e-2 E_1S "
-                              "is off by 2 r_min^2 = 2e-4; at 1e-12 that is far under "
+                              "is off by 2 r_min^3 = 2e-6; at 1e-12 that is far under "
                               "roundoff and the bands stay finite)")
 
     def refined(self) -> "RadialGrid":
@@ -256,17 +260,20 @@ def _hamiltonian_bands(l: int, h: float, r: np.ndarray) -> np.ndarray:
     K[j + k, j] at column j, the diagonal is row 0.
 
     The stencil's neighbours below the grid are ghost points on the
-    regular-origin power law D w ~ r^(l + 1/2): k steps below row i the
-    value is (D w)_i e^(-k (l + 1/2) h).  Each ghost is a multiple of its
+    regular solution's first two terms, D w ~ r^(l + 1/2) (1 - r / (l + 1))
+    (Kato's cusp condition, Z = 1): k steps below row i the value is
+    (D w)_i e^(-k (l + 1/2) h) (1 - r_i e^(-k h) / (l + 1)) / (1 - r_i / (l + 1)).
+    Neither term depends on the energy, and each ghost is a multiple of its
     own row's value, so it folds into the first _KD diagonal entries and K
     stays symmetric."""
     weights, denominator = _STENCIL
     n = r.size
     scale = denominator * h * h
-    a = l + 0.5
+    a, c = l + 0.5, 1.0 / (l + 1)
     ghost = np.zeros(n)
     for i in range(_KD):
-        ghost[i] = sum(weights[k] * math.exp(-k * a * h) for k in range(i + 1, _KD + 1)) / scale
+        ghost[i] = sum(weights[k] * math.exp(-k * a * h) * (1.0 - c * r[i] * math.exp(-k * h))
+                       for k in range(i + 1, _KD + 1)) / ((1.0 - c * r[i]) * scale)
     ab = np.zeros((_KD + 1, n))
     ab[0] = (weights[0] / scale + ghost + 0.5 * l * (l + 1) + 0.125 - r) / (r * r)
     for k in range(1, _KD + 1):
@@ -377,7 +384,7 @@ def _solve_on_state(state: OracleState, n: int, l: int) -> BoundState:
     w /= np.sqrt(h * np.dot(w, w))
     what = f"(n,l)=({n},{l})"
     # On every grid RadialGrid accepts, the hydrogen energy lies within the
-    # r_min and h^4 shifts (at most 2e-4 Hartree) of the grid eigenvalue, so
+    # r_min and h^4 shifts (at most 2e-6 Hartree) of the grid eigenvalue, so
     # inverse iteration at that fixed shift gains many digits per step and
     # one factorization serves every step.  The first quotient still carries
     # the seed's error, so the loop always takes a second solve.  Roundoff

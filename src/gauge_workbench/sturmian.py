@@ -17,7 +17,8 @@ E_1S and <1S|1S> are its own H and S entries, and both gauges' driving
 terms are exact and sparse: r u_1S = phi_0 / 2 gives b_L = S e_0 / 2 =
 (6, -6, 0, ...), and u_1S' - u_1S/r = -2 r e^-r gives b_V = (-3, 0, ...).
 The 2P state is the lowest eigenpair of the l = 1 pencil, by inverse
-iteration.
+iteration; report_sides builds that pencil and that state once for all
+the calls of one report.
 
 Both gauge identities therefore hold exactly in the Galerkin algebra:
 since r u_1S lies in the basis, (H - E_1S S) e_0 / 2 = -b_V entry by
@@ -36,6 +37,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
+from functools import partial
 
 from .closedform import require_window
 from .errors import ConvergenceError, DegenerateError, DomainError
@@ -131,10 +133,9 @@ def _state_1s() -> tuple[float, float]:
     return h / s, s
 
 
-def _state_2p() -> tuple[float, list[float]]:
+def _state_2p(pencil: Pencil) -> tuple[float, list[float]]:
     """Lowest eigenpair (E_2P, c) of the l = 1 pencil H c = E S c, c
     normalized in S."""
-    pencil = _pencil(1, BASIS_SIZE)
     h_diag, h_off, s_diag, s_off = pencil
     solve = _factor(pencil, -0.125 - _SHIFT_BELOW_LEVEL)
     c = [1.0] + [0.0] * (len(h_diag) - 1)
@@ -149,16 +150,17 @@ def _state_2p() -> tuple[float, list[float]]:
     raise ConvergenceError(f"2P inverse iteration stalled at vector change {change:.2e}")
 
 
-def ac_stark_sides(x: float) -> tuple[float, float]:
+def ac_stark_sides(x: float, pencil: Pencil | None = None) -> tuple[float, float]:
     """Both sides of the dynamic-polarizability gauge identity at +-x.
 
     Left: the velocity-gauge response b_V (H - E S)^-1 b_V summed over
     E = E_1S +- x, minus 3 <1S|1S>.  Right: x^2 times the length-gauge
     response summed the same way.  The window keeps E_1S + x below -1/8,
     and the basis's 2P level, a Galerkin upper bound, lies above -1/8, so
-    H - E S is positive definite at both energies."""
+    H - E S is positive definite at both energies.  ``pencil`` is the l = 1
+    pencil of BASIS_SIZE functions, built here unless given."""
     require_window(x)
-    pencil = _pencil(1, BASIS_SIZE)
+    pencil = _pencil(1, BASIS_SIZE) if pencil is None else pencil
     e_1s, norm_1s = _state_1s()
     b_len, b_vel = _driving_terms()
     lhs, rhs = -3.0 * norm_1s, 0.0
@@ -169,15 +171,17 @@ def ac_stark_sides(x: float) -> tuple[float, float]:
     return lhs, x * x * rhs
 
 
-def one_photon_ratio(omega: float) -> tuple[float, float]:
+def one_photon_ratio(omega: float,
+                     state_2p: tuple[float, list[float]] | None = None) -> tuple[float, float]:
     """Velocity- over length-gauge 1S-2P element, and (E_2P - E_1S) / omega.
 
     Exact states make the two equal; omega at the level gap, where the
-    ratio tends to 1 trivially, is a DegenerateError."""
+    ratio tends to 1 trivially, is a DegenerateError.  ``state_2p`` is the
+    (E_2P, c) of _state_2p, solved here unless given."""
     if not 0.0 < omega < math.inf:
         raise DomainError(f"photon energy must be positive and finite, got {omega}")
     e_1s, _ = _state_1s()
-    e_2p, c_2p = _state_2p()
+    e_2p, c_2p = _state_2p(_pencil(1, BASIS_SIZE)) if state_2p is None else state_2p
     gap = e_2p - e_1s
     if abs(omega - gap) < _DEGENERACY_GAP:
         raise DegenerateError("one-photon resonance: the gauge ratio tends to 1 trivially")
@@ -185,3 +189,11 @@ def one_photon_ratio(omega: float) -> tuple[float, float]:
     # the two i factors of the momentum operator give the physical ratio
     # -m_vel / (omega m_len)
     return -_dot(c_2p, b_vel) / (omega * _dot(c_2p, b_len)), gap / omega
+
+
+def report_sides() -> tuple[Callable[[float], tuple[float, float]], ...]:
+    """ac_stark_sides and one_photon_ratio over one l = 1 pencil and one 2P
+    eigenpair, built once for the calls of one report."""
+    pencil = _pencil(1, BASIS_SIZE)
+    return (partial(ac_stark_sides, pencil=pencil),
+            partial(one_photon_ratio, state_2p=_state_2p(pencil)))

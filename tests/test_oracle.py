@@ -4,6 +4,7 @@ The default grid is built once per session (construction is cached), so
 these tests mostly cost one banded solve each.
 """
 
+import dataclasses
 import functools
 import math
 import types
@@ -66,9 +67,9 @@ def _lu_bands(ab, shift):
 class TestRadialGrid:
     def test_defaults_satisfy_floors(self):
         grid = RadialGrid()
-        assert grid.n_points == 4350
+        assert grid.n_points == 3249
         assert grid.r_max == 80.0
-        assert grid.r_min == 1e-6
+        assert grid.r_min == 1e-4
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -84,7 +85,7 @@ class TestRadialGrid:
             {"n_points": 10**9},
             # past the domain's edges: r^2 overflows at 1e300 and the bands
             # at 1e-200; the 1S tail underflows past r ~ 708; the closure
-            # error passes 2e-4 Hartree above r_min = 1e-2
+            # error passes 2e-6 Hartree above r_min = 1e-2
             {"r_max": 1e300},
             {"r_min": 1e-200},
             {"r_min": 1e-13},
@@ -102,11 +103,11 @@ class TestRadialGrid:
             RadialGrid(n_points=n_points)
 
     def test_accepts_numpy_integer_point_counts(self):
-        assert RadialGrid(n_points=np.int64(4350)) == RadialGrid()
+        assert RadialGrid(n_points=np.int64(3249)) == RadialGrid()
 
     def test_refined_doubles_points(self):
         grid = RadialGrid()
-        assert grid.refined().n_points == 8700
+        assert grid.refined().n_points == 6498
 
 
 def _bound_state(grid, n, l):
@@ -147,14 +148,20 @@ def _dense_operator(l, h, r):
     """K_l as a dense matrix, entry by entry from the five-point formula:
     (30, -16, 1) / (24 h^2) on the diagonal and the first two off-diagonals,
     conjugated by diag(1/r), plus (l(l+1)/2 + 1/8 - r) / r^2 on the diagonal.
-    The ghost points below the grid, (D w)_i e^(-k (l + 1/2) h) for the
-    neighbour k steps below row i, add (-16 e^(-ah) + e^(-2ah)) / (24 h^2)
-    to row 0 and e^(-2ah) / (24 h^2) to row 1 before the division by r^2."""
+    The ghost points below the grid, (D w)_i e^(-k a h) f(r_i e^(-k h)) /
+    f(r_i) for the neighbour k steps below row i, with a = l + 1/2 and
+    f(r) = 1 - c r, c = 1/(l + 1), add (-16 e^(-ah) f(r_0 e^-h) +
+    e^(-2ah) f(r_0 e^(-2h))) / (f(r_0) 24 h^2) to row 0 and
+    e^(-2ah) f(r_1 e^(-2h)) / (f(r_1) 24 h^2) to row 1 before the division
+    by r^2."""
     n = r.size
-    a = l + 0.5
+    a, c = l + 0.5, 1.0 / (l + 1)
     ghost = np.zeros(n)
-    ghost[0] = (-16.0 * math.exp(-a * h) + 1.0 * math.exp(-2.0 * a * h)) / (24.0 * h * h)
-    ghost[1] = 1.0 * math.exp(-2.0 * a * h) / (24.0 * h * h)
+    ghost[0] = ((-16.0 * math.exp(-a * h) * (1.0 - c * r[0] * math.exp(-h))
+                 + 1.0 * math.exp(-2.0 * a * h) * (1.0 - c * r[0] * math.exp(-2.0 * h)))
+                / ((1.0 - c * r[0]) * (24.0 * h * h)))
+    ghost[1] = (1.0 * math.exp(-2.0 * a * h) * (1.0 - c * r[1] * math.exp(-2.0 * h))
+                / ((1.0 - c * r[1]) * (24.0 * h * h)))
     dense = np.zeros((n, n))
     for i in range(n):
         dense[i, i] = (30.0 / (24.0 * h * h) + ghost[i] + 0.5 * l * (l + 1) + 0.125
@@ -426,7 +433,7 @@ class TestInverseIteration:
             assert lapack_calls["dgbtrs"] <= 3
 
     def test_r_min_cap_matches_rayleigh_iteration(self, lapack_calls):
-        # r_min = 1e-2, the domain's cap, lifts E_1S by 2e-4 off its
+        # r_min = 1e-2, the domain's cap, moves E_1S by -2e-6 off its
         # hydrogen shift; one factorization per state still converges, to
         # the states and energies of the iteration that factors at every step
         state = OracleState(RadialGrid(6000, r_min=1e-2))
@@ -765,13 +772,26 @@ class TestAmplitudeMemo:
 
     @pytest.mark.parametrize("r_min,x", [(1e-2, 0.3749), (1e-3, 0.3749995)],
                              ids=["r_min-1e-2", "r_min-1e-3"])
-    def test_energy_above_the_2p_level_is_near_resonance(self, cholesky_calls, r_min, x):
-        # A large r_min lifts E_1S by about 2 r_min^2 (2e-4 at 1e-2, 2e-6 at
-        # 1e-3), so x < 3/8 can put E_1S + x above the grid's 2P level,
-        # where K - E is indefinite: the guard must reject it before any
-        # factorization, not only within 1e-6 of the level.
+    def test_energy_above_the_2p_level_is_near_resonance(self, cholesky_calls, monkeypatch,
+                                                         r_min, x):
+        # A 1S level lifted by 2 r_min^2 (2e-4 at 1e-2, 2e-6 at 1e-3; the
+        # shift of a closure on the power law alone) lets x < 3/8 put
+        # E_1S + x above the grid's 2P level, where K - E is indefinite: the
+        # guard must reject it before any factorization, not only within
+        # 1e-6 of the level.  The cusp-corrected closure leaves E_1S
+        # 2 r_min^3 below -1/2 on every grid of the domain, so a stub lifts it.
+        real = oracle._solve_on_state
+
+        def lifted(state, n, l):
+            bound = real(state, n, l)
+            if (n, l) != (1, 0):
+                return bound
+            return dataclasses.replace(bound, energy=bound.energy + 2.0 * r_min * r_min)
+
+        monkeypatch.setattr(oracle, "_solve_on_state", lifted)
         grid = RadialGrid(6000, r_min=r_min)
-        state = build_oracle(grid)
+        state = OracleState(grid)
+        monkeypatch.setattr(oracle, "build_oracle", lambda g: state)
         assert state.s1.energy + x - state.s2p.energy > oracle._NEAR_RESONANCE_GAP
         for _ in range(2):
             for amplitude in (q_oracle, p_oracle, gauge_pair_oracle, pseudostate_q):
@@ -859,12 +879,14 @@ def _relative_error(computed, exact):
 
 
 class TestDefaultGridAccuracy:
-    """What the regular-origin closure buys on RadialGrid() (4350 points from
-    r_min = 1e-6).  Each bound is three times the worst value over the
-    neighbouring grids of 4340 to 4360 points, whose scatter is the
-    roundoff floor ~eps/h^2 in the energies.  With the u(r_min) = 0 closure
-    at the former default (6000 points from 1e-9) every column but the two
-    roundoff-level checks reads 13 to 29 times its bound."""
+    """What the regular-origin closure buys on RadialGrid().  Each bound is
+    three times the worst value over the grids of 4340 to 4360 points from
+    r_min = 1e-6, a former default, whose scatter is the roundoff floor
+    ~eps/h^2 in the energies.  The cusp-corrected closure keeps 3249 points
+    from 1e-4, at the same spacing, under every bound: over 3239 to 3259
+    points the worst value reads 0.2 to 0.4 of its bound.  With the
+    u(r_min) = 0 closure at an older default (6000 points from 1e-9) every
+    column but the two roundoff-level checks reads 13 to 29 times its bound."""
 
     def test_energy_and_matrix_elements(self, default_grid):
         state = build_oracle(default_grid)
@@ -887,14 +909,46 @@ class TestDefaultGridAccuracy:
         for check, bound in checks:
             assert check.max_residual < bound, check.name
 
-    def test_r_min_error_is_quadratic(self):
-        # E_1S + 1/2 = 2 r_min^2 with the closure; u(r_min) = 0 gives
-        # 2 r_min (2e-4 and 2e-5 here, a ratio of 10 instead of 100)
-        lifts = {r_min: OracleState(RadialGrid(6000, r_min=r_min)).s1.energy + 0.5
-                 for r_min in (1e-4, 1e-5)}
+    def test_r_min_error_is_cubic(self):
+        # E_1S + 1/2 = -2 r_min^3 with the cusp-corrected closure (-2e-6 and
+        # -5.4e-8 here, a ratio of (10/3)^3 = 37)
+        lifts = _closure_lifts()
         for r_min, lift in lifts.items():
-            assert math.isclose(lift, 2.0 * r_min * r_min, rel_tol=0.01)
-        assert 90.0 < lifts[1e-4] / lifts[1e-5] < 110.0
+            assert math.isclose(lift, -2.0 * r_min ** 3, rel_tol=0.02)
+        assert 35.0 < lifts[1e-2] / lifts[3e-3] < 39.0
+
+    def test_power_law_closure_error_is_quadratic(self, monkeypatch):
+        # negative control: without the first-order factor the ghosts lie on
+        # r^(l + 1/2) alone and E_1S + 1/2 = +2 r_min^2, less an r_min^3
+        # term (0.968x and 0.989x here)
+        monkeypatch.setattr(oracle, "_hamiltonian_bands", _power_law_bands)
+        for r_min, lift in _closure_lifts().items():
+            assert math.isclose(lift, 2.0 * r_min * r_min, rel_tol=0.05)
+
+    def test_default_keeps_the_former_spacing(self, default_grid):
+        # 3249 points from 1e-4 keep the h of 4350 points from 1e-6
+        former = (math.log(80.0) - math.log(1e-6)) / 4349
+        assert math.isclose(build_oracle(default_grid).h, former, rel_tol=2e-4)
+
+
+def _closure_lifts():
+    """E_1S + 1/2 on 6000 points from r_min = 1e-2 and 3e-3, where the
+    r_min term dominates the stencil and roundoff errors."""
+    return {r_min: OracleState(RadialGrid(6000, r_min=r_min)).s1.energy + 0.5
+            for r_min in (1e-2, 3e-3)}
+
+
+def _power_law_bands(l, h, r, _bands=oracle._hamiltonian_bands):
+    """K_l with its ghost points on the power law D w ~ r^(l + 1/2) alone,
+    k steps below row i at (D w)_i e^(-k (l + 1/2) h)."""
+    ab = _bands(l, h, r)
+    weights, denominator = oracle._STENCIL
+    scale = denominator * h * h
+    for i in range(oracle._KD):
+        ghost = sum(weights[k] * math.exp(-k * (l + 0.5) * h)
+                    for k in range(i + 1, oracle._KD + 1))
+        ab[0, i] = ((weights[0] + ghost) / scale + 0.5 * l * (l + 1) + 0.125 - r[i]) / r[i] ** 2
+    return ab
 
 
 def _pseudostate_reference(grid, xs, count=30):
