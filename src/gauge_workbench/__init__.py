@@ -13,7 +13,6 @@ from .closedform import (
 )
 from .errors import (
     ConvergenceError,
-    DegenerateError,
     DomainError,
     NearResonanceError,
     PoleError,
@@ -31,7 +30,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ConvergenceError",
-    "DegenerateError",
     "DomainError",
     "GaugeAmplitudes",
     "NearResonanceError",

@@ -129,7 +129,8 @@ def cmd_scan(args: argparse.Namespace) -> int:
     step = (args.x_max - args.x_min) / (args.steps - 1)
     lines = ["x,f1,f2,delta" + "".join("," + c for c in extras)]
     for i in range(args.steps):
-        x = args.x_min + i * step
+        # x_min + i step can round the last row past x_max, out of the window
+        x = args.x_max if i == args.steps - 1 else args.x_min + i * step
         pair = GaugeAmplitudes.at(x, source)
         row = [x, pair.f1, pair.f2, pair.delta]
         for name in extras:

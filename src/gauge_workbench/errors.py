@@ -2,10 +2,9 @@
 
 The hierarchy separates two failure families: arguments outside the
 supported mathematical domain (DomainError and its PoleError refinement),
-and grid solves that miss their targets (ConvergenceError).  Two
-ConvergenceError subclasses are guards raised before any solve:
-NearResonanceError for a resolvent energy too close to a level, and
-DegenerateError for a ratio asked for where it is trivially 1.
+and grid solves that miss their targets (ConvergenceError).  One
+ConvergenceError subclass is a guard raised before any solve:
+NearResonanceError, for a resolvent energy too close to a level.
 """
 
 from __future__ import annotations
@@ -27,7 +26,3 @@ class NearResonanceError(ConvergenceError):
     """The resolvent energy is too close to a discrete level for a
     well-conditioned solve."""
 
-
-class DegenerateError(ConvergenceError):
-    """A ratio check was requested at the exact degeneracy where it
-    becomes trivial (the limiting value is 1)."""

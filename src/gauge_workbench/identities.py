@@ -4,8 +4,10 @@ Each check evaluates an identity that must hold exactly in continuum
 mathematics and records the residual at the fixed abscissas of its module
 constant.  The checks of the gauge amplitudes read them from an amplitude
 source, x -> (Q, P): the derived closed forms, a negative control or the
-grid oracle.  ac_stark and one_photon_ratio read a sides source instead,
-x -> (left side, right side) of their identity.
+grid oracle.  ac_stark reads a sides source instead, x -> (left side,
+right side) of its identity, and one_photon_ratio reads the 1S-2P
+elements (m_len, m_vel, E_2P - E_1S), which involve no photon energy,
+and brings in the photon energies itself.
 
 The two profiles of build_report differ in those sources:
 
@@ -192,15 +194,18 @@ def check_delta_linear(source: AmplitudeSource = derived_pair) -> IdentityCheck:
     return _make_check("delta_linear", DELTA_GRID, residuals, TOL_CLOSED)
 
 
-def check_one_photon(sides: SidesSource = sturmian.one_photon_ratio,
+def check_one_photon(elements: tuple[float, float, float] | None = None,
                      tol: float = TOL_CLOSED) -> IdentityCheck:
-    """Velocity over length 1S-2P dipole element against (E_f - E_i)/omega.
+    """Velocity over length 1S-2P dipole element against (E_2P - E_1S)/omega.
 
-    Both matrix elements and the energies come from the same source (the
-    Sturmian basis by default, or ``partial(oracle.one_photon_ratio,
-    grid)``), so the residual isolates the gauge relation from the
-    source's own truncation error."""
-    residuals = tuple(ratio - gap for ratio, gap in map(sides, ONE_PHOTON_OMEGAS))
+    elements is (m_len, m_vel, E_2P - E_1S) from one source: the Sturmian
+    basis when None, or ``oracle.one_photon_elements(grid)``.  Both matrix
+    elements and the gap come from the same states, so the residual
+    isolates the gauge relation from the source's own truncation error.
+    The two i factors of the momentum operator make the physical ratio
+    -m_vel / (omega m_len); it equals 1 only at omega = E_2P - E_1S."""
+    m_len, m_vel, gap = sturmian.one_photon_elements() if elements is None else elements
+    residuals = tuple(-m_vel / (omega * m_len) - gap / omega for omega in ONE_PHOTON_OMEGAS)
     return _make_check("one_photon_ratio", ONE_PHOTON_OMEGAS, residuals, tol)
 
 
@@ -261,15 +266,14 @@ def build_report(profile: str = "strict",
                          source="grid")
         ac_stark = replace(check_ac_stark(partial(oracle.ac_stark_sides, grid), TOL_ORACLE),
                            source="grid")
-        one_photon = replace(check_one_photon(partial(oracle.one_photon_ratio, grid),
+        one_photon = replace(check_one_photon(oracle.one_photon_elements(grid),
                                               TOL_ONE_PHOTON), source="grid")
     else:
         if grid is not None:
             raise DomainError("a grid applies to profile 'oracle' only")
         master = check_master_identity(source)
-        ac_stark_sides, one_photon_sides = sturmian.report_sides()
-        ac_stark = replace(check_ac_stark(ac_stark_sides), source="sturmian")
-        one_photon = replace(check_one_photon(one_photon_sides), source="sturmian")
+        ac_stark = replace(check_ac_stark(), source="sturmian")
+        one_photon = replace(check_one_photon(), source="sturmian")
     checks = (
         master,
         check_resonance_pq(source),

@@ -97,12 +97,11 @@ import numpy as np
 import scipy
 
 from .closedform import require_window
-from .errors import ConvergenceError, DegenerateError, DomainError, NearResonanceError
+from .errors import ConvergenceError, DomainError, NearResonanceError
 
 _RESIDUAL_TARGET = 1e-8
 _RESOLVENT_TARGET = 1e-12
 _NEAR_RESONANCE_GAP = 1e-6
-_DEGENERACY_GAP = 1e-9
 # inverse iteration stops once the energy changes by at most this, relative
 # to max(1, |E|)
 _STALL = 1e-10
@@ -537,9 +536,9 @@ def p_oracle(grid: RadialGrid, x: float) -> float:
 
     The dipole-channel reduction of the momentum operator acting on an
     s state is the radial factor u' - u/r; the convention is locked by
-    one_photon_ratio before any value here is trusted.  The solve is
-    shared with q_oracle at the same (grid, x), so a length column that
-    fails the backward-error gate raises here too."""
+    the one_photon_ratio check before any value here is trusted.  The
+    solve is shared with q_oracle at the same (grid, x), so a length
+    column that fails the backward-error gate raises here too."""
     return gauge_pair_oracle(grid, x)[1]
 
 
@@ -549,26 +548,14 @@ def r2_overlap(grid: RadialGrid) -> float:
     return state.integrate(state._bra, state._driving[:, 0])
 
 
-def one_photon_ratio(grid: RadialGrid, omega: float) -> tuple[float, float]:
-    """Velocity- over length-gauge one-photon 1S-2P element, and the
-    grid's (E_2P - E_1S) / omega.
-
-    Exact states make the two equal, so the grid value must reproduce that
-    factor; the resonant point omega = E_2P - E_1S (where the ratio crosses
-    1 trivially) is flagged as degenerate rather than evaluated."""
-    if not 0.0 < omega < np.inf:
-        raise DomainError(f"photon energy must be positive and finite, got {omega}")
+def one_photon_elements(grid: RadialGrid) -> tuple[float, float, float]:
+    """(m_len, m_vel, E_2P - E_1S): the 1S-2P elements of r and of
+    u' - u/r between the grid's states, and the grid's level gap.  Exact
+    states satisfy the commutator relation m_vel = -(E_2P - E_1S) m_len."""
     state = build_oracle(grid)
-    gap = state.s2p.energy - state.s1.energy
-    if abs(omega - gap) < _DEGENERACY_GAP:
-        raise DegenerateError(
-            "one-photon resonance: the gauge ratio tends to 1 trivially"
-        )
-    m_len = state.integrate(state.w2p, state._driving[:, 0])
-    m_vel = state.integrate(state.w2p, state.wd1)
-    # The two i factors from the momentum operator make the physical ratio
-    # -m_vel / (omega * m_len).
-    return -m_vel / (omega * m_len), gap / omega
+    return (state.integrate(state.w2p, state._driving[:, 0]),
+            state.integrate(state.w2p, state.wd1),
+            state.s2p.energy - state.s1.energy)
 
 
 def ac_stark_sides(grid: RadialGrid, x: float) -> tuple[float, float]:

@@ -17,15 +17,16 @@ E_1S and <1S|1S> are its own H and S entries, and both gauges' driving
 terms are exact and sparse: r u_1S = phi_0 / 2 gives b_L = S e_0 / 2 =
 (6, -6, 0, ...), and u_1S' - u_1S/r = -2 r e^-r gives b_V = (-3, 0, ...).
 The 2P state is the lowest eigenpair of the l = 1 pencil, by inverse
-iteration; report_sides builds that pencil and that state once for all
-the calls of one report.
+iteration.  The pencil depends on (l, n) alone, so _pencil is cached for
+the process; its entries are tuples, so no caller can change a cached one.
 
 Both gauge identities therefore hold exactly in the Galerkin algebra:
 since r u_1S lies in the basis, (H - E_1S S) e_0 / 2 = -b_V entry by
-entry, and the residuals of ac_stark_sides and one_photon_ratio are
-roundoff whatever BASIS_SIZE is; they show no basis convergence.  The
-evidence that BASIS_SIZE functions resolve the propagator is the agreement
-of the sides themselves with the radial grid, in the tests.
+entry, so the residuals of ac_stark_sides, and of the commutator relation
+between the one_photon_elements, are roundoff whatever BASIS_SIZE is;
+they show no basis convergence.  The evidence that BASIS_SIZE functions
+resolve the propagator is the agreement of the sides and the elements
+themselves with the radial grid, in the tests.
 
 Nothing here evaluates a hypergeometric function, but the closed forms of
 closedform.py come from the Sturmian expansion of the same Coulomb Green
@@ -35,17 +36,16 @@ identities, not for the amplitudes.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Callable
-from functools import partial
 
 from .closedform import require_window
-from .errors import ConvergenceError, DegenerateError, DomainError
+from .errors import ConvergenceError
 
 BASIS_SIZE = 30
 LAMBDA = 1.0
 
-_DEGENERACY_GAP = 1e-9
 # 2P is found by inverse iteration this far below the hydrogen level, where
 # H - E S is still positive definite (the basis level lies above -1/8).
 # Each step shrinks the other states' share by this gap over the 2P-3P
@@ -55,9 +55,10 @@ _SHIFT_BELOW_LEVEL = 1e-6
 _CONVERGED = 1e-15
 _MAX_STEPS = 8
 
-Pencil = tuple[list[float], list[float], list[float], list[float]]
+Pencil = tuple[tuple[float, ...], tuple[float, ...], tuple[float, ...], tuple[float, ...]]
 
 
+@functools.lru_cache(maxsize=None)
 def _pencil(l: int, n: int) -> Pencil:
     """(H diagonal, H off-diagonal, S diagonal, S off-diagonal) of channel l
     in the n lowest Sturmians s^(l+1) e^(-s/2) L_k^(2l+1)(s).
@@ -73,10 +74,10 @@ def _pencil(l: int, n: int) -> Pencil:
     half = LAMBDA * LAMBDA / 2.0
     h_diag = [(LAMBDA * (k + l + 1) - 1.0) * w[k] - half * s_diag[k] for k in range(n)]
     h_off = [-half * s for s in s_off]
-    return h_diag, h_off, s_diag, s_off
+    return tuple(h_diag), tuple(h_off), tuple(s_diag), tuple(s_off)
 
 
-def _product(diag: list[float], off: list[float], v: list[float]) -> list[float]:
+def _product(diag: tuple[float, ...], off: tuple[float, ...], v: list[float]) -> list[float]:
     """M v for the symmetric tridiagonal M."""
     out = [d * x for d, x in zip(diag, v)]
     for k, m in enumerate(off):
@@ -150,17 +151,16 @@ def _state_2p(pencil: Pencil) -> tuple[float, list[float]]:
     raise ConvergenceError(f"2P inverse iteration stalled at vector change {change:.2e}")
 
 
-def ac_stark_sides(x: float, pencil: Pencil | None = None) -> tuple[float, float]:
+def ac_stark_sides(x: float) -> tuple[float, float]:
     """Both sides of the dynamic-polarizability gauge identity at +-x.
 
     Left: the velocity-gauge response b_V (H - E S)^-1 b_V summed over
     E = E_1S +- x, minus 3 <1S|1S>.  Right: x^2 times the length-gauge
     response summed the same way.  The window keeps E_1S + x below -1/8,
     and the basis's 2P level, a Galerkin upper bound, lies above -1/8, so
-    H - E S is positive definite at both energies.  ``pencil`` is the l = 1
-    pencil of BASIS_SIZE functions, built here unless given."""
+    H - E S is positive definite at both energies."""
     require_window(x)
-    pencil = _pencil(1, BASIS_SIZE) if pencil is None else pencil
+    pencil = _pencil(1, BASIS_SIZE)
     e_1s, norm_1s = _state_1s()
     b_len, b_vel = _driving_terms()
     lhs, rhs = -3.0 * norm_1s, 0.0
@@ -171,29 +171,11 @@ def ac_stark_sides(x: float, pencil: Pencil | None = None) -> tuple[float, float
     return lhs, x * x * rhs
 
 
-def one_photon_ratio(omega: float,
-                     state_2p: tuple[float, list[float]] | None = None) -> tuple[float, float]:
-    """Velocity- over length-gauge 1S-2P element, and (E_2P - E_1S) / omega.
-
-    Exact states make the two equal; omega at the level gap, where the
-    ratio tends to 1 trivially, is a DegenerateError.  ``state_2p`` is the
-    (E_2P, c) of _state_2p, solved here unless given."""
-    if not 0.0 < omega < math.inf:
-        raise DomainError(f"photon energy must be positive and finite, got {omega}")
+def one_photon_elements() -> tuple[float, float, float]:
+    """(m_len, m_vel, E_2P - E_1S): the 1S-2P elements of r and of
+    u' - u/r in the basis's 2P state, and the level gap.  Exact states
+    satisfy the commutator relation m_vel = -(E_2P - E_1S) m_len."""
     e_1s, _ = _state_1s()
-    e_2p, c_2p = _state_2p(_pencil(1, BASIS_SIZE)) if state_2p is None else state_2p
-    gap = e_2p - e_1s
-    if abs(omega - gap) < _DEGENERACY_GAP:
-        raise DegenerateError("one-photon resonance: the gauge ratio tends to 1 trivially")
+    e_2p, c_2p = _state_2p(_pencil(1, BASIS_SIZE))
     b_len, b_vel = _driving_terms()
-    # the two i factors of the momentum operator give the physical ratio
-    # -m_vel / (omega m_len)
-    return -_dot(c_2p, b_vel) / (omega * _dot(c_2p, b_len)), gap / omega
-
-
-def report_sides() -> tuple[Callable[[float], tuple[float, float]], ...]:
-    """ac_stark_sides and one_photon_ratio over one l = 1 pencil and one 2P
-    eigenpair, built once for the calls of one report."""
-    pencil = _pencil(1, BASIS_SIZE)
-    return (partial(ac_stark_sides, pencil=pencil),
-            partial(one_photon_ratio, state_2p=_state_2p(pencil)))
+    return _dot(c_2p, b_len), _dot(c_2p, b_vel), e_2p - e_1s

@@ -27,7 +27,7 @@ from gauge_workbench.oracle import (
     ac_stark_sides,
     build_oracle,
     gauge_pair_oracle,
-    one_photon_ratio,
+    one_photon_elements,
     q_oracle,
     r2_overlap,
 )
@@ -184,7 +184,7 @@ def test_08_grid_self_checks(default_grid):
 def test_09_one_photon_gauge_factor(default_grid):
     start = time.perf_counter()
     basis = check_one_photon()
-    grid = check_one_photon(partial(one_photon_ratio, default_grid), TOL_ONE_PHOTON)
+    grid = check_one_photon(one_photon_elements(default_grid), TOL_ONE_PHOTON)
     elapsed = time.perf_counter() - start
     _verdict(
         "one-photon gauge factor",

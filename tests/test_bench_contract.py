@@ -4,7 +4,10 @@ benchmarks/workloads.py calls the package by name (build_report with a
 ``variant``, the closed-form scalars, the oracle functions, the CLI).  A
 renamed or re-signatured function shows up there only as failed ops, so
 this test builds every workload and runs each op kind once, in process,
-through its own checker, and runs both negative controls.
+through its own checker, and runs both negative controls.  benchmarks/run.py
+also imports benchmarks/tracing.py, which imports the package modules by
+name, so a deleted or renamed module fails every benchmark run; loading it
+here fails a test instead.
 """
 
 import importlib.util
@@ -17,9 +20,9 @@ import pytest
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
-def _load_workloads():
+def _load(name):
     spec = importlib.util.spec_from_file_location(
-        "bench_workloads", ROOT / "benchmarks" / "workloads.py")
+        f"bench_{name}", ROOT / "benchmarks" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     # dataclasses look their module up in sys.modules
     sys.modules[spec.name] = module
@@ -27,7 +30,7 @@ def _load_workloads():
     return module
 
 
-workloads = _load_workloads()
+workloads = _load("workloads")
 
 
 @pytest.fixture
@@ -60,3 +63,16 @@ def test_crosscheck_grids_are_distinct():
     # size from the sweep; a change of RadialGrid's defaults can cause that
     grids = workloads.CROSSCHECK_GRIDS
     assert len(set(grids)) == len(grids)
+
+
+def test_tracer_loads_and_restores_every_binding():
+    # the tracer may name functions that no longer exist (it records them
+    # as missing), so only the import and the rebinding round trip are held
+    tracing = _load("tracing")
+    before = [dict(vars(module)) for module in tracing.PACKAGE_MODULES]
+    tracer = tracing.Tracer()
+    tracer.install()
+    tracer.remove()
+    after = [dict(vars(module)) for module in tracing.PACKAGE_MODULES]
+    assert all(a.keys() == b.keys() and all(a[k] is b[k] for k in a)
+               for a, b in zip(before, after))

@@ -256,6 +256,18 @@ class TestScan:
         i = flips[0]
         assert float(rows[i][0]) < 3.0 / 16.0 < float(rows[i + 1][0])
 
+    def test_last_row_is_x_max_exactly(self, tmp_path):
+        # x_min + 405 step rounds to 3/8, one ulp above this x_max, which
+        # the window check then rejected
+        out = tmp_path / "edge.csv"
+        proc = run_cli("scan", "--x-min", "0.16681320919778359",
+                       "--x-max", "0.37499999999999994", "--steps", "406",
+                       "--out", str(out))
+        assert proc.returncode == 0, proc.stderr
+        rows = out.read_text().splitlines()
+        assert len(rows) == 407
+        assert rows[-1].startswith("3.75000000000e-01,")
+
     def test_rejects_unknown_columns(self, tmp_path):
         proc = run_cli("scan", "--x-min", "0.1", "--x-max", "0.2",
                        "--steps", "3", "--out", str(tmp_path / "x.csv"),

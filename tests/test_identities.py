@@ -22,7 +22,12 @@ from gauge_workbench.identities import (
     check_two_color,
     constants_table,
 )
-from gauge_workbench.oracle import ac_stark_sides, gauge_pair_oracle, one_photon_ratio, r2_overlap
+from gauge_workbench.oracle import (
+    ac_stark_sides,
+    gauge_pair_oracle,
+    one_photon_elements,
+    r2_overlap,
+)
 
 
 class TestIdentityCheck:
@@ -100,7 +105,7 @@ class TestIndividualChecks:
         assert check.name == "one_photon_ratio"
         assert check.tolerance == 1e-9
         assert check.passed
-        grid = check_one_photon(partial(one_photon_ratio, default_grid), TOL_ONE_PHOTON)
+        grid = check_one_photon(one_photon_elements(default_grid), TOL_ONE_PHOTON)
         assert grid.tolerance == 1e-8
         assert grid.passed
 

@@ -11,16 +11,15 @@ from scipy.linalg import eigh
 from scipy.special import eval_genlaguerre
 
 from gauge_workbench import sturmian
-from gauge_workbench.errors import ConvergenceError, DegenerateError, DomainError
+from gauge_workbench.errors import ConvergenceError, DomainError
 from gauge_workbench.identities import (
     AC_STARK_POINTS,
-    ONE_PHOTON_OMEGAS,
     TOL_CLOSED,
     build_report,
     check_ac_stark,
     check_one_photon,
 )
-from gauge_workbench.oracle import ac_stark_sides, one_photon_ratio
+from gauge_workbench.oracle import ac_stark_sides, one_photon_elements
 
 
 def _quadrature(n, l, times_e_r=None):
@@ -116,54 +115,51 @@ class TestIdentities:
         # difference at the check points over the default grid's point
         # count +-10 (3239 to 3259 from r_min = 1e-4): 1.71e-10 in the left
         # side and 1.67e-10 relative in the right; 5.65e-11 relative in the
-        # one-photon ratio and 5.02e-11 in the gap over omega.
+        # element ratio m_vel / m_len and 5.02e-11 in the level gap.
         for x in AC_STARK_POINTS:
             (lhs, rhs), (grid_lhs, grid_rhs) = sturmian.ac_stark_sides(x), ac_stark_sides(
                 default_grid, x)
             assert abs(lhs - grid_lhs) <= 5.2e-10, x
             assert abs(rhs / grid_rhs - 1.0) <= 5.1e-10, x
-        for omega in ONE_PHOTON_OMEGAS:
-            (ratio, gap), (grid_ratio, grid_gap) = sturmian.one_photon_ratio(omega), \
-                one_photon_ratio(default_grid, omega)
-            assert abs(ratio / grid_ratio - 1.0) <= 1.7e-10, omega
-            assert abs(gap / grid_gap - 1.0) <= 1.6e-10, omega
+        (m_len, m_vel, gap), (grid_len, grid_vel, grid_gap) = \
+            sturmian.one_photon_elements(), one_photon_elements(default_grid)
+        assert abs((m_vel / m_len) / (grid_vel / grid_len) - 1.0) <= 1.7e-10
+        assert abs(gap / grid_gap - 1.0) <= 1.6e-10
 
     def test_strict_report_builds_one_pencil_and_one_2p_state(self, monkeypatch):
-        # the report's sides sources share both, and change no bit of a side
-        sides = [sturmian.ac_stark_sides(x) for x in AC_STARK_POINTS]
-        photon = [sturmian.one_photon_ratio(omega) for omega in ONE_PHOTON_OMEGAS]
-        calls = {"l1_pencil": 0, "state_2p": 0}
-        real_pencil, real_2p = sturmian._pencil, sturmian._state_2p
-
-        def pencil(l, n):
-            calls["l1_pencil"] += l == 1
-            return real_pencil(l, n)
+        # the pencils are cached for the process, so two reports build the
+        # l = 0 (1S) and l = 1 pencils once each; every report solves 2P once
+        sturmian._pencil.cache_clear()
+        solves = []
+        real_2p = sturmian._state_2p
 
         def state_2p(pencil):
-            calls["state_2p"] += 1
+            solves.append(pencil)
             return real_2p(pencil)
 
-        monkeypatch.setattr(sturmian, "_pencil", pencil)
         monkeypatch.setattr(sturmian, "_state_2p", state_2p)
-        report = build_report("strict")
-        assert calls == {"l1_pencil": 1, "state_2p": 1}
-        ac_stark, one_photon = sturmian.report_sides()
-        assert [ac_stark(x) for x in AC_STARK_POINTS] == sides
-        assert [one_photon(omega) for omega in ONE_PHOTON_OMEGAS] == photon
-        assert report.checks[2].residuals == check_ac_stark().residuals
-        assert report.checks[5].residuals == check_one_photon().residuals
+        first = build_report("strict")
+        second = build_report("strict")
+        info = sturmian._pencil.cache_info()
+        assert (info.misses, info.currsize) == (2, 2)
+        assert len(solves) == 2 and solves[0] is solves[1]
+        # a cached entry cannot be changed in place
+        assert all(isinstance(part, tuple) for part in sturmian._pencil(1, sturmian.BASIS_SIZE))
+        assert first == second
+        assert first.checks[2].residuals == check_ac_stark().residuals
+        assert first.checks[5].residuals == check_one_photon().residuals
 
     def test_basis_size_is_converged(self, monkeypatch):
         # 10 more functions move no side by more than roundoff, also at
         # x = 0.37 next to the 2P pole, where the resolvent decays slowest
         points = AC_STARK_POINTS + (0.3, 0.37)
         sides = [sturmian.ac_stark_sides(x) for x in points]
-        photon = [sturmian.one_photon_ratio(omega) for omega in ONE_PHOTON_OMEGAS]
+        elements = sturmian.one_photon_elements()
         monkeypatch.setattr(sturmian, "BASIS_SIZE", sturmian.BASIS_SIZE + 10)
         for x, pair in zip(points, sides):
             for side, wider in zip(pair, sturmian.ac_stark_sides(x)):
                 assert math.isclose(side, wider, rel_tol=1e-14, abs_tol=1e-16), x
-        assert photon == [sturmian.one_photon_ratio(omega) for omega in ONE_PHOTON_OMEGAS]
+        assert elements == sturmian.one_photon_elements()
 
     def test_scaled_coulomb_entry_fails_ac_stark(self, monkeypatch):
         # negative control: the l = 1 Coulomb diagonal -<1/r> scaled by 1.001
@@ -197,15 +193,6 @@ class TestInputs:
     def test_window_is_enforced(self, x):
         with pytest.raises(DomainError):
             sturmian.ac_stark_sides(x)
-
-    @pytest.mark.parametrize("omega", [0.0, -0.2, math.nan, math.inf])
-    def test_rejects_unusable_frequency(self, omega):
-        with pytest.raises(DomainError, match="positive and finite"):
-            sturmian.one_photon_ratio(omega)
-
-    def test_degenerate_frequency_is_flagged(self):
-        with pytest.raises(DegenerateError):
-            sturmian.one_photon_ratio(0.375)
 
     def test_close_to_the_2p_pole_is_computed(self):
         lhs, rhs = sturmian.ac_stark_sides(0.3749999)
