@@ -52,7 +52,7 @@ MAX_SCAN_STEPS = 10**6
 
 # scan columns beyond the fixed x,f1,f2,delta, in output order
 _EXTRA_COLUMNS = ("q", "p", "beta")
-_SCAN_NAMES = ("f1", "f2", "delta") + _EXTRA_COLUMNS
+_SCAN_NAMES = ("x", "f1", "f2", "delta") + _EXTRA_COLUMNS
 
 
 def _fmt(value: float) -> str:

@@ -27,10 +27,10 @@ stated in the tables alone.  K has half-bandwidth _KD = 2 and is stored
 once per state in LAPACK's lower symmetric band storage (row k holds
 K[j + k, j] at column j; row 0 is the diagonal); every consumer reads
 that one layout: K w, the backward-error gates, banded Cholesky, the
-banded eigensolver, and the pivoted-LU layout each state expands from it
-once.  Resolvent solves factor K - E by banded Cholesky (dpbtrf/dpbtrs,
-called directly; lower storage gives their BLAS calls unit stride), O(n)
-per right-hand side.
+banded eigensolver, and the pivoted-LU layout expanded from it where LU
+runs (2S, and once per pseudostate sum).  Resolvent solves factor K - E
+by banded Cholesky (dpbtrf/dpbtrs, called directly; lower storage gives
+their BLAS calls unit stride), O(n) per right-hand side.
 That is valid because every resolvent energy here lies below the whole
 l = 1 spectrum: E_1S +- x with 0 < x < 3/8, at least 1e-6 Hartree below
 the grid's 2P level, so K - E is positive definite.  One factorization
@@ -69,15 +69,23 @@ Hartree and every 1/r^2 band entry is finite, and r_max in [60, 700],
 short of r ~ 708, where the 1S tail e^-r falls below the smallest normal
 double (from r_max = 1000 the l = 1 resolvent misses its gate).
 
-Eigenpairs are found by inverse iteration shifted to the known hydrogen
-energies, where K - E is indefinite: K is factored by pivoted banded LU,
-from a copy of the state's LU layout, once at that shift, and every step
+Eigenpairs are found by inverse iteration at a fixed shift next to the
+known hydrogen energy: K is factored once at that shift, and every step
 is one pair of triangular solves with those factors.  Inside the domain
-every grid level lies within 2e-6 Hartree of its shift, so one
-factorization converges each state, in two solves on the default grid.
+every grid level lies within 2e-6 Hartree of its hydrogen level.  1S and
+2P are the lowest levels of their channels, so a shift _BELOW_LEVEL =
+1e-5 Hartree under the level leaves K - shift positive definite, and they
+are factored by banded Cholesky through the helper the resolvent uses
+(_shifted_cholesky); a failed factorization is an error that names the
+state, never a fallback.  2S lies above 1S, where K_0 - E is indefinite,
+so it is factored at its hydrogen level by pivoted banded LU, from the
+LU layout expanded for it.  One factorization converges each state, in
+two solves on the default grid; over 48 grids sampled across the domain
+the most was four, for 1S on 200000 points from r_min = 1e-2.
 The pseudostate sum takes only eigenvalues from LAPACK's banded
-eigensolver dsbevx, called directly, and gets each mode's vector by the
-same banded inverse iteration, one factorization and two solves per mode,
+eigensolver dsbevx, called directly, and gets each mode's vector by
+banded inverse iteration with pivoted LU at the mode's own eigenvalue,
+from one LU layout per call, one factorization and two solves per mode,
 for at most _MAX_MODES modes.
 """
 
@@ -105,6 +113,13 @@ _NEAR_RESONANCE_GAP = 1e-6
 # inverse iteration stops once the energy changes by at most this, relative
 # to max(1, |E|)
 _STALL = 1e-10
+# A nodeless state (1S, 2P) is iterated at this distance below its hydrogen
+# level, in Hartree, where K_l - shift is positive definite: it lies above
+# the 2e-6 bound on |grid level - hydrogen level| over the whole domain (set
+# by -2 r_min^3 at r_min = 1e-2), and it is small against the gap to the next
+# level of the channel (0.069 Hartree from 2P to 3P), so two solves still
+# converge.
+_BELOW_LEVEL = 1e-5
 
 # Every grid derivative, as (weights, denominator).
 # -(1/2) d^2/dy^2: offsets 0, 1, ... over denominator * h^2; K_l has one
@@ -216,8 +231,6 @@ class OracleState:
         self.r = np.exp(y)
         self.sqrt_r = np.sqrt(self.r)
         self.bands = {l: _hamiltonian_bands(l, self.h, self.r) for l in (0, 1)}
-        # the dgbtrf layout of each K_l, built once; every LU shifts a copy
-        self._lu_layouts = {l: _full_banded(ab) for l, ab in self.bands.items()}
 
         self.s1 = _solve_on_state(self, 1, 0)
         self.s2 = _solve_on_state(self, 2, 0)
@@ -318,15 +331,40 @@ def _count_nodes(u: np.ndarray) -> int:
     return int(np.sum(live[1:] * live[:-1] < 0.0))
 
 
+def _shifted_cholesky(ab: np.ndarray, shift: float,
+                      what: str) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
+    """Factor K - shift once by banded Cholesky; return its bands and the
+    solve v = (K - shift)^-1 rhs.
+
+    ``ab`` holds K in lower symmetric band storage; dpbtrf factors a copy of
+    the shifted bands, which the caller may then read intact.  Each solve
+    reuses the factor, two triangular sweeps at O(n) per column.  A shift
+    that leaves K - shift not positive definite, or a non-finite solution,
+    is a ConvergenceError, never a fallback to another solver."""
+    shifted = ab.copy()
+    shifted[0] -= shift
+    factor, info = dpbtrf(shifted, lower=1)
+    if info > 0:
+        raise ConvergenceError(f"K - E is not positive definite for {what}")
+
+    def solve(rhs: np.ndarray) -> np.ndarray:
+        sol, _ = dpbtrs(factor, rhs, lower=1)
+        if not np.all(np.isfinite(sol)):
+            raise ConvergenceError(f"non-finite solve for {what}")
+        return sol
+
+    return shifted, solve
+
+
 def _shifted_lu(layout: np.ndarray, shift: float,
                 what: str) -> Callable[[np.ndarray], np.ndarray]:
     """Factor K - shift once by pivoted banded LU; return the solve v = (K - shift)^-1 rhs.
 
-    ``layout`` is the state's dgbtrf layout of K (``_full_banded``); the
-    shift comes off the diagonal row of a copy.  Each solve reuses the
-    factors, two triangular sweeps at O(n).  Inverse iteration shifts onto
-    an eigenvalue on purpose, so an exactly singular factor or a non-finite
-    solution means the shift is unusable, not that it should be nudged and
+    ``layout`` is the dgbtrf layout of K (``_full_banded``); the shift comes
+    off the diagonal row of a copy.  Each solve reuses the factors, two
+    triangular sweeps at O(n).  Inverse iteration shifts onto an eigenvalue
+    on purpose, so an exactly singular factor or a non-finite solution
+    means the shift is unusable, not that it should be nudged and
     retried."""
     lu = layout.copy(order="F")
     lu[2 * _KD] -= shift
@@ -384,13 +422,20 @@ def _solve_on_state(state: OracleState, n: int, l: int) -> BoundState:
     what = f"(n,l)=({n},{l})"
     # On every grid RadialGrid accepts, the hydrogen energy lies within the
     # r_min and h^4 shifts (at most 2e-6 Hartree) of the grid eigenvalue, so
-    # inverse iteration at that fixed shift gains many digits per step and
-    # one factorization serves every step.  The first quotient still carries
-    # the seed's error, so the loop always takes a second solve.  Roundoff
-    # in the quotient grows with the grid (changes of a few 1e-12 from 24000
-    # points on, 2.5e-11 at 192000), so the loop stops at the _STALL
-    # threshold instead of waiting for a change inside that noise.
-    solve = _shifted_lu(state._lu_layouts[l], target, what)
+    # inverse iteration at a fixed shift near it gains many digits per step
+    # and one factorization serves every step.  The lowest state of its
+    # channel (no nodes) is shifted _BELOW_LEVEL under the whole spectrum
+    # and factored by banded Cholesky, as the resolvent is; 2S sits above 1S,
+    # where K_0 - E is indefinite, so it is factored by pivoted LU at its
+    # hydrogen level.  The first quotient still carries the seed's error, so
+    # the loop always takes a second solve.  Roundoff in the quotient grows
+    # with the grid (changes of a few 1e-12 from 24000 points on, 2.5e-11 at
+    # 192000), so the loop stops at the _STALL threshold instead of waiting
+    # for a change inside that noise.
+    if n == l + 1:
+        _, solve = _shifted_cholesky(ab, target - _BELOW_LEVEL, what)
+    else:
+        solve = _shifted_lu(_full_banded(ab), target, what)
     energy = target
     for step in range(12):
         v = solve(w)
@@ -459,27 +504,22 @@ def green_solve(state: OracleState, energy: float, driving_w: np.ndarray) -> np.
     w = sqrt(r) u representation; the solution comes back in the same
     shape.  The l = 1 channel is the only intermediate one of a dipole
     transition out of an S state.  One banded Cholesky factorization of
-    K_1 - energy (LAPACK
-    ``dpbtrf``, then ``dpbtrs``) serves every column.  The state's bands
-    are already in LAPACK's lower storage, where the unblocked
-    factorization's BLAS calls run at unit stride; dpbtrf factors a copy
-    of the shifted bands, which the gate then reads intact.  The energy
+    K_1 - energy (LAPACK ``dpbtrf``, then ``dpbtrs``, through
+    _shifted_cholesky, as for 1S and 2P) serves every column.  The
+    state's bands are already in LAPACK's lower storage, where the
+    unblocked factorization's BLAS calls run at unit stride; dpbtrf
+    factors a copy of the shifted bands, which the gate then reads
+    intact.  The energy
     must lie below the spectrum of H_1: a matrix that is not positive
     definite, a non-finite solution or a column whose componentwise
     backward error exceeds the target is a ConvergenceError, never a
     fallback to another solver."""
-    shifted = state.bands[1].copy()
-    shifted[0] -= energy
     # column-major, so that each column is one contiguous row of the
     # transpose the gate works on
     driving = np.asfortranarray(driving_w)
     what = f"the l = 1 resolvent at energy {energy!r}"
-    factor, info = dpbtrf(shifted, lower=1)
-    if info > 0:
-        raise ConvergenceError(f"K - E is not positive definite for {what}")
-    sol, _ = dpbtrs(factor, driving, lower=1)
-    if not np.all(np.isfinite(sol)):
-        raise ConvergenceError(f"non-finite solve for {what}")
+    shifted, solve = _shifted_cholesky(state.bands[1], energy, what)
+    sol = solve(driving)
     worst = float(np.max(_componentwise_backward_error(shifted, sol.T, driving.T)))
     if not worst <= _RESOLVENT_TARGET:
         raise ConvergenceError(
@@ -578,15 +618,16 @@ def ac_stark_sides(grid: RadialGrid, x: float) -> tuple[float, float]:
     return lhs, x * x * rhs
 
 
-def _mode_vector(state: OracleState, eigenvalue: float) -> np.ndarray:
+def _mode_vector(state: OracleState, layout: np.ndarray, eigenvalue: float) -> np.ndarray:
     """Quadrature-normalized eigenvector of K_1 for a computed eigenvalue.
 
-    One banded LU at the eigenvalue itself, then two inverse-iteration
-    steps with it from a fixed all-ones start; the mode is accepted only if
-    its scaled backward error meets the same target as the bound states."""
+    One banded LU at the eigenvalue itself, from ``layout``, the dgbtrf
+    layout of K_1, then two inverse-iteration steps with it from a fixed
+    all-ones start; the mode is accepted only if its scaled backward error
+    meets the same target as the bound states."""
     ab, h = state.bands[1], state.h
     what = f"l = 1 mode at {eigenvalue!r}"
-    solve = _shifted_lu(state._lu_layouts[1], eigenvalue, what)
+    solve = _shifted_lu(layout, eigenvalue, what)
     v = np.ones(state.grid.n_points)
     for _ in range(2):
         v = solve(v)
@@ -628,7 +669,8 @@ def pseudostate_q(grid: RadialGrid, x: float, count: int = 30) -> np.ndarray:
             f"banded eigensolve found {found} of the {count} lowest l = 1 "
             f"eigenvalues (dsbevx info = {info})")
     vals = vals[:count]
-    vecs = np.column_stack([_mode_vector(state, float(val)) for val in vals])
+    layout = _full_banded(state.bands[1])
+    vecs = np.column_stack([_mode_vector(state, layout, float(val)) for val in vals])
     # quadrature-normalized columns: each projection is an h-weighted sum
     bra = state.h * (state._bra @ vecs)
     ket = state.h * (state._driving[:, 0] @ vecs)

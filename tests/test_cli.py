@@ -268,6 +268,17 @@ class TestScan:
         assert len(rows) == 407
         assert rows[-1].startswith("3.75000000000e-01,")
 
+    def test_always_present_columns_may_be_named(self, tmp_path):
+        # x, f1, f2 and delta are always written; naming them adds nothing
+        files = {}
+        for columns in ("q", "x,q", "x,f1,f2,delta,q"):
+            files[columns] = tmp_path / f"{columns}.csv"
+            proc = run_cli("scan", "--x-min", "0.1", "--x-max", "0.3", "--steps", "5",
+                           "--columns", columns, "--out", str(files[columns]))
+            assert proc.returncode == 0, proc.stderr
+        assert files["x,q"].read_bytes() == files["q"].read_bytes()
+        assert files["x,f1,f2,delta,q"].read_bytes() == files["q"].read_bytes()
+
     def test_rejects_unknown_columns(self, tmp_path):
         proc = run_cli("scan", "--x-min", "0.1", "--x-max", "0.2",
                        "--steps", "3", "--out", str(tmp_path / "x.csv"),
@@ -435,15 +446,17 @@ class TestVerify:
 
     def test_failed_solve_exits_4_and_writes_no_report(self, tmp_path):
         # the grid builds, but a resolvent solve perturbed to zero misses
-        # its componentwise backward-error target
+        # its componentwise backward-error target; the bound states' 1S and
+        # 2P solves, one column each, pass through, and every resolvent
+        # solve of the report has two columns
         out = tmp_path / "report.json"
         code = ("import sys\n"
                 "import numpy as np\n"
                 "from gauge_workbench import cli, oracle\n"
                 "real = oracle.dpbtrs\n"
-                "def zeroed(*args, **kwargs):\n"
-                "    sol, info = real(*args, **kwargs)\n"
-                "    return np.zeros_like(sol), info\n"
+                "def zeroed(factor, rhs, **kwargs):\n"
+                "    sol, info = real(factor, rhs, **kwargs)\n"
+                "    return (np.zeros_like(sol) if rhs.ndim == 2 else sol), info\n"
                 "oracle.dpbtrs = zeroed\n"
                 "sys.exit(cli.main(sys.argv[1:]))\n")
         proc = subprocess.run(

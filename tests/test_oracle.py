@@ -12,7 +12,7 @@ import types
 import numpy as np
 import pytest
 from scipy.linalg import eig_banded, lapack, solve_banded, solveh_banded
-from scipy.linalg.lapack import dgbtrf, dgbtrs
+from scipy.linalg.lapack import dgbtrf, dgbtrs, dpbtrf, dpbtrs
 from scipy.special import eval_genlaguerre
 
 from gauge_workbench import identities, oracle
@@ -224,9 +224,8 @@ class TestBandStorage:
         pseudostate_q(small_grid, 0.1, count=5)
         assert build_oracle(small_grid) is state
         for l in (0, 1):
-            fresh = oracle._hamiltonian_bands(l, state.h, state.r)
-            assert np.array_equal(state.bands[l], fresh)
-            assert np.array_equal(state._lu_layouts[l], oracle._full_banded(fresh))
+            assert np.array_equal(state.bands[l],
+                                  oracle._hamiltonian_bands(l, state.h, state.r))
 
 
 def _lapack_results(routines, state):
@@ -237,7 +236,7 @@ def _lapack_results(routines, state):
     shifted[0] -= state.s1.energy + 0.1
     factor, info = routines.dpbtrf(shifted, lower=1)
     sol, sinfo = routines.dpbtrs(factor, state._driving, lower=1)
-    layout = state._lu_layouts[1].copy(order="F")
+    layout = oracle._full_banded(state.bands[1])
     layout[2 * oracle._KD] -= state.s2p.energy + 1e-3
     lu, piv, luinfo = routines.dgbtrf(layout, oracle._KD, oracle._KD)
     v, vinfo = routines.dgbtrs(lu, oracle._KD, oracle._KD, state._driving, piv)
@@ -301,7 +300,7 @@ class TestStencilTables:
             # built directly, so no sixth-order state enters build_oracle's cache
             state = OracleState(RadialGrid(3000))
             assert state.bands[1].shape == (4, 3000)
-            assert state._lu_layouts[1].shape == (10, 3000)
+            assert oracle._full_banded(state.bands[1]).shape == (10, 3000)
             assert not np.array_equal(
                 state.wd1, _five_point_driving_term(state, state.s1.radial_values))
             for x in (0.05, 3.0 / 16.0, 0.37):
@@ -364,18 +363,31 @@ def _full_banded_reference(ab, shift):
 
 def _inverse_iteration_reference(state, n, l):
     """(energy, u) of (n, l) by the inverse iteration of oracle._solve_on_state,
-    with the one LU built from the upper bands at the hydrogen level and
-    K v applied by _apply_bands_reference."""
+    with K v applied by _apply_bands_reference and one factorization: for
+    the nodeless 1S and 2P a banded Cholesky of the lower bands 1e-5
+    Hartree below the hydrogen level, for 2S a pivoted LU built from the
+    upper bands at the level itself."""
     ab, h, r = _upper(state.bands[l]), state.h, state.r
     poly = oracle._laguerre(n - l - 1, 2 * l + 1, 2.0 * r / n)
     w = (r ** (l + 1) * np.exp(-r / n) * poly) * state.sqrt_r
     w /= np.sqrt(h * np.dot(w, w))
 
     energy = -0.5 / (n * n)
-    lu, piv, info = dgbtrf(_full_banded_reference(ab, energy), 2, 2, overwrite_ab=1)
+    if n == l + 1:
+        lower = np.array(state.bands[l])
+        lower[0] -= energy - 1e-5
+        factor, info = dpbtrf(lower, lower=1)
+
+        def solve(rhs):
+            return dpbtrs(factor, rhs, lower=1)[0]
+    else:
+        lu, piv, info = dgbtrf(_full_banded_reference(ab, energy), 2, 2, overwrite_ab=1)
+
+        def solve(rhs):
+            return dgbtrs(lu, 2, 2, rhs, piv)[0]
     assert info == 0
     for step in range(12):
-        v, _ = dgbtrs(lu, 2, 2, w, piv)
+        v = solve(w)
         v /= np.sqrt(h * np.dot(v, v))
         updated = h * float(np.dot(v, _apply_bands_reference(ab, v)))
         change = abs(updated - energy)
@@ -387,12 +399,14 @@ def _inverse_iteration_reference(state, n, l):
     return energy, (-u if u[lead] < 0.0 else u)
 
 
-def _count_calls(monkeypatch, *names):
-    """Counts of the calls made through the named LAPACK entry points of oracle."""
+def _count_calls(monkeypatch, *names, when=lambda: True):
+    """Counts of the calls made through the named LAPACK entry points of
+    oracle while ``when()`` holds."""
     calls = dict.fromkeys(names, 0)
     for name in names:
         def counted(*args, _real=getattr(oracle, name), _name=name, **kwargs):
-            calls[_name] += 1
+            if when():
+                calls[_name] += 1
             return _real(*args, **kwargs)
         monkeypatch.setattr(oracle, name, counted)
     return calls
@@ -400,14 +414,28 @@ def _count_calls(monkeypatch, *names):
 
 @pytest.fixture
 def lapack_calls(monkeypatch):
-    """Counts of the banded-LU factorizations and solves made through oracle."""
-    return _count_calls(monkeypatch, "dgbtrf", "dgbtrs")
+    """Counts of the banded-LU and banded Cholesky factorizations and
+    solves made through oracle."""
+    return _count_calls(monkeypatch, "dgbtrf", "dgbtrs", "dpbtrf", "dpbtrs")
 
 
 @pytest.fixture
-def cholesky_calls(monkeypatch):
-    """Counts of the banded Cholesky factorizations and solves made through oracle."""
-    return _count_calls(monkeypatch, "dpbtrf", "dpbtrs")
+def resolvent_calls(monkeypatch):
+    """Counts of the banded Cholesky factorizations and solves made through
+    oracle outside OracleState construction: the resolvent's, not those of
+    the 1S and 2P eigensolves."""
+    building = []
+    real_init = OracleState.__init__
+
+    def init(self, grid):
+        building.append(grid)
+        try:
+            real_init(self, grid)
+        finally:
+            building.pop()
+
+    monkeypatch.setattr(OracleState, "__init__", init)
+    return _count_calls(monkeypatch, "dpbtrf", "dpbtrs", when=lambda: not building)
 
 
 @pytest.fixture
@@ -417,26 +445,43 @@ def fresh_grid(small_grid):
     return small_grid
 
 
+# 2000 points across the domain's r_min and r_max, with test ids
+_DOMAIN_CORNERS = {f"r_min-{r_min}-r_max-{r_max}": RadialGrid(2000, float(r_max), float(r_min))
+                   for r_min in ("1e-12", "1e-6", "1e-3", "1e-2") for r_max in (60, 700)}
+
+
 class TestInverseIteration:
     @pytest.mark.parametrize(
-        "grid",
-        [RadialGrid(), RadialGrid(24000),
-         RadialGrid(2000, r_max=700.0, r_min=1e-12), RadialGrid(2000, r_max=700.0, r_min=1e-2)],
-        ids=["default", "24000", "r_min-1e-12-r_max-700", "r_min-1e-2-r_max-700"])
+        "grid", [RadialGrid(), RadialGrid(24000), *_DOMAIN_CORNERS.values()],
+        ids=["default", "24000", *_DOMAIN_CORNERS])
     def test_one_factorization_per_state(self, lapack_calls, grid):
+        # the nodeless 1S and 2P by banded Cholesky, 2S by pivoted LU
         state = build_oracle(grid)
-        for n, l in [(1, 0), (2, 0), (2, 1)]:
-            lapack_calls.update(dgbtrf=0, dgbtrs=0)
+        for n, l, factor, solve in [(1, 0, "dpbtrf", "dpbtrs"), (2, 0, "dgbtrf", "dgbtrs"),
+                                    (2, 1, "dpbtrf", "dpbtrs")]:
+            lapack_calls.update(dict.fromkeys(lapack_calls, 0))
             oracle._solve_on_state(state, n, l)
-            assert lapack_calls["dgbtrf"] == 1
-            assert lapack_calls["dgbtrs"] <= 3
+            assert lapack_calls[factor] == 1
+            assert 2 <= lapack_calls[solve] <= 3
+            assert sum(lapack_calls.values()) == 1 + lapack_calls[solve]
+
+    def test_grid_where_the_shift_on_the_level_stalled_builds(self, lapack_calls):
+        # factored at the 1S hydrogen level by pivoted LU, the quotient on
+        # this grid kept changing by ~2e-10 per step and the 1S eigensolve
+        # stalled; 1e-5 Hartree below the level it converges in 3 solves
+        state = OracleState(RadialGrid(200000, r_max=80.0, r_min=1e-3))
+        assert lapack_calls["dpbtrf"] == 2 and lapack_calls["dgbtrf"] == 1
+        assert lapack_calls["dpbtrs"] <= 6 and lapack_calls["dgbtrs"] <= 3
+        for bound in (state.s1, state.s2, state.s2p):
+            n, _ = bound.label
+            assert abs(bound.energy + 0.5 / (n * n)) < 1e-6
 
     def test_r_min_cap_matches_rayleigh_iteration(self, lapack_calls):
         # r_min = 1e-2, the domain's cap, moves E_1S by -2e-6 off its
-        # hydrogen shift; one factorization per state still converges, to
+        # hydrogen level; one factorization per state still converges, to
         # the states and energies of the iteration that factors at every step
         state = OracleState(RadialGrid(6000, r_min=1e-2))
-        assert lapack_calls["dgbtrf"] == 3
+        assert lapack_calls["dgbtrf"] == 1 and lapack_calls["dpbtrf"] == 2
         for bound in (state.s1, state.s2, state.s2p):
             n, l = bound.label
             u = bound.radial_values
@@ -446,7 +491,7 @@ class TestInverseIteration:
 
     def test_mode_vector_matches_two_solve_banded_steps(self, small_grid, lapack_calls):
         state = build_oracle(small_grid)
-        lapack_calls.update(dgbtrf=0, dgbtrs=0)
+        lapack_calls.update(dict.fromkeys(lapack_calls, 0))
         ab = _upper(state.bands[1])
         vals = eig_banded(ab, lower=False, eigvals_only=True, select="i", select_range=(0, 2))
         for val in vals:
@@ -454,16 +499,16 @@ class TestInverseIteration:
             for _ in range(2):
                 v = solve_banded((2, 2), _lu_bands(ab, val), v)
                 v /= np.sqrt(state.h * np.dot(v, v))
-            mode = oracle._mode_vector(state, float(val))
+            mode = oracle._mode_vector(state, oracle._full_banded(state.bands[1]), float(val))
             assert np.max(np.abs(mode - v)) <= 1e-14 * np.max(np.abs(v))
-        assert lapack_calls == {"dgbtrf": 3, "dgbtrs": 6}
+        assert lapack_calls == {"dgbtrf": 3, "dgbtrs": 6, "dpbtrf": 0, "dpbtrs": 0}
 
     @pytest.mark.parametrize(
         "grid", [RadialGrid(), RadialGrid(6000, r_min=1e-9), RadialGrid(6000, r_min=1e-2)],
         ids=["default", "6000-r_min-1e-9", "r_min-1e-2"])
     def test_bound_states_match_a_per_shift_layout_bit_for_bit(self, grid):
-        # the per-state dgbtrf layout, shifted per factorization, and the
-        # reused K v change no bit of any state
+        # the band layouts, shifted per factorization, and the reused K v
+        # change no bit of any state
         state = build_oracle(grid)
         for bound in (state.s1, state.s2, state.s2p):
             energy, u = _inverse_iteration_reference(state, *bound.label)
@@ -505,14 +550,44 @@ class TestEigensolveGates:
             OracleState(small_grid)
 
     def test_singular_lu(self, small_grid, monkeypatch):
+        # 2S is the one state factored by pivoted LU
         _stub_outputs(monkeypatch, "dgbtrf", lambda lu, piv, info: (lu, piv, 1))
-        with pytest.raises(ConvergenceError, match=r"singular banded LU .* for \(n,l\)=\(1,0\)"):
+        with pytest.raises(ConvergenceError, match=r"singular banded LU .* for \(n,l\)=\(2,0\)"):
             OracleState(small_grid)
 
     def test_non_finite_solve(self, small_grid, monkeypatch):
+        # 2S is the one state solved by dgbtrs
         _stub_outputs(monkeypatch, "dgbtrs", lambda v, info: (np.full_like(v, np.nan), info))
         with pytest.raises(ConvergenceError, match="non-finite banded solve"):
             OracleState(small_grid)
+
+    def test_non_finite_cholesky_solve(self, small_grid, monkeypatch):
+        _stub_outputs(monkeypatch, "dpbtrs", lambda v, info: (np.full_like(v, np.nan), info))
+        with pytest.raises(ConvergenceError, match=r"non-finite solve for \(n,l\)=\(1,0\)"):
+            OracleState(small_grid)
+
+    def test_shift_above_the_1s_level_is_not_positive_definite(self, small_grid, lapack_calls,
+                                                               monkeypatch):
+        # 1e-3 Hartree above the level K_0 - shift has one negative
+        # eigenvalue: the factorization fails and names the state, and no
+        # LU takes over
+        monkeypatch.setattr(oracle, "_BELOW_LEVEL", -1e-3)
+        with pytest.raises(ConvergenceError,
+                           match=r"not positive definite for \(n,l\)=\(1,0\)"):
+            OracleState(small_grid)
+        assert lapack_calls["dpbtrf"] == 1
+        assert lapack_calls["dgbtrf"] == lapack_calls["dpbtrs"] == 0
+
+    def test_shift_above_the_2p_level_is_not_positive_definite(self, small_grid, lapack_calls,
+                                                               monkeypatch):
+        state = build_oracle(small_grid)
+        monkeypatch.setattr(oracle, "_BELOW_LEVEL", -1e-3)
+        lapack_calls.update(dict.fromkeys(lapack_calls, 0))
+        with pytest.raises(ConvergenceError,
+                           match=r"not positive definite for \(n,l\)=\(2,1\)"):
+            oracle._solve_on_state(state, 2, 1)
+        assert lapack_calls["dpbtrf"] == 1
+        assert lapack_calls["dgbtrf"] == lapack_calls["dpbtrs"] == 0
 
     def test_backward_error(self, small_grid, monkeypatch):
         monkeypatch.setattr(oracle, "_RESIDUAL_TARGET", 0.0)
@@ -525,11 +600,13 @@ class TestEigensolveGates:
         monkeypatch.setattr(oracle, "_STALL", -1.0)
         with pytest.raises(ConvergenceError, match=r"eigensolve stalled .* for \(n,l\)=\(1,0\)"):
             OracleState(small_grid)
-        assert lapack_calls["dgbtrs"] == 12
+        assert lapack_calls["dpbtrf"] == 1 and lapack_calls["dpbtrs"] == 12
 
     def test_resolvent_backward_error(self, small_grid, monkeypatch):
         # a solve perturbed to zero leaves the residual -b, so every row
-        # with b_i != 0 has backward error |b_i| / |b_i| = 1 exactly
+        # with b_i != 0 has backward error |b_i| / |b_i| = 1 exactly; the
+        # state is built first, since its 1S and 2P solves are dpbtrs too
+        build_oracle(small_grid)
         _stub_outputs(monkeypatch, "dpbtrs", lambda sol, info: (np.zeros_like(sol), info))
         try:
             with pytest.raises(ConvergenceError,
@@ -615,10 +692,10 @@ class TestGreenSolve:
         assert not np.any(solution[:, 1])
 
     def test_stacked_solve_makes_one_factorization_and_one_solve(self, small_grid,
-                                                                  cholesky_calls):
+                                                                  resolvent_calls):
         state = build_oracle(small_grid)
         green_solve(state, state.s1.energy + 0.1, state._driving)
-        assert cholesky_calls == {"dpbtrf": 1, "dpbtrs": 1}
+        assert resolvent_calls == {"dpbtrf": 1, "dpbtrs": 1}
 
     @pytest.mark.parametrize("case", ["solve-0.001", "solve-0.1875", "solve-0.37", "perturbed",
                                       "zero-column", "overflow", "one-dimensional"])
@@ -733,49 +810,49 @@ class TestAmplitudeOracles:
 
 
 class TestAmplitudeMemo:
-    def test_q_then_p_then_pair_make_one_solve(self, fresh_grid, cholesky_calls):
+    def test_q_then_p_then_pair_make_one_solve(self, fresh_grid, resolvent_calls):
         q = q_oracle(fresh_grid, 0.1)
         p = p_oracle(fresh_grid, 0.1)
         assert gauge_pair_oracle(fresh_grid, 0.1) == (q, p)
-        assert cholesky_calls["dpbtrf"] == 1
+        assert resolvent_calls["dpbtrf"] == 1
 
-    def test_cache_clear_starts_the_count_over(self, fresh_grid, cholesky_calls):
+    def test_cache_clear_starts_the_count_over(self, fresh_grid, resolvent_calls):
         q_oracle(fresh_grid, 0.1)
         p_oracle(fresh_grid, 0.1)
-        assert cholesky_calls["dpbtrf"] == 1
+        assert resolvent_calls["dpbtrf"] == 1
         build_oracle.cache_clear()
         p_oracle(fresh_grid, 0.1)
         q_oracle(fresh_grid, 0.1)
-        assert cholesky_calls["dpbtrf"] == 2
+        assert resolvent_calls["dpbtrf"] == 2
 
-    def test_memo_is_bounded(self, fresh_grid, cholesky_calls):
+    def test_memo_is_bounded(self, fresh_grid, resolvent_calls):
         size = oracle._AMPLITUDE_MEMO_SIZE
         xs = [0.001 + 0.005 * k for k in range(size + 8)]
         state = build_oracle(fresh_grid)
         for x in xs:
             gauge_pair_oracle(fresh_grid, x)
             assert len(state._amplitudes) <= size
-        assert cholesky_calls["dpbtrf"] == len(xs)
+        assert resolvent_calls["dpbtrf"] == len(xs)
         # the newest pairs are still held, the oldest were dropped
         for x in xs[-size:]:
             q_oracle(fresh_grid, x)
-        assert cholesky_calls["dpbtrf"] == len(xs)
+        assert resolvent_calls["dpbtrf"] == len(xs)
         q_oracle(fresh_grid, xs[0])
-        assert cholesky_calls["dpbtrf"] == len(xs) + 1
+        assert resolvent_calls["dpbtrf"] == len(xs) + 1
 
     @pytest.mark.parametrize("x,error", [(0.4, DomainError), (0.3749995, NearResonanceError)],
                              ids=["out-of-window", "guard-edge"])
-    def test_errors_repeat_and_are_never_stored(self, fresh_grid, cholesky_calls, x, error):
+    def test_errors_repeat_and_are_never_stored(self, fresh_grid, resolvent_calls, x, error):
         for _ in range(2):
             for amplitude in (q_oracle, p_oracle, gauge_pair_oracle):
                 with pytest.raises(error):
                     amplitude(fresh_grid, x)
         assert not build_oracle(fresh_grid)._amplitudes
-        assert cholesky_calls["dpbtrf"] == 0
+        assert resolvent_calls["dpbtrf"] == 0
 
     @pytest.mark.parametrize("r_min,x", [(1e-2, 0.3749), (1e-3, 0.3749995)],
                              ids=["r_min-1e-2", "r_min-1e-3"])
-    def test_energy_above_the_2p_level_is_near_resonance(self, cholesky_calls, monkeypatch,
+    def test_energy_above_the_2p_level_is_near_resonance(self, resolvent_calls, monkeypatch,
                                                          r_min, x):
         # A 1S level lifted by 2 r_min^2 (2e-4 at 1e-2, 2e-6 at 1e-3; the
         # shift of a closure on the power law alone) lets x < 3/8 put
@@ -801,11 +878,11 @@ class TestAmplitudeMemo:
                 with pytest.raises(NearResonanceError):
                     amplitude(grid, x)
         assert not state._amplitudes
-        assert cholesky_calls["dpbtrf"] == 0
+        assert resolvent_calls["dpbtrf"] == 0
         # negative control: just below the level the pair is computed
         q, p = gauge_pair_oracle(grid, state.s2p.energy - state.s1.energy - 1e-5)
         assert math.isfinite(q) and math.isfinite(p)
-        assert cholesky_calls["dpbtrf"] == 1
+        assert resolvent_calls["dpbtrf"] == 1
 
     def test_failed_velocity_column_fails_q_and_is_not_stored(self, fresh_grid, monkeypatch):
         # both columns are solved together, so a bad velocity column fails
@@ -973,7 +1050,8 @@ def _eig_banded_partial_sums(grid, x, count):
     state = build_oracle(grid)
     vals = eig_banded(state.bands[1], lower=True, eigvals_only=True,
                       select="i", select_range=(0, count - 1))
-    vecs = np.column_stack([oracle._mode_vector(state, float(val)) for val in vals])
+    layout = oracle._full_banded(state.bands[1])
+    vecs = np.column_stack([oracle._mode_vector(state, layout, float(val)) for val in vals])
     bra = state.h * ((state.w2 * state.r) @ vecs)
     ket = state.h * ((state.r * state.w1) @ vecs)
     return np.cumsum(bra * ket / (vals - (state.s1.energy + x)) / 3.0)
@@ -1024,9 +1102,10 @@ class TestPseudostateSum:
         state = build_oracle(small_grid)
         vals = eig_banded(_upper(state.bands[1]), lower=False, eigvals_only=True,
                           select="i", select_range=(0, 1))
-        _mode_vector(state, float(vals[0]))
+        layout = oracle._full_banded(state.bands[1])
+        _mode_vector(state, layout, float(vals[0]))
         with pytest.raises(ConvergenceError, match="backward error"):
-            _mode_vector(state, float(0.5 * (vals[0] + vals[1])))
+            _mode_vector(state, layout, float(0.5 * (vals[0] + vals[1])))
 
     def test_count_validation(self, small_grid):
         with pytest.raises(DomainError):
@@ -1039,7 +1118,7 @@ class TestPseudostateSum:
     def test_count_above_the_mode_cap_starts_no_factorization(self, fresh_grid, lapack_calls):
         with pytest.raises(DomainError, match="count must lie in"):
             pseudostate_q(fresh_grid, 0.1, count=oracle._MAX_MODES + 1)
-        assert lapack_calls == {"dgbtrf": 0, "dgbtrs": 0}
+        assert not any(lapack_calls.values())
 
     def test_mode_cap_is_accepted(self, small_grid):
         partial = pseudostate_q(small_grid, 0.1, count=oracle._MAX_MODES)
