@@ -29,6 +29,13 @@ velocity-gauge coupling to the degenerate n = 2 level is zero.  The tail's
 denominators j + 3 - 1/t are at least 1, so a fixed number of terms reaches
 double precision on the whole window; it is summed once per x for Q and P.
 
+The numerators and denominators of S_Q and S_P are written out as
+straight-line Horner forms of the coefficient tables ``_Q_SMOOTH_*`` and
+``_P_SMOOTH_*``: the same operations in the same order as a Horner loop
+over the table, so the same bits, without the loop's interpreter cost.
+The tables stay the single statement of the coefficients, and the tests
+hold the written-out forms to them bit for bit.
+
 Every check reads the amplitudes through an amplitude source, a callable
 x -> (Q, P).  ``SOURCES`` maps the names "derived", "alt-a" and "alt-b" to
 the derived forms and to two alternate transcriptions (differing in the
@@ -101,10 +108,6 @@ def _horner(coeffs: tuple[float, ...], t: float) -> float:
     return acc
 
 
-def _rational(num: tuple[float, ...], den: tuple[float, ...], t: float) -> float:
-    return SQRT2 * _horner(num, t) / _horner(den, t)
-
-
 def require_window(x: float) -> None:
     """Reject photon energies outside the open interval (0, 3/8).
 
@@ -131,14 +134,36 @@ def _tail(t: float) -> float:
     return lerch_sum(_z_arg(t), 3.0 - 1.0 / t, TAIL_TERMS)
 
 
+# (numerator, denominator) of S_Q and S_P: _horner over the _*_SMOOTH_*
+# tables, unrolled.  Its first step 0 * t + c is exactly c, for complex t
+# too, so each form starts at the leading coefficient.
+
+
+def _q_smooth(t: float) -> tuple[float, float]:
+    return (((((((((-65536.0 * t - 393216.0) * t - 1040384.0) * t - 1622016.0) * t
+                  - 1683456.0) * t - 1216512.0) * t - 645632.0) * t - 86016.0) * t
+             - 214528.0),
+            ((((((((((46656.0 * t + 279936.0) * t + 711504.0) * t + 979776.0) * t
+                    + 755244.0) * t + 262440.0) * t - 53217.0) * t - 96228.0) * t
+               - 42282.0) * t - 8748.0) * t - 729.0))
+
+
+def _p_smooth(t: float) -> tuple[float, float]:
+    return (((((256.0 * t + 1280.0) * t + 1984.0) * t + 3008.0) * t - 1088.0) * t + 1472.0,
+            ((((((1296.0 * t + 6480.0) * t + 13608.0) * t + 15552.0) * t + 10449.0) * t
+              + 4131.0) * t + 891.0) * t + 81.0)
+
+
 def _q_derived(t: float, tail: float) -> float:
-    return (_rational(_Q_SMOOTH_NUM, _Q_SMOOTH_DEN, t)
+    num, den = _q_smooth(t)
+    return (SQRT2 * num / den
             + 4096.0 * SQRT2 * (1.0 - t)
             / (3.0 * (1.0 + t) ** 5 * (1.0 + 2.0 * t) ** 6) * tail)
 
 
 def _p_derived(t: float, tail: float) -> float:
-    return (_rational(_P_SMOOTH_NUM, _P_SMOOTH_DEN, t)
+    num, den = _p_smooth(t)
+    return (SQRT2 * num / den
             + 256.0 * SQRT2 * (1.0 - t) ** 2 * (1.0 - 2.0 * t)
             / (3.0 * (1.0 + t) ** 4 * (1.0 + 2.0 * t) ** 5) * tail)
 
@@ -255,7 +280,18 @@ class GaugeAmplitudes:
         """Evaluate source once at x and package the gauge comparison."""
         q, p = source(x)
         f2 = (X_MAX - x) * (-x) * q
-        return cls(x, q, p, p, f2, p - f2)
+        # The generated frozen __init__ sets each field through
+        # object.__setattr__; filling the instance dict directly builds the
+        # same object (equal, same hash and repr) at a fraction of the cost.
+        pair = object.__new__(cls)
+        fields = pair.__dict__
+        fields["x"] = x
+        fields["q"] = q
+        fields["p"] = p
+        fields["f1"] = p
+        fields["f2"] = f2
+        fields["delta"] = p - f2
+        return pair
 
 
 def gauge_pair(x: float) -> GaugeAmplitudes:

@@ -26,6 +26,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass, fields, replace
+from functools import cached_property
 
 from .closedform import X_RESONANCE, q_length, q_slope
 from .errors import DomainError
@@ -80,6 +81,14 @@ class PhysicalConstants:
         except DomainError as exc:
             raise DomainError(f"constants file {path}: {exc}") from exc
 
+    @cached_property
+    def beta_prefactor(self) -> float:
+        """The SI factor of ``beta``, computed on first use and kept with the
+        record it belongs to; ``replace`` and ``from_file`` build new records
+        and so compute their own."""
+        return (self.e**2 * self.hbar
+                / (self.alpha**4 * self.m_e**3 * self.c**5 * 4.0 * math.pi * self.eps0))
+
 
 DEFAULT_CONSTANTS = PhysicalConstants()
 
@@ -108,13 +117,12 @@ class RabiInput:
 
 def beta_prefactor(k: PhysicalConstants = DEFAULT_CONSTANTS) -> float:
     """The SI factor e^2 hbar / (alpha^4 m^3 c^5 (4 pi eps0)), in s^2/kg."""
-    return (k.e**2 * k.hbar
-            / (k.alpha**4 * k.m_e**3 * k.c**5 * 4.0 * math.pi * k.eps0))
+    return k.beta_prefactor
 
 
 def beta(x: float, k: PhysicalConstants = DEFAULT_CONSTANTS) -> float:
     """Two-photon excitation coefficient in Hz per (W/m^2)."""
-    return -beta_prefactor(k) * q_length(x)
+    return -k.beta_prefactor * q_length(x)
 
 
 def rabi_frequency(inp: RabiInput, k: PhysicalConstants = DEFAULT_CONSTANTS) -> float:

@@ -13,6 +13,8 @@ fixes its own term count next to the bound that justifies it.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 
 def lerch_sum(z: float, a: float, terms: int) -> float:
     """Sum the first ``terms`` terms of Phi(z, 1, a) = sum_j z^j / (j + a).
@@ -25,6 +27,14 @@ def lerch_sum(z: float, a: float, terms: int) -> float:
     from the bound above.
     """
     acc = 0.0
-    for j in range(terms - 1, -1, -1):
-        acc = acc * z + 1.0 / (j + a)
+    for j in _descending_shifts(terms):
+        acc = acc * z + 1.0 / (a + j)
     return acc
+
+
+@lru_cache(maxsize=8)
+def _descending_shifts(terms: int) -> tuple[float, ...]:
+    """(terms - 1, ..., 1, 0) as floats, built once per term count: a float
+    shift makes a + j one float addition, with the same result as the int
+    shift (every j < 2**53 converts exactly)."""
+    return tuple(map(float, range(terms - 1, -1, -1)))

@@ -1,6 +1,7 @@
 """Closed-form amplitude tests: frozen values, identities, edge behavior."""
 
 import cmath
+import dataclasses
 import math
 import warnings
 
@@ -9,12 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gauge_workbench import closedform
+from gauge_workbench import closedform, rabi
 from gauge_workbench.closedform import (
     DELTA_SLOPE,
     SOURCES,
     X_MAX,
     X_RESONANCE,
+    GaugeAmplitudes,
     derived_pair,
     gauge_pair,
     p_velocity,
@@ -145,6 +147,26 @@ class TestGaugePair:
         )
         assert worst < 1e-9
 
+    @pytest.mark.parametrize("source", ["derived", "alt-a", "alt-b"])
+    def test_at_builds_the_constructed_record(self, source):
+        x = 0.1
+        q, p = SOURCES[source](x)
+        f2 = (X_MAX - x) * (-x) * q
+        built = GaugeAmplitudes.at(x, SOURCES[source])
+        expected = GaugeAmplitudes(x, q, p, p, f2, p - f2)
+        assert built == expected
+        assert hash(built) == hash(expected)
+        assert repr(built) == repr(expected)
+        assert dataclasses.astuple(built) == (x, q, p, p, f2, p - f2)
+
+    @pytest.mark.parametrize("field", ["x", "q", "p", "f1", "f2", "delta"])
+    def test_fields_stay_frozen(self, field):
+        for pair in (gauge_pair(0.1), GaugeAmplitudes(0.1, 1.0, 2.0, 2.0, 3.0, -1.0)):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(pair, field, 0.0)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(pair, field)
+
     def test_signs_flip_across_resonance(self):
         assert gauge_pair(0.10).delta > 0.0
         assert gauge_pair(0.25).delta < 0.0
@@ -255,7 +277,9 @@ class TestHotPaths:
 
     @pytest.mark.parametrize("evaluate,expected", [
         (gauge_pair, 1), (derived_pair, 1), (q_length, 1), (p_velocity, 1),
-        (q_slope, 1), (two_color_q, 2),
+        (q_slope, 1), (two_color_q, 2), (rabi.beta, 1),
+        pytest.param(lambda x: GaugeAmplitudes.at(x, derived_pair), 1,
+                     id="GaugeAmplitudes.at-1"),
     ])
     def test_lerch_sums_per_call(self, tail_calls, evaluate, expected):
         for x in (0.01, 0.1875, 0.3):
@@ -267,3 +291,22 @@ class TestHotPaths:
     def test_alternates_share_one_hypergeometric_per_pair(self, tail_calls, variant):
         SOURCES[variant](0.1)
         assert len(tail_calls) == 1
+
+
+class TestSmoothParts:
+    """The unrolled numerators and denominators of the rational parts are
+    the Horner sums of the coefficient tables, bit for bit."""
+
+    # dense real t over the window's [1/2, 1], and the complex step of
+    # q_slope at each of them
+    REAL_T = [0.5 + 0.5 * i / 4000 for i in range(4001)]
+    T = REAL_T + [complex(t, -closedform._COMPLEX_STEP / t) for t in REAL_T]
+
+    @pytest.mark.parametrize("smooth,num,den", [
+        (closedform._q_smooth, closedform._Q_SMOOTH_NUM, closedform._Q_SMOOTH_DEN),
+        (closedform._p_smooth, closedform._P_SMOOTH_NUM, closedform._P_SMOOTH_DEN),
+    ], ids=["Q", "P"])
+    def test_unrolled_forms_are_the_table_horner_sums(self, smooth, num, den):
+        horner = closedform._horner
+        for t in self.T:
+            assert smooth(t) == (horner(num, t), horner(den, t))

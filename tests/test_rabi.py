@@ -2,11 +2,11 @@
 
 import json
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
-from gauge_workbench.closedform import X_RESONANCE, q_slope
+from gauge_workbench.closedform import X_RESONANCE, q_length, q_slope
 from gauge_workbench.errors import DomainError
 from gauge_workbench.rabi import (
     DEFAULT_CONSTANTS,
@@ -46,6 +46,41 @@ class TestBetaValues:
     def test_prefactor_scales_linearly_with_hbar(self):
         doubled = replace(DEFAULT_CONSTANTS, hbar=2.0 * DEFAULT_CONSTANTS.hbar)
         assert math.isclose(beta(0.1, doubled), 2.0 * beta(0.1), rel_tol=1e-12)
+
+
+def _prefactor_formula(k):
+    return (k.e**2 * k.hbar
+            / (k.alpha**4 * k.m_e**3 * k.c**5 * 4.0 * math.pi * k.eps0))
+
+
+class TestPrefactorPerRecord:
+    """The prefactor is kept with its record: no record is served another's."""
+
+    @pytest.mark.parametrize("x", [0.01, X_RESONANCE, 0.37])
+    def test_replaced_record(self, x):
+        beta(x)   # the default record's prefactor is in use first
+        k = replace(DEFAULT_CONSTANTS, alpha=7.3e-3)
+        assert beta(x, k) == -_prefactor_formula(k) * q_length(x)
+        assert beta(x, k) != beta(x)
+        assert beta(x) == -_prefactor_formula(DEFAULT_CONSTANTS) * q_length(x)
+
+    def test_record_from_a_file(self, tmp_path):
+        path = tmp_path / "consts.json"
+        path.write_text(json.dumps({"m_e": 9.2e-31, "hbar": 1.06e-34}))
+        beta(0.1)
+        k = PhysicalConstants.from_file(str(path))
+        for x in (0.1, X_RESONANCE, 0.3):
+            assert beta(x, k) == -_prefactor_formula(k) * q_length(x)
+            assert beta_prefactor(k) == _prefactor_formula(k)
+        assert beta(0.1, k) != beta(0.1)
+
+    def test_prefactor_is_no_field_of_the_record(self):
+        k = replace(DEFAULT_CONSTANTS, c=3.0e8)
+        fresh = replace(DEFAULT_CONSTANTS, c=3.0e8)
+        beta_prefactor(k)
+        # computing it changes neither equality, hash, repr nor the fields
+        assert k == fresh and hash(k) == hash(fresh) and repr(k) == repr(fresh)
+        assert "beta_prefactor" not in {f.name for f in fields(PhysicalConstants)}
 
 
 class TestRabiFrequency:

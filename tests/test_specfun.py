@@ -68,6 +68,33 @@ class TestLerchPhi:
         assert math.isclose(mine, float(mpmath.re(ref)), rel_tol=1e-12, abs_tol=1e-12)
 
 
+def _plain_lerch_loop(z, a, terms):
+    """The Horner sum over integer shifts, term by term."""
+    acc = 0.0
+    for j in range(terms - 1, -1, -1):
+        acc = acc * z + 1.0 / (j + a)
+    return acc
+
+
+class TestShiftTable:
+    @pytest.mark.parametrize("terms", [11, 21, 60, 400])
+    def test_every_term_count_matches_the_plain_loop_bit_for_bit(self, terms):
+        t = _checked_t(0.3)
+        tc = complex(t, -1e-20 / t)   # the complex step of q_slope
+        cases = [(_z_arg(t), 3.0 - 1.0 / t), (_z_arg(tc), 3.0 - 1.0 / tc),
+                 (-0.9, 2.3), (0.99, 0.5)]
+        for z, a in cases:
+            assert lerch_sum(z, a, terms) == _plain_lerch_loop(z, a, terms)
+        # at z = 0.99 the last term still moves the sum, so a table cut
+        # short of `terms` would show here
+        assert lerch_sum(0.99, 0.5, terms) != lerch_sum(0.99, 0.5, terms - 1)
+
+    def test_interleaved_term_counts(self):
+        # more distinct counts than the table memo holds, in mixed order
+        for n in (400, 11, 60, 21, 3, 5, 7, 9, 13, 17, 11, 400, 60, 21):
+            assert lerch_sum(0.99, 0.5, n) == _plain_lerch_loop(0.99, 0.5, n)
+
+
 class TestTailLength:
     def test_tail_argument_stays_small(self):
         # TAIL_TERMS is justified by |Z| <= 0.0295 over the whole window
