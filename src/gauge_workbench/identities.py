@@ -4,10 +4,10 @@ Each check evaluates an identity that must hold exactly in continuum
 mathematics and records the residual at the fixed abscissas of its module
 constant.  The checks of the gauge amplitudes read them from an amplitude
 source, x -> (Q, P): the derived closed forms, a negative control or the
-grid oracle.  ac_stark reads a sides source instead, x -> (left side,
-right side) of its identity, and one_photon_ratio reads the 1S-2P
-elements (m_len, m_vel, E_2P - E_1S), which involve no photon energy,
-and brings in the photon energies itself.
+grid oracle.  ac_stark reads a diagonal source, signed x -> 1S elements
+(<r G r>, <v G v>) at E_1S + x, and the source's <1S|1S>; one_photon_ratio
+reads the 1S-2P elements (m_len, m_vel, E_2P - E_1S), which involve no
+photon energy, and brings in the photon energies itself.
 
 The two profiles of build_report differ in those sources:
 
@@ -58,9 +58,6 @@ if TYPE_CHECKING:
 TOL_CLOSED = 1e-9
 TOL_ORACLE = 1e-6
 TOL_ONE_PHOTON = 1e-8
-
-# x -> (left side, right side) of one identity; exact algebra makes them equal
-SidesSource = Callable[[float], tuple[float, float]]
 
 # <2S| r^2 |1S> in units of the squared Bohr radius.
 R2_OVERLAP_EXACT = -512.0 * math.sqrt(2.0) / 243.0
@@ -166,13 +163,18 @@ def check_resonance_pq(source: AmplitudeSource = derived_pair) -> IdentityCheck:
     return _make_check("resonance_pq", (x,), (residual,), TOL_CLOSED)
 
 
-def check_ac_stark(sides: SidesSource = sturmian.ac_stark_sides,
-                   tol: float = TOL_CLOSED) -> IdentityCheck:
-    """Velocity-form ac-Stark response of 1S against the x^2-weighted
-    length form: the Sturmian resolvent by default, the grid through
-    ``partial(oracle.ac_stark_sides, grid)``."""
-    residuals = tuple(lhs - rhs for lhs, rhs in map(sides, AC_STARK_POINTS))
-    return _make_check("ac_stark", AC_STARK_POINTS, residuals, tol)
+def check_ac_stark(diagonal: Callable[[float], tuple[float, float]] = sturmian.diagonal_elements,
+                   norm_1s: float = 1.0, tol: float = TOL_CLOSED) -> IdentityCheck:
+    """The (1S, 1S) case of the master identity summed over +-x, where its
+    linear term cancels: velocity-form ac-Stark response minus 3 <1S|1S>
+    against x^2 times the length form.  The Sturmian resolvent by default
+    (its 1S norm is exactly 1); the grid through
+    ``partial(oracle.diagonal_elements, grid)`` and ``oracle.norm_1s(grid)``."""
+    residuals = []
+    for x in AC_STARK_POINTS:
+        (len_up, vel_up), (len_down, vel_down) = diagonal(x), diagonal(-x)
+        residuals.append(-3.0 * norm_1s + vel_up + vel_down - x * x * (len_up + len_down))
+    return _make_check("ac_stark", AC_STARK_POINTS, tuple(residuals), tol)
 
 
 def check_two_color(source: AmplitudeSource = derived_pair) -> IdentityCheck:
@@ -264,8 +266,8 @@ def build_report(profile: str = "strict",
         master = replace(check_master_identity(partial(oracle.gauge_pair_oracle, grid),
                                                oracle.r2_overlap(grid), TOL_ORACLE),
                          source="grid")
-        ac_stark = replace(check_ac_stark(partial(oracle.ac_stark_sides, grid), TOL_ORACLE),
-                           source="grid")
+        ac_stark = replace(check_ac_stark(partial(oracle.diagonal_elements, grid),
+                                          oracle.norm_1s(grid), TOL_ORACLE), source="grid")
         one_photon = replace(check_one_photon(oracle.one_photon_elements(grid),
                                               TOL_ONE_PHOTON), source="grid")
     else:

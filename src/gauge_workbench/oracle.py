@@ -35,8 +35,8 @@ That is valid because every resolvent energy here lies below the whole
 l = 1 spectrum: E_1S +- x with 0 < x < 3/8, at least 1e-6 Hartree below
 the grid's 2P level, so K - E is positive definite.  One factorization
 and one componentwise backward-error gate serve both gauges at the same
-energy (gauge_pair_oracle); the gate forms the residual and |K - E| |x|
-in one pass over the bands.
+energy, and every 2S and 1S element there is read from that solve
+(_elements); the gate forms the residual and |K - E| |x| in one pass.
 
 LAPACK comes from scipy's f2py extension scipy/linalg/_flapack, loaded
 from its file (_load_lapack) after a plain ``import scipy``: the
@@ -130,8 +130,8 @@ _KD = len(_STENCIL[0]) - 1
 # weight; u = 0 past the grid.
 _DERIVATIVE = ((8.0, -1.0), 12.0)
 
-# (Q, P) pairs kept per OracleState; the oldest is dropped beyond this, so
-# a long sweep of distinct x holds at most this many pairs per grid.
+# Solves kept per OracleState, as the 2S and 1S elements at one signed x; the
+# oldest is dropped beyond this, so a long sweep holds at most this many.
 _AMPLITUDE_MEMO_SIZE = 64
 
 # Most modes one pseudostate_q call sums; each mode costs one banded LU
@@ -217,12 +217,12 @@ class BoundState:
 
 
 class OracleState:
-    """Grid plus cached bound states and amplitude pairs.
+    """Grid plus cached bound states and resolvent elements.
 
     ``bands[l]`` is K_l for l = 0 and l = 1, the channels of 1S, 2S and 2P.
     Everything but ``_amplitudes`` is fixed after construction; the memo
-    maps x to the (Q, P) pair solved at E_1S + x and lives and dies with the
-    state, so ``build_oracle.cache_clear()`` drops it too."""
+    maps a signed x to the _elements solved at E_1S + x and lives and dies
+    with the state, so ``build_oracle.cache_clear()`` drops it too."""
 
     def __init__(self, grid: RadialGrid) -> None:
         self.grid = grid
@@ -246,7 +246,7 @@ class OracleState:
         self._driving = np.asfortranarray(np.column_stack((self.r * self.w1, self.wd1)))
         # the length-gauge bra r w2 that every <2S| r G r |1S> integral reads
         self._bra = self.w2 * self.r
-        self._amplitudes: dict[float, tuple[float, float]] = {}
+        self._amplitudes: dict[float, tuple[float, float, float, float]] = {}
 
     def _velocity_reduce(self, u: np.ndarray) -> np.ndarray:
         """w representation of u'(r) - u(r)/r for an l = 0 state: du/dr is
@@ -537,28 +537,42 @@ def _intermediate_energy(state: OracleState, x: float) -> float:
     return energy
 
 
-def gauge_pair_oracle(grid: RadialGrid, x: float) -> tuple[float, float]:
-    """(Q, P) at x from the grid alone, one solve per (state, x), memoized on the state.
+def _elements(state: OracleState, x: float) -> tuple[float, float, float, float]:
+    """(<2S| r G r |1S>, <2S| v G v |1S>, <1S| r G r |1S>, <1S| v G v |1S>)
+    for G = (H_1 - E_1S - x)^-1 and v = u' - u/r, memoized on the state.
 
-    Both gauges drive the same propagator G(E_1S + x), so on a miss the
-    length- and velocity-gauge driving terms are solved as two columns of
-    one green_solve call, one factorization and one backward-error gate
-    over both columns.  The window and the near-resonance guard run before
-    the lookup, and a failed solve stores nothing, so every error is raised
-    again on every call."""
-    require_window(x)
-    state = build_oracle(grid)
+    On a miss both gauges' driving columns are solved in one green_solve
+    call (one factorization, one backward-error gate).  The near-resonance
+    guard runs before the lookup, and a failed solve stores nothing, so
+    every error is raised again on every call."""
     energy = _intermediate_energy(state, x)
     memo = state._amplitudes
-    pair = memo.get(x)
-    if pair is None:
-        psi = green_solve(state, energy, state._driving)
-        pair = (state.integrate(state._bra, psi[:, 0]) / 3.0,
-                state.integrate(state.wd2, psi[:, 1]) / 3.0)
+    elements = memo.get(x)
+    if elements is None:
+        length, velocity = green_solve(state, energy, state._driving).T
+        elements = (state.integrate(state._bra, length), state.integrate(state.wd2, velocity),
+                    state.integrate(state._driving[:, 0], length),
+                    state.integrate(state._driving[:, 1], velocity))
         if len(memo) >= _AMPLITUDE_MEMO_SIZE:
             del memo[next(iter(memo))]
-        memo[x] = pair
-    return pair
+        memo[x] = elements
+    return elements
+
+
+def gauge_pair_oracle(grid: RadialGrid, x: float) -> tuple[float, float]:
+    """(Q, P) at x from the grid alone: the 2S elements of _elements over 3,
+    so Q and P at one (grid, x) share one solve."""
+    require_window(x)
+    q, p, _, _ = _elements(build_oracle(grid), x)
+    return q / 3.0, p / 3.0
+
+
+def diagonal_elements(grid: RadialGrid, x: float) -> tuple[float, float]:
+    """(<1S| r G r |1S>, <1S| v G v |1S>) at E_1S + x for a signed x with
+    0 < |x| < 3/8 (x < 0 reads the E_1S - x term of the ac-Stark identity),
+    from the solve that (Q, P) at the same x read."""
+    require_window(abs(x))
+    return _elements(build_oracle(grid), x)[2:]
 
 
 def q_oracle(grid: RadialGrid, x: float) -> float:
@@ -588,6 +602,12 @@ def r2_overlap(grid: RadialGrid) -> float:
     return state.integrate(state._bra, state._driving[:, 0])
 
 
+def norm_1s(grid: RadialGrid) -> float:
+    """Quadrature of <1S|1S>, the contact term of the ac-Stark identity."""
+    state = build_oracle(grid)
+    return state.integrate(state.w1, state.w1)
+
+
 def one_photon_elements(grid: RadialGrid) -> tuple[float, float, float]:
     """(m_len, m_vel, E_2P - E_1S): the 1S-2P elements of r and of
     u' - u/r between the grid's states, and the grid's level gap.  Exact
@@ -596,26 +616,6 @@ def one_photon_elements(grid: RadialGrid) -> tuple[float, float, float]:
     return (state.integrate(state.w2p, state._driving[:, 0]),
             state.integrate(state.w2p, state.wd1),
             state.s2p.energy - state.s1.energy)
-
-
-def ac_stark_sides(grid: RadialGrid, x: float) -> tuple[float, float]:
-    """Both sides of the dynamic-polarizability gauge identity at +-x.
-
-    Left: the momentum-form response summed over both photon signs minus
-    the contact normalization 3 <1S|1S>.  Right: x^2 times the position-form
-    response summed the same way.  Exact algebra makes these equal; the
-    returned pair exposes the grid residual."""
-    require_window(x)
-    state = build_oracle(grid)
-    norm_1s = state.integrate(state.w1, state.w1)
-    lhs = -3.0 * norm_1s
-    rhs = 0.0
-    driving = np.column_stack((state.wd1, state.r * state.w1))
-    for sign in (+1.0, -1.0):
-        response = green_solve(state, _intermediate_energy(state, sign * x), driving)
-        lhs += state.integrate(driving[:, 0], response[:, 0])
-        rhs += state.integrate(driving[:, 1], response[:, 1])
-    return lhs, x * x * rhs
 
 
 def _mode_vector(state: OracleState, layout: np.ndarray, eigenvalue: float) -> np.ndarray:

@@ -22,11 +22,11 @@ the process; its entries are tuples, so no caller can change a cached one.
 
 Both gauge identities therefore hold exactly in the Galerkin algebra:
 since r u_1S lies in the basis, (H - E_1S S) e_0 / 2 = -b_V entry by
-entry, so the residuals of ac_stark_sides, and of the commutator relation
-between the one_photon_elements, are roundoff whatever BASIS_SIZE is;
-they show no basis convergence.  The evidence that BASIS_SIZE functions
-resolve the propagator is the agreement of the sides and the elements
-themselves with the radial grid, in the tests.
+entry, so the ac_stark residuals of the diagonal_elements, and of the
+commutator relation between the one_photon_elements, are roundoff
+whatever BASIS_SIZE is; they show no basis convergence.  The evidence
+that BASIS_SIZE functions resolve the propagator is the agreement of the
+elements themselves with the radial grid, in the tests.
 
 Nothing here evaluates a hypergeometric function, but the closed forms of
 closedform.py come from the Sturmian expansion of the same Coulomb Green
@@ -151,24 +151,16 @@ def _state_2p(pencil: Pencil) -> tuple[float, list[float]]:
     raise ConvergenceError(f"2P inverse iteration stalled at vector change {change:.2e}")
 
 
-def ac_stark_sides(x: float) -> tuple[float, float]:
-    """Both sides of the dynamic-polarizability gauge identity at +-x.
-
-    Left: the velocity-gauge response b_V (H - E S)^-1 b_V summed over
-    E = E_1S +- x, minus 3 <1S|1S>.  Right: x^2 times the length-gauge
-    response summed the same way.  The window keeps E_1S + x below -1/8,
+def diagonal_elements(x: float) -> tuple[float, float]:
+    """(<1S| r G r |1S>, <1S| v G v |1S>), G = (H - E S)^-1 at E = E_1S + x,
+    v = u' - u/r, for a signed x with 0 < |x| < 3/8.  E stays below -1/8,
     and the basis's 2P level, a Galerkin upper bound, lies above -1/8, so
-    H - E S is positive definite at both energies."""
-    require_window(x)
-    pencil = _pencil(1, BASIS_SIZE)
-    e_1s, norm_1s = _state_1s()
+    H - E S is positive definite.  <1S|1S> is exactly 1 here."""
+    require_window(abs(x))
+    e_1s, _ = _state_1s()
     b_len, b_vel = _driving_terms()
-    lhs, rhs = -3.0 * norm_1s, 0.0
-    for sign in (+1.0, -1.0):
-        solve = _factor(pencil, e_1s + sign * x)
-        lhs += _dot(b_vel, solve(b_vel))
-        rhs += _dot(b_len, solve(b_len))
-    return lhs, x * x * rhs
+    solve = _factor(_pencil(1, BASIS_SIZE), e_1s + x)
+    return _dot(b_len, solve(b_len)), _dot(b_vel, solve(b_vel))
 
 
 def one_photon_elements() -> tuple[float, float, float]:

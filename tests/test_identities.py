@@ -23,8 +23,9 @@ from gauge_workbench.identities import (
     constants_table,
 )
 from gauge_workbench.oracle import (
-    ac_stark_sides,
+    diagonal_elements,
     gauge_pair_oracle,
+    norm_1s,
     one_photon_elements,
     r2_overlap,
 )
@@ -73,7 +74,8 @@ class TestIndividualChecks:
         assert check.x_values == (0.001, 0.05, 0.10, 0.15)
         assert check.tolerance == 1e-9
         assert check.passed
-        grid = check_ac_stark(partial(ac_stark_sides, default_grid), TOL_ORACLE)
+        grid = check_ac_stark(partial(diagonal_elements, default_grid), norm_1s(default_grid),
+                              TOL_ORACLE)
         assert grid.x_values == check.x_values
         assert grid.passed
 

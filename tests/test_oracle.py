@@ -26,10 +26,11 @@ from gauge_workbench.identities import TOL_ONE_PHOTON, TOL_ORACLE
 from gauge_workbench.oracle import (
     OracleState,
     RadialGrid,
-    ac_stark_sides,
     build_oracle,
+    diagonal_elements,
     gauge_pair_oracle,
     green_solve,
+    norm_1s,
     one_photon_elements,
     p_oracle,
     pseudostate_q,
@@ -602,16 +603,17 @@ class TestEigensolveGates:
             OracleState(small_grid)
         assert lapack_calls["dpbtrf"] == 1 and lapack_calls["dpbtrs"] == 12
 
-    def test_resolvent_backward_error(self, small_grid, monkeypatch):
+    def test_resolvent_backward_error(self, fresh_grid, monkeypatch):
         # a solve perturbed to zero leaves the residual -b, so every row
         # with b_i != 0 has backward error |b_i| / |b_i| = 1 exactly; the
-        # state is built first, since its 1S and 2P solves are dpbtrs too
-        build_oracle(small_grid)
+        # state is built first, since its 1S and 2P solves are dpbtrs too,
+        # and fresh, so no memoized solve answers the read
+        build_oracle(fresh_grid)
         _stub_outputs(monkeypatch, "dpbtrs", lambda sol, info: (np.zeros_like(sol), info))
         try:
             with pytest.raises(ConvergenceError,
                                match=r"componentwise backward error 1\.00e\+00 above 1e-12"):
-                ac_stark_sides(small_grid, 0.001)
+                diagonal_elements(fresh_grid, 0.001)
         finally:
             build_oracle.cache_clear()
 
@@ -800,7 +802,7 @@ class TestAmplitudeOracles:
     def test_guard_edge_is_flagged_for_every_amplitude(self, default_grid):
         # x = 0.3749995 leaves the grid's 2P level 5e-7 above E_1S + x,
         # plainly inside the 1e-6 guard: the grid's level shifts are ~1e-11
-        for amplitude in (q_oracle, p_oracle, gauge_pair_oracle):
+        for amplitude in (q_oracle, p_oracle, gauge_pair_oracle, diagonal_elements):
             with pytest.raises(NearResonanceError):
                 amplitude(default_grid, 0.3749995)
 
@@ -815,6 +817,29 @@ class TestAmplitudeMemo:
         p = p_oracle(fresh_grid, 0.1)
         assert gauge_pair_oracle(fresh_grid, 0.1) == (q, p)
         assert resolvent_calls["dpbtrf"] == 1
+
+    def test_pair_then_1s_read_make_one_solve(self, fresh_grid, resolvent_calls):
+        # the 2S and 1S elements at one x come from one solve; -x is its own
+        gauge_pair_oracle(fresh_grid, 0.1)
+        diagonal_elements(fresh_grid, 0.1)
+        assert resolvent_calls["dpbtrf"] == 1
+        diagonal_elements(fresh_grid, -0.1)
+        assert resolvent_calls["dpbtrf"] == 2
+        assert list(build_oracle(fresh_grid)._amplitudes) == [0.1, -0.1]
+
+    def test_cold_oracle_report_solve_count(self, lapack_calls):
+        # 1S and 2P by banded Cholesky and 2S by pivoted LU, then one
+        # resolvent factorization per signed x: the 20 master points and the
+        # 4 ac-Stark points at +-x, all 28 held in the memo at once
+        build_oracle.cache_clear()
+        identities.build_report("oracle")
+        assert lapack_calls["dpbtrf"] == 30 and lapack_calls["dgbtrf"] == 1
+        memo = build_oracle(RadialGrid())._amplitudes
+        signed = [s for x in identities.AC_STARK_POINTS for s in (x, -x)]
+        assert list(memo) == list(identities.MASTER_GRID) + signed
+        for x in identities.MASTER_GRID:
+            gauge_pair_oracle(RadialGrid(), x)
+        assert lapack_calls["dpbtrf"] == 30
 
     def test_cache_clear_starts_the_count_over(self, fresh_grid, resolvent_calls):
         q_oracle(fresh_grid, 0.1)
@@ -844,7 +869,7 @@ class TestAmplitudeMemo:
                              ids=["out-of-window", "guard-edge"])
     def test_errors_repeat_and_are_never_stored(self, fresh_grid, resolvent_calls, x, error):
         for _ in range(2):
-            for amplitude in (q_oracle, p_oracle, gauge_pair_oracle):
+            for amplitude in (q_oracle, p_oracle, gauge_pair_oracle, diagonal_elements):
                 with pytest.raises(error):
                     amplitude(fresh_grid, x)
         assert not build_oracle(fresh_grid)._amplitudes
@@ -938,19 +963,48 @@ class TestOnePhotonRatio:
 class TestAcStark:
     @pytest.mark.parametrize("x", [0.001, 0.05, 0.10, 0.15])
     def test_sides_agree(self, default_grid, x):
-        lhs, rhs = ac_stark_sides(default_grid, x)
-        assert abs(lhs - rhs) < 1e-6
+        check = identities.check_ac_stark(functools.partial(diagonal_elements, default_grid),
+                                          norm_1s(default_grid), TOL_ORACLE)
+        assert abs(check.residuals[check.x_values.index(x)]) < 1e-6
 
     def test_static_polarizability_limit(self, default_grid):
         # x -> 0: each sign contributes the radial static response 27/4,
         # which is 3/2 of the ground-state dipole polarizability 9/2
-        _, rhs = ac_stark_sides(default_grid, 1e-3)
-        radial = rhs / (2.0 * (1e-3) ** 2)
+        (up, _), (down, _) = diagonal_elements(default_grid, 1e-3), diagonal_elements(
+            default_grid, -1e-3)
+        radial = (up + down) / 2.0
         assert math.isclose((2.0 / 3.0) * radial, 4.5, rel_tol=1e-3)
 
     def test_window_is_enforced(self, default_grid):
+        # 0 < |x| < 3/8 for the signed read
+        for x in (0.5, -0.5, 0.375, -0.375, 0.0, math.nan):
+            with pytest.raises(DomainError):
+                diagonal_elements(default_grid, x)
+
+    def test_negative_x_reads_e_1s_minus_x(self, default_grid):
+        # the 2S amplitudes keep the window (0, 3/8); the 1S read is signed
         with pytest.raises(DomainError):
-            ac_stark_sides(default_grid, 0.5)
+            gauge_pair_oracle(default_grid, -0.1)
+        state = build_oracle(default_grid)
+        driving = state._driving
+        psi = green_solve(state, state.s1.energy - 0.1, driving)
+        assert diagonal_elements(default_grid, -0.1) == (
+            state.integrate(driving[:, 0], psi[:, 0]), state.integrate(driving[:, 1], psi[:, 1]))
+
+    def test_flipped_u_over_r_fails_at_every_point(self, default_grid, monkeypatch):
+        # negative control: the velocity driving term from u' + u/r in place
+        # of u' - u/r, through the grid resolvent; in the w representation
+        # the flip adds 2 w_1S / r.  A state of its own keeps the cache clean.
+        state = OracleState(default_grid)
+        monkeypatch.setattr(oracle, "build_oracle", lambda grid: state)
+        read = functools.partial(diagonal_elements, default_grid)
+        assert identities.check_ac_stark(read, norm_1s(default_grid), TOL_ORACLE).passed
+        state._amplitudes.clear()
+        state._driving = np.asfortranarray(np.column_stack(
+            (state.r * state.w1, state.wd1 + 2.0 * state.w1 / state.r)))
+        check = identities.check_ac_stark(read, norm_1s(default_grid), TOL_ORACLE)
+        assert not check.passed
+        assert min(abs(r) for r in check.residuals) > 1e3 * TOL_ORACLE
 
 
 def _relative_error(computed, exact):
@@ -980,8 +1034,8 @@ class TestDefaultGridAccuracy:
         source = functools.partial(gauge_pair_oracle, default_grid)
         checks = (
             (identities.check_master_identity(source, r2_overlap(default_grid), TOL_ORACLE), 3e-9),
-            (identities.check_ac_stark(functools.partial(ac_stark_sides, default_grid),
-                                       TOL_ORACLE), 4e-10),
+            (identities.check_ac_stark(functools.partial(diagonal_elements, default_grid),
+                                       norm_1s(default_grid), TOL_ORACLE), 4e-10),
             (identities.check_one_photon(one_photon_elements(default_grid), TOL_ONE_PHOTON),
              9e-11),
         )

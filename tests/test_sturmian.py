@@ -1,6 +1,6 @@
 """Coulomb-Sturmian resolvent tests: the recurrences against an independent
-quadrature assembly, the sides against the radial grid, and negative
-controls that the exact Galerkin algebra must fail."""
+quadrature assembly, the resolvent elements against the radial grid, and
+negative controls that the exact Galerkin algebra must fail."""
 
 import math
 
@@ -10,7 +10,7 @@ from numpy.polynomial.laguerre import laggauss
 from scipy.linalg import eigh
 from scipy.special import eval_genlaguerre
 
-from gauge_workbench import sturmian
+from gauge_workbench import identities, sturmian
 from gauge_workbench.errors import ConvergenceError, DomainError
 from gauge_workbench.identities import (
     AC_STARK_POINTS,
@@ -19,7 +19,7 @@ from gauge_workbench.identities import (
     check_ac_stark,
     check_one_photon,
 )
-from gauge_workbench.oracle import ac_stark_sides, one_photon_elements
+from gauge_workbench.oracle import diagonal_elements, one_photon_elements
 
 
 def _quadrature(n, l, times_e_r=None):
@@ -109,18 +109,26 @@ class TestIdentities:
         assert check_ac_stark().max_residual <= 1e-13
         assert check_one_photon().max_residual <= 1e-13
 
-    def test_sides_agree_with_the_grid(self, default_grid):
+    def test_ac_stark_residuals_are_pinned(self):
+        # bit for bit, so that any change to the order of the identity's
+        # float operations, or to the Sturmian reads, shows here
+        assert check_ac_stark().residuals == (
+            4.666490853672337e-16, -4.2327252813834093e-16, -4.996003610813204e-16, 0.0)
+
+    def test_elements_agree_with_the_grid(self, default_grid):
         # The difference is the grid's own error, which scatters from one
-        # point count to the next.  Bounds are three times the worst
-        # difference at the check points over the default grid's point
-        # count +-10 (3239 to 3259 from r_min = 1e-4): 1.71e-10 in the left
-        # side and 1.67e-10 relative in the right; 5.65e-11 relative in the
-        # element ratio m_vel / m_len and 5.02e-11 in the level gap.
+        # point count to the next.  Over the default grid's point count +-10
+        # (3239 to 3259 from r_min = 1e-4) the worst difference at +-x of
+        # the check points is 1.50e-10 in the velocity element and 1.78e-10
+        # relative in the length element, about a third of the bounds;
+        # 5.65e-11 relative in the element ratio m_vel / m_len and 5.02e-11
+        # in the level gap.
         for x in AC_STARK_POINTS:
-            (lhs, rhs), (grid_lhs, grid_rhs) = sturmian.ac_stark_sides(x), ac_stark_sides(
-                default_grid, x)
-            assert abs(lhs - grid_lhs) <= 5.2e-10, x
-            assert abs(rhs / grid_rhs - 1.0) <= 5.1e-10, x
+            for signed in (x, -x):
+                (length, velocity), (grid_length, grid_velocity) = \
+                    sturmian.diagonal_elements(signed), diagonal_elements(default_grid, signed)
+                assert abs(velocity - grid_velocity) <= 5.2e-10, signed
+                assert abs(length / grid_length - 1.0) <= 5.1e-10, signed
         (m_len, m_vel, gap), (grid_len, grid_vel, grid_gap) = \
             sturmian.one_photon_elements(), one_photon_elements(default_grid)
         assert abs((m_vel / m_len) / (grid_vel / grid_len) - 1.0) <= 1.7e-10
@@ -150,15 +158,15 @@ class TestIdentities:
         assert first.checks[5].residuals == check_one_photon().residuals
 
     def test_basis_size_is_converged(self, monkeypatch):
-        # 10 more functions move no side by more than roundoff, also at
+        # 10 more functions move no element by more than roundoff, also at
         # x = 0.37 next to the 2P pole, where the resolvent decays slowest
-        points = AC_STARK_POINTS + (0.3, 0.37)
-        sides = [sturmian.ac_stark_sides(x) for x in points]
+        points = [s for x in AC_STARK_POINTS + (0.3, 0.37) for s in (x, -x)]
+        diagonal = [sturmian.diagonal_elements(x) for x in points]
         elements = sturmian.one_photon_elements()
         monkeypatch.setattr(sturmian, "BASIS_SIZE", sturmian.BASIS_SIZE + 10)
-        for x, pair in zip(points, sides):
-            for side, wider in zip(pair, sturmian.ac_stark_sides(x)):
-                assert math.isclose(side, wider, rel_tol=1e-14, abs_tol=1e-16), x
+        for x, pair in zip(points, diagonal):
+            for element, wider in zip(pair, sturmian.diagonal_elements(x)):
+                assert math.isclose(element, wider, rel_tol=1e-14, abs_tol=1e-16), x
         assert elements == sturmian.one_photon_elements()
 
     def test_scaled_coulomb_entry_fails_ac_stark(self, monkeypatch):
@@ -189,11 +197,22 @@ class TestIdentities:
 
 
 class TestInputs:
-    @pytest.mark.parametrize("x", [0.0, 0.375, -0.1, math.nan])
+    @pytest.mark.parametrize("x", [0.0, -0.0, 0.375, -0.375, 0.4, -0.4, math.nan])
     def test_window_is_enforced(self, x):
         with pytest.raises(DomainError):
-            sturmian.ac_stark_sides(x)
+            sturmian.diagonal_elements(x)
 
-    def test_close_to_the_2p_pole_is_computed(self):
-        lhs, rhs = sturmian.ac_stark_sides(0.3749999)
-        assert math.isfinite(lhs) and abs(lhs - rhs) <= 1e-9 * abs(rhs)
+    def test_negative_x_reads_e_1s_minus_x(self):
+        # a signed read: -0.1 is the E_1S - 0.1 term, not a window error
+        b_len, b_vel = sturmian._driving_terms()
+        solve = sturmian._factor(sturmian._pencil(1, sturmian.BASIS_SIZE), -0.5 - 0.1)
+        assert sturmian.diagonal_elements(-0.1) == (
+            sturmian._dot(b_len, solve(b_len)), sturmian._dot(b_vel, solve(b_vel)))
+
+    def test_close_to_the_2p_pole_is_computed(self, monkeypatch):
+        x = 0.3749999
+        (up, _), (down, _) = sturmian.diagonal_elements(x), sturmian.diagonal_elements(-x)
+        assert math.isfinite(up)
+        monkeypatch.setattr(identities, "AC_STARK_POINTS", (x,))
+        (residual,) = check_ac_stark().residuals
+        assert abs(residual) <= 1e-9 * x * x * (up + down)
