@@ -29,7 +29,7 @@ from typing import TYPE_CHECKING
 
 from .closedform import SOURCES, X_MAX, GaugeAmplitudes, source_named, two_color_combination
 from .errors import ConvergenceError, DomainError
-from .rabi import beta_prefactor, load_constants
+from .rabi import load_constants
 
 if TYPE_CHECKING:
     from .identities import VerificationReport
@@ -94,7 +94,7 @@ def cmd_compute(args: argparse.Namespace) -> int:
     if args.quantity == "two_color_q":
         value, unit = two_color_combination(x, lambda xi: source(xi)[0]), _DIMENSIONLESS
     elif args.quantity == "beta":
-        value, unit = -beta_prefactor(k) * source(x)[0], _BETA_UNIT
+        value, unit = -k.beta_prefactor * source(x)[0], _BETA_UNIT
     else:
         value = getattr(GaugeAmplitudes.at(x, source), args.quantity)
         unit = _DIMENSIONLESS
@@ -121,7 +121,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
             f"got [{args.x_min}, {args.x_max}]"
         )
     extras = _parse_columns(args.columns)
-    prefactor = beta_prefactor(load_constants(args.constants_file))
+    prefactor = load_constants(args.constants_file).beta_prefactor
     source = source_named(args.formula_variant)
 
     # all rows are evaluated before the file is opened, so a domain error

@@ -69,24 +69,25 @@ Hartree and every 1/r^2 band entry is finite, and r_max in [60, 700],
 short of r ~ 708, where the 1S tail e^-r falls below the smallest normal
 double (from r_max = 1000 the l = 1 resolvent misses its gate).
 
-Eigenpairs are found by inverse iteration at a fixed shift next to the
-known hydrogen energy: K is factored once at that shift, and every step
-is one pair of triangular solves with those factors.  Inside the domain
-every grid level lies within 2e-6 Hartree of its hydrogen level.  1S and
-2P are the lowest levels of their channels, so a shift _BELOW_LEVEL =
-1e-5 Hartree under the level leaves K - shift positive definite, and they
-are factored by banded Cholesky through the helper the resolvent uses
-(_shifted_cholesky); a failed factorization is an error that names the
-state, never a fallback.  2S lies above 1S, where K_0 - E is indefinite,
-so it is factored at its hydrogen level by pivoted banded LU, from the
-LU layout expanded for it.  One factorization converges each state, in
-two solves on the default grid; over 48 grids sampled across the domain
-the most was four, for 1S on 200000 points from r_min = 1e-2.
-The pseudostate sum takes only eigenvalues from LAPACK's banded
-eigensolver dsbevx, called directly, and gets each mode's vector by
-banded inverse iteration with pivoted LU at the mode's own eigenvalue,
-from one LU layout per call, one factorization and two solves per mode,
-for at most _MAX_MODES modes.
+Every eigenvector of K, bound state or pseudostate mode, comes from one
+routine, _inverse_iteration: a fixed shift, K - shift factored once, one
+pair of triangular solves per step, the Rayleigh quotient after each, a
+stop once it stalls after at least two solves, and a scaled backward-error
+gate on the result.  Inside the domain every grid level lies within 2e-6
+Hartree of its hydrogen level.  1S and 2P are the lowest levels of their
+channels, so a shift _BELOW_LEVEL = 1e-5 Hartree under the level leaves
+K - shift positive definite, and they are factored by banded Cholesky
+through the helper the resolvent uses (_shifted_cholesky); a failed
+factorization is an error that names the state, never a fallback.  2S
+lies above 1S, where K_0 - E is indefinite, so it is factored at its
+hydrogen level by pivoted banded LU, from the LU layout expanded for it.
+One factorization converges each state, in two solves on the default
+grid; over 48 grids sampled across the domain the most was four, for 1S
+on 200000 points from r_min = 1e-2.  The pseudostate sum takes only
+eigenvalues from LAPACK's banded eigensolver dsbevx, called directly, and
+gets each mode's vector from the same routine, started from all ones with
+pivoted LU at the mode's own eigenvalue, from one LU layout per call: one
+factorization and two solves per mode, for at most _MAX_MODES modes.
 """
 
 from __future__ import annotations
@@ -381,62 +382,23 @@ def _shifted_lu(layout: np.ndarray, shift: float,
     return solve
 
 
-def _laguerre(degree: int, alpha: int, x: np.ndarray) -> np.ndarray:
-    """Generalized Laguerre polynomial L_degree^(alpha)(x) by its three-term recurrence."""
-    prev, cur = np.zeros_like(x), np.ones_like(x)
-    for k in range(degree):
-        prev, cur = cur, ((2 * k + 1 + alpha - x) * cur - (k + alpha) * prev) / (k + 1)
-    return cur
+def _inverse_iteration(ab: np.ndarray, h: float, solve: Callable[[np.ndarray], np.ndarray],
+                       w: np.ndarray, energy: float, what: str) -> tuple[float, np.ndarray]:
+    """Eigenpair (energy, w) of K, bands ``ab``, by inverse iteration from
+    the start w and the energy guess ``energy``; ``solve`` applies one
+    fixed factorization of K - shift.  w comes back quadrature-normalized.
 
-
-def _check_eigenpair(ab: np.ndarray, h: float, w: np.ndarray, energy: float,
-                     kw: np.ndarray, what: str) -> None:
-    """Reject the eigenpair (energy, w) of ``what`` unless its backward error
-    meets _RESIDUAL_TARGET; w is quadrature-normalized and kw = K w already
-    applied.
-
-    The residual is scaled by the local operator magnitude; the raw
-    residual norm is meaningless here because the log-grid diagonal grows
-    like 1/(h r)^2 toward the origin and amplifies roundoff.  A NaN
-    residual fails the ``<=`` test."""
-    residual = kw - energy * w
-    scale = np.abs(ab[0]) + abs(energy)
-    rnorm = float(np.sqrt(h * np.dot(residual / scale, residual / scale)))
-    if not rnorm <= _RESIDUAL_TARGET:
-        raise ConvergenceError(
-            f"eigensolve backward error {rnorm:.2e} above {_RESIDUAL_TARGET} for {what}")
-
-
-def _solve_on_state(state: OracleState, n: int, l: int) -> BoundState:
-    ab = state.bands[l]
-    h, r = state.h, state.r
-    target = -0.5 / (n * n)
-
-    # Seed with the full analytic radial shape, Laguerre factor included.
-    # A bare r^(l+1) exp(-r/n) envelope is not safe in general: for (n,l) = (3,0)
-    # it is exactly orthogonal to the target state and the iteration would
-    # lock onto a neighbor instead.
-    poly = _laguerre(n - l - 1, 2 * l + 1, 2.0 * r / n)
-    w = (r ** (l + 1) * np.exp(-r / n) * poly) * state.sqrt_r
-    w /= np.sqrt(h * np.dot(w, w))
-    what = f"(n,l)=({n},{l})"
-    # On every grid RadialGrid accepts, the hydrogen energy lies within the
-    # r_min and h^4 shifts (at most 2e-6 Hartree) of the grid eigenvalue, so
-    # inverse iteration at a fixed shift near it gains many digits per step
-    # and one factorization serves every step.  The lowest state of its
-    # channel (no nodes) is shifted _BELOW_LEVEL under the whole spectrum
-    # and factored by banded Cholesky, as the resolvent is; 2S sits above 1S,
-    # where K_0 - E is indefinite, so it is factored by pivoted LU at its
-    # hydrogen level.  The first quotient still carries the seed's error, so
-    # the loop always takes a second solve.  Roundoff in the quotient grows
-    # with the grid (changes of a few 1e-12 from 24000 points on, 2.5e-11 at
-    # 192000), so the loop stops at the _STALL threshold instead of waiting
-    # for a change inside that noise.
-    if n == l + 1:
-        _, solve = _shifted_cholesky(ab, target - _BELOW_LEVEL, what)
-    else:
-        solve = _shifted_lu(_full_banded(ab), target, what)
-    energy = target
+    Each step solves, normalizes and takes the Rayleigh quotient.  The
+    first quotient still carries the start's error, so the loop always
+    takes a second solve.  Roundoff in the quotient grows with the grid
+    (changes of a few 1e-12 from 24000 points on, 2.5e-11 at 192000), so
+    the loop stops at the _STALL threshold instead of waiting for a change
+    inside that noise; 12 solves without that stop are a ConvergenceError.
+    The pair is then rejected unless its backward error meets
+    _RESIDUAL_TARGET, the residual scaled by the local operator magnitude:
+    the raw residual norm is meaningless here because the log-grid
+    diagonal grows like 1/(h r)^2 toward the origin and amplifies
+    roundoff.  A NaN residual fails the ``<=`` test."""
     for step in range(12):
         v = solve(w)
         v /= np.sqrt(h * np.dot(v, v))
@@ -449,7 +411,41 @@ def _solve_on_state(state: OracleState, n: int, l: int) -> BoundState:
     else:
         raise ConvergenceError(
             f"eigensolve stalled at energy change {last_change:.2e} for {what}")
-    _check_eigenpair(ab, h, w, energy, kw, what)
+    residual = (kw - energy * w) / (np.abs(ab[0]) + abs(energy))
+    rnorm = float(np.sqrt(h * np.dot(residual, residual)))
+    if not rnorm <= _RESIDUAL_TARGET:
+        raise ConvergenceError(
+            f"eigensolve backward error {rnorm:.2e} above {_RESIDUAL_TARGET} for {what}")
+    return energy, w
+
+
+def _solve_on_state(state: OracleState, n: int, l: int) -> BoundState:
+    """The grid's (n, l) state, for the three the oracle builds: 1S, 2S and 2P."""
+    ab, r = state.bands[l], state.r
+    target = -0.5 / (n * n)
+
+    # Seed with the full analytic radial shape, r^(l+1) exp(-r/n) times the
+    # Laguerre factor L_(n-l-1)^(2l+1)(2r/n): 1 for the nodeless 1S and 2P,
+    # 2 - r for 2S.  A bare envelope is not safe in general: for (n,l) = (3,0)
+    # it is exactly orthogonal to the target state and the iteration would
+    # lock onto a neighbor instead.
+    laguerre = 1.0 if n == l + 1 else 2.0 - r
+    w = (r ** (l + 1) * np.exp(-r / n) * laguerre) * state.sqrt_r
+    w /= np.sqrt(state.h * np.dot(w, w))
+    what = f"(n,l)=({n},{l})"
+    # On every grid RadialGrid accepts, the hydrogen energy lies within the
+    # r_min and h^4 shifts (at most 2e-6 Hartree) of the grid eigenvalue, so
+    # inverse iteration at a fixed shift near it gains many digits per step
+    # and one factorization serves every step.  The lowest state of its
+    # channel (no nodes) is shifted _BELOW_LEVEL under the whole spectrum
+    # and factored by banded Cholesky, as the resolvent is; 2S sits above 1S,
+    # where K_0 - E is indefinite, so it is factored by pivoted LU at its
+    # hydrogen level.
+    if n == l + 1:
+        _, solve = _shifted_cholesky(ab, target - _BELOW_LEVEL, what)
+    else:
+        solve = _shifted_lu(_full_banded(ab), target, what)
+    energy, w = _inverse_iteration(ab, state.h, solve, w, target, what)
 
     u = w / state.sqrt_r
     lead = np.argmax(np.abs(u) > 1e-8 * np.max(np.abs(u)))
@@ -618,24 +614,6 @@ def one_photon_elements(grid: RadialGrid) -> tuple[float, float, float]:
             state.s2p.energy - state.s1.energy)
 
 
-def _mode_vector(state: OracleState, layout: np.ndarray, eigenvalue: float) -> np.ndarray:
-    """Quadrature-normalized eigenvector of K_1 for a computed eigenvalue.
-
-    One banded LU at the eigenvalue itself, from ``layout``, the dgbtrf
-    layout of K_1, then two inverse-iteration steps with it from a fixed
-    all-ones start; the mode is accepted only if its scaled backward error
-    meets the same target as the bound states."""
-    ab, h = state.bands[1], state.h
-    what = f"l = 1 mode at {eigenvalue!r}"
-    solve = _shifted_lu(layout, eigenvalue, what)
-    v = np.ones(state.grid.n_points)
-    for _ in range(2):
-        v = solve(v)
-        v /= np.sqrt(h * np.dot(v, v))
-    _check_eigenpair(ab, h, v, eigenvalue, _apply_bands(ab, v), what)
-    return v
-
-
 def pseudostate_q(grid: RadialGrid, x: float, count: int = 30) -> np.ndarray:
     """Partial sums of the length-gauge amplitude over discrete l = 1 modes.
 
@@ -647,11 +625,12 @@ def pseudostate_q(grid: RadialGrid, x: float, count: int = 30) -> np.ndarray:
     Only the ``count`` lowest eigenvalues come from LAPACK's banded
     eigensolver (``dsbevx``, with the arguments scipy's ``eig_banded``
     passes for ``eigvals_only=True, select="i"``); each mode's vector then
-    comes from inverse iteration with the banded LU (``_mode_vector``),
-    O(n) per mode, instead of the O(n^3) eigenvector matrix.  ``count`` is
-    at most _MAX_MODES, checked before anything is built or solved; a
-    failed eigensolve or one that returns fewer than ``count`` eigenvalues
-    is a ConvergenceError."""
+    comes from _inverse_iteration, started from all ones with a banded LU
+    at the mode's eigenvalue, O(n) per mode, instead of the O(n^3)
+    eigenvector matrix.  The denominators keep dsbevx's eigenvalues, not
+    the iteration's quotients.  ``count`` is at most _MAX_MODES, checked
+    before anything is built or solved; a failed eigensolve or one that
+    returns fewer than ``count`` eigenvalues is a ConvergenceError."""
     require_window(x)
     if not _is_index(count):
         raise DomainError(f"count = {count!r} must be an integer")
@@ -659,18 +638,24 @@ def pseudostate_q(grid: RadialGrid, x: float, count: int = 30) -> np.ndarray:
         raise DomainError(f"count must lie in [1, {_MAX_MODES}], got {count}")
     state = build_oracle(grid)
     energy = _intermediate_energy(state, x)
+    ab = state.bands[1]
     # the bands are finite on every grid RadialGrid accepts, so eig_banded's
-    # check_finite has nothing to add
+    # check_finite has nothing to add; its abstol 2 dlamch("s") is 2 tiny
     vals, _, found, _, info = _flapack.dsbevx(
-        state.bands[1], 0.0, 0.0, 1, count, compute_v=0, mmax=1, range=2, lower=1,
-        overwrite_ab=0, abstol=2 * _flapack.dlamch("s"))
+        ab, 0.0, 0.0, 1, count, compute_v=0, mmax=1, range=2, lower=1,
+        overwrite_ab=0, abstol=2 * np.finfo(float).tiny)
     if info != 0 or found < count:
         raise ConvergenceError(
             f"banded eigensolve found {found} of the {count} lowest l = 1 "
             f"eigenvalues (dsbevx info = {info})")
     vals = vals[:count]
-    layout = _full_banded(state.bands[1])
-    vecs = np.column_stack([_mode_vector(state, layout, float(val)) for val in vals])
+    layout, start = _full_banded(ab), np.ones(grid.n_points)
+    modes = []
+    for val in map(float, vals):
+        what = f"l = 1 mode at {val!r}"
+        solve = _shifted_lu(layout, val, what)
+        modes.append(_inverse_iteration(ab, state.h, solve, start, val, what)[1])
+    vecs = np.column_stack(modes)
     # quadrature-normalized columns: each projection is an h-weighted sum
     bra = state.h * (state._bra @ vecs)
     ket = state.h * (state._driving[:, 0] @ vecs)

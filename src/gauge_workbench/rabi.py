@@ -83,9 +83,10 @@ class PhysicalConstants:
 
     @cached_property
     def beta_prefactor(self) -> float:
-        """The SI factor of ``beta``, computed on first use and kept with the
-        record it belongs to; ``replace`` and ``from_file`` build new records
-        and so compute their own."""
+        """The SI factor of ``beta``, e^2 hbar / (alpha^4 m^3 c^5 (4 pi eps0))
+        in s^2/kg, computed on first use and kept with the record it belongs
+        to; ``replace`` and ``from_file`` build new records and so compute
+        their own."""
         return (self.e**2 * self.hbar
                 / (self.alpha**4 * self.m_e**3 * self.c**5 * 4.0 * math.pi * self.eps0))
 
@@ -115,11 +116,6 @@ class RabiInput:
             raise DomainError(f"intensity must be nonnegative and finite, got {self.intensity}")
 
 
-def beta_prefactor(k: PhysicalConstants = DEFAULT_CONSTANTS) -> float:
-    """The SI factor e^2 hbar / (alpha^4 m^3 c^5 (4 pi eps0)), in s^2/kg."""
-    return k.beta_prefactor
-
-
 def beta(x: float, k: PhysicalConstants = DEFAULT_CONSTANTS) -> float:
     """Two-photon excitation coefficient in Hz per (W/m^2)."""
     return -k.beta_prefactor * q_length(x)
@@ -136,4 +132,4 @@ def beta_slope(k: PhysicalConstants = DEFAULT_CONSTANTS) -> float:
     The prefactor times -dQ/dx, with dQ/dx from the complex step of
     ``closedform.q_slope``: one evaluation of the folded Q at x + ih,
     accurate to rounding (7e-16 relative at 3/16)."""
-    return -beta_prefactor(k) * q_slope(X_RESONANCE)
+    return -k.beta_prefactor * q_slope(X_RESONANCE)

@@ -14,7 +14,7 @@ import pytest
 
 import gauge_workbench
 from gauge_workbench.closedform import SOURCES
-from gauge_workbench.rabi import beta_prefactor
+from gauge_workbench.rabi import DEFAULT_CONSTANTS
 
 CLI = [sys.executable, "-m", "gauge_workbench.cli"]
 # The subprocess imports the same copy of the package as this process,
@@ -197,7 +197,7 @@ class TestCompute:
         proc = run_cli("compute", "--x", "0.1875", "--quantity", "beta",
                        "--formula-variant", "alt-a")
         assert proc.returncode == 0
-        expected = -beta_prefactor() * SOURCES["alt-a"](0.1875)[0]
+        expected = -DEFAULT_CONSTANTS.beta_prefactor * SOURCES["alt-a"](0.1875)[0]
         assert proc.stdout == f"{expected:.11e} Hz(W/m^2)^-1\n"
 
 
@@ -233,7 +233,7 @@ class TestScan:
         for row in rows:
             q, b = (float(v) for v in row.split(",")[4:])
             assert q > 0.0  # the alternate, not the derived Q < 0
-            assert math.isclose(b, -beta_prefactor() * q, rel_tol=1e-11)
+            assert math.isclose(b, -DEFAULT_CONSTANTS.beta_prefactor * q, rel_tol=1e-11)
 
     def test_byte_determinism(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -367,9 +367,12 @@ def _inverse_iteration_reference(state, n, l):
     with K v applied by _apply_bands_reference and one factorization: for
     the nodeless 1S and 2P a banded Cholesky of the lower bands 1e-5
     Hartree below the hydrogen level, for 2S a pivoted LU built from the
-    upper bands at the level itself."""
+    upper bands at the level itself.  The seed's Laguerre factor
+    L_(n-l-1)^(2l+1)(x), x = 2r/n, is written out: 1 for the nodeless states,
+    2 - x for 2S."""
     ab, h, r = _upper(state.bands[l]), state.h, state.r
-    poly = oracle._laguerre(n - l - 1, 2 * l + 1, 2.0 * r / n)
+    x = 2.0 * r / n
+    poly = np.ones_like(x) if n == l + 1 else 2.0 - x
     w = (r ** (l + 1) * np.exp(-r / n) * poly) * state.sqrt_r
     w /= np.sqrt(h * np.dot(w, w))
 
@@ -490,9 +493,9 @@ class TestInverseIteration:
             assert int(np.sum(live[1:] * live[:-1] < 0.0)) == n - l - 1
             assert abs(bound.energy - _rayleigh_quotient_iteration(state, n, l)) <= 1e-10
 
-    def test_mode_vector_matches_two_solve_banded_steps(self, small_grid, lapack_calls):
+    def test_mode_reference_matches_two_solve_banded_steps(self, small_grid):
+        # the dgbtrf layout of _mode_reference against solve_banded's own
         state = build_oracle(small_grid)
-        lapack_calls.update(dict.fromkeys(lapack_calls, 0))
         ab = _upper(state.bands[1])
         vals = eig_banded(ab, lower=False, eigvals_only=True, select="i", select_range=(0, 2))
         for val in vals:
@@ -500,9 +503,8 @@ class TestInverseIteration:
             for _ in range(2):
                 v = solve_banded((2, 2), _lu_bands(ab, val), v)
                 v /= np.sqrt(state.h * np.dot(v, v))
-            mode = oracle._mode_vector(state, oracle._full_banded(state.bands[1]), float(val))
+            mode = _mode_reference(state, float(val))
             assert np.max(np.abs(mode - v)) <= 1e-14 * np.max(np.abs(v))
-        assert lapack_calls == {"dgbtrf": 3, "dgbtrs": 6, "dpbtrf": 0, "dpbtrs": 0}
 
     @pytest.mark.parametrize(
         "grid", [RadialGrid(), RadialGrid(6000, r_min=1e-9), RadialGrid(6000, r_min=1e-2)],
@@ -515,16 +517,6 @@ class TestInverseIteration:
             energy, u = _inverse_iteration_reference(state, *bound.label)
             assert bound.energy == energy
             assert np.array_equal(bound.radial_values, u)
-
-    @pytest.mark.parametrize("alpha", [1, 3])
-    @pytest.mark.parametrize("degree", range(5))
-    def test_laguerre_recurrence_matches_scipy(self, degree, alpha):
-        # L(-x) sums the coefficient magnitudes, so it bounds the roundoff
-        x = np.concatenate((np.geomspace(1e-12, 400.0, 2000), np.linspace(0.0, 40.0, 4001)))
-        reference = eval_genlaguerre(degree, alpha, x)
-        scale = eval_genlaguerre(degree, alpha, -x)
-        error = np.abs(oracle._laguerre(degree, alpha, x) - reference)
-        assert np.all(error <= 8.0 * np.finfo(float).eps * scale)
 
 
 def _stub_outputs(monkeypatch, name, alter):
@@ -1098,14 +1090,28 @@ def _pseudostate_reference(grid, xs, count=30):
             for x in xs]
 
 
+def _mode_reference(state, eigenvalue):
+    """The l = 1 mode at a computed eigenvalue: two inverse-iteration steps
+    from all ones with one pivoted LU of K_1 - eigenvalue, built from the
+    upper bands, each step normalized by the h-weighted norm."""
+    layout = _full_banded_reference(_upper(state.bands[1]), eigenvalue)
+    lu, piv, info = dgbtrf(layout, 2, 2, overwrite_ab=1)
+    assert info == 0
+    v = np.ones(state.grid.n_points)
+    for _ in range(2):
+        v = dgbtrs(lu, 2, 2, v, piv)[0]
+        v /= np.sqrt(state.h * np.dot(v, v))
+    return v
+
+
 def _eig_banded_partial_sums(grid, x, count):
     """pseudostate_q with its eigenvalues from scipy's eig_banded on the
-    state's lower bands, the call whose LAPACK routine it makes directly."""
+    state's lower bands, the call whose LAPACK routine it makes directly,
+    and its modes from _mode_reference."""
     state = build_oracle(grid)
     vals = eig_banded(state.bands[1], lower=True, eigvals_only=True,
                       select="i", select_range=(0, count - 1))
-    layout = oracle._full_banded(state.bands[1])
-    vecs = np.column_stack([oracle._mode_vector(state, layout, float(val)) for val in vals])
+    vecs = np.column_stack([_mode_reference(state, float(val)) for val in vals])
     bra = state.h * ((state.w2 * state.r) @ vecs)
     ket = state.h * ((state.r * state.w1) @ vecs)
     return np.cumsum(bra * ket / (vals - (state.s1.energy + x)) / 3.0)
@@ -1122,8 +1128,22 @@ def _stub_eigensolver(monkeypatch, **override):
         result.update(override)
         return tuple(result[field] for field in fields)
 
-    monkeypatch.setattr(oracle, "_flapack", types.SimpleNamespace(dsbevx=dsbevx,
-                                                                  dlamch=real.dlamch))
+    monkeypatch.setattr(oracle, "_flapack", types.SimpleNamespace(dsbevx=dsbevx))
+
+
+def _two_lowest_l1_eigenvalues(state):
+    vals = eig_banded(_upper(state.bands[1]), lower=False, eigvals_only=True,
+                      select="i", select_range=(0, 1))
+    return [float(val) for val in vals]
+
+
+def _l1_mode(state, shift, start):
+    """(energy, w) from oracle._inverse_iteration on K_1 with a pivoted LU at
+    ``shift``, from ``start``: pseudostate_q's call for one mode."""
+    ab = state.bands[1]
+    what = f"l = 1 mode at {shift!r}"
+    solve = oracle._shifted_lu(oracle._full_banded(ab), shift, what)
+    return oracle._inverse_iteration(ab, state.h, solve, start, shift, what)
 
 
 def _assert_partial_sums_close_on_resolvent(grid, x=0.1):
@@ -1147,19 +1167,32 @@ class TestPseudostateSum:
             assert np.max(np.abs(partial / reference - 1.0)) <= 1e-10
             assert np.array_equal(partial, _eig_banded_partial_sums(small_grid, x, 30))
 
-    def test_mode_between_two_eigenvalues_is_rejected(self, small_grid):
-        # Negative control for the per-mode residual gate: a shift midway
-        # between two eigenvalues converges to a mixture whose backward
-        # error is of the order of the gap.
-        from gauge_workbench.oracle import _mode_vector
+    def test_one_lu_and_two_solves_per_mode(self, small_grid, lapack_calls):
+        build_oracle(small_grid)
+        lapack_calls.update(dict.fromkeys(lapack_calls, 0))
+        pseudostate_q(small_grid, 0.1, count=30)
+        assert lapack_calls == {"dgbtrf": 30, "dgbtrs": 60, "dpbtrf": 0, "dpbtrs": 0}
 
+    def test_mode_between_two_eigenvalues_is_rejected(self, small_grid):
+        # Negative control for the per-mode residual gate: at a shift midway
+        # between two eigenvalues, the sum of their modes maps to their
+        # difference and back, so the quotient stalls at once on the
+        # midpoint, a mixture whose backward error is of the order of the gap.
         state = build_oracle(small_grid)
-        vals = eig_banded(_upper(state.bands[1]), lower=False, eigvals_only=True,
-                          select="i", select_range=(0, 1))
-        layout = oracle._full_banded(state.bands[1])
-        _mode_vector(state, layout, float(vals[0]))
+        vals = _two_lowest_l1_eigenvalues(state)
+        ones = np.ones(small_grid.n_points)
+        modes = [_l1_mode(state, val, ones)[1] for val in vals]
         with pytest.raises(ConvergenceError, match="backward error"):
-            _mode_vector(state, layout, float(0.5 * (vals[0] + vals[1])))
+            _l1_mode(state, 0.5 * (vals[0] + vals[1]), modes[0] + modes[1])
+
+    def test_mode_between_two_eigenvalues_from_ones_stalls(self, small_grid):
+        # Negative control for the stall stop: from all ones, pseudostate_q's
+        # start, the quotient at the midpoint still changes by ~1e-7 per
+        # step after 12 solves.
+        state = build_oracle(small_grid)
+        vals = _two_lowest_l1_eigenvalues(state)
+        with pytest.raises(ConvergenceError, match="stalled"):
+            _l1_mode(state, 0.5 * (vals[0] + vals[1]), np.ones(small_grid.n_points))
 
     def test_count_validation(self, small_grid):
         with pytest.raises(DomainError):

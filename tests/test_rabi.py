@@ -14,7 +14,6 @@ from gauge_workbench.rabi import (
     PhysicalConstants,
     RabiInput,
     beta,
-    beta_prefactor,
     beta_slope,
     load_constants,
     rabi_frequency,
@@ -41,7 +40,7 @@ class TestBetaValues:
     def test_slope_is_the_prefactor_times_the_q_slope(self):
         doubled = replace(DEFAULT_CONSTANTS, hbar=2.0 * DEFAULT_CONSTANTS.hbar)
         for k in (DEFAULT_CONSTANTS, doubled):
-            assert beta_slope(k) == -beta_prefactor(k) * q_slope(X_RESONANCE)
+            assert beta_slope(k) == -k.beta_prefactor * q_slope(X_RESONANCE)
 
     def test_prefactor_scales_linearly_with_hbar(self):
         doubled = replace(DEFAULT_CONSTANTS, hbar=2.0 * DEFAULT_CONSTANTS.hbar)
@@ -71,13 +70,13 @@ class TestPrefactorPerRecord:
         k = PhysicalConstants.from_file(str(path))
         for x in (0.1, X_RESONANCE, 0.3):
             assert beta(x, k) == -_prefactor_formula(k) * q_length(x)
-            assert beta_prefactor(k) == _prefactor_formula(k)
+            assert k.beta_prefactor == _prefactor_formula(k)
         assert beta(0.1, k) != beta(0.1)
 
     def test_prefactor_is_no_field_of_the_record(self):
         k = replace(DEFAULT_CONSTANTS, c=3.0e8)
         fresh = replace(DEFAULT_CONSTANTS, c=3.0e8)
-        beta_prefactor(k)
+        assert k.beta_prefactor == _prefactor_formula(k)
         # computing it changes neither equality, hash, repr nor the fields
         assert k == fresh and hash(k) == hash(fresh) and repr(k) == repr(fresh)
         assert "beta_prefactor" not in {f.name for f in fields(PhysicalConstants)}
@@ -216,4 +215,4 @@ def test_prefactor_dimensions_reduce_to_hz_per_intensity():
     total = {u: e for u, e in total.items() if e != 0}
     assert total == {"s": 2, "kg": -1}
     # and the magnitude is the frozen number used throughout
-    assert math.isclose(beta_prefactor(), 4.68712498735e-6, rel_tol=1e-11)
+    assert math.isclose(DEFAULT_CONSTANTS.beta_prefactor, 4.68712498735e-6, rel_tol=1e-11)
