@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import json
 import os
 import sys
 import tempfile
@@ -207,6 +206,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     print(f"overall: {'PASS' if report.overall_pass else 'FAIL'}")
 
     if args.out:
+        import json  # only the report file needs it: compute and scan start without it
+
         doc = _report_document(report, args, grid, (BASIS_SIZE, LAMBDA), k.provenance_tag)
         _atomic_write(args.out, json.dumps(doc, indent=2) + "\n")
     return EXIT_OK if report.overall_pass else EXIT_VERIFY_FAIL

@@ -34,7 +34,10 @@ straight-line Horner forms of the coefficient tables ``_Q_SMOOTH_*`` and
 ``_P_SMOOTH_*``: the same operations in the same order as a Horner loop
 over the table, so the same bits, without the loop's interpreter cost.
 The tables stay the single statement of the coefficients, and the tests
-hold the written-out forms to them bit for bit.
+hold the written-out forms to them bit for bit.  The tail is written out
+the same way: ``_tail`` is the nested form of its TAIL_TERMS terms, with
+the operations of ``specfun.lerch_sum`` in its order, and the tests hold
+it to that sum bit for bit.
 
 Every check reads the amplitudes through an amplitude source, a callable
 x -> (Q, P).  ``SOURCES`` maps the names "derived", "alt-a" and "alt-b" to
@@ -76,6 +79,10 @@ _Q_SMOOTH_DEN = (46656.0, 279936.0, 711504.0, 979776.0, 755244.0, 262440.0,
 _P_SMOOTH_NUM = (256.0, 1280.0, 1984.0, 3008.0, -1088.0, 1472.0)
 _P_SMOOTH_DEN = (1296.0, 6480.0, 13608.0, 15552.0, 10449.0, 4131.0, 891.0, 81.0)
 
+# Constant factors of the tail coefficients c_Q and c_P, multiplied once.
+_Q_TAIL_SCALE = 4096.0 * SQRT2
+_P_TAIL_SCALE = 256.0 * SQRT2
+
 # Imaginary step of q_slope.  Its value does not matter: no difference is
 # taken, so nothing cancels, and the step enters only through the relative
 # term h^2 Q'''/(6 Q'), below 1e-40 at the resonance and 1e-28 at
@@ -85,6 +92,8 @@ _COMPLEX_STEP = 1e-20
 # Terms of the tail Phi(Z, 1, 3 - 1/t).  On [1/2, 1], |Z| <= 0.0295 and the
 # shift lies in [1, 2], so the dropped remainder is at most
 # |Z|^11 / (12 (1 - |Z|)) < 1.3e-18, below 2.6e-18 relative to Phi >= 1/2.
+# The bound sets the length of the written-out sum in _tail, which has
+# exactly this many terms; the tests hold it to lerch_sum with this count.
 TAIL_TERMS = 11
 
 # Terms of Phi(z, 1, 1 - t) in the alternates' 2F1 = 1 - t z Phi.  There
@@ -130,8 +139,17 @@ def _checked_t(x: float) -> float:
 
 
 def _tail(t: float) -> float:
-    """Phi(Z, 1, 3 - 1/t), the hypergeometric tail with Z^3 and -1/t folded out."""
-    return lerch_sum(_z_arg(t), 3.0 - 1.0 / t, TAIL_TERMS)
+    """Phi(Z, 1, 3 - 1/t), the hypergeometric tail with Z^3 and -1/t folded out.
+
+    lerch_sum(Z, 3 - 1/t, TAIL_TERMS) written out: the same operations in
+    the same order.  Its first step 0 * z + 1/(a + 10) is exactly
+    1/(a + 10), for complex t too, so the form starts at the term j = 10."""
+    z = _z_arg(t)
+    a = 3.0 - 1.0 / t
+    return ((((((((((1.0 / (a + 10.0) * z + 1.0 / (a + 9.0)) * z + 1.0 / (a + 8.0)) * z
+                   + 1.0 / (a + 7.0)) * z + 1.0 / (a + 6.0)) * z + 1.0 / (a + 5.0)) * z
+                + 1.0 / (a + 4.0)) * z + 1.0 / (a + 3.0)) * z + 1.0 / (a + 2.0)) * z
+             + 1.0 / (a + 1.0)) * z + 1.0 / a)
 
 
 # (numerator, denominator) of S_Q and S_P: _horner over the _*_SMOOTH_*
@@ -157,14 +175,14 @@ def _p_smooth(t: float) -> tuple[float, float]:
 def _q_derived(t: float, tail: float) -> float:
     num, den = _q_smooth(t)
     return (SQRT2 * num / den
-            + 4096.0 * SQRT2 * (1.0 - t)
+            + _Q_TAIL_SCALE * (1.0 - t)
             / (3.0 * (1.0 + t) ** 5 * (1.0 + 2.0 * t) ** 6) * tail)
 
 
 def _p_derived(t: float, tail: float) -> float:
     num, den = _p_smooth(t)
     return (SQRT2 * num / den
-            + 256.0 * SQRT2 * (1.0 - t) ** 2 * (1.0 - 2.0 * t)
+            + _P_TAIL_SCALE * (1.0 - t) ** 2 * (1.0 - 2.0 * t)
             / (3.0 * (1.0 + t) ** 4 * (1.0 + 2.0 * t) ** 5) * tail)
 
 
@@ -307,10 +325,17 @@ def two_color_combination(x1: float, q: Callable[[float], float]) -> float:
     """(3/4) [q(x1) + q(x2)], x2 = 3/8 - x1, for any evaluation q of Q.
 
     The partner frequency is fixed by the two-photon resonance condition
-    x1 + x2 = 3/8, so x2 lies in the window exactly when x1 does.  The two
-    terms are the two possible time orderings of the absorptions."""
+    x1 + x2 = 3/8.  In exact arithmetic x2 lies in the window exactly when
+    x1 does, but for x1 below half an ulp of 3/8 (2.8e-17) the difference
+    3/8 - x1 rounds to 3/8, on the pole; that x1 is a DomainError naming
+    both values.  The two terms are the two possible time orderings of the
+    absorptions."""
     require_window(x1)
-    return 0.75 * (q(x1) + q(X_MAX - x1))
+    x2 = X_MAX - x1
+    if x2 == X_MAX:
+        raise DomainError(f"partner x2 = {X_MAX} - x1 of photon energy fraction"
+                          f" x1 = {x1} rounds to {x2}, outside (0, {X_MAX})")
+    return 0.75 * (q(x1) + q(x2))
 
 
 def two_color_q(x1: float) -> float:

@@ -21,7 +21,6 @@ subset of them.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import sys
@@ -62,6 +61,8 @@ class PhysicalConstants:
     @classmethod
     def from_file(cls, path: str) -> "PhysicalConstants":
         """Load overrides from a JSON object of constant-name: value pairs."""
+        import json  # only a constants file needs it: the default record does not
+
         with open(path, "r", encoding="utf-8") as fh:
             try:
                 raw = json.load(fh)

@@ -182,6 +182,15 @@ class TestCompute:
         assert proc.stdout == "-3.47647372967e+00 dimensionless\n"
         assert proc.stderr == ""
 
+    def test_two_color_partner_rounding_onto_the_pole_names_x1(self):
+        # 3/8 - 1e-17 rounds to 3/8; 3e-17 is more than half an ulp of 3/8
+        proc = run_cli("compute", "--x", "1e-17", "--quantity", "two_color_q")
+        assert_input_error(proc)
+        assert "x1 = 1e-17" in proc.stderr
+        proc = run_cli("compute", "--x", "3e-17", "--quantity", "two_color_q")
+        assert proc.returncode == 0
+        assert proc.stdout == "-3.46495423080e+16 dimensionless\n"
+
     def test_t_rounding_to_one_is_a_pole_for_alternates(self):
         proc = run_cli("compute", "--x", "1e-17", "--quantity", "q",
                        "--formula-variant", "alt-a")
@@ -490,21 +499,23 @@ class TestConstantsFile:
 class TestImportCost:
     """compute, scan and strict verify read the closed forms and the
     Sturmian basis only, and must run on the stdlib; compute and scan do
-    not load the Sturmian basis either."""
+    not load the Sturmian basis or json either."""
 
-    @pytest.mark.parametrize("argv,loads_sturmian", [
+    @pytest.mark.parametrize("argv,loads_sturmian_and_json", [
         (["compute", "--x", "0.1875", "--quantity", "beta"], False),
         (["scan", "--x-min", "0.1", "--x-max", "0.3", "--steps", "5",
           "--columns", "q,p,beta"], False),
         (["verify", "--profile", "strict"], True),
     ], ids=["compute", "scan", "verify-strict"])
     def test_closed_form_commands_load_no_numpy_or_scipy(self, tmp_path, argv,
-                                                         loads_sturmian):
+                                                         loads_sturmian_and_json):
         if argv[0] != "compute":
             argv = argv + ["--out", str(tmp_path / "out")]
-        # verify-strict is the negative control of the Sturmian probe
+        # verify-strict is the negative control of both probes: its --out
+        # writes the JSON report
         code = (f"import sys\nfrom gauge_workbench.cli import main\nassert main({argv!r}) == 0\n"
-                f"assert ('gauge_workbench.sturmian' in sys.modules) is {loads_sturmian}")
+                f"assert ('gauge_workbench.sturmian' in sys.modules) is {loads_sturmian_and_json}\n"
+                f"assert ('json' in sys.modules) is {loads_sturmian_and_json}")
         assert heavy_modules_after(code) == "[]"
 
     def test_identities_import_loads_no_numpy_or_scipy(self):

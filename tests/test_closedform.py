@@ -26,6 +26,7 @@ from gauge_workbench.closedform import (
     two_color_q,
 )
 from gauge_workbench.errors import DomainError
+from gauge_workbench.specfun import lerch_sum
 
 # Frozen high-precision references, computed once with 40-digit arithmetic
 # from the defining sums and pinned here against regressions.  The edge
@@ -260,20 +261,30 @@ class TestVariants:
             SOURCES[variant](0.5)
 
 
+def _counted(monkeypatch, name):
+    """Record the calls of closedform's global ``name`` in a list."""
+    calls = []
+    real = getattr(closedform, name)
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(closedform, name, counted)
+    return calls
+
+
 class TestHotPaths:
-    """Each derived evaluator sums one Lerch tail per photon energy."""
+    """Each derived evaluator sums one tail per photon energy and makes no
+    lerch_sum call; only the alternates call lerch_sum."""
 
     @pytest.fixture
     def tail_calls(self, monkeypatch):
-        calls = []
-        real = closedform.lerch_sum
+        return _counted(monkeypatch, "_tail")
 
-        def counted(*args):
-            calls.append(args)
-            return real(*args)
-
-        monkeypatch.setattr(closedform, "lerch_sum", counted)
-        return calls
+    @pytest.fixture
+    def lerch_calls(self, monkeypatch):
+        return _counted(monkeypatch, "lerch_sum")
 
     @pytest.mark.parametrize("evaluate,expected", [
         (gauge_pair, 1), (derived_pair, 1), (q_length, 1), (p_velocity, 1),
@@ -281,16 +292,17 @@ class TestHotPaths:
         pytest.param(lambda x: GaugeAmplitudes.at(x, derived_pair), 1,
                      id="GaugeAmplitudes.at-1"),
     ])
-    def test_lerch_sums_per_call(self, tail_calls, evaluate, expected):
+    def test_lerch_sums_per_call(self, tail_calls, lerch_calls, evaluate, expected):
         for x in (0.01, 0.1875, 0.3):
             tail_calls.clear()
             evaluate(x)
             assert len(tail_calls) == expected
+        assert lerch_calls == []
 
     @pytest.mark.parametrize("variant", ["alt-a", "alt-b"])
-    def test_alternates_share_one_hypergeometric_per_pair(self, tail_calls, variant):
+    def test_alternates_share_one_hypergeometric_per_pair(self, lerch_calls, variant):
         SOURCES[variant](0.1)
-        assert len(tail_calls) == 1
+        assert len(lerch_calls) == 1
 
 
 class TestSmoothParts:
@@ -310,3 +322,13 @@ class TestSmoothParts:
         horner = closedform._horner
         for t in self.T:
             assert smooth(t) == (horner(num, t), horner(den, t))
+
+
+class TestWrittenOutTail:
+    """The written-out tail is lerch_sum over TAIL_TERMS terms, bit for bit,
+    at the real t of the window and at q_slope's complex step."""
+
+    def test_tail_is_the_lerch_sum(self):
+        for t in TestSmoothParts.T:
+            assert closedform._tail(t) == lerch_sum(
+                closedform._z_arg(t), 3.0 - 1.0 / t, closedform.TAIL_TERMS)
