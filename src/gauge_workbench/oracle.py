@@ -36,7 +36,18 @@ l = 1 spectrum: E_1S +- x with 0 < x < 3/8, at least 1e-6 Hartree below
 the grid's 2P level, so K - E is positive definite.  One factorization
 and one componentwise backward-error gate serve both gauges at the same
 energy, and every 2S and 1S element there is read from that solve
-(_elements); the gate forms the residual and |K - E| |x| in one pass.
+(_elements); the gate forms the residual and |K - E| |x| in one pass,
+from K's stored bands and the energy, through one product buffer.
+
+Every banded factorization, dpbtrf or dgbtrf, factors one private
+column-major copy of the bands in place (overwrite_ab=1), shifted there;
+K's stored bands are only read, and nothing of a call outlives it.  A
+C-ordered copy would be copied again by f2py, and a shifted copy kept for
+the gate would sit next to the factor.  The reason is measured: on the
+24000-point grid each resolvent solve allocated and freed about 3 MB,
+which glibc returned to the kernel after each solve, so the 8 solves of
+one cross-check took about 6.3k minor page faults; with one private copy
+they take under 400 and about a third less time.
 
 LAPACK comes from scipy's f2py extension scipy/linalg/_flapack, loaded
 from its file (_load_lapack) after a plain ``import scipy``: the
@@ -80,14 +91,16 @@ K - shift positive definite, and they are factored by banded Cholesky
 through the helper the resolvent uses (_shifted_cholesky); a failed
 factorization is an error that names the state, never a fallback.  2S
 lies above 1S, where K_0 - E is indefinite, so it is factored at its
-hydrogen level by pivoted banded LU, from the LU layout expanded for it.
+hydrogen level by pivoted banded LU, on the LU layout expanded for it,
+shifted and factored in place.
 One factorization converges each state, in two solves on the default
 grid; over 48 grids sampled across the domain the most was four, for 1S
 on 200000 points from r_min = 1e-2.  The pseudostate sum takes only
 eigenvalues from LAPACK's banded eigensolver dsbevx, called directly, and
 gets each mode's vector from the same routine, started from all ones with
-pivoted LU at the mode's own eigenvalue, from one LU layout per call: one
-factorization and two solves per mode, for at most _MAX_MODES modes.
+pivoted LU at the mode's own eigenvalue, on a fresh copy of one LU layout
+per call: one factorization and two solves per mode, for at most
+_MAX_MODES modes.
 """
 
 from __future__ import annotations
@@ -96,6 +109,7 @@ import functools
 import importlib.machinery
 import importlib.util
 import math
+import numbers
 import operator
 import os
 from collections.abc import Callable, Iterator
@@ -172,6 +186,11 @@ def _is_index(value: object) -> bool:
     return True
 
 
+def _is_real(value: object) -> bool:
+    """True for a real number; bool is a numbers.Real, but True is no radius."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class RadialGrid:
     """Log-mapped radial grid: n_points from r_min to r_max (Bohr radii).
@@ -195,6 +214,10 @@ class RadialGrid:
         if self.n_points > 200000:
             raise DomainError(f"n_points = {self.n_points} above the 200000 ceiling "
                               "(past ~48000 points roundoff outgrows the stencil error)")
+        for name in ("r_max", "r_min"):
+            value = getattr(self, name)
+            if not _is_real(value):
+                raise DomainError(f"{name} = {value!r} must be a real number")
         if not 60.0 <= self.r_max <= 700.0:
             raise DomainError(f"r_max = {self.r_max} outside [60, 700] (below 60 truncates "
                               "the 2S tail; past r ~ 708 the 1S tail e^-r underflows)")
@@ -309,11 +332,14 @@ def _full_banded(ab: np.ndarray) -> np.ndarray:
 
 def _band_products(ab: np.ndarray, w: np.ndarray) -> Iterator[tuple[tuple, np.ndarray]]:
     """The off-diagonal products of K w as (target slice, product), two
-    per off-diagonal, in the order _apply_bands sums them."""
+    per off-diagonal, in the order _apply_bands sums them.  Every product
+    is written into one buffer, so each holds only until the next is
+    yielded."""
+    buffer = np.empty_like(w)
     for k in range(1, _KD + 1):
-        coef = ab[k, :-k]
-        yield np.s_[..., k:], coef * w[..., :-k]
-        yield np.s_[..., :-k], coef * w[..., k:]
+        coef, product = ab[k, :-k], buffer[..., :-k]
+        yield np.s_[..., k:], np.multiply(coef, w[..., :-k], out=product)
+        yield np.s_[..., :-k], np.multiply(coef, w[..., k:], out=product)
 
 
 def _apply_bands(ab: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -333,18 +359,20 @@ def _count_nodes(u: np.ndarray) -> int:
 
 
 def _shifted_cholesky(ab: np.ndarray, shift: float,
-                      what: str) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
-    """Factor K - shift once by banded Cholesky; return its bands and the
-    solve v = (K - shift)^-1 rhs.
+                      what: str) -> Callable[[np.ndarray], np.ndarray]:
+    """Factor K - shift once by banded Cholesky; return the solve
+    v = (K - shift)^-1 rhs.
 
-    ``ab`` holds K in lower symmetric band storage; dpbtrf factors a copy of
-    the shifted bands, which the caller may then read intact.  Each solve
-    reuses the factor, two triangular sweeps at O(n) per column.  A shift
-    that leaves K - shift not positive definite, or a non-finite solution,
-    is a ConvergenceError, never a fallback to another solver."""
-    shifted = ab.copy()
-    shifted[0] -= shift
-    factor, info = dpbtrf(shifted, lower=1)
+    ``ab`` holds K in lower symmetric band storage and is only read:
+    dpbtrf factors one private column-major copy of it, shifted there, in
+    place (overwrite_ab=1), so f2py makes no copy of its own (the module
+    docstring gives the measured reason).  Each solve reuses the
+    factor, two triangular sweeps at O(n) per column.  A shift that
+    leaves K - shift not positive definite, or a non-finite solution, is
+    a ConvergenceError, never a fallback to another solver."""
+    factor = np.array(ab, order="F")
+    factor[0] -= shift
+    factor, info = dpbtrf(factor, lower=1, overwrite_ab=1)
     if info > 0:
         raise ConvergenceError(f"K - E is not positive definite for {what}")
 
@@ -354,20 +382,21 @@ def _shifted_cholesky(ab: np.ndarray, shift: float,
             raise ConvergenceError(f"non-finite solve for {what}")
         return sol
 
-    return shifted, solve
+    return solve
 
 
-def _shifted_lu(layout: np.ndarray, shift: float,
+def _shifted_lu(lu: np.ndarray, shift: float,
                 what: str) -> Callable[[np.ndarray], np.ndarray]:
     """Factor K - shift once by pivoted banded LU; return the solve v = (K - shift)^-1 rhs.
 
-    ``layout`` is the dgbtrf layout of K (``_full_banded``); the shift comes
-    off the diagonal row of a copy.  Each solve reuses the factors, two
-    triangular sweeps at O(n).  Inverse iteration shifts onto an eigenvalue
-    on purpose, so an exactly singular factor or a non-finite solution
-    means the shift is unusable, not that it should be nudged and
-    retried."""
-    lu = layout.copy(order="F")
+    ``lu`` is a private dgbtrf layout of K (``_full_banded``), column-major,
+    which this shifts and factors in place (overwrite_ab=1): the caller
+    hands it over and never reads it again, so a layout shared by several
+    shifts is passed as a fresh copy each time.  Each solve reuses the
+    factors, two triangular sweeps at O(n).  Inverse iteration shifts onto
+    an eigenvalue on purpose, so an exactly singular factor or a
+    non-finite solution means the shift is unusable, not that it should
+    be nudged and retried."""
     lu[2 * _KD] -= shift
     lu, piv, info = dgbtrf(lu, _KD, _KD, overwrite_ab=1)
     if info > 0:
@@ -442,7 +471,7 @@ def _solve_on_state(state: OracleState, n: int, l: int) -> BoundState:
     # where K_0 - E is indefinite, so it is factored by pivoted LU at its
     # hydrogen level.
     if n == l + 1:
-        _, solve = _shifted_cholesky(ab, target - _BELOW_LEVEL, what)
+        solve = _shifted_cholesky(ab, target - _BELOW_LEVEL, what)
     else:
         solve = _shifted_lu(_full_banded(ab), target, what)
     energy, w = _inverse_iteration(ab, state.h, solve, w, target, what)
@@ -463,14 +492,17 @@ def build_oracle(grid: RadialGrid) -> OracleState:
     return OracleState(grid)
 
 
-def _componentwise_backward_error(shifted: np.ndarray, x: np.ndarray,
+def _componentwise_backward_error(ab: np.ndarray, energy: float, x: np.ndarray,
                                   b: np.ndarray) -> np.ndarray:
-    """Oettli-Prager backward error of A x = b, A given by its lower bands.
+    """Oettli-Prager backward error of A x = b for A = K - energy, K given
+    by its lower bands ``ab``.
 
     max_i |r_i| / ((|A| |x|)_i + |b_i|) is the smallest relative perturbation
     of each entry of A and b that makes x exact.  x and b hold one system
     (n,) or one system per row (k, n); the result has one entry per
-    system.  Unlike the unscaled
+    system.  A's diagonal is formed as the one row ab[0] - energy, the
+    same bits as the diagonal of a shifted copy of the bands, and its
+    off-diagonals are read from ab itself.  Unlike the unscaled
     |r| / |b| it stays at roundoff level for a backward-stable solve however
     ill-conditioned A is.  Rows where the denominator is zero have r_i = 0
     and count as 0.  A column whose products overflow comes back as NaN,
@@ -481,9 +513,9 @@ def _componentwise_backward_error(shifted: np.ndarray, x: np.ndarray,
     both sums run in _apply_bands order, so this equals the two-pass
     |A x - b| and |A| |x| + |b| bit for bit."""
     with np.errstate(over="ignore", invalid="ignore"):
-        residual = shifted[0] * x
+        residual = (ab[0] - energy) * x
         scale = np.abs(residual)
-        for rows, product in _band_products(shifted, x):
+        for rows, product in _band_products(ab, x):
             residual[rows] += product
             scale[rows] += np.abs(product, out=product)
         residual -= b
@@ -504,8 +536,9 @@ def green_solve(state: OracleState, energy: float, driving_w: np.ndarray) -> np.
     _shifted_cholesky, as for 1S and 2P) serves every column.  The
     state's bands are already in LAPACK's lower storage, where the
     unblocked factorization's BLAS calls run at unit stride; dpbtrf
-    factors a copy of the shifted bands, which the gate then reads
-    intact.  The energy
+    factors one private column-major copy of them in place, dropped once
+    the columns are solved, and the gate reads the state's bands and the
+    energy (the module docstring gives the measured reason).  The energy
     must lie below the spectrum of H_1: a matrix that is not positive
     definite, a non-finite solution or a column whose componentwise
     backward error exceeds the target is a ConvergenceError, never a
@@ -514,9 +547,10 @@ def green_solve(state: OracleState, energy: float, driving_w: np.ndarray) -> np.
     # transpose the gate works on
     driving = np.asfortranarray(driving_w)
     what = f"the l = 1 resolvent at energy {energy!r}"
-    shifted, solve = _shifted_cholesky(state.bands[1], energy, what)
-    sol = solve(driving)
-    worst = float(np.max(_componentwise_backward_error(shifted, sol.T, driving.T)))
+    ab = state.bands[1]
+    # the factor is dropped once solved, before the gate allocates
+    sol = _shifted_cholesky(ab, energy, what)(driving)
+    worst = float(np.max(_componentwise_backward_error(ab, energy, sol.T, driving.T)))
     if not worst <= _RESOLVENT_TARGET:
         raise ConvergenceError(
             f"componentwise backward error {worst:.2e} above {_RESOLVENT_TARGET} for {what}")
@@ -653,7 +687,7 @@ def pseudostate_q(grid: RadialGrid, x: float, count: int = 30) -> np.ndarray:
     modes = []
     for val in map(float, vals):
         what = f"l = 1 mode at {val!r}"
-        solve = _shifted_lu(layout, val, what)
+        solve = _shifted_lu(layout.copy(order="F"), val, what)
         modes.append(_inverse_iteration(ab, state.h, solve, start, val, what)[1])
     vecs = np.column_stack(modes)
     # quadrature-normalized columns: each projection is an h-weighted sum

@@ -102,6 +102,17 @@ class TestRadialGrid:
         with pytest.raises(DomainError, match="must be an integer"):
             RadialGrid(n_points=n_points)
 
+    @pytest.mark.parametrize("field", ["r_max", "r_min"])
+    @pytest.mark.parametrize("value", ["80", None, 1e-4 + 0j, True],
+                             ids=["str", "None", "complex", "bool"])
+    def test_rejects_non_real_radii(self, field, value):
+        with pytest.raises(DomainError, match=f"^{field} = .* must be a real number$"):
+            RadialGrid(**{field: value})
+
+    def test_accepts_integer_and_numpy_radii(self):
+        assert RadialGrid(r_max=80) == RadialGrid(r_max=np.float64(80.0)) == RadialGrid()
+        assert RadialGrid(r_min=np.float32(1e-3)).r_min == np.float32(1e-3)
+
     def test_accepts_numpy_integer_point_counts(self):
         assert RadialGrid(n_points=np.int64(3249)) == RadialGrid()
 
@@ -227,6 +238,33 @@ class TestBandStorage:
         for l in (0, 1):
             assert np.array_equal(state.bands[l],
                                   oracle._hamiltonian_bands(l, state.h, state.r))
+
+    @pytest.mark.parametrize("case", ["cold-build", "resolvent", "not-positive-definite",
+                                      "pseudostate"])
+    def test_factorizations_run_in_place_on_private_copies(self, fresh_grid, lapack_calls,
+                                                           case):
+        # every dpbtrf and dgbtrf gets an array f2py factors without a
+        # copy, and none of them is the state's bands or driving terms: the
+        # pseudostate modes share one LU layout, copied afresh per mode
+        state = build_oracle(fresh_grid)
+        if case != "cold-build":
+            lapack_calls.factored.clear()
+        if case == "resolvent":
+            green_solve(state, state.s1.energy + 0.1, state._driving)
+        elif case == "not-positive-definite":
+            with pytest.raises(ConvergenceError, match="not positive definite"):
+                green_solve(state, state.s2p.energy + 0.01, state._driving)
+        elif case == "pseudostate":
+            first = pseudostate_q(fresh_grid, 0.1, count=30)
+            assert np.array_equal(pseudostate_q(fresh_grid, 0.1, count=30), first)
+        expected = {"cold-build": ["dpbtrf", "dgbtrf", "dpbtrf"], "resolvent": ["dpbtrf"],
+                    "not-positive-definite": ["dpbtrf"], "pseudostate": ["dgbtrf"] * 60}[case]
+        assert lapack_calls.factored == [(name, True, True) for name in expected]
+        for l in (0, 1):
+            assert np.array_equal(state.bands[l],
+                                  oracle._hamiltonian_bands(l, state.h, state.r))
+        assert np.array_equal(state._driving,
+                              np.column_stack((state.r * state.w1, state.wd1)))
 
 
 def _lapack_results(routines, state):
@@ -354,6 +392,19 @@ def _two_pass_backward_error(shifted, x, b):
     return np.where(np.isfinite(scale).all(axis=-1), ratio.max(axis=-1), np.nan)
 
 
+def _green_solve_reference(state, energy, driving):
+    """The resolvent solve as scipy.linalg.lapack's dpbtrf and dpbtrs make it
+    with their default arguments, on a C-ordered copy of the l = 1 bands
+    shifted by the energy."""
+    shifted = state.bands[1].copy()
+    shifted[0] -= energy
+    factor, info = dpbtrf(shifted, lower=1)
+    assert info == 0
+    sol, info = dpbtrs(factor, driving, lower=1)
+    assert info == 0
+    return sol
+
+
 def _full_banded_reference(ab, shift):
     """K - shift in the 7-row column-major layout dgbtrf factors in place."""
     n = ab.shape[1]
@@ -403,14 +454,29 @@ def _inverse_iteration_reference(state, n, l):
     return energy, (-u if u[lead] < 0.0 else u)
 
 
+class _Calls(dict):
+    """Call counts by entry point name.  ``factored`` lists, for each
+    dpbtrf and dgbtrf call, (name, whether the array was F-contiguous
+    float64, whether overwrite_ab=1 was passed): with both, f2py factors
+    the caller's array itself; without either, it factors a hidden copy."""
+
+    factored: list[tuple[str, bool, bool]]
+
+
 def _count_calls(monkeypatch, *names, when=lambda: True):
     """Counts of the calls made through the named LAPACK entry points of
-    oracle while ``when()`` holds."""
-    calls = dict.fromkeys(names, 0)
+    oracle while ``when()`` holds, with the factorizations' arrays
+    recorded in ``factored``."""
+    calls = _Calls.fromkeys(names, 0)
+    calls.factored = []
     for name in names:
         def counted(*args, _real=getattr(oracle, name), _name=name, **kwargs):
             if when():
                 calls[_name] += 1
+                if _name in ("dpbtrf", "dgbtrf"):
+                    ab = args[0]
+                    calls.factored.append((_name, ab.flags.f_contiguous and ab.dtype == np.float64,
+                                           kwargs.get("overwrite_ab") == 1))
             return _real(*args, **kwargs)
         monkeypatch.setattr(oracle, name, counted)
     return calls
@@ -419,7 +485,7 @@ def _count_calls(monkeypatch, *names, when=lambda: True):
 @pytest.fixture
 def lapack_calls(monkeypatch):
     """Counts of the banded-LU and banded Cholesky factorizations and
-    solves made through oracle."""
+    solves made through oracle, and how each factorization was called."""
     return _count_calls(monkeypatch, "dgbtrf", "dgbtrs", "dpbtrf", "dpbtrs")
 
 
@@ -685,6 +751,14 @@ class TestGreenSolve:
         solution = green_solve(state, state.s1.energy + 0.1, driving)
         assert not np.any(solution[:, 1])
 
+    @pytest.mark.parametrize("grid", [RadialGrid(), RadialGrid(24000)], ids=["default", "24000"])
+    @pytest.mark.parametrize("offset", [0.001, 0.1875, 0.37, -0.15])
+    def test_matches_a_shifted_copy_solved_by_scipy_bit_for_bit(self, grid, offset):
+        state = build_oracle(grid)
+        energy = state.s1.energy + offset
+        assert np.array_equal(green_solve(state, energy, state._driving),
+                              _green_solve_reference(state, energy, state._driving))
+
     def test_stacked_solve_makes_one_factorization_and_one_solve(self, small_grid,
                                                                   resolvent_calls):
         state = build_oracle(small_grid)
@@ -709,7 +783,7 @@ class TestGreenSolve:
             x[1] = b[1] = 1e300
         elif case == "one-dimensional":
             x, b = x[0], b[0]
-        gate = oracle._componentwise_backward_error(shifted, x, b)
+        gate = oracle._componentwise_backward_error(state.bands[1], energy, x, b)
         assert np.array_equal(gate, _two_pass_backward_error(_upper(shifted), x, b),
                               equal_nan=True)
         if case == "overflow":
@@ -730,12 +804,11 @@ class TestGreenSolve:
         state = build_oracle(default_grid)
         energy = state.s1.energy + 0.1
         driving = state.r * state.w1
-        shifted = state.bands[1].copy()
-        shifted[0] -= energy
         solution = green_solve(state, energy, driving)
         perturbed = solution * (1.0 + 1e-9 * np.cos(np.arange(solution.size)))
-        assert _componentwise_backward_error(shifted, solution, driving) <= 1e-15
-        assert _componentwise_backward_error(shifted, perturbed, driving) > _RESOLVENT_TARGET
+        ab = state.bands[1]
+        assert _componentwise_backward_error(ab, energy, solution, driving) <= 1e-15
+        assert _componentwise_backward_error(ab, energy, perturbed, driving) > _RESOLVENT_TARGET
 
 
 class TestAmplitudeOracles:
