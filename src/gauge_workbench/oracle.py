@@ -26,11 +26,11 @@ edge row is written out, and the order of the discretization (fourth) is
 stated in the tables alone.  K has half-bandwidth _KD = 2 and is stored
 once per state in LAPACK's lower symmetric band storage (row k holds
 K[j + k, j] at column j; row 0 is the diagonal); every consumer reads
-that one layout: K w, the backward-error gates, banded Cholesky, the
-banded eigensolver, and the pivoted-LU layout expanded from it where LU
-runs (2S, and once per pseudostate sum).  Resolvent solves factor K - E
-by banded Cholesky (dpbtrf/dpbtrs, called directly; lower storage gives
-their BLAS calls unit stride), O(n) per right-hand side.
+that one layout: K w, the backward-error gates, banded Cholesky, and
+the pivoted-LU layout expanded from it where LU runs (2S alone).
+Resolvent solves factor K - E by banded Cholesky (dpbtrf/dpbtrs, called
+directly; lower storage gives their BLAS calls unit stride), O(n) per
+right-hand side.
 That is valid because every resolvent energy here lies below the whole
 l = 1 spectrum: E_1S +- x with 0 < x < 3/8, at least 1e-6 Hartree below
 the grid's 2P level, so K - E is positive definite.  One factorization
@@ -50,12 +50,15 @@ one cross-check took about 6.3k minor page faults; with one private copy
 they take under 400 and about a third less time.
 
 LAPACK comes from scipy's f2py extension scipy/linalg/_flapack, loaded
-from its file (_load_lapack) after a plain ``import scipy``: the
-scipy.linalg package __init__, about half the wall time of a cold
-``verify``, never runs.  The extension registers itself in sys.modules
-under its own dotted name, so a later ``import scipy.linalg`` reuses the
-same routine objects.  Where the file is not found, the routines come
-from scipy.linalg.lapack instead, which holds the same objects.
+from its file (_load_lapack) in the directory importlib.util.find_spec
+names: neither the scipy package __init__ nor the scipy.linalg one, about
+half the wall time of a cold ``verify``, runs (with numpy loaded, the
+load takes a median 7 ms in a fresh interpreter, 19 ms through ``import
+scipy``).  The extension
+registers itself in sys.modules under its own dotted name, so a later
+``import scipy.linalg`` reuses the same routine objects.  Where the file
+is not found, the routines come from scipy.linalg.lapack instead, which
+holds the same objects; without scipy the import is an ImportError.
 
 Three error terms set the grid defaults.  Truncating the grid at r_min
 with these ghosts shifts E_1S by -2 r_min^3 (ghosts on the power law
@@ -80,11 +83,11 @@ Hartree and every 1/r^2 band entry is finite, and r_max in [60, 700],
 short of r ~ 708, where the 1S tail e^-r falls below the smallest normal
 double (from r_max = 1000 the l = 1 resolvent misses its gate).
 
-Every eigenvector of K, bound state or pseudostate mode, comes from one
-routine, _inverse_iteration: a fixed shift, K - shift factored once, one
-pair of triangular solves per step, the Rayleigh quotient after each, a
-stop once it stalls after at least two solves, and a scaled backward-error
-gate on the result.  Inside the domain every grid level lies within 2e-6
+Every bound state comes from one routine, _inverse_iteration: a fixed
+shift, K - shift factored once, one pair of triangular solves per step,
+the Rayleigh quotient after each, a stop once it stalls after at least
+two solves, and a scaled backward-error gate on the result
+(_eigenpair_gate).  Inside the domain every grid level lies within 2e-6
 Hartree of its hydrogen level.  1S and 2P are the lowest levels of their
 channels, so a shift _BELOW_LEVEL = 1e-5 Hartree under the level leaves
 K - shift positive definite, and they are factored by banded Cholesky
@@ -95,12 +98,17 @@ hydrogen level by pivoted banded LU, on the LU layout expanded for it,
 shifted and factored in place.
 One factorization converges each state, in two solves on the default
 grid; over 48 grids sampled across the domain the most was four, for 1S
-on 200000 points from r_min = 1e-2.  The pseudostate sum takes only
-eigenvalues from LAPACK's banded eigensolver dsbevx, called directly, and
-gets each mode's vector from the same routine, started from all ones with
-pivoted LU at the mode's own eigenvalue, on a fresh copy of one LU layout
-per call: one factorization and two solves per mode, for at most
-_MAX_MODES modes.
+on 200000 points from r_min = 1e-2.
+
+The pseudostate sum takes its l = 1 modes from the spectral-transformation
+Lanczos method (Ericsson and Ruhe, Math. Comp. 35, 1251 (1980)) on the
+resolvent G = (K_1 - E)^-1 at the sum's own energy E = E_1S + x, applied
+through the resolvent's one banded Cholesky factor (_lanczos).  The
+lowest modes of K_1 are the largest eigenvalues theta = 1 / (lambda - E)
+of G, so the denominators of the sum are 1 / theta, with no cancellation.
+There is no O(n^2) band reduction and no factorization per mode: time
+and memory grow as n m for m Lanczos steps, at most _MAX_KRYLOV, and each
+mode passes the same gate as a bound state.
 """
 
 from __future__ import annotations
@@ -117,7 +125,6 @@ from dataclasses import dataclass
 from types import ModuleType
 
 import numpy as np
-import scipy
 
 from .closedform import require_window
 from .errors import ConvergenceError, DomainError, NearResonanceError
@@ -149,9 +156,21 @@ _DERIVATIVE = ((8.0, -1.0), 12.0)
 # oldest is dropped beyond this, so a long sweep holds at most this many.
 _AMPLITUDE_MEMO_SIZE = 64
 
-# Most modes one pseudostate_q call sums; each mode costs one banded LU
-# and keeps an n-vector, so this bounds its time and memory.
+# Most modes one pseudostate_q call sums.
 _MAX_MODES = 200
+# Most Lanczos steps one pseudostate_q call takes.  The Krylov basis keeps
+# one n-vector per step and full reorthogonalization costs 4 n m flops at
+# step m, so this bounds its memory (n m doubles) and time (2 n m^2).  Over
+# the domain's r_min and r_max corners the most any count up to _MAX_MODES
+# took was 529 steps, 508 of them needed (r_max = 700, r_min = 1e-2 or
+# 1e-12, count = 200, x = 0.001); 30 modes at r_max = 80 need 72 to 84.
+_MAX_KRYLOV = 1000
+# Lanczos stops once every wanted Ritz value theta has a residual
+# |beta_m s_m| <= _RITZ_TOL theta; it tests that at m = 2 count and then
+# whenever m has grown by the factor _CHECK_GROWTH, since a test costs
+# about as much as a few steps and a step past convergence costs 4 n m.
+_RITZ_TOL = 1e-13
+_CHECK_GROWTH = 1.15
 
 
 def _load_lapack(directory: str) -> ModuleType:
@@ -170,7 +189,16 @@ def _load_lapack(directory: str) -> ModuleType:
     return module
 
 
-_flapack = _load_lapack(os.path.join(os.path.dirname(scipy.__file__), "linalg"))
+def _scipy_directory() -> str:
+    """The directory of the installed scipy package, found without running
+    its __init__; an ImportError where scipy is not installed."""
+    spec = importlib.util.find_spec("scipy")
+    if spec is None:
+        raise ImportError("the grid oracle needs scipy, which is not installed")
+    return spec.submodule_search_locations[0]
+
+
+_flapack = _load_lapack(os.path.join(_scipy_directory(), "linalg"))
 dgbtrf, dgbtrs = _flapack.dgbtrf, _flapack.dgbtrs
 dpbtrf, dpbtrs = _flapack.dpbtrf, _flapack.dpbtrs
 
@@ -423,11 +451,7 @@ def _inverse_iteration(ab: np.ndarray, h: float, solve: Callable[[np.ndarray], n
     (changes of a few 1e-12 from 24000 points on, 2.5e-11 at 192000), so
     the loop stops at the _STALL threshold instead of waiting for a change
     inside that noise; 12 solves without that stop are a ConvergenceError.
-    The pair is then rejected unless its backward error meets
-    _RESIDUAL_TARGET, the residual scaled by the local operator magnitude:
-    the raw residual norm is meaningless here because the log-grid
-    diagonal grows like 1/(h r)^2 toward the origin and amplifies
-    roundoff.  A NaN residual fails the ``<=`` test."""
+    The pair then passes _eigenpair_gate or is rejected."""
     for step in range(12):
         v = solve(w)
         v /= np.sqrt(h * np.dot(v, v))
@@ -440,12 +464,28 @@ def _inverse_iteration(ab: np.ndarray, h: float, solve: Callable[[np.ndarray], n
     else:
         raise ConvergenceError(
             f"eigensolve stalled at energy change {last_change:.2e} for {what}")
-    residual = (kw - energy * w) / (np.abs(ab[0]) + abs(energy))
-    rnorm = float(np.sqrt(h * np.dot(residual, residual)))
+    _eigenpair_gate(ab, h, energy, w, kw, what)
+    return energy, w
+
+
+def _eigenpair_gate(ab: np.ndarray, h: float, energy: float | np.ndarray, w: np.ndarray,
+                    kw: np.ndarray, what: str) -> None:
+    """Reject eigenpairs (energy, w) of K, bands ``ab``, whose scaled
+    backward error exceeds _RESIDUAL_TARGET.
+
+    w is one quadrature-normalized vector (n,) with a float energy, or one
+    per row (k, n) with k energies, and kw is K w.  The error is the
+    quadrature norm of the residual K w - energy w scaled row by row by
+    the local operator magnitude |K_ii| + |energy|: the raw residual norm
+    is meaningless here because the log-grid diagonal grows like
+    1/(h r)^2 toward the origin and amplifies roundoff.  A NaN residual
+    fails the ``<=`` test."""
+    energy = np.asarray(energy)[..., None]
+    residual = (kw - energy * w) / (np.abs(ab[0]) + np.abs(energy))
+    rnorm = float(np.max(np.sqrt(h * np.sum(residual * residual, axis=-1))))
     if not rnorm <= _RESIDUAL_TARGET:
         raise ConvergenceError(
             f"eigensolve backward error {rnorm:.2e} above {_RESIDUAL_TARGET} for {what}")
-    return energy, w
 
 
 def _solve_on_state(state: OracleState, n: int, l: int) -> BoundState:
@@ -648,6 +688,74 @@ def one_photon_elements(grid: RadialGrid) -> tuple[float, float, float]:
             state.s2p.energy - state.s1.energy)
 
 
+def _lanczos(solve: Callable[[np.ndarray], np.ndarray], n: int, count: int,
+             what: str) -> tuple[np.ndarray, np.ndarray]:
+    """The ``count`` largest eigenvalues theta of the symmetric positive
+    definite n x n operator that ``solve`` applies, in descending order,
+    and their Ritz vectors as the rows of a (count, n) array, each of unit
+    Euclidean norm to roundoff.
+
+    Lanczos from the normalized all-ones vector, with full
+    reorthogonalization: after the three-term recurrence each new vector
+    is projected off the whole basis by classical Gram-Schmidt, and
+    projected once more only when that pass leaves less than 1/sqrt(2) of
+    its norm.  The basis grows with the steps taken, to the next test of
+    the check schedule (_CHECK_GROWTH).  A test reads only the tridiagonal
+    T_m: its eigenvalues (dstev) and, from dstein, the last components
+    s_m of the ``count`` wanted eigenvectors; the Ritz pairs are
+    converged once |beta_m s_m| <= _RITZ_TOL theta for each.  No
+    convergence within _MAX_KRYLOV steps, or a failed tridiagonal
+    eigensolve, is a ConvergenceError that names m and ``count``."""
+    q = np.full(n, 1.0 / math.sqrt(n))
+    alpha: list[float] = []
+    beta: list[float] = []
+    check = min(2 * count, _MAX_KRYLOV)
+    basis = np.empty((check, n))
+    m = 0
+    while True:
+        basis[m] = q
+        w = solve(q)
+        a = float(np.dot(q, w))
+        w -= a * q
+        if m:
+            w -= beta[-1] * basis[m - 1]
+        span = basis[:m + 1]
+        norm = math.sqrt(np.dot(w, w))
+        for _ in range(2):
+            before = norm
+            coefficients = span @ w
+            w -= coefficients @ span
+            a += float(coefficients[m])
+            norm = math.sqrt(np.dot(w, w))
+            if norm >= before * math.sqrt(0.5):
+                break
+        alpha.append(a)
+        beta.append(norm)
+        m += 1
+        if m == check:
+            d, e = np.array(alpha), np.array(beta[:-1])
+            theta, _, info = _flapack.dstev(d, e, compute_v=0)
+            if info == 0:
+                theta = theta[-count:]
+                # one unreduced block: T_m splits only where some beta is 0
+                s, info = _flapack.dstein(d, e, theta, np.ones(m, np.int32),
+                                          np.full(m, m, np.int32))
+            if info != 0:
+                raise ConvergenceError(f"tridiagonal eigensolve failed (info = {info}) at "
+                                       f"m = {m} Lanczos steps, count = {count}, for {what}")
+            if np.all(np.abs(norm * s[-1]) <= _RITZ_TOL * theta):
+                return theta[::-1], (s.T @ basis)[::-1]
+            if m >= _MAX_KRYLOV:
+                raise ConvergenceError(
+                    f"the {count} lowest modes did not converge in m = {m} Lanczos steps "
+                    f"(cap {_MAX_KRYLOV}) for {what}")
+            check = min(math.ceil(_CHECK_GROWTH * m), _MAX_KRYLOV)
+            grown = np.empty((check, n))
+            grown[:m] = basis
+            basis = grown
+        q = w / norm
+
+
 def pseudostate_q(grid: RadialGrid, x: float, count: int = 30) -> np.ndarray:
     """Partial sums of the length-gauge amplitude over discrete l = 1 modes.
 
@@ -656,15 +764,25 @@ def pseudostate_q(grid: RadialGrid, x: float, count: int = 30) -> np.ndarray:
     intermediate energy lies below the whole l = 1 spectrum; useful as an
     independent consistency path, not as the primary evaluator.
 
-    Only the ``count`` lowest eigenvalues come from LAPACK's banded
-    eigensolver (``dsbevx``, with the arguments scipy's ``eig_banded``
-    passes for ``eigvals_only=True, select="i"``); each mode's vector then
-    comes from _inverse_iteration, started from all ones with a banded LU
-    at the mode's eigenvalue, O(n) per mode, instead of the O(n^3)
-    eigenvector matrix.  The denominators keep dsbevx's eigenvalues, not
-    the iteration's quotients.  ``count`` is at most _MAX_MODES, checked
-    before anything is built or solved; a failed eigensolve or one that
-    returns fewer than ``count`` eigenvalues is a ConvergenceError."""
+    The ``count`` lowest modes of K_1 come from _lanczos on the resolvent
+    (K_1 - E)^-1 at the sum's energy E = E_1S + x, applied through one
+    banded Cholesky factor of K_1 - E (_shifted_cholesky, the resolvent's
+    own): one dpbtrf, then one dpbtrs per Lanczos step.  Each Ritz value
+    theta gives a mode's denominator lambda - E = 1 / theta directly and
+    its eigenvalue lambda = E + 1 / theta, and every Ritz pair must pass
+    _eigenpair_gate, the bound states' gate.  ``count`` is at most
+    _MAX_MODES, checked before anything is built or solved.
+
+    Cost: m Lanczos steps take time ~ 2 n m^2 and memory ~ n m.  Best of
+    3 on a 2-vCPU Xeon VM, against the banded eigensolver dsbevx with one
+    LU per mode that this replaced: 30 modes on 2000 points take m = 69
+    to 92 steps and 10-12 ms (47 ms), 18 ms on 3249 points (84 ms).  A
+    dense low spectrum needs more steps, and reorthogonalization then
+    dominates: on 2000 points, r_max = 700 and r_min = 1e-2, 30 modes at
+    x = 0.001 take m = 440 and 187 ms (46 ms), 200 modes m = 529 and
+    271 ms (207 ms); 200 modes at r_max = 80 take m = 400 and 146 ms
+    (212 ms).  200 modes on 24000 points from r_min = 1e-12 to
+    r_max = 700 take m = 529, 3.7 s and 0.1 GB of basis."""
     require_window(x)
     if not _is_index(count):
         raise DomainError(f"count = {count!r} must be an integer")
@@ -673,25 +791,11 @@ def pseudostate_q(grid: RadialGrid, x: float, count: int = 30) -> np.ndarray:
     state = build_oracle(grid)
     energy = _intermediate_energy(state, x)
     ab = state.bands[1]
-    # the bands are finite on every grid RadialGrid accepts, so eig_banded's
-    # check_finite has nothing to add; its abstol 2 dlamch("s") is 2 tiny
-    vals, _, found, _, info = _flapack.dsbevx(
-        ab, 0.0, 0.0, 1, count, compute_v=0, mmax=1, range=2, lower=1,
-        overwrite_ab=0, abstol=2 * np.finfo(float).tiny)
-    if info != 0 or found < count:
-        raise ConvergenceError(
-            f"banded eigensolve found {found} of the {count} lowest l = 1 "
-            f"eigenvalues (dsbevx info = {info})")
-    vals = vals[:count]
-    layout, start = _full_banded(ab), np.ones(grid.n_points)
-    modes = []
-    for val in map(float, vals):
-        what = f"l = 1 mode at {val!r}"
-        solve = _shifted_lu(layout.copy(order="F"), val, what)
-        modes.append(_inverse_iteration(ab, state.h, solve, start, val, what)[1])
-    vecs = np.column_stack(modes)
-    # quadrature-normalized columns: each projection is an h-weighted sum
-    bra = state.h * (state._bra @ vecs)
-    ket = state.h * (state._driving[:, 0] @ vecs)
-    terms = bra * ket / (vals - energy) / 3.0
-    return np.cumsum(terms)
+    what = f"the l = 1 modes at energy {energy!r}"
+    theta, modes = _lanczos(_shifted_cholesky(ab, energy, what), grid.n_points, count, what)
+    modes /= np.sqrt(state.h * np.einsum("ij,ij->i", modes, modes))[:, None]
+    _eigenpair_gate(ab, state.h, energy + 1.0 / theta, modes, _apply_bands(ab, modes), what)
+    # quadrature-normalized rows: each projection is an h-weighted sum
+    bra = state.h * (modes @ state._bra)
+    ket = state.h * (modes @ state._driving[:, 0])
+    return np.cumsum(bra * ket * theta / 3.0)

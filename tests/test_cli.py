@@ -548,3 +548,27 @@ class TestImportCost:
     def test_oracle_import_is_detected(self):
         # negative control: the probe does see both once the oracle loads
         assert heavy_modules_after("import gauge_workbench.oracle") == "['numpy', 'scipy']"
+
+    def test_oracle_import_runs_no_scipy_init(self):
+        # the oracle finds scipy's directory without importing the package:
+        # only the LAPACK extension is loaded, under its own dotted name, and
+        # scipy.linalg.lapack imported later holds the same routine objects
+        code = ("import sys\nimport gauge_workbench.oracle as oracle\n"
+                "assert 'scipy' not in sys.modules, 'scipy imported'\n"
+                "assert sys.modules['scipy.linalg._flapack'] is oracle._flapack\n"
+                "from scipy.linalg import lapack\n"
+                "assert lapack.dpbtrf is oracle.dpbtrf and lapack.dstev is oracle._flapack.dstev")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env=_subprocess_env())
+        assert proc.returncode == 0, proc.stderr
+
+    def test_oracle_import_without_scipy_is_an_import_error(self):
+        # a None entry in sys.modules hides an installed package from
+        # importlib.util.find_spec as well as from import
+        code = ("import sys\nsys.modules['scipy'] = None\n"
+                "try:\n    import gauge_workbench.oracle\nexcept ImportError as exc:\n"
+                "    print(exc)\nelse:\n    raise SystemExit('imported without scipy')")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env=_subprocess_env())
+        assert proc.returncode == 0, proc.stderr
+        assert "needs scipy" in proc.stdout

@@ -6,6 +6,7 @@ these tests mostly cost one banded solve each.
 
 import dataclasses
 import functools
+import itertools
 import math
 import types
 
@@ -244,8 +245,8 @@ class TestBandStorage:
     def test_factorizations_run_in_place_on_private_copies(self, fresh_grid, lapack_calls,
                                                            case):
         # every dpbtrf and dgbtrf gets an array f2py factors without a
-        # copy, and none of them is the state's bands or driving terms: the
-        # pseudostate modes share one LU layout, copied afresh per mode
+        # copy, and none of them is the state's bands or driving terms: each
+        # pseudostate sum factors its own copy once
         state = build_oracle(fresh_grid)
         if case != "cold-build":
             lapack_calls.factored.clear()
@@ -258,7 +259,7 @@ class TestBandStorage:
             first = pseudostate_q(fresh_grid, 0.1, count=30)
             assert np.array_equal(pseudostate_q(fresh_grid, 0.1, count=30), first)
         expected = {"cold-build": ["dpbtrf", "dgbtrf", "dpbtrf"], "resolvent": ["dpbtrf"],
-                    "not-positive-definite": ["dpbtrf"], "pseudostate": ["dgbtrf"] * 60}[case]
+                    "not-positive-definite": ["dpbtrf"], "pseudostate": ["dpbtrf"] * 2}[case]
         assert lapack_calls.factored == [(name, True, True) for name in expected]
         for l in (0, 1):
             assert np.array_equal(state.bands[l],
@@ -558,19 +559,6 @@ class TestInverseIteration:
             live = u[np.abs(u) > 1e-7 * np.max(np.abs(u))]
             assert int(np.sum(live[1:] * live[:-1] < 0.0)) == n - l - 1
             assert abs(bound.energy - _rayleigh_quotient_iteration(state, n, l)) <= 1e-10
-
-    def test_mode_reference_matches_two_solve_banded_steps(self, small_grid):
-        # the dgbtrf layout of _mode_reference against solve_banded's own
-        state = build_oracle(small_grid)
-        ab = _upper(state.bands[1])
-        vals = eig_banded(ab, lower=False, eigvals_only=True, select="i", select_range=(0, 2))
-        for val in vals:
-            v = np.ones(small_grid.n_points)
-            for _ in range(2):
-                v = solve_banded((2, 2), _lu_bands(ab, val), v)
-                v /= np.sqrt(state.h * np.dot(v, v))
-            mode = _mode_reference(state, float(val))
-            assert np.max(np.abs(mode - v)) <= 1e-14 * np.max(np.abs(v))
 
     @pytest.mark.parametrize(
         "grid", [RadialGrid(), RadialGrid(6000, r_min=1e-9), RadialGrid(6000, r_min=1e-2)],
@@ -1150,58 +1138,55 @@ def _power_law_bands(l, h, r, _bands=oracle._hamiltonian_bands):
 
 
 def _pseudostate_reference(grid, xs, count=30):
-    """Partial sums from the full eig_banded eigenvector matrix, O(n^3).
+    """Partial sums from the full eig_banded eigenvector matrix, O(n^3),
+    with each mode's Rayleigh quotient v.K v as its eigenvalue.
 
     Unit-Euclidean columns, so each bra * ket product carries one net
     factor of h; one eigensolve serves every x."""
     state = build_oracle(grid)
-    vals, vecs = eig_banded(_upper(state.bands[1]), lower=False, select="i",
-                            select_range=(0, count - 1))
+    ab = _upper(state.bands[1])
+    _, vecs = eig_banded(ab, lower=False, select="i", select_range=(0, count - 1))
+    vals = np.einsum("ij,ij->j", vecs, _apply_bands_reference(ab, vecs.T).T)
     bra = (state.w2 * state.r) @ vecs
     ket = (state.r * state.w1) @ vecs
     return [np.cumsum(state.h * bra * ket / (vals - state.s1.energy - x) / 3.0)
             for x in xs]
 
 
-def _mode_reference(state, eigenvalue):
-    """The l = 1 mode at a computed eigenvalue: two inverse-iteration steps
-    from all ones with one pivoted LU of K_1 - eigenvalue, built from the
-    upper bands, each step normalized by the h-weighted norm."""
-    layout = _full_banded_reference(_upper(state.bands[1]), eigenvalue)
-    lu, piv, info = dgbtrf(layout, 2, 2, overwrite_ab=1)
-    assert info == 0
-    v = np.ones(state.grid.n_points)
-    for _ in range(2):
-        v = dgbtrs(lu, 2, 2, v, piv)[0]
-        v /= np.sqrt(state.h * np.dot(v, v))
-    return v
-
-
-def _eig_banded_partial_sums(grid, x, count):
-    """pseudostate_q with its eigenvalues from scipy's eig_banded on the
-    state's lower bands, the call whose LAPACK routine it makes directly,
-    and its modes from _mode_reference."""
-    state = build_oracle(grid)
-    vals = eig_banded(state.bands[1], lower=True, eigvals_only=True,
-                      select="i", select_range=(0, count - 1))
-    vecs = np.column_stack([_mode_reference(state, float(val)) for val in vals])
-    bra = state.h * ((state.w2 * state.r) @ vecs)
-    ket = state.h * ((state.r * state.w1) @ vecs)
-    return np.cumsum(bra * ket / (vals - (state.s1.energy + x)) / 3.0)
-
-
-def _stub_eigensolver(monkeypatch, **override):
-    """Replace oracle._flapack by one whose dsbevx returns its real
-    (w, z, m, ifail, info) with the named fields overridden."""
+def _stub_tridiagonal(monkeypatch, name, info):
+    """Replace oracle._flapack by one that holds only the two tridiagonal
+    eigensolvers Lanczos reads, dstev and dstein, with the info of ``name``
+    set to ``info``."""
     real = oracle._flapack
-    fields = ("w", "z", "m", "ifail", "info")
 
-    def dsbevx(*args, **kwargs):
-        result = dict(zip(fields, real.dsbevx(*args, **kwargs)))
-        result.update(override)
-        return tuple(result[field] for field in fields)
+    def stubbed(routine):
+        def call(*args, **kwargs):
+            result = getattr(real, routine)(*args, **kwargs)
+            return (*result[:-1], info) if routine == name else result
+        return call
 
-    monkeypatch.setattr(oracle, "_flapack", types.SimpleNamespace(dsbevx=dsbevx))
+    monkeypatch.setattr(oracle, "_flapack", types.SimpleNamespace(
+        dstev=stubbed("dstev"), dstein=stubbed("dstein")))
+
+
+def _check_schedule(count):
+    """The Krylov dimensions at which _lanczos tests convergence."""
+    m = min(2 * count, oracle._MAX_KRYLOV)
+    while True:
+        yield m
+        if m >= oracle._MAX_KRYLOV:
+            return
+        m = min(math.ceil(oracle._CHECK_GROWTH * m), oracle._MAX_KRYLOV)
+
+
+def _lanczos_modes(state, x, count=30):
+    """(eigenvalues, quadrature-normalized rows) of the ``count`` lowest
+    l = 1 modes as pseudostate_q takes them from _lanczos at E_1S + x."""
+    energy = state.s1.energy + x
+    solve = oracle._shifted_cholesky(state.bands[1], energy, "test")
+    theta, modes = oracle._lanczos(solve, state.grid.n_points, count, "test")
+    modes /= np.sqrt(state.h * np.einsum("ij,ij->i", modes, modes))[:, None]
+    return energy + 1.0 / theta, modes
 
 
 def _two_lowest_l1_eigenvalues(state):
@@ -1212,7 +1197,7 @@ def _two_lowest_l1_eigenvalues(state):
 
 def _l1_mode(state, shift, start):
     """(energy, w) from oracle._inverse_iteration on K_1 with a pivoted LU at
-    ``shift``, from ``start``: pseudostate_q's call for one mode."""
+    ``shift``, from ``start``."""
     ab = state.bands[1]
     what = f"l = 1 mode at {shift!r}"
     solve = oracle._shifted_lu(oracle._full_banded(ab), shift, what)
@@ -1234,17 +1219,70 @@ class TestPseudostateSum:
         _assert_partial_sums_close_on_resolvent(default_grid)
 
     def test_matches_full_eigenvector_reference(self, small_grid):
+        # the reference's denominators are its modes' Rayleigh quotients;
+        # the eigenvalues of the banded eigensolver dsbevx missed them by
+        # 5e-12, which the 2P pole amplified to 1.1e-9 at x = 0.37
         xs = (0.02, 0.1, 0.1875, 0.3, 0.37)
         for x, reference in zip(xs, _pseudostate_reference(small_grid, xs)):
             partial = pseudostate_q(small_grid, x, count=30)
             assert np.max(np.abs(partial / reference - 1.0)) <= 1e-10
-            assert np.array_equal(partial, _eig_banded_partial_sums(small_grid, x, 30))
 
-    def test_one_lu_and_two_solves_per_mode(self, small_grid, lapack_calls):
+    def test_mode_eigenvalues_match_inverse_iteration_quotients(self, default_grid):
+        # each mode's eigenvalue E + 1 / theta against the Rayleigh quotient
+        # _inverse_iteration converges to from all ones at that shift; the
+        # eigenvalues of dsbevx missed them by up to 1.7e-11 on this grid
+        state = build_oracle(default_grid)
+        vals, _ = _lanczos_modes(state, 0.1)
+        ones = np.ones(default_grid.n_points)
+        for val in map(float, vals):
+            assert abs(_l1_mode(state, val, ones)[0] - val) <= 1e-12
+
+    def test_one_cholesky_and_one_solve_per_lanczos_step(self, small_grid, lapack_calls):
+        # one factorization of K_1 - E and no LU; the solves are the
+        # Lanczos steps, which end on a convergence test
         build_oracle(small_grid)
         lapack_calls.update(dict.fromkeys(lapack_calls, 0))
         pseudostate_q(small_grid, 0.1, count=30)
-        assert lapack_calls == {"dgbtrf": 30, "dgbtrs": 60, "dpbtrf": 0, "dpbtrs": 0}
+        steps = lapack_calls["dpbtrs"]
+        assert lapack_calls == {"dgbtrf": 0, "dgbtrs": 0, "dpbtrf": 1, "dpbtrs": steps}
+        assert steps in itertools.takewhile(lambda m: m <= 100, _check_schedule(30))
+
+    def test_krylov_cap_below_the_needed_dimension_is_a_convergence_error(
+            self, small_grid, lapack_calls, monkeypatch):
+        # 30 modes on this grid take 72 to 84 steps; a cap of 69 stops at
+        # the schedule's second test and names m and the count
+        monkeypatch.setattr(oracle, "_MAX_KRYLOV", 69)
+        with pytest.raises(ConvergenceError, match=r"the 30 lowest modes .* m = 69 Lanczos"):
+            pseudostate_q(small_grid, 0.1, count=30)
+        assert lapack_calls["dpbtrs"] == 69
+
+    def test_unconverged_ritz_pairs_fail_the_eigenpair_gate(self, small_grid, monkeypatch):
+        # Negative control for the per-mode gate, the bound states' own: the
+        # converged modes pass it; with every Ritz value accepted, Lanczos
+        # stops at its first test, m = 60 for 30 modes, and the pairs of
+        # that basis fail it, read directly and inside pseudostate_q
+        state = build_oracle(small_grid)
+        ab = state.bands[1]
+        vals, modes = _lanczos_modes(state, 0.1)
+        oracle._eigenpair_gate(ab, state.h, vals, modes, oracle._apply_bands(ab, modes), "test")
+        monkeypatch.setattr(oracle, "_RITZ_TOL", math.inf)
+        vals, modes = _lanczos_modes(state, 0.1)
+        with pytest.raises(ConvergenceError, match="eigensolve backward error"):
+            oracle._eigenpair_gate(ab, state.h, vals, modes, oracle._apply_bands(ab, modes),
+                                   "test")
+        with pytest.raises(ConvergenceError, match="eigensolve backward error"):
+            pseudostate_q(small_grid, 0.1, count=30)
+
+    @pytest.mark.parametrize("count", [30, 200])
+    def test_dense_low_spectrum_converges(self, count):
+        # r_max = 700 and r_min = 1e-2 crowd the low l = 1 spectrum, the
+        # slowest corner of the domain: m = 396 to 508 at x = 0.001
+        grid = RadialGrid(2000, r_max=700.0, r_min=1e-2)
+        try:
+            partial = pseudostate_q(grid, 0.001, count=count)
+        finally:
+            build_oracle.cache_clear()
+        assert partial.shape == (count,) and np.all(np.isfinite(partial))
 
     def test_mode_between_two_eigenvalues_is_rejected(self, small_grid):
         # Negative control for the per-mode residual gate: at a shift midway
@@ -1285,13 +1323,19 @@ class TestPseudostateSum:
         assert partial.shape == (oracle._MAX_MODES,)
         assert np.all(np.isfinite(partial))
 
-    @pytest.mark.parametrize("override, message", [({"info": 1}, "info = 1"),
-                                                   ({"m": 4}, "found 4 of the 5")],
-                             ids=["failed", "short"])
-    def test_failed_or_short_eigensolve_is_a_convergence_error(self, small_grid, monkeypatch,
-                                                               override, message):
-        _stub_eigensolver(monkeypatch, **override)
-        with pytest.raises(ConvergenceError, match=message):
+    def test_reads_no_lapack_routine_but_the_tridiagonal_ones(self, small_grid, monkeypatch):
+        # _flapack reduced to dstev and dstein: no dsbevx, no dgbtrf
+        expected = pseudostate_q(small_grid, 0.1, count=5)
+        _stub_tridiagonal(monkeypatch, "dstev", 0)
+        assert np.array_equal(pseudostate_q(small_grid, 0.1, count=5), expected)
+
+    @pytest.mark.parametrize("name", ["dstev", "dstein"])
+    def test_failed_tridiagonal_eigensolve_is_a_convergence_error(self, small_grid, monkeypatch,
+                                                                  name):
+        _stub_tridiagonal(monkeypatch, name, 1)
+        with pytest.raises(ConvergenceError,
+                           match=r"tridiagonal eigensolve failed \(info = 1\) at m = 10 .*"
+                                 r"count = 5"):
             pseudostate_q(small_grid, 0.1, count=5)
 
     @pytest.mark.parametrize("count", [2.5, 3.0, True])
