@@ -1331,9 +1331,11 @@ class TestPseudostateSum:
                             types.SimpleNamespace(dstev=real.dstev, dstein=real.dstein))
         assert np.array_equal(pseudostate_q(small_grid, 0.1, count=5), expected)
 
-    @pytest.mark.parametrize("name", ["dstev", "dstein"])
-    def test_failed_tridiagonal_eigensolve_is_a_convergence_error(self, small_grid, monkeypatch,
-                                                                  name):
+    # failed: dstev, the eigenvalues of T_m, reports an error; short: dstein
+    # reports that info of the wanted eigenvectors did not converge
+    @pytest.mark.parametrize("name", ["dstev", "dstein"], ids=["failed", "short"])
+    def test_failed_or_short_eigensolve_is_a_convergence_error(self, small_grid, monkeypatch,
+                                                               name):
         _stub_tridiagonal(monkeypatch, name, 1)
         with pytest.raises(ConvergenceError,
                            match=r"tridiagonal eigensolve failed \(info = 1\) at m = 10 .*"
