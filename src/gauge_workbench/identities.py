@@ -2,29 +2,36 @@
 
 Each check evaluates an identity that must hold exactly in continuum
 mathematics and records the residual at the fixed abscissas of its module
-constant.  The checks of the gauge amplitudes read them from an amplitude
-source, x -> (Q, P): the derived closed forms, a negative control or the
-grid oracle.  ac_stark reads a diagonal source, signed x -> 1S elements
-(<r G r>, <v G v>) at E_1S + x, and the source's <1S|1S>; one_photon_ratio
-reads the 1S-2P elements (m_len, m_vel, E_2P - E_1S), which involve no
-photon energy, and brings in the photon energies itself.
+constant.  A check takes one argument, a Source: one evidence source with
+its name, its tolerance and the inputs it provides, each None where it
+provides none:
 
-The two profiles of build_report differ in those sources:
+- ``pair``, x -> (Q, P), with ``r2`` = <2S| r^2 |1S> from the same
+  evaluation (master_identity, resonance_pq, two_color, delta_linear);
+- ``diagonal``, signed x -> 1S elements (<r G r>, <v G v>) at E_1S + x,
+  with the source's ``norm_1s`` = <1S|1S> (ac_stark);
+- ``one_photon``, () -> the 1S-2P elements (m_len, m_vel, E_2P - E_1S),
+  which involve no photon energy; the check brings in the photon
+  energies itself (one_photon_ratio).
 
-- "strict" reads the chosen closed-form variant, and ac_stark and
-  one_photon_ratio from the Coulomb-Sturmian resolvent (sturmian.py),
-  every check at TOL_CLOSED = 1e-9 (double precision with headroom).  It
-  builds no grid and imports neither numpy nor scipy.  At the basis's
-  LAMBDA = 1 the two Sturmian identities hold exactly in the Galerkin
-  algebra, so their residuals are roundoff, not a convergence measure.
-- "oracle" reads master_identity, ac_stark and one_photon_ratio from the
-  radial grid (the oracle module, imported only here).  The first two are
-  held to TOL_ORACLE = 1e-6 (grid truncation), one_photon_ratio to
-  TOL_ONE_PHOTON = 1e-8: both of its elements and the level gap come from
-  the same grid states, so truncation largely cancels.
+Every check records ``source.name`` and ``source.tolerance``, except that
+one_photon_ratio holds a grid to TOL_ONE_PHOTON = 1e-8: both of its
+elements and the level gap come from the same states, so truncation
+largely cancels.  The three sources:
 
-All inputs are fixed tuples, so repeated runs produce bit-identical
-residual lists.  Every check records which source it read.
+- ``closed_form_source(variant)``: the amplitudes of a closed-form variant
+  and the exact r^2, at TOL_CLOSED = 1e-9 (double precision with headroom).
+- ``BASIS``: the Coulomb-Sturmian resolvent (sturmian.py), its diagonal
+  and one-photon reads, at TOL_CLOSED.  At the basis's LAMBDA = 1 both of
+  its identities hold exactly in the Galerkin algebra, so their residuals
+  are roundoff, not a convergence measure.
+- ``grid_source(grid)``: every input from the radial grid (the oracle
+  module, imported only there), at TOL_ORACLE = 1e-6 (grid truncation).
+
+build_report reads the closed forms in both profiles and picks the
+numerical source: the basis for "strict", which builds no grid and imports
+neither numpy nor scipy, or the grid for "oracle".  All inputs are fixed
+tuples, so repeated runs produce bit-identical residual lists.
 
 The report also compares a handful of headline constants against their
 externally published values, with the provenance of each reference noted.
@@ -34,7 +41,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 from typing import TYPE_CHECKING
 
@@ -62,15 +69,6 @@ TOL_ONE_PHOTON = 1e-8
 # <2S| r^2 |1S> in units of the squared Bohr radius.
 R2_OVERLAP_EXACT = -512.0 * math.sqrt(2.0) / 243.0
 
-CHECK_NAMES = (
-    "master_identity",
-    "resonance_pq",
-    "ac_stark",
-    "two_color",
-    "delta_linear",
-    "one_photon_ratio",
-)
-
 MASTER_GRID = tuple(0.02 + i * (0.34 / 19.0) for i in range(20))
 DELTA_GRID = tuple(0.01 + i * (0.36 / 199.0) for i in range(200))
 AC_STARK_POINTS = (0.001, 0.05, 0.10, 0.15)
@@ -79,12 +77,57 @@ ONE_PHOTON_OMEGAS = (0.10, 0.20, 0.30)
 
 
 @dataclass(frozen=True)
+class Source:
+    """One evidence source: its name, the tolerance its checks are held
+    to, and the inputs it provides (None for an input it does not)."""
+
+    name: str
+    tolerance: float
+    pair: AmplitudeSource | None = None
+    r2: float | None = None
+    diagonal: Callable[[float], tuple[float, float]] | None = None
+    norm_1s: float | None = None
+    one_photon: Callable[[], tuple[float, float, float]] | None = None
+
+
+def closed_form_source(variant: str = "derived") -> Source:
+    """The closed-form amplitudes ``closedform.SOURCES[variant]`` with the
+    exact <2S| r^2 |1S>; DomainError for an unknown variant."""
+    return Source("closed_form", TOL_CLOSED, pair=source_named(variant), r2=R2_OVERLAP_EXACT)
+
+
+BASIS = Source("sturmian", TOL_CLOSED, diagonal=sturmian.diagonal_elements, norm_1s=1.0,
+               one_photon=sturmian.one_photon_elements)
+
+
+def grid_source(grid: RadialGrid | None = None) -> Source:
+    """Every input from the radial grid (RadialGrid() when None), with r2
+    and norm_1s by the grid's own quadrature.  Builds the grid's state
+    (cached per grid); the first call loads numpy and scipy."""
+    from . import oracle
+
+    grid = oracle.RadialGrid() if grid is None else grid
+    return Source("grid", TOL_ORACLE,
+                  pair=partial(oracle.gauge_pair_oracle, grid), r2=oracle.r2_overlap(grid),
+                  diagonal=partial(oracle.diagonal_elements, grid), norm_1s=oracle.norm_1s(grid),
+                  one_photon=partial(oracle.one_photon_elements, grid))
+
+
+def _input(source: Source, field: str):
+    """The source's input ``field``; ValueError if the source lacks it."""
+    value = getattr(source, field)
+    if value is None:
+        raise ValueError(f"source {source.name!r} provides no {field}")
+    return value
+
+
+@dataclass(frozen=True)
 class IdentityCheck:
     """Residuals of one identity over a list of abscissas.
 
     For one_photon_ratio the abscissas are photon energies in atomic
     units rather than energy fractions; everything else uses x.  source
-    names what the residuals were computed from: "closed_form",
+    names the Source the residuals were computed from: "closed_form",
     "sturmian" or "grid"."""
 
     name: str
@@ -92,7 +135,7 @@ class IdentityCheck:
     residuals: tuple[float, ...]
     tolerance: float
     passed: bool
-    source: str = "closed_form"
+    source: str
 
     def __post_init__(self) -> None:
         if len(self.x_values) != len(self.residuals):
@@ -110,11 +153,11 @@ def _worst(residuals: tuple[float, ...]) -> float:
     return math.nan if any(math.isnan(a) for a in sizes) else max(sizes)
 
 
-def _make_check(name: str, xs: tuple[float, ...],
-                residuals: tuple[float, ...], tol: float) -> IdentityCheck:
+def _make_check(name: str, xs: tuple[float, ...], residuals: tuple[float, ...],
+                tol: float, source: str) -> IdentityCheck:
     # NaN <= tol is false, so a NaN residual fails the check
     passed = _worst(residuals) <= tol
-    return IdentityCheck(name, xs, residuals, tol, passed)
+    return IdentityCheck(name, xs, residuals, tol, passed, source)
 
 
 @dataclass(frozen=True)
@@ -141,74 +184,74 @@ def _master_residual(x: float, q: float, p: float, r2: float) -> float:
     return p - ((X_MAX - x) * (-x) * q + (x - X_RESONANCE) * r2 / 3.0)
 
 
-def check_master_identity(source: AmplitudeSource = derived_pair,
-                          r2: float = R2_OVERLAP_EXACT,
-                          tol: float = TOL_CLOSED) -> IdentityCheck:
+def check_master_identity(source: Source) -> IdentityCheck:
     """Velocity amplitude against the length amplitude plus the r^2 shift.
 
     The correction term vanishes at the resonance and is linear in x, so
     this single relation subsumes both the resonance equality and the
-    linear gauge-difference law.  r2 is <2S| r^2 |1S> from the same
-    evaluation as the source: exact for closed forms, the grid quadrature
-    for the oracle."""
-    residuals = tuple(_master_residual(x, *source(x), r2) for x in MASTER_GRID)
-    return _make_check("master_identity", MASTER_GRID, residuals, tol)
+    linear gauge-difference law.  It reads the source's pair and its r2."""
+    pair, r2 = _input(source, "pair"), _input(source, "r2")
+    residuals = tuple(_master_residual(x, *pair(x), r2) for x in MASTER_GRID)
+    return _make_check("master_identity", MASTER_GRID, residuals, source.tolerance, source.name)
 
 
-def check_resonance_pq(source: AmplitudeSource = derived_pair) -> IdentityCheck:
+def check_resonance_pq(source: Source) -> IdentityCheck:
     """P = -(3/16)^2 Q at the two-photon resonance."""
     x = X_RESONANCE
-    q, p = source(x)
+    q, p = _input(source, "pair")(x)
     residual = p + (3.0 / 16.0) ** 2 * q
-    return _make_check("resonance_pq", (x,), (residual,), TOL_CLOSED)
+    return _make_check("resonance_pq", (x,), (residual,), source.tolerance, source.name)
 
 
-def check_ac_stark(diagonal: Callable[[float], tuple[float, float]] = sturmian.diagonal_elements,
-                   norm_1s: float = 1.0, tol: float = TOL_CLOSED) -> IdentityCheck:
+def check_ac_stark(source: Source) -> IdentityCheck:
     """The (1S, 1S) case of the master identity summed over +-x, where its
     linear term cancels: velocity-form ac-Stark response minus 3 <1S|1S>
-    against x^2 times the length form.  The Sturmian resolvent by default
-    (its 1S norm is exactly 1); the grid through
-    ``partial(oracle.diagonal_elements, grid)`` and ``oracle.norm_1s(grid)``."""
+    against x^2 times the length form, from the source's diagonal and
+    norm_1s."""
+    diagonal, norm_1s = _input(source, "diagonal"), _input(source, "norm_1s")
     residuals = []
     for x in AC_STARK_POINTS:
         (len_up, vel_up), (len_down, vel_down) = diagonal(x), diagonal(-x)
         residuals.append(-3.0 * norm_1s + vel_up + vel_down - x * x * (len_up + len_down))
-    return _make_check("ac_stark", AC_STARK_POINTS, tuple(residuals), tol)
+    return _make_check("ac_stark", AC_STARK_POINTS, tuple(residuals), source.tolerance,
+                       source.name)
 
 
-def check_two_color(source: AmplitudeSource = derived_pair) -> IdentityCheck:
+def check_two_color(source: Source) -> IdentityCheck:
     """P(x1) + P(x2) = -x1 x2 [Q(x1) + Q(x2)] for x2 = 3/8 - x1."""
+    pair = _input(source, "pair")
     residuals = []
     for x1 in TWO_COLOR_POINTS:
         x2 = X_MAX - x1
-        (q1, p1), (q2, p2) = source(x1), source(x2)
+        (q1, p1), (q2, p2) = pair(x1), pair(x2)
         residuals.append((p1 + p2) + x1 * x2 * (q1 + q2))
-    return _make_check("two_color", TWO_COLOR_POINTS, tuple(residuals), TOL_CLOSED)
+    return _make_check("two_color", TWO_COLOR_POINTS, tuple(residuals), source.tolerance,
+                       source.name)
 
 
-def check_delta_linear(source: AmplitudeSource = derived_pair) -> IdentityCheck:
+def check_delta_linear(source: Source) -> IdentityCheck:
     """f1 - f2 against the exact straight line through the resonance."""
+    pair = _input(source, "pair")
     residuals = tuple(
-        GaugeAmplitudes.at(x, source).delta - DELTA_SLOPE * (x - X_RESONANCE)
+        GaugeAmplitudes.at(x, pair).delta - DELTA_SLOPE * (x - X_RESONANCE)
         for x in DELTA_GRID
     )
-    return _make_check("delta_linear", DELTA_GRID, residuals, TOL_CLOSED)
+    return _make_check("delta_linear", DELTA_GRID, residuals, source.tolerance, source.name)
 
 
-def check_one_photon(elements: tuple[float, float, float] | None = None,
-                     tol: float = TOL_CLOSED) -> IdentityCheck:
+def check_one_photon(source: Source) -> IdentityCheck:
     """Velocity over length 1S-2P dipole element against (E_2P - E_1S)/omega.
 
-    elements is (m_len, m_vel, E_2P - E_1S) from one source: the Sturmian
-    basis when None, or ``oracle.one_photon_elements(grid)``.  Both matrix
-    elements and the gap come from the same states, so the residual
-    isolates the gauge relation from the source's own truncation error.
-    The two i factors of the momentum operator make the physical ratio
-    -m_vel / (omega m_len); it equals 1 only at omega = E_2P - E_1S."""
-    m_len, m_vel, gap = sturmian.one_photon_elements() if elements is None else elements
+    The source's one_photon gives (m_len, m_vel, E_2P - E_1S).  Both
+    matrix elements and the gap come from the same states, so the residual
+    isolates the gauge relation from the source's own truncation error and
+    is held to at most TOL_ONE_PHOTON.  The two i factors of the momentum
+    operator make the physical ratio -m_vel / (omega m_len); it equals 1
+    only at omega = E_2P - E_1S."""
+    m_len, m_vel, gap = _input(source, "one_photon")()
     residuals = tuple(-m_vel / (omega * m_len) - gap / omega for omega in ONE_PHOTON_OMEGAS)
-    return _make_check("one_photon_ratio", ONE_PHOTON_OMEGAS, residuals, tol)
+    return _make_check("one_photon_ratio", ONE_PHOTON_OMEGAS, residuals,
+                       min(source.tolerance, TOL_ONE_PHOTON), source.name)
 
 
 def _compare(name: str, computed: float, reference: float,
@@ -223,10 +266,10 @@ def constants_table(source: AmplitudeSource = derived_pair,
                     ) -> tuple[ConstantComparison, ...]:
     """Headline numbers against their published references.
 
-    The dimensionless entries read Q from the source and carry reference
-    values quoted to ten significant digits; the SI entries are built on
-    the derived Q and depend on the constants vintage, so their tolerance
-    is looser."""
+    The dimensionless entries read Q from the amplitude source and carry
+    reference values quoted to ten significant digits; the SI entries are
+    built on the derived Q and depend on the constants vintage, so their
+    tolerance is looser."""
     def q(x: float) -> float:
         return source(x)[0]
 
@@ -249,41 +292,33 @@ def build_report(profile: str = "strict",
                  ) -> VerificationReport:
     """Run all six identity checks and the constants table.
 
-    variant names the closed-form source in ``closedform.SOURCES``.
-    profile "strict" reads that source and the Sturmian resolvent, all at
-    1e-9, and takes no grid.  Profile "oracle" recomputes master_identity,
-    ac_stark and one_photon_ratio on the radial grid (RadialGrid() unless
-    grid is given) at their grid tolerances; the other checks still read
-    the closed-form source."""
+    Every row is one check on one source.  resonance_pq, two_color,
+    delta_linear and the constants read the closed-form ``variant`` (a name
+    in ``closedform.SOURCES``).  ac_stark and one_photon_ratio read the
+    profile's numerical source: the Sturmian ``BASIS`` for "strict", which
+    takes no grid, or ``grid_source(grid)`` for "oracle".  master_identity
+    reads the numerical source when it provides amplitudes (the grid) and
+    the closed forms otherwise (the basis)."""
     if profile not in ("strict", "oracle"):
         raise DomainError(f"unknown profile {profile!r}")
-    source = source_named(variant)
+    closed = closed_form_source(variant)
     if profile == "oracle":
-        # numpy and scipy load here, so a strict report runs on the stdlib
-        from . import oracle
-
-        grid = oracle.RadialGrid() if grid is None else grid
-        master = replace(check_master_identity(partial(oracle.gauge_pair_oracle, grid),
-                                               oracle.r2_overlap(grid), TOL_ORACLE),
-                         source="grid")
-        ac_stark = replace(check_ac_stark(partial(oracle.diagonal_elements, grid),
-                                          oracle.norm_1s(grid), TOL_ORACLE), source="grid")
-        one_photon = replace(check_one_photon(oracle.one_photon_elements(grid),
-                                              TOL_ONE_PHOTON), source="grid")
+        numeric = grid_source(grid)
+    elif grid is not None:
+        raise DomainError("a grid applies to profile 'oracle' only")
     else:
-        if grid is not None:
-            raise DomainError("a grid applies to profile 'oracle' only")
-        master = check_master_identity(source)
-        ac_stark = replace(check_ac_stark(), source="sturmian")
-        one_photon = replace(check_one_photon(), source="sturmian")
-    checks = (
-        master,
-        check_resonance_pq(source),
-        ac_stark,
-        check_two_color(source),
-        check_delta_linear(source),
-        one_photon,
+        numeric = BASIS
+    # the checks are looked up here, at call time, so a rebinding of the
+    # module's names (a tracer's, a test's) reaches every row
+    rows = (
+        (check_master_identity, closed if numeric.pair is None else numeric),
+        (check_resonance_pq, closed),
+        (check_ac_stark, numeric),
+        (check_two_color, closed),
+        (check_delta_linear, closed),
+        (check_one_photon, numeric),
     )
-    consts = constants_table(source, constants)
+    checks = tuple(check(source) for check, source in rows)
+    consts = constants_table(closed.pair, constants)
     overall = all(c.passed for c in checks) and all(c.passed for c in consts)
     return VerificationReport(checks, consts, overall)

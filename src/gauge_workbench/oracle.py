@@ -413,18 +413,18 @@ def _shifted_cholesky(ab: np.ndarray, shift: float,
     return solve
 
 
-def _shifted_lu(lu: np.ndarray, shift: float,
+def _shifted_lu(ab: np.ndarray, shift: float,
                 what: str) -> Callable[[np.ndarray], np.ndarray]:
     """Factor K - shift once by pivoted banded LU; return the solve v = (K - shift)^-1 rhs.
 
-    ``lu`` is a private dgbtrf layout of K (``_full_banded``), column-major,
-    which this shifts and factors in place (overwrite_ab=1): the caller
-    hands it over and never reads it again, so a layout shared by several
-    shifts is passed as a fresh copy each time.  Each solve reuses the
-    factors, two triangular sweeps at O(n).  Inverse iteration shifts onto
-    an eigenvalue on purpose, so an exactly singular factor or a
-    non-finite solution means the shift is unusable, not that it should
-    be nudged and retried."""
+    ``ab`` holds K in lower symmetric band storage and is only read, as
+    in _shifted_cholesky: dgbtrf factors the private column-major LU
+    layout expanded from it (``_full_banded``), shifted there, in place
+    (overwrite_ab=1).  Each solve reuses the factors, two triangular
+    sweeps at O(n).  Inverse iteration shifts onto an eigenvalue on
+    purpose, so an exactly singular factor or a non-finite solution means
+    the shift is unusable, not that it should be nudged and retried."""
+    lu = _full_banded(ab)
     lu[2 * _KD] -= shift
     lu, piv, info = dgbtrf(lu, _KD, _KD, overwrite_ab=1)
     if info > 0:
@@ -513,7 +513,7 @@ def _solve_on_state(state: OracleState, n: int, l: int) -> BoundState:
     if n == l + 1:
         solve = _shifted_cholesky(ab, target - _BELOW_LEVEL, what)
     else:
-        solve = _shifted_lu(_full_banded(ab), target, what)
+        solve = _shifted_lu(ab, target, what)
     energy, w = _inverse_iteration(ab, state.h, solve, w, target, what)
 
     u = w / state.sqrt_r

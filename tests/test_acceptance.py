@@ -7,7 +7,6 @@ recover the verdicts without parsing the pytest summary.
 
 import math
 import time
-from functools import partial
 
 from gauge_workbench.closedform import (
     DELTA_SLOPE,
@@ -17,21 +16,14 @@ from gauge_workbench.closedform import (
     two_color_q,
 )
 from gauge_workbench.identities import (
-    TOL_ONE_PHOTON,
-    TOL_ORACLE,
+    BASIS,
     check_ac_stark,
     check_master_identity,
     check_one_photon,
+    closed_form_source,
+    grid_source,
 )
-from gauge_workbench.oracle import (
-    build_oracle,
-    diagonal_elements,
-    gauge_pair_oracle,
-    norm_1s,
-    one_photon_elements,
-    q_oracle,
-    r2_overlap,
-)
+from gauge_workbench.oracle import build_oracle, q_oracle, r2_overlap
 from gauge_workbench.rabi import beta, beta_slope
 
 R2_EXACT = -512.0 * math.sqrt(2.0) / 243.0
@@ -131,9 +123,8 @@ def test_05_single_crossing_by_bisection():
 
 def test_06_master_identity_both_sources(default_grid):
     start = time.perf_counter()
-    closed = check_master_identity()
-    grid = check_master_identity(partial(gauge_pair_oracle, default_grid),
-                                 r2_overlap(default_grid), TOL_ORACLE)
+    closed = check_master_identity(closed_form_source("derived"))
+    grid = check_master_identity(grid_source(default_grid))
     elapsed = time.perf_counter() - start
     _verdict(
         "propagator identity",
@@ -146,9 +137,8 @@ def test_06_master_identity_both_sources(default_grid):
 
 def test_07_dynamic_polarizability_identity(default_grid):
     start = time.perf_counter()
-    basis = check_ac_stark()
-    grid = check_ac_stark(partial(diagonal_elements, default_grid), norm_1s(default_grid),
-                          TOL_ORACLE)
+    basis = check_ac_stark(BASIS)
+    grid = check_ac_stark(grid_source(default_grid))
     elapsed = time.perf_counter() - start
     _verdict(
         "dynamic polarizability identity",
@@ -185,8 +175,8 @@ def test_08_grid_self_checks(default_grid):
 
 def test_09_one_photon_gauge_factor(default_grid):
     start = time.perf_counter()
-    basis = check_one_photon()
-    grid = check_one_photon(one_photon_elements(default_grid), TOL_ONE_PHOTON)
+    basis = check_one_photon(BASIS)
+    grid = check_one_photon(grid_source(default_grid))
     elapsed = time.perf_counter() - start
     _verdict(
         "one-photon gauge factor",

@@ -76,3 +76,24 @@ def test_tracer_loads_and_restores_every_binding():
     after = [dict(vars(module)) for module in tracing.PACKAGE_MODULES]
     assert all(a.keys() == b.keys() and all(a[k] is b[k] for k in a)
                for a, b in zip(before, after))
+
+
+def test_tracer_sees_every_check_of_a_report():
+    # build_report looks its checks and constants_table up as module globals
+    # when it runs, so the tracer's rebinding reaches each of them; a check
+    # captured at import would run untraced and drop out of its metric
+    from gauge_workbench import identities
+
+    tracing = _load("tracing")
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        identities.build_report("strict")
+    finally:
+        tracer.remove()
+    names = [span[2] for span in tracer.spans]
+    for fn in ("check_master_identity", "check_resonance_pq", "check_ac_stark",
+               "check_two_color", "check_delta_linear", "check_one_photon",
+               "constants_table"):
+        assert names.count(f"identities.{fn}") == 1, fn
+    assert names.count("identities.build_report") == 1

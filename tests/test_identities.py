@@ -1,15 +1,14 @@
 """Verification-report tests: the six checks, determinism, negative controls."""
 
+import dataclasses
 import math
-from functools import partial
 
 import pytest
 
 from gauge_workbench.closedform import gauge_pair
 from gauge_workbench.errors import DomainError
 from gauge_workbench.identities import (
-    CHECK_NAMES,
-    TOL_ONE_PHOTON,
+    BASIS,
     TOL_ORACLE,
     IdentityCheck,
     _make_check,
@@ -20,71 +19,68 @@ from gauge_workbench.identities import (
     check_one_photon,
     check_resonance_pq,
     check_two_color,
+    closed_form_source,
     constants_table,
+    grid_source,
 )
-from gauge_workbench.oracle import (
-    diagonal_elements,
-    gauge_pair_oracle,
-    norm_1s,
-    one_photon_elements,
-    r2_overlap,
-)
+
+CLOSED = closed_form_source("derived")
 
 
 class TestIdentityCheck:
     def test_length_mismatch_is_rejected(self):
         with pytest.raises(ValueError):
-            IdentityCheck("master_identity", (0.1, 0.2), (0.0,), 1e-9, True)
+            IdentityCheck("master_identity", (0.1, 0.2), (0.0,), 1e-9, True, "closed_form")
 
     def test_max_residual(self):
-        check = IdentityCheck("x", (0.1, 0.2), (1e-12, -3e-11), 1e-9, True)
+        check = IdentityCheck("x", (0.1, 0.2), (1e-12, -3e-11), 1e-9, True, "closed_form")
         assert check.max_residual == 3e-11
         # a NaN fails its check and is the reported maximum wherever it sits
         for residuals in ((0.0, math.nan), (math.nan, 0.0)):
-            check = _make_check("x", (0.1, 0.2), residuals, 1e-9)
+            check = _make_check("x", (0.1, 0.2), residuals, 1e-9, "closed_form")
             assert not check.passed
             assert math.isnan(check.max_residual)
-        assert not _make_check("x", (0.1, 0.2), (0.0, -math.inf), 1e-9).passed
+        assert not _make_check("x", (0.1, 0.2), (0.0, -math.inf), 1e-9, "closed_form").passed
 
 
 class TestIndividualChecks:
     def test_master_identity_closed_form(self):
-        check = check_master_identity()
+        check = check_master_identity(CLOSED)
         assert check.name == "master_identity"
         assert check.tolerance == 1e-9
         assert len(check.x_values) == 20
         assert check.passed
 
     def test_master_identity_oracle(self, default_grid):
-        check = check_master_identity(partial(gauge_pair_oracle, default_grid),
-                                      r2_overlap(default_grid), TOL_ORACLE)
-        assert check.tolerance == 1e-6
+        check = check_master_identity(grid_source(default_grid))
+        assert (check.source, check.tolerance) == ("grid", 1e-6)
         assert check.passed
         # the grid result is genuinely coarser than the closed forms
         assert check.max_residual > 1e-12
 
     def test_resonance_lock(self):
-        check = check_resonance_pq()
+        check = check_resonance_pq(CLOSED)
         assert check.x_values == (0.1875,)
         assert check.passed
 
     def test_ac_stark(self, default_grid):
-        # the Sturmian resolvent by default, at the closed-form tolerance
-        check = check_ac_stark()
+        # the Sturmian resolvent at the closed-form tolerance, and the grid
+        check = check_ac_stark(BASIS)
         assert check.x_values == (0.001, 0.05, 0.10, 0.15)
-        assert check.tolerance == 1e-9
+        assert (check.source, check.tolerance) == ("sturmian", 1e-9)
         assert check.passed
-        grid = check_ac_stark(partial(diagonal_elements, default_grid), norm_1s(default_grid),
-                              TOL_ORACLE)
+        grid = check_ac_stark(grid_source(default_grid))
         assert grid.x_values == check.x_values
+        assert (grid.source, grid.tolerance) == ("grid", 1e-6)
         assert grid.passed
 
     def test_two_color(self):
-        check = check_two_color()
+        check = check_two_color(CLOSED)
+        assert (check.source, check.tolerance) == ("closed_form", 1e-9)
         assert check.passed
 
     def test_delta_linear(self):
-        check = check_delta_linear()
+        check = check_delta_linear(CLOSED)
         assert len(check.x_values) == 200
         assert check.passed
 
@@ -93,29 +89,44 @@ class TestIndividualChecks:
         # two-color law and the straight gauge difference: each check reads
         # Q and P from the grid instead of the closed forms, and the
         # residuals sit inside the grid tolerance
-        source = partial(gauge_pair_oracle, default_grid)
+        source = grid_source(default_grid)
         for check, points in ((check_resonance_pq(source), 1),
                               (check_two_color(source), 3),
                               (check_delta_linear(source), 200)):
             assert len(check.residuals) == points
-            assert check.max_residual <= TOL_ORACLE, check.name
+            assert check.passed and check.source == "grid", check.name
+            assert check.tolerance == TOL_ORACLE, check.name
             # coarser than the closed forms, so the grid really was read
             assert check.max_residual > 1e-12, check.name
 
     def test_one_photon(self, default_grid):
-        check = check_one_photon()
+        # held to the smaller of the source's tolerance and TOL_ONE_PHOTON
+        check = check_one_photon(BASIS)
         assert check.name == "one_photon_ratio"
-        assert check.tolerance == 1e-9
+        assert (check.source, check.tolerance) == ("sturmian", 1e-9)
         assert check.passed
-        grid = check_one_photon(one_photon_elements(default_grid), TOL_ONE_PHOTON)
-        assert grid.tolerance == 1e-8
+        grid = check_one_photon(grid_source(default_grid))
+        assert (grid.source, grid.tolerance) == ("grid", 1e-8)
         assert grid.passed
+
+    def test_a_source_without_the_input_is_rejected(self):
+        # the basis gives no amplitudes and the closed forms no 1S reads
+        with pytest.raises(ValueError, match="'sturmian' provides no pair"):
+            check_two_color(BASIS)
+        with pytest.raises(ValueError, match="'closed_form' provides no diagonal"):
+            check_ac_stark(CLOSED)
+        with pytest.raises(ValueError, match="'closed_form' provides no one_photon"):
+            check_one_photon(CLOSED)
+        with pytest.raises(ValueError, match="'sturmian' provides no r2"):
+            check_master_identity(dataclasses.replace(BASIS, pair=CLOSED.pair))
 
 
 class TestReport:
     def test_all_six_checks_present_in_order(self):
         report = build_report("strict")
-        assert tuple(c.name for c in report.checks) == CHECK_NAMES
+        assert tuple(c.name for c in report.checks) == (
+            "master_identity", "resonance_pq", "ac_stark", "two_color", "delta_linear",
+            "one_photon_ratio")
         assert report.overall_pass
         assert all(c.passed for c in report.checks)
 
@@ -145,6 +156,17 @@ class TestReport:
             for check in report.checks:
                 if check.name in tolerances[profile]:
                     assert check.tolerance == tolerances[profile][check.name]
+
+    def test_report_rows_are_direct_calls(self, default_grid):
+        # a row is one check on one source, so a direct call reproduces it,
+        # label and tolerance included
+        grid = grid_source(default_grid)
+        for profile, numeric, master in (("strict", BASIS, CLOSED), ("oracle", grid, grid)):
+            report = build_report(profile, grid=default_grid if numeric is grid else None)
+            assert report.checks == (
+                check_master_identity(master), check_resonance_pq(CLOSED),
+                check_ac_stark(numeric), check_two_color(CLOSED),
+                check_delta_linear(CLOSED), check_one_photon(numeric))
 
     def test_strict_profile_takes_no_grid(self, default_grid):
         # the strict profile builds no grid, so a grid given to it is an error

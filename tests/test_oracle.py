@@ -5,7 +5,6 @@ these tests mostly cost one banded solve each.
 """
 
 import dataclasses
-import functools
 import itertools
 import math
 import types
@@ -23,7 +22,7 @@ from gauge_workbench.errors import (
     DomainError,
     NearResonanceError,
 )
-from gauge_workbench.identities import TOL_ONE_PHOTON, TOL_ORACLE
+from gauge_workbench.identities import TOL_ONE_PHOTON, TOL_ORACLE, grid_source
 from gauge_workbench.oracle import (
     OracleState,
     RadialGrid,
@@ -31,7 +30,6 @@ from gauge_workbench.oracle import (
     diagonal_elements,
     gauge_pair_oracle,
     green_solve,
-    norm_1s,
     one_photon_elements,
     p_oracle,
     pseudostate_q,
@@ -588,8 +586,8 @@ class TestEigensolveGates:
         # the (2,0) state factored at the 3S level, -1/18, converges onto 3S
         real = oracle._shifted_lu
 
-        def at_3s(layout, shift, what):
-            return real(layout, -1.0 / 18.0 if what == "(n,l)=(2,0)" else shift, what)
+        def at_3s(ab, shift, what):
+            return real(ab, -1.0 / 18.0 if what == "(n,l)=(2,0)" else shift, what)
 
         monkeypatch.setattr(oracle, "_shifted_lu", at_3s)
         with pytest.raises(ConvergenceError,
@@ -1008,7 +1006,9 @@ class TestOnePhotonRatio:
         state = build_oracle(default_grid)
         m_len, _, gap = one_photon_elements(default_grid)
         flipped = state.integrate(state.w2p, state.wd1 + 2.0 * state.w1 / state.r)
-        check = identities.check_one_photon((m_len, flipped, gap), TOL_ONE_PHOTON)
+        check = identities.check_one_photon(dataclasses.replace(
+            grid_source(default_grid), one_photon=lambda: (m_len, flipped, gap)))
+        assert check.tolerance == TOL_ONE_PHOTON
         assert not check.passed
         assert min(abs(r) for r in check.residuals) > 1e3 * TOL_ONE_PHOTON
 
@@ -1016,8 +1016,7 @@ class TestOnePhotonRatio:
 class TestAcStark:
     @pytest.mark.parametrize("x", [0.001, 0.05, 0.10, 0.15])
     def test_sides_agree(self, default_grid, x):
-        check = identities.check_ac_stark(functools.partial(diagonal_elements, default_grid),
-                                          norm_1s(default_grid), TOL_ORACLE)
+        check = identities.check_ac_stark(grid_source(default_grid))
         assert abs(check.residuals[check.x_values.index(x)]) < 1e-6
 
     def test_static_polarizability_limit(self, default_grid):
@@ -1050,12 +1049,12 @@ class TestAcStark:
         # the flip adds 2 w_1S / r.  A state of its own keeps the cache clean.
         state = OracleState(default_grid)
         monkeypatch.setattr(oracle, "build_oracle", lambda grid: state)
-        read = functools.partial(diagonal_elements, default_grid)
-        assert identities.check_ac_stark(read, norm_1s(default_grid), TOL_ORACLE).passed
+        source = grid_source(default_grid)
+        assert identities.check_ac_stark(source).passed
         state._amplitudes.clear()
         state._driving = np.asfortranarray(np.column_stack(
             (state.r * state.w1, state.wd1 + 2.0 * state.w1 / state.r)))
-        check = identities.check_ac_stark(read, norm_1s(default_grid), TOL_ORACLE)
+        check = identities.check_ac_stark(source)
         assert not check.passed
         assert min(abs(r) for r in check.residuals) > 1e3 * TOL_ORACLE
 
@@ -1084,13 +1083,11 @@ class TestDefaultGridAccuracy:
         assert _relative_error(q_oracle(default_grid, 0.3749), q_length(0.3749)) < 8e-7
 
     def test_grid_checks(self, default_grid):
-        source = functools.partial(gauge_pair_oracle, default_grid)
+        source = grid_source(default_grid)
         checks = (
-            (identities.check_master_identity(source, r2_overlap(default_grid), TOL_ORACLE), 3e-9),
-            (identities.check_ac_stark(functools.partial(diagonal_elements, default_grid),
-                                       norm_1s(default_grid), TOL_ORACLE), 4e-10),
-            (identities.check_one_photon(one_photon_elements(default_grid), TOL_ONE_PHOTON),
-             9e-11),
+            (identities.check_master_identity(source), 3e-9),
+            (identities.check_ac_stark(source), 4e-10),
+            (identities.check_one_photon(source), 9e-11),
         )
         for check, bound in checks:
             assert check.max_residual < bound, check.name
@@ -1200,7 +1197,7 @@ def _l1_mode(state, shift, start):
     ``shift``, from ``start``."""
     ab = state.bands[1]
     what = f"l = 1 mode at {shift!r}"
-    solve = oracle._shifted_lu(oracle._full_banded(ab), shift, what)
+    solve = oracle._shifted_lu(ab, shift, what)
     return oracle._inverse_iteration(ab, state.h, solve, start, shift, what)
 
 

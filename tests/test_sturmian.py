@@ -14,6 +14,7 @@ from gauge_workbench import identities, sturmian
 from gauge_workbench.errors import ConvergenceError, DomainError
 from gauge_workbench.identities import (
     AC_STARK_POINTS,
+    BASIS,
     TOL_CLOSED,
     build_report,
     check_ac_stark,
@@ -106,13 +107,13 @@ class TestPencil:
 class TestIdentities:
     def test_residuals_are_roundoff(self):
         # exact Galerkin algebra at LAMBDA = 1: what is left is roundoff
-        assert check_ac_stark().max_residual <= 1e-13
-        assert check_one_photon().max_residual <= 1e-13
+        assert check_ac_stark(BASIS).max_residual <= 1e-13
+        assert check_one_photon(BASIS).max_residual <= 1e-13
 
     def test_ac_stark_residuals_are_pinned(self):
         # bit for bit, so that any change to the order of the identity's
         # float operations, or to the Sturmian reads, shows here
-        assert check_ac_stark().residuals == (
+        assert check_ac_stark(BASIS).residuals == (
             4.666490853672337e-16, -4.2327252813834093e-16, -4.996003610813204e-16, 0.0)
 
     def test_elements_agree_with_the_grid(self, default_grid):
@@ -154,8 +155,8 @@ class TestIdentities:
         # a cached entry cannot be changed in place
         assert all(isinstance(part, tuple) for part in sturmian._pencil(1, sturmian.BASIS_SIZE))
         assert first == second
-        assert first.checks[2].residuals == check_ac_stark().residuals
-        assert first.checks[5].residuals == check_one_photon().residuals
+        assert first.checks[2].residuals == check_ac_stark(BASIS).residuals
+        assert first.checks[5].residuals == check_one_photon(BASIS).residuals
 
     def test_basis_size_is_converged(self, monkeypatch):
         # 10 more functions move no element by more than roundoff, also at
@@ -181,7 +182,7 @@ class TestIdentities:
             return h_diag, h_off, s_diag, s_off
 
         monkeypatch.setattr(sturmian, "_pencil", scaled)
-        check = check_ac_stark()
+        check = check_ac_stark(BASIS)
         assert not check.passed
         assert min(abs(r) for r in check.residuals) > 1e3 * TOL_CLOSED
 
@@ -191,7 +192,7 @@ class TestIdentities:
         b_len, _ = sturmian._driving_terms()
         flipped = list(_quadrature(sturmian.BASIS_SIZE, 1, lambda r: 4.0 - 2.0 * r))
         monkeypatch.setattr(sturmian, "_driving_terms", lambda: (b_len, flipped))
-        for check in (check_ac_stark(), check_one_photon()):
+        for check in (check_ac_stark(BASIS), check_one_photon(BASIS)):
             assert not check.passed, check.name
             assert min(abs(r) for r in check.residuals) > 1e3 * TOL_CLOSED, check.name
 
@@ -214,5 +215,5 @@ class TestInputs:
         (up, _), (down, _) = sturmian.diagonal_elements(x), sturmian.diagonal_elements(-x)
         assert math.isfinite(up)
         monkeypatch.setattr(identities, "AC_STARK_POINTS", (x,))
-        (residual,) = check_ac_stark().residuals
+        (residual,) = check_ac_stark(BASIS).residuals
         assert abs(residual) <= 1e-9 * x * x * (up + down)
