@@ -52,7 +52,6 @@ from .closedform import (
     X_RESONANCE,
     AmplitudeSource,
     GaugeAmplitudes,
-    derived_pair,
     source_named,
     two_color_combination,
 )
@@ -96,8 +95,8 @@ def closed_form_source(variant: str = "derived") -> Source:
     return Source("closed_form", TOL_CLOSED, pair=source_named(variant), r2=R2_OVERLAP_EXACT)
 
 
-BASIS = Source("sturmian", TOL_CLOSED, diagonal=sturmian.diagonal_elements, norm_1s=1.0,
-               one_photon=sturmian.one_photon_elements)
+BASIS = Source("sturmian", TOL_CLOSED, diagonal=sturmian.diagonal_elements,
+               norm_1s=sturmian.NORM_1S, one_photon=sturmian.one_photon_elements)
 
 
 def grid_source(grid: RadialGrid | None = None) -> Source:
@@ -261,17 +260,18 @@ def _compare(name: str, computed: float, reference: float,
                               provenance, rel <= rel_tol)
 
 
-def constants_table(source: AmplitudeSource = derived_pair,
-                    constants: PhysicalConstants = DEFAULT_CONSTANTS,
-                    ) -> tuple[ConstantComparison, ...]:
+def constants_table(source: Source,
+                    constants: PhysicalConstants) -> tuple[ConstantComparison, ...]:
     """Headline numbers against their published references.
 
-    The dimensionless entries read Q from the amplitude source and carry
+    The dimensionless entries read Q from the source's pair and carry
     reference values quoted to ten significant digits; the SI entries are
     built on the derived Q and depend on the constants vintage, so their
     tolerance is looser."""
+    pair = _input(source, "pair")
+
     def q(x: float) -> float:
-        return source(x)[0]
+        return pair(x)[0]
 
     return (
         _compare("resonance_q", q(X_RESONANCE),
@@ -319,6 +319,6 @@ def build_report(profile: str = "strict",
         (check_one_photon, numeric),
     )
     checks = tuple(check(source) for check, source in rows)
-    consts = constants_table(closed.pair, constants)
+    consts = constants_table(closed, constants)
     overall = all(c.passed for c in checks) and all(c.passed for c in consts)
     return VerificationReport(checks, consts, overall)

@@ -54,11 +54,10 @@ from its file (_load_lapack) in the directory importlib.util.find_spec
 names: neither the scipy package __init__ nor the scipy.linalg one, about
 half the wall time of a cold ``verify``, runs (with numpy loaded, the
 load takes a median 7 ms in a fresh interpreter, 19 ms through ``import
-scipy``).  The extension
-registers itself in sys.modules under its own dotted name, so a later
-``import scipy.linalg`` reuses the same routine objects.  Where the file
-is not found, the routines come from scipy.linalg.lapack instead, which
-holds the same objects; without scipy the import is an ImportError.
+scipy``).  The extension registers itself in sys.modules under its own
+dotted name, so a later ``import scipy.linalg`` reuses the same routine
+objects.  Without scipy, or without the extension's file, the import is
+an ImportError.
 
 Three error terms set the grid defaults.  Truncating the grid at r_min
 with these ghosts shifts E_1S by -2 r_min^3 (ghosts on the power law
@@ -67,15 +66,15 @@ at the default r_min = 1e-4.  The stencil error scales as h^4, and
 roundoff in the Rayleigh quotient grows like eps / h^2, because the
 diagonal of K reaches 1/(h r_min)^2; together they leave E_1S scattered
 by up to a few 1e-11 from one point count to the next.  That floor is
-why r_min stops at 1e-4: smaller values only add points below r = 1e-4,
-and 3249 points keep the spacing h = 0.0041848 of the former 4350-point
-grid from 1e-6.  On the default grid Q reads 6e-12 relative at x = 3/16
-and 3e-11 at x = 0.37, up to 2e-10 and 4e-9 within 10 points of the
-default count, the error growing like 1 / (3/8 - x) toward the 2P pole
-(up to 2e-7 at x = 0.3749).  The driving term's u = 0 below r_min meets
-l = 1 partners that vanish like r^(5/2) in w: at r_min = 1e-4 it moves P
-by 2e-12 to 5e-12 relative against ghosts on u ~ r (1 - r), far under
-the grid's own 1e-10 to 1e-9 error in P.
+why r_min stops at 1e-4: smaller values only add points below r = 1e-4
+at the same spacing, h = 0.0041848 for the default 3249 points.  On the
+default grid Q reads 6e-12 relative at x = 3/16 and 3e-11 at x = 0.37,
+up to 2e-10 and 4e-9 within 10 points of the default count, the error
+growing like 1 / (3/8 - x) toward the 2P pole (up to 2e-7 at
+x = 0.3749).  The driving term's u = 0 below r_min meets l = 1 partners
+that vanish like r^(5/2) in w: at r_min = 1e-4 it moves P by 2e-12 to
+5e-12 relative against ghosts on u ~ r (1 - r), far under the grid's own
+1e-10 to 1e-9 error in P.
 
 RadialGrid states the grid's domain with a reason for each bound: r_min
 in [1e-12, 1e-2], where the closure error -2 r_min^3 stays under 2e-6
@@ -175,15 +174,12 @@ _CHECK_GROWTH = 1.15
 
 def _load_lapack(directory: str) -> ModuleType:
     """scipy's f2py LAPACK extension ``_flapack``, loaded from its file in
-    ``directory`` without importing the scipy.linalg package; where no such
-    file exists, scipy.linalg.lapack, which holds the same routines."""
-    paths = (os.path.join(directory, "_flapack" + suffix)
-             for suffix in importlib.machinery.EXTENSION_SUFFIXES)
-    path = next(filter(os.path.isfile, paths), None)
-    if path is None:
-        from scipy.linalg import lapack
-        return lapack
-    spec = importlib.util.spec_from_file_location("scipy.linalg._flapack", path)
+    ``directory`` without importing the scipy.linalg package; an
+    ImportError that names ``directory`` where no such file exists."""
+    spec = importlib.machinery.PathFinder.find_spec("scipy.linalg._flapack", [directory])
+    if spec is None:
+        raise ImportError(f"the grid oracle needs scipy's _flapack extension, "
+                          f"which is not in {directory}")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -774,14 +770,12 @@ def pseudostate_q(grid: RadialGrid, x: float, count: int = 30) -> np.ndarray:
     _MAX_MODES, checked before anything is built or solved.
 
     Cost: m Lanczos steps take time ~ 2 n m^2 and memory ~ n m.  Best of
-    3 on a 2-vCPU Xeon VM, against the banded eigensolver dsbevx with one
-    LU per mode that this replaced: 30 modes on 2000 points take m = 69
-    to 92 steps and 10-12 ms (47 ms), 18 ms on 3249 points (84 ms).  A
-    dense low spectrum needs more steps, and reorthogonalization then
-    dominates: on 2000 points, r_max = 700 and r_min = 1e-2, 30 modes at
-    x = 0.001 take m = 440 and 187 ms (46 ms), 200 modes m = 529 and
-    271 ms (207 ms); 200 modes at r_max = 80 take m = 400 and 146 ms
-    (212 ms).  200 modes on 24000 points from r_min = 1e-12 to
+    3 on a 2-vCPU Xeon VM: 30 modes on 2000 points take m = 69 to 92
+    steps and 10-12 ms, 18 ms on 3249 points.  A dense low spectrum needs
+    more steps, and reorthogonalization then dominates: on 2000 points,
+    r_max = 700 and r_min = 1e-2, 30 modes at x = 0.001 take m = 440 and
+    187 ms, 200 modes m = 529 and 271 ms; 200 modes at r_max = 80 take
+    m = 400 and 146 ms.  200 modes on 24000 points from r_min = 1e-12 to
     r_max = 700 take m = 529, 3.7 s and 0.1 GB of basis."""
     require_window(x)
     if not _is_index(count):

@@ -18,8 +18,6 @@ sum written out at a fixed length, and the tests hold that form to
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 
 def lerch_sum(z: float, a: float, terms: int) -> float:
     """Sum the first ``terms`` terms of Phi(z, 1, a) = sum_j z^j / (j + a).
@@ -33,14 +31,6 @@ def lerch_sum(z: float, a: float, terms: int) -> float:
     derived tail it is the reference that the written-out form is held to.
     """
     acc = 0.0
-    for j in _descending_shifts(terms):
+    for j in range(terms - 1, -1, -1):
         acc = acc * z + 1.0 / (a + j)
     return acc
-
-
-@lru_cache(maxsize=8)
-def _descending_shifts(terms: int) -> tuple[float, ...]:
-    """(terms - 1, ..., 1, 0) as floats, built once per term count: a float
-    shift makes a + j one float addition, with the same result as the int
-    shift (every j < 2**53 converts exactly)."""
-    return tuple(map(float, range(terms - 1, -1, -1)))

@@ -77,6 +77,12 @@ def _pencil(l: int, n: int) -> Pencil:
     return tuple(h_diag), tuple(h_off), tuple(s_diag), tuple(s_off)
 
 
+# <1S|1S> and E_1S: the S and H entries of the l = 0 function 2 r e^-r,
+# exact at LAMBDA = 1.
+NORM_1S = _pencil(0, 1)[2][0]
+_E_1S = _pencil(0, 1)[0][0] / NORM_1S
+
+
 def _product(diag: tuple[float, ...], off: tuple[float, ...], v: list[float]) -> list[float]:
     """M v for the symmetric tridiagonal M."""
     out = [d * x for d, x in zip(diag, v)]
@@ -128,12 +134,6 @@ def _driving_terms() -> tuple[list[float], list[float]]:
     return [6.0, -6.0] + pad, [-3.0, 0.0] + pad
 
 
-def _state_1s() -> tuple[float, float]:
-    """(E_1S, <1S|1S>): the l = 0 function 2 r e^-r, exact at LAMBDA = 1."""
-    (h,), _, (s,), _ = _pencil(0, 1)
-    return h / s, s
-
-
 def _state_2p(pencil: Pencil) -> tuple[float, list[float]]:
     """Lowest eigenpair (E_2P, c) of the l = 1 pencil H c = E S c, c
     normalized in S."""
@@ -155,11 +155,10 @@ def diagonal_elements(x: float) -> tuple[float, float]:
     """(<1S| r G r |1S>, <1S| v G v |1S>), G = (H - E S)^-1 at E = E_1S + x,
     v = u' - u/r, for a signed x with 0 < |x| < 3/8.  E stays below -1/8,
     and the basis's 2P level, a Galerkin upper bound, lies above -1/8, so
-    H - E S is positive definite.  <1S|1S> is exactly 1 here."""
+    H - E S is positive definite.  <1S|1S> is NORM_1S, exactly 1."""
     require_window(abs(x))
-    e_1s, _ = _state_1s()
     b_len, b_vel = _driving_terms()
-    solve = _factor(_pencil(1, BASIS_SIZE), e_1s + x)
+    solve = _factor(_pencil(1, BASIS_SIZE), _E_1S + x)
     return _dot(b_len, solve(b_len)), _dot(b_vel, solve(b_vel))
 
 
@@ -167,7 +166,6 @@ def one_photon_elements() -> tuple[float, float, float]:
     """(m_len, m_vel, E_2P - E_1S): the 1S-2P elements of r and of
     u' - u/r in the basis's 2P state, and the level gap.  Exact states
     satisfy the commutator relation m_vel = -(E_2P - E_1S) m_len."""
-    e_1s, _ = _state_1s()
     e_2p, c_2p = _state_2p(_pencil(1, BASIS_SIZE))
     b_len, b_vel = _driving_terms()
-    return _dot(c_2p, b_len), _dot(c_2p, b_vel), e_2p - e_1s
+    return _dot(c_2p, b_len), _dot(c_2p, b_vel), e_2p - _E_1S

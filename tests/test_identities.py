@@ -23,6 +23,7 @@ from gauge_workbench.identities import (
     constants_table,
     grid_source,
 )
+from gauge_workbench.rabi import DEFAULT_CONSTANTS
 
 CLOSED = closed_form_source("derived")
 
@@ -184,13 +185,14 @@ class TestReport:
             build_report("lenient", grid=default_grid)
 
     def test_constants_all_pass(self):
-        for entry in constants_table():
+        for entry in constants_table(closed_form_source(), DEFAULT_CONSTANTS):
             assert entry.passed, entry
             assert entry.provenance == "published"
             assert entry.relative_error <= entry.rel_tolerance
 
     def test_reference_values_are_reproduced(self):
-        table = {c.name: c for c in constants_table()}
+        table = {c.name: c
+                 for c in constants_table(closed_form_source(), DEFAULT_CONSTANTS)}
         assert math.isclose(table["resonance_q"].computed,
                             -7.853655422, abs_tol=1e-8)
         assert math.isclose(table["two_color_q"].computed,

@@ -7,6 +7,7 @@ these tests mostly cost one banded solve each.
 import dataclasses
 import itertools
 import math
+import re
 import types
 
 import numpy as np
@@ -293,20 +294,10 @@ class TestLapackBinding:
         for mine, theirs in zip(ours[:-1], public[:-1]):
             assert np.array_equal(mine, theirs)
 
-    def test_missing_extension_falls_back_to_the_same_values(self, fresh_grid, tmp_path,
-                                                             monkeypatch):
-        expected = (gauge_pair_oracle(fresh_grid, 0.1), pseudostate_q(fresh_grid, 0.1, count=5))
-        fallback = oracle._load_lapack(str(tmp_path))
-        assert fallback is lapack
-        monkeypatch.setattr(oracle, "_flapack", fallback)
-        for name in ("dgbtrf", "dgbtrs", "dpbtrf", "dpbtrs"):
-            monkeypatch.setattr(oracle, name, getattr(fallback, name))
-        build_oracle.cache_clear()
-        pair = gauge_pair_oracle(fresh_grid, 0.1)
-        partial = pseudostate_q(fresh_grid, 0.1, count=5)
-        build_oracle.cache_clear()
-        assert pair == expected[0]
-        assert np.array_equal(partial, expected[1])
+    def test_missing_extension_is_an_import_error_naming_the_directory(self, tmp_path):
+        # negative control: no fallback to another binding
+        with pytest.raises(ImportError, match=re.escape(str(tmp_path))):
+            oracle._load_lapack(str(tmp_path))
 
 
 def _five_point_driving_term(state, u):

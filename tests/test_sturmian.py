@@ -69,7 +69,7 @@ class TestPencil:
     def test_1s_is_the_exact_ground_state(self):
         # S_00 = 1, so the bounds above apply unscaled
         h, s = _quadrature(1, 0)
-        assert sturmian._state_1s() == (-0.5, 1.0)
+        assert (sturmian._E_1S, sturmian.NORM_1S) == (-0.5, 1.0)
         assert abs(h[0, 0] + 0.5) <= 4.5e-14
         assert abs(s[0, 0] - 1.0) <= 1.9e-13
 
@@ -136,8 +136,9 @@ class TestIdentities:
         assert abs(gap / grid_gap - 1.0) <= 1.6e-10
 
     def test_strict_report_builds_one_pencil_and_one_2p_state(self, monkeypatch):
-        # the pencils are cached for the process, so two reports build the
-        # l = 0 (1S) and l = 1 pencils once each; every report solves 2P once
+        # the pencils are cached for the process, and the 1S inputs are read
+        # at import, so two reports build the l = 1 pencil once; every report
+        # solves 2P once
         sturmian._pencil.cache_clear()
         solves = []
         real_2p = sturmian._state_2p
@@ -150,7 +151,7 @@ class TestIdentities:
         first = build_report("strict")
         second = build_report("strict")
         info = sturmian._pencil.cache_info()
-        assert (info.misses, info.currsize) == (2, 2)
+        assert (info.misses, info.currsize) == (1, 1)
         assert len(solves) == 2 and solves[0] is solves[1]
         # a cached entry cannot be changed in place
         assert all(isinstance(part, tuple) for part in sturmian._pencil(1, sturmian.BASIS_SIZE))
