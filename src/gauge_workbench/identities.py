@@ -35,6 +35,12 @@ tuples, so repeated runs produce bit-identical residual lists.
 
 The report also compares a handful of headline constants against their
 externally published values, with the provenance of each reference noted.
+
+Every verdict is derived from the record that carries it, so no record
+can contradict its own evidence: a check passes when its largest
+|residual| is at most its tolerance (a NaN residual fails), a constant
+when its relative error is at most its tolerance, and the report when
+every row passes.
 """
 
 from __future__ import annotations
@@ -133,7 +139,6 @@ class IdentityCheck:
     x_values: tuple[float, ...]
     residuals: tuple[float, ...]
     tolerance: float
-    passed: bool
     source: str
 
     def __post_init__(self) -> None:
@@ -142,21 +147,15 @@ class IdentityCheck:
 
     @property
     def max_residual(self) -> float:
-        return _worst(self.residuals)
+        """Largest |r|, or NaN if any residual is NaN; max() alone keeps a
+        NaN only when it comes first."""
+        sizes = [abs(r) for r in self.residuals]
+        return math.nan if any(math.isnan(a) for a in sizes) else max(sizes)
 
-
-def _worst(residuals: tuple[float, ...]) -> float:
-    """Largest |r|, or NaN if any residual is NaN; max() alone keeps a
-    NaN only when it comes first."""
-    sizes = [abs(r) for r in residuals]
-    return math.nan if any(math.isnan(a) for a in sizes) else max(sizes)
-
-
-def _make_check(name: str, xs: tuple[float, ...], residuals: tuple[float, ...],
-                tol: float, source: str) -> IdentityCheck:
-    # NaN <= tol is false, so a NaN residual fails the check
-    passed = _worst(residuals) <= tol
-    return IdentityCheck(name, xs, residuals, tol, passed, source)
+    @property
+    def passed(self) -> bool:
+        # NaN <= tolerance is false, so a NaN residual fails the check
+        return self.max_residual <= self.tolerance
 
 
 @dataclass(frozen=True)
@@ -166,17 +165,26 @@ class ConstantComparison:
     name: str
     computed: float
     reference: float
-    relative_error: float
     rel_tolerance: float
     provenance: str
-    passed: bool
+
+    @property
+    def relative_error(self) -> float:
+        return abs(self.computed - self.reference) / abs(self.reference)
+
+    @property
+    def passed(self) -> bool:
+        return self.relative_error <= self.rel_tolerance
 
 
 @dataclass(frozen=True)
 class VerificationReport:
     checks: tuple[IdentityCheck, ...]
     constants: tuple[ConstantComparison, ...]
-    overall_pass: bool
+
+    @property
+    def overall_pass(self) -> bool:
+        return all(c.passed for c in self.checks + self.constants)
 
 
 def _master_residual(x: float, q: float, p: float, r2: float) -> float:
@@ -191,7 +199,7 @@ def check_master_identity(source: Source) -> IdentityCheck:
     linear gauge-difference law.  It reads the source's pair and its r2."""
     pair, r2 = _input(source, "pair"), _input(source, "r2")
     residuals = tuple(_master_residual(x, *pair(x), r2) for x in MASTER_GRID)
-    return _make_check("master_identity", MASTER_GRID, residuals, source.tolerance, source.name)
+    return IdentityCheck("master_identity", MASTER_GRID, residuals, source.tolerance, source.name)
 
 
 def check_resonance_pq(source: Source) -> IdentityCheck:
@@ -199,7 +207,7 @@ def check_resonance_pq(source: Source) -> IdentityCheck:
     x = X_RESONANCE
     q, p = _input(source, "pair")(x)
     residual = p + (3.0 / 16.0) ** 2 * q
-    return _make_check("resonance_pq", (x,), (residual,), source.tolerance, source.name)
+    return IdentityCheck("resonance_pq", (x,), (residual,), source.tolerance, source.name)
 
 
 def check_ac_stark(source: Source) -> IdentityCheck:
@@ -212,8 +220,8 @@ def check_ac_stark(source: Source) -> IdentityCheck:
     for x in AC_STARK_POINTS:
         (len_up, vel_up), (len_down, vel_down) = diagonal(x), diagonal(-x)
         residuals.append(-3.0 * norm_1s + vel_up + vel_down - x * x * (len_up + len_down))
-    return _make_check("ac_stark", AC_STARK_POINTS, tuple(residuals), source.tolerance,
-                       source.name)
+    return IdentityCheck("ac_stark", AC_STARK_POINTS, tuple(residuals), source.tolerance,
+                         source.name)
 
 
 def check_two_color(source: Source) -> IdentityCheck:
@@ -224,8 +232,8 @@ def check_two_color(source: Source) -> IdentityCheck:
         x2 = X_MAX - x1
         (q1, p1), (q2, p2) = pair(x1), pair(x2)
         residuals.append((p1 + p2) + x1 * x2 * (q1 + q2))
-    return _make_check("two_color", TWO_COLOR_POINTS, tuple(residuals), source.tolerance,
-                       source.name)
+    return IdentityCheck("two_color", TWO_COLOR_POINTS, tuple(residuals), source.tolerance,
+                         source.name)
 
 
 def check_delta_linear(source: Source) -> IdentityCheck:
@@ -235,7 +243,7 @@ def check_delta_linear(source: Source) -> IdentityCheck:
         GaugeAmplitudes.at(x, pair).delta - DELTA_SLOPE * (x - X_RESONANCE)
         for x in DELTA_GRID
     )
-    return _make_check("delta_linear", DELTA_GRID, residuals, source.tolerance, source.name)
+    return IdentityCheck("delta_linear", DELTA_GRID, residuals, source.tolerance, source.name)
 
 
 def check_one_photon(source: Source) -> IdentityCheck:
@@ -249,15 +257,8 @@ def check_one_photon(source: Source) -> IdentityCheck:
     only at omega = E_2P - E_1S."""
     m_len, m_vel, gap = _input(source, "one_photon")()
     residuals = tuple(-m_vel / (omega * m_len) - gap / omega for omega in ONE_PHOTON_OMEGAS)
-    return _make_check("one_photon_ratio", ONE_PHOTON_OMEGAS, residuals,
-                       min(source.tolerance, TOL_ONE_PHOTON), source.name)
-
-
-def _compare(name: str, computed: float, reference: float,
-             rel_tol: float, provenance: str) -> ConstantComparison:
-    rel = abs(computed - reference) / abs(reference)
-    return ConstantComparison(name, computed, reference, rel, rel_tol,
-                              provenance, rel <= rel_tol)
+    return IdentityCheck("one_photon_ratio", ONE_PHOTON_OMEGAS, residuals,
+                         min(source.tolerance, TOL_ONE_PHOTON), source.name)
 
 
 def constants_table(source: Source,
@@ -274,14 +275,14 @@ def constants_table(source: Source,
         return pair(x)[0]
 
     return (
-        _compare("resonance_q", q(X_RESONANCE),
-                 -7.853655422, 1.5e-9, "published"),
-        _compare("two_color_q", two_color_combination(0.35, q),
-                 -62.659473633, 2e-10, "published"),
-        _compare("beta_resonance", beta(X_RESONANCE, constants),
-                 3.68111e-5, 1e-3, "published"),
-        _compare("beta_slope", beta_slope(constants),
-                 2.32293e-4, 1e-3, "published"),
+        ConstantComparison("resonance_q", q(X_RESONANCE),
+                           -7.853655422, 1.5e-9, "published"),
+        ConstantComparison("two_color_q", two_color_combination(0.35, q),
+                           -62.659473633, 2e-10, "published"),
+        ConstantComparison("beta_resonance", beta(X_RESONANCE, constants),
+                           3.68111e-5, 1e-3, "published"),
+        ConstantComparison("beta_slope", beta_slope(constants),
+                           2.32293e-4, 1e-3, "published"),
     )
 
 
@@ -319,6 +320,4 @@ def build_report(profile: str = "strict",
         (check_one_photon, numeric),
     )
     checks = tuple(check(source) for check, source in rows)
-    consts = constants_table(closed, constants)
-    overall = all(c.passed for c in checks) and all(c.passed for c in consts)
-    return VerificationReport(checks, consts, overall)
+    return VerificationReport(checks, constants_table(closed, constants))

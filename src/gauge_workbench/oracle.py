@@ -117,7 +117,6 @@ import importlib.machinery
 import importlib.util
 import math
 import numbers
-import operator
 import os
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
@@ -185,34 +184,19 @@ def _load_lapack(directory: str) -> ModuleType:
     return module
 
 
-def _scipy_directory() -> str:
-    """The directory of the installed scipy package, found without running
-    its __init__; an ImportError where scipy is not installed."""
-    spec = importlib.util.find_spec("scipy")
-    if spec is None:
-        raise ImportError("the grid oracle needs scipy, which is not installed")
-    return spec.submodule_search_locations[0]
-
-
-_flapack = _load_lapack(os.path.join(_scipy_directory(), "linalg"))
+# scipy's directory, found without running its __init__
+_scipy = importlib.util.find_spec("scipy")
+if _scipy is None:
+    raise ImportError("the grid oracle needs scipy, which is not installed")
+_flapack = _load_lapack(os.path.join(_scipy.submodule_search_locations[0], "linalg"))
 dgbtrf, dgbtrs = _flapack.dgbtrf, _flapack.dgbtrs
 dpbtrf, dpbtrs = _flapack.dpbtrf, _flapack.dpbtrs
 
 
-def _is_index(value: object) -> bool:
-    """True for an integer count; bool passes operator.index, but True is no count."""
-    if isinstance(value, bool):
-        return False
-    try:
-        operator.index(value)
-    except TypeError:
-        return False
-    return True
-
-
-def _is_real(value: object) -> bool:
-    """True for a real number; bool is a numbers.Real, but True is no radius."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+def _is_a(value: object, kind: type) -> bool:
+    """True for an instance of ``kind``, numbers.Integral for a count or
+    numbers.Real for a radius; bool is both, but True is neither."""
+    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -231,7 +215,7 @@ class RadialGrid:
     r_min: float = 1e-4
 
     def __post_init__(self) -> None:
-        if not _is_index(self.n_points):
+        if not _is_a(self.n_points, numbers.Integral):
             raise DomainError(f"n_points = {self.n_points!r} must be an integer")
         if self.n_points < 2000:
             raise DomainError(f"n_points = {self.n_points} below the 2000 floor")
@@ -240,7 +224,7 @@ class RadialGrid:
                               "(past ~48000 points roundoff outgrows the stencil error)")
         for name in ("r_max", "r_min"):
             value = getattr(self, name)
-            if not _is_real(value):
+            if not _is_a(value, numbers.Real):
                 raise DomainError(f"{name} = {value!r} must be a real number")
         if not 60.0 <= self.r_max <= 700.0:
             raise DomainError(f"r_max = {self.r_max} outside [60, 700] (below 60 truncates "
@@ -778,7 +762,7 @@ def pseudostate_q(grid: RadialGrid, x: float, count: int = 30) -> np.ndarray:
     m = 400 and 146 ms.  200 modes on 24000 points from r_min = 1e-12 to
     r_max = 700 take m = 529, 3.7 s and 0.1 GB of basis."""
     require_window(x)
-    if not _is_index(count):
+    if not _is_a(count, numbers.Integral):
         raise DomainError(f"count = {count!r} must be an integer")
     if not 1 <= count <= _MAX_MODES:
         raise DomainError(f"count must lie in [1, {_MAX_MODES}], got {count}")

@@ -57,6 +57,15 @@ class PhysicalConstants:
                     or not 0.0 < value <= sys.float_info.max):
                 raise DomainError(
                     f"constant {f.name} must be a positive finite number, got {value!r}")
+        # each constant can be in range while the prefactor they build is not
+        try:
+            prefactor = self.beta_prefactor
+        except ArithmeticError:
+            prefactor = math.nan
+        if not 0.0 < prefactor <= sys.float_info.max:
+            raise DomainError("these constants give no positive finite beta prefactor "
+                              "e^2 hbar / (alpha^4 m_e^3 c^5 4 pi eps0): it overflows, "
+                              "underflows or divides by zero")
 
     @classmethod
     def from_file(cls, path: str) -> "PhysicalConstants":
@@ -85,8 +94,8 @@ class PhysicalConstants:
     @cached_property
     def beta_prefactor(self) -> float:
         """The SI factor of ``beta``, e^2 hbar / (alpha^4 m^3 c^5 (4 pi eps0))
-        in s^2/kg, computed on first use and kept with the record it belongs
-        to; ``replace`` and ``from_file`` build new records and so compute
+        in s^2/kg, computed when the record is built and kept with it;
+        ``replace`` and ``from_file`` build new records and so compute
         their own."""
         return (self.e**2 * self.hbar
                 / (self.alpha**4 * self.m_e**3 * self.c**5 * 4.0 * math.pi * self.eps0))

@@ -495,6 +495,27 @@ class TestConstantsFile:
         assert_input_error(proc)
         assert str(consts) in proc.stderr
 
+    @pytest.mark.parametrize("record", [{"c": 1e-300}, {"m_e": 1e200}, {"m_e": 1e100},
+                                        {"hbar": 1e300, "e": 1e10}],
+                             ids=["zero-division", "overflow", "underflow-to-0", "inf"])
+    @pytest.mark.parametrize("argv", [
+        ["compute", "--x", "0.1875", "--quantity", "beta"],
+        ["scan", "--x-min", "0.1", "--x-max", "0.3", "--steps", "5", "--columns", "beta"],
+        ["verify"],
+    ], ids=["compute", "scan", "verify"])
+    def test_prefactor_out_of_range_is_an_input_error(self, tmp_path, argv, record):
+        # each constant is positive and finite, the beta prefactor is not
+        consts = tmp_path / "consts.json"
+        consts.write_text(json.dumps(record))
+        out = tmp_path / "out"
+        if argv[0] != "compute":
+            argv = argv + ["--out", str(out)]
+        proc = run_cli(*argv, "--constants-file", str(consts))
+        assert_input_error(proc)
+        assert proc.stderr.startswith(f"error: constants file {consts}: ")
+        assert "beta prefactor" in proc.stderr and proc.stderr.count("\n") == 1
+        assert not out.exists()
+
 
 class TestImportCost:
     """compute, scan and strict verify read the closed forms and the

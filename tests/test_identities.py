@@ -10,8 +10,9 @@ from gauge_workbench.errors import DomainError
 from gauge_workbench.identities import (
     BASIS,
     TOL_ORACLE,
+    ConstantComparison,
     IdentityCheck,
-    _make_check,
+    VerificationReport,
     build_report,
     check_ac_stark,
     check_delta_linear,
@@ -31,17 +32,36 @@ CLOSED = closed_form_source("derived")
 class TestIdentityCheck:
     def test_length_mismatch_is_rejected(self):
         with pytest.raises(ValueError):
-            IdentityCheck("master_identity", (0.1, 0.2), (0.0,), 1e-9, True, "closed_form")
+            IdentityCheck("master_identity", (0.1, 0.2), (0.0,), 1e-9, "closed_form")
 
     def test_max_residual(self):
-        check = IdentityCheck("x", (0.1, 0.2), (1e-12, -3e-11), 1e-9, True, "closed_form")
+        check = IdentityCheck("x", (0.1, 0.2), (1e-12, -3e-11), 1e-9, "closed_form")
         assert check.max_residual == 3e-11
+        assert check.passed
         # a NaN fails its check and is the reported maximum wherever it sits
         for residuals in ((0.0, math.nan), (math.nan, 0.0)):
-            check = _make_check("x", (0.1, 0.2), residuals, 1e-9, "closed_form")
+            check = IdentityCheck("x", (0.1, 0.2), residuals, 1e-9, "closed_form")
             assert not check.passed
             assert math.isnan(check.max_residual)
-        assert not _make_check("x", (0.1, 0.2), (0.0, -math.inf), 1e-9, "closed_form").passed
+        assert not IdentityCheck("x", (0.1, 0.2), (0.0, -math.inf), 1e-9, "closed_form").passed
+
+
+class TestDerivedVerdicts:
+    def test_records_hold_no_verdict_fields(self):
+        def names(cls):
+            return tuple(f.name for f in dataclasses.fields(cls))
+
+        assert names(IdentityCheck) == ("name", "x_values", "residuals", "tolerance", "source")
+        assert names(ConstantComparison) == ("name", "computed", "reference", "rel_tolerance",
+                                             "provenance")
+        assert names(VerificationReport) == ("checks", "constants")
+
+    def test_a_residual_above_its_tolerance_fails_the_row_and_the_report(self):
+        bad = IdentityCheck("master_identity", (0.1,), (1.0,), 1e-9, "closed_form")
+        assert bad.passed is False
+        report = build_report("strict")
+        assert report.overall_pass
+        assert not VerificationReport(report.checks + (bad,), report.constants).overall_pass
 
 
 class TestIndividualChecks:
@@ -168,6 +188,23 @@ class TestReport:
                 check_master_identity(master), check_resonance_pq(CLOSED),
                 check_ac_stark(numeric), check_two_color(CLOSED),
                 check_delta_linear(CLOSED), check_one_photon(numeric))
+
+    def test_closed_form_rows_are_the_same_in_both_profiles(self, default_grid):
+        # resonance_pq, two_color, delta_linear and the constants read the
+        # closed forms in either profile; on the grid delta_linear alone
+        # would cost 200 solves
+        strict = build_report("strict")
+        oracle = build_report("oracle", grid=default_grid)
+        closed = ("resonance_pq", "two_color", "delta_linear")
+        for report in (strict, oracle):
+            assert {c.source for c in report.checks if c.name in closed} == {"closed_form"}
+
+        def bits(report):
+            # repr tells every two doubles apart, -0.0 from 0.0 included
+            rows = [c for c in report.checks if c.name in closed] + list(report.constants)
+            return [repr(dataclasses.astuple(c)) for c in rows]
+
+        assert bits(oracle) == bits(strict)
 
     def test_strict_profile_takes_no_grid(self, default_grid):
         # the strict profile builds no grid, so a grid given to it is an error

@@ -97,7 +97,7 @@ class TestRadialGrid:
         with pytest.raises(DomainError):
             RadialGrid(**kwargs)
 
-    @pytest.mark.parametrize("n_points", [6000.5, 6000.0, True, "6000", None])
+    @pytest.mark.parametrize("n_points", [6000.5, 6000.0, True, "6000", None, np.array(3249)])
     def test_rejects_non_integer_point_counts(self, n_points):
         with pytest.raises(DomainError, match="must be an integer"):
             RadialGrid(n_points=n_points)
@@ -212,6 +212,13 @@ def _dense_from_lu_layout(full):
     return dense
 
 
+def _assert_shared_arrays_intact(state):
+    """The state's bands and driving terms hold what they were built with."""
+    for l in (0, 1):
+        assert np.array_equal(state.bands[l], oracle._hamiltonian_bands(l, state.h, state.r))
+    assert np.array_equal(state._driving, np.column_stack((state.r * state.w1, state.wd1)))
+
+
 class TestBandStorage:
     """The one band layout every consumer of K_l reads, pinned against a
     dense matrix written out by hand."""
@@ -233,19 +240,14 @@ class TestBandStorage:
         green_solve(state, state.s1.energy + 0.1, state._driving)
         for n, l in [(1, 0), (2, 0), (2, 1)]:
             oracle._solve_on_state(state, n, l)
-        pseudostate_q(small_grid, 0.1, count=5)
         assert build_oracle(small_grid) is state
-        for l in (0, 1):
-            assert np.array_equal(state.bands[l],
-                                  oracle._hamiltonian_bands(l, state.h, state.r))
+        _assert_shared_arrays_intact(state)
 
-    @pytest.mark.parametrize("case", ["cold-build", "resolvent", "not-positive-definite",
-                                      "pseudostate"])
+    @pytest.mark.parametrize("case", ["cold-build", "resolvent", "not-positive-definite"])
     def test_factorizations_run_in_place_on_private_copies(self, fresh_grid, lapack_calls,
                                                            case):
         # every dpbtrf and dgbtrf gets an array f2py factors without a
-        # copy, and none of them is the state's bands or driving terms: each
-        # pseudostate sum factors its own copy once
+        # copy, and none of them is the state's bands or driving terms
         state = build_oracle(fresh_grid)
         if case != "cold-build":
             lapack_calls.factored.clear()
@@ -254,17 +256,10 @@ class TestBandStorage:
         elif case == "not-positive-definite":
             with pytest.raises(ConvergenceError, match="not positive definite"):
                 green_solve(state, state.s2p.energy + 0.01, state._driving)
-        elif case == "pseudostate":
-            first = pseudostate_q(fresh_grid, 0.1, count=30)
-            assert np.array_equal(pseudostate_q(fresh_grid, 0.1, count=30), first)
         expected = {"cold-build": ["dpbtrf", "dgbtrf", "dpbtrf"], "resolvent": ["dpbtrf"],
-                    "not-positive-definite": ["dpbtrf"], "pseudostate": ["dpbtrf"] * 2}[case]
+                    "not-positive-definite": ["dpbtrf"]}[case]
         assert lapack_calls.factored == [(name, True, True) for name in expected]
-        for l in (0, 1):
-            assert np.array_equal(state.bands[l],
-                                  oracle._hamiltonian_bands(l, state.h, state.r))
-        assert np.array_equal(state._driving,
-                              np.column_stack((state.r * state.w1, state.wd1)))
+        _assert_shared_arrays_intact(state)
 
 
 def _lapack_results(routines, state):
@@ -568,6 +563,21 @@ def _stub_outputs(monkeypatch, name, alter):
     monkeypatch.setattr(oracle, name, lambda *args, **kwargs: alter(*real(*args, **kwargs)))
 
 
+def _two_lowest_l1_eigenvalues(state):
+    vals = eig_banded(_upper(state.bands[1]), lower=False, eigvals_only=True,
+                      select="i", select_range=(0, 1))
+    return [float(val) for val in vals]
+
+
+def _l1_mode(state, shift, start):
+    """(energy, w) from oracle._inverse_iteration on K_1 with a pivoted LU at
+    ``shift``, from ``start``."""
+    ab = state.bands[1]
+    what = f"l = 1 mode at {shift!r}"
+    solve = oracle._shifted_lu(ab, shift, what)
+    return oracle._inverse_iteration(ab, state.h, solve, start, shift, what)
+
+
 class TestEigensolveGates:
     """Negative controls: every gate of the bound-state eigensolve and of the
     resolvent fires.  States are built with OracleState, or the cache is
@@ -638,6 +648,26 @@ class TestEigensolveGates:
             OracleState(small_grid)
         assert lapack_calls["dpbtrf"] == 1 and lapack_calls["dpbtrs"] == 12
 
+    def test_mode_between_two_eigenvalues_is_rejected(self, small_grid):
+        # Negative control for the per-mode residual gate: at a shift midway
+        # between two eigenvalues, the sum of their modes maps to their
+        # difference and back, so the quotient stalls at once on the
+        # midpoint, a mixture whose backward error is of the order of the gap.
+        state = build_oracle(small_grid)
+        vals = _two_lowest_l1_eigenvalues(state)
+        ones = np.ones(small_grid.n_points)
+        modes = [_l1_mode(state, val, ones)[1] for val in vals]
+        with pytest.raises(ConvergenceError, match="backward error"):
+            _l1_mode(state, 0.5 * (vals[0] + vals[1]), modes[0] + modes[1])
+
+    def test_mode_between_two_eigenvalues_from_ones_stalls(self, small_grid):
+        # Negative control for the stall stop: from all ones, the quotient
+        # at the midpoint still changes by ~1e-7 per step after 12 solves.
+        state = build_oracle(small_grid)
+        vals = _two_lowest_l1_eigenvalues(state)
+        with pytest.raises(ConvergenceError, match="stalled"):
+            _l1_mode(state, 0.5 * (vals[0] + vals[1]), np.ones(small_grid.n_points))
+
     def test_resolvent_backward_error(self, fresh_grid, monkeypatch):
         # a solve perturbed to zero leaves the residual -b, so every row
         # with b_i != 0 has backward error |b_i| / |b_i| = 1 exactly; the
@@ -664,7 +694,7 @@ class TestR2Overlap:
 
     def test_converged_under_refinement(self, default_grid):
         coarse = r2_overlap(default_grid)
-        fine = r2_overlap(default_grid.refined())
+        fine = r2_overlap(RadialGrid(n_points=6498))
         assert abs(fine - coarse) < 1e-8
 
 
@@ -853,6 +883,35 @@ class TestAmplitudeOracles:
             q_oracle(default_grid, 0.4)
 
 
+def _lifted_1s_state(monkeypatch, r_min):
+    """(grid, state) on 6000 points from r_min, with the state's 1S level
+    lifted by 2 r_min^2 and the state bound as build_oracle's answer.
+
+    The lift, 2e-4 at r_min = 1e-2 and 2e-6 at 1e-3, is the shift of a
+    closure on the power law alone; it lets x < 3/8 put E_1S + x above the
+    grid's 2P level, where K - E is indefinite.  The cusp-corrected closure
+    leaves E_1S 2 r_min^3 below -1/2 on every grid of the domain, so a stub
+    lifts it."""
+    real = oracle._solve_on_state
+
+    def lifted(state, n, l):
+        bound = real(state, n, l)
+        if (n, l) != (1, 0):
+            return bound
+        return dataclasses.replace(bound, energy=bound.energy + 2.0 * r_min * r_min)
+
+    monkeypatch.setattr(oracle, "_solve_on_state", lifted)
+    grid = RadialGrid(6000, r_min=r_min)
+    state = OracleState(grid)
+    monkeypatch.setattr(oracle, "build_oracle", lambda g: state)
+    return grid, state
+
+
+# E_1S + x above the 2P level of a _lifted_1s_state
+_ABOVE_THE_2P_LEVEL = pytest.mark.parametrize(
+    "r_min,x", [(1e-2, 0.3749), (1e-3, 0.3749995)], ids=["r_min-1e-2", "r_min-1e-3"])
+
+
 class TestAmplitudeMemo:
     def test_q_then_p_then_pair_make_one_solve(self, fresh_grid, resolvent_calls):
         q = q_oracle(fresh_grid, 0.1)
@@ -917,31 +976,15 @@ class TestAmplitudeMemo:
         assert not build_oracle(fresh_grid)._amplitudes
         assert resolvent_calls["dpbtrf"] == 0
 
-    @pytest.mark.parametrize("r_min,x", [(1e-2, 0.3749), (1e-3, 0.3749995)],
-                             ids=["r_min-1e-2", "r_min-1e-3"])
+    @_ABOVE_THE_2P_LEVEL
     def test_energy_above_the_2p_level_is_near_resonance(self, resolvent_calls, monkeypatch,
                                                          r_min, x):
-        # A 1S level lifted by 2 r_min^2 (2e-4 at 1e-2, 2e-6 at 1e-3; the
-        # shift of a closure on the power law alone) lets x < 3/8 put
-        # E_1S + x above the grid's 2P level, where K - E is indefinite: the
-        # guard must reject it before any factorization, not only within
-        # 1e-6 of the level.  The cusp-corrected closure leaves E_1S
-        # 2 r_min^3 below -1/2 on every grid of the domain, so a stub lifts it.
-        real = oracle._solve_on_state
-
-        def lifted(state, n, l):
-            bound = real(state, n, l)
-            if (n, l) != (1, 0):
-                return bound
-            return dataclasses.replace(bound, energy=bound.energy + 2.0 * r_min * r_min)
-
-        monkeypatch.setattr(oracle, "_solve_on_state", lifted)
-        grid = RadialGrid(6000, r_min=r_min)
-        state = OracleState(grid)
-        monkeypatch.setattr(oracle, "build_oracle", lambda g: state)
+        # the guard must reject such an x before any factorization, not
+        # only within 1e-6 of the level
+        grid, state = _lifted_1s_state(monkeypatch, r_min)
         assert state.s1.energy + x - state.s2p.energy > oracle._NEAR_RESONANCE_GAP
         for _ in range(2):
-            for amplitude in (q_oracle, p_oracle, gauge_pair_oracle, pseudostate_q):
+            for amplitude in (q_oracle, p_oracle, gauge_pair_oracle):
                 with pytest.raises(NearResonanceError):
                     amplitude(grid, x)
         assert not state._amplitudes
@@ -1177,21 +1220,6 @@ def _lanczos_modes(state, x, count=30):
     return energy + 1.0 / theta, modes
 
 
-def _two_lowest_l1_eigenvalues(state):
-    vals = eig_banded(_upper(state.bands[1]), lower=False, eigvals_only=True,
-                      select="i", select_range=(0, 1))
-    return [float(val) for val in vals]
-
-
-def _l1_mode(state, shift, start):
-    """(energy, w) from oracle._inverse_iteration on K_1 with a pivoted LU at
-    ``shift``, from ``start``."""
-    ab = state.bands[1]
-    what = f"l = 1 mode at {shift!r}"
-    solve = oracle._shifted_lu(ab, shift, what)
-    return oracle._inverse_iteration(ab, state.h, solve, start, shift, what)
-
-
 def _assert_partial_sums_close_on_resolvent(grid, x=0.1):
     target = q_oracle(grid, x)
     errors = np.abs(pseudostate_q(grid, x, count=30) - target)
@@ -1272,26 +1300,25 @@ class TestPseudostateSum:
             build_oracle.cache_clear()
         assert partial.shape == (count,) and np.all(np.isfinite(partial))
 
-    def test_mode_between_two_eigenvalues_is_rejected(self, small_grid):
-        # Negative control for the per-mode residual gate: at a shift midway
-        # between two eigenvalues, the sum of their modes maps to their
-        # difference and back, so the quotient stalls at once on the
-        # midpoint, a mixture whose backward error is of the order of the gap.
-        state = build_oracle(small_grid)
-        vals = _two_lowest_l1_eigenvalues(state)
-        ones = np.ones(small_grid.n_points)
-        modes = [_l1_mode(state, val, ones)[1] for val in vals]
-        with pytest.raises(ConvergenceError, match="backward error"):
-            _l1_mode(state, 0.5 * (vals[0] + vals[1]), modes[0] + modes[1])
+    def test_factorizations_run_in_place_on_private_copies(self, fresh_grid, lapack_calls):
+        # each sum factors its own copy of K_1 - E in place, once, and
+        # leaves the shared state as it was built
+        state = build_oracle(fresh_grid)
+        lapack_calls.factored.clear()
+        first = pseudostate_q(fresh_grid, 0.1, count=30)
+        assert np.array_equal(pseudostate_q(fresh_grid, 0.1, count=30), first)
+        assert lapack_calls.factored == [("dpbtrf", True, True)] * 2
+        assert build_oracle(fresh_grid) is state
+        _assert_shared_arrays_intact(state)
 
-    def test_mode_between_two_eigenvalues_from_ones_stalls(self, small_grid):
-        # Negative control for the stall stop: from all ones, pseudostate_q's
-        # start, the quotient at the midpoint still changes by ~1e-7 per
-        # step after 12 solves.
-        state = build_oracle(small_grid)
-        vals = _two_lowest_l1_eigenvalues(state)
-        with pytest.raises(ConvergenceError, match="stalled"):
-            _l1_mode(state, 0.5 * (vals[0] + vals[1]), np.ones(small_grid.n_points))
+    @_ABOVE_THE_2P_LEVEL
+    def test_energy_above_the_2p_level_is_near_resonance(self, resolvent_calls, monkeypatch,
+                                                         r_min, x):
+        grid, state = _lifted_1s_state(monkeypatch, r_min)
+        for _ in range(2):
+            with pytest.raises(NearResonanceError):
+                pseudostate_q(grid, x)
+        assert resolvent_calls["dpbtrf"] == 0
 
     def test_count_validation(self, small_grid):
         with pytest.raises(DomainError):

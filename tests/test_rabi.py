@@ -114,6 +114,11 @@ class TestLinearizedBeta:
         assert math.isclose(lin, full, rel_tol=1e-3)
 
 
+# positive finite constants whose beta prefactor is not
+_PREFACTOR_OUT_OF_RANGE = [{"c": 1e-300}, {"m_e": 1e200}, {"m_e": 1e100},
+                           {"hbar": 1e300, "e": 1e10}]
+
+
 class TestConstantsHandling:
     def test_defaults_vintage(self):
         assert DEFAULT_CONSTANTS.provenance_tag == "CODATA-2018"
@@ -161,6 +166,18 @@ class TestConstantsHandling:
         path = tmp_path / "consts.json"
         path.write_text(content)
         with pytest.raises(DomainError, match="consts.json"):
+            PhysicalConstants.from_file(str(path))
+
+    @pytest.mark.parametrize("record", _PREFACTOR_OUT_OF_RANGE,
+                             ids=["zero-division", "overflow", "underflow-to-0", "inf"])
+    def test_constants_whose_prefactor_is_out_of_range_are_rejected(self, tmp_path, record):
+        # every constant is positive and finite; the prefactor they build
+        # divides by zero, overflows, or rounds to 0 or inf
+        with pytest.raises(DomainError, match="beta prefactor"):
+            PhysicalConstants(**record)
+        path = tmp_path / "consts.json"
+        path.write_text(json.dumps(record))
+        with pytest.raises(DomainError, match="consts.json: .*beta prefactor"):
             PhysicalConstants.from_file(str(path))
 
     def test_file_rejects_non_object(self, tmp_path):
