@@ -28,7 +28,7 @@ from typing import TYPE_CHECKING
 
 from .closedform import SOURCES, X_MAX, GaugeAmplitudes, source_named, two_color_combination
 from .errors import ConvergenceError, DomainError
-from .rabi import load_constants
+from .rabi import load_constants, require_finite
 
 if TYPE_CHECKING:
     from .identities import VerificationReport
@@ -93,7 +93,8 @@ def cmd_compute(args: argparse.Namespace) -> int:
     if args.quantity == "two_color_q":
         value, unit = two_color_combination(x, lambda xi: source(xi)[0]), _DIMENSIONLESS
     elif args.quantity == "beta":
-        value, unit = -k.beta_prefactor * source(x)[0], _BETA_UNIT
+        value = require_finite(-k.beta_prefactor * source(x)[0], x, "beta")
+        unit = _BETA_UNIT
     else:
         value = getattr(GaugeAmplitudes.at(x, source), args.quantity)
         unit = _DIMENSIONLESS
@@ -133,7 +134,10 @@ def cmd_scan(args: argparse.Namespace) -> int:
         pair = GaugeAmplitudes.at(x, source)
         row = [x, pair.f1, pair.f2, pair.delta]
         for name in extras:
-            row.append(-prefactor * pair.q if name == "beta" else getattr(pair, name))
+            if name == "beta":
+                row.append(require_finite(-prefactor * pair.q, x, "beta"))
+            else:
+                row.append(getattr(pair, name))
         lines.append(",".join(_fmt(v) for v in row))
     _atomic_write(args.out, "\n".join(lines) + "\n")
     return EXIT_OK

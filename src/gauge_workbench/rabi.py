@@ -126,14 +126,32 @@ class RabiInput:
             raise DomainError(f"intensity must be nonnegative and finite, got {self.intensity}")
 
 
+def require_finite(value: float, x: float, name: str) -> float:
+    """The rule for every SI output: a beta or Rabi frequency that is not
+    finite is a DomainError naming x.  Q is finite on the window, but a
+    constants record or an intensity can scale it past the largest double.
+    Returns the value when it is finite."""
+    if not -math.inf < value < math.inf:
+        raise DomainError(f"{name} at photon energy fraction x = {x} is {value},"
+                          " not a finite number")
+    return value
+
+
 def beta(x: float, k: PhysicalConstants = DEFAULT_CONSTANTS) -> float:
-    """Two-photon excitation coefficient in Hz per (W/m^2)."""
-    return -k.beta_prefactor * q_length(x)
+    """Two-photon excitation coefficient in Hz per (W/m^2); a DomainError
+    when it is not finite."""
+    value = -k.beta_prefactor * q_length(x)
+    # Q < 0 on the window, so beta is positive or +inf: one comparison tests it
+    if not value < math.inf:
+        require_finite(value, x, "beta")
+    return value
 
 
 def rabi_frequency(inp: RabiInput, k: PhysicalConstants = DEFAULT_CONSTANTS) -> float:
-    """Angular Rabi frequency 2 (2 pi beta) I_L in rad/s; linear in intensity."""
-    return 2.0 * (2.0 * math.pi * beta(inp.x, k)) * inp.intensity
+    """Angular Rabi frequency 2 (2 pi beta) I_L in rad/s; linear in intensity,
+    and a DomainError when it is not finite."""
+    return require_finite(2.0 * (2.0 * math.pi * beta(inp.x, k)) * inp.intensity,
+                          inp.x, "Rabi frequency")
 
 
 def beta_slope(k: PhysicalConstants = DEFAULT_CONSTANTS) -> float:

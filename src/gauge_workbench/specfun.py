@@ -11,9 +11,10 @@ reaches double precision with no runtime convergence test.  Each caller
 fixes its own term count next to the bound that justifies it.
 
 The alternate transcriptions in ``closedform`` call ``lerch_sum``.  The
-derived closed forms sum their tail through ``closedform._tail``, the same
-sum written out at a fixed length, and the tests hold that form to
-``lerch_sum`` bit for bit.
+derived closed forms sum their tail inside the kernels ``closedform._q``
+and ``closedform._pair``, the same sum written out at a fixed length; the
+tests hold both kernels to a composition of ``lerch_sum`` and the
+coefficient tables bit for bit.
 """
 
 from __future__ import annotations
@@ -28,7 +29,8 @@ def lerch_sum(z: float, a: float, terms: int) -> float:
     Stability of Numerical Algorithms*, ch. 4).  No argument checks: the
     caller keeps a off the poles 0, -1, -2, ... and takes its term count
     from the bound above.  Its callers are the alternates' 2F1; for the
-    derived tail it is the reference that the written-out form is held to.
+    derived tail it is the reference that the written-out kernels are held
+    to.
     """
     acc = 0.0
     for j in range(terms - 1, -1, -1):

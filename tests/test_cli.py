@@ -516,6 +516,32 @@ class TestConstantsFile:
         assert "beta prefactor" in proc.stderr and proc.stderr.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["compute", "--x", "0.3749999", "--quantity", "beta"],
+        ["scan", "--x-min", "0.37", "--x-max", "0.3749999", "--steps", "3",
+         "--columns", "beta"],
+    ], ids=["compute", "scan"])
+    def test_non_finite_beta_is_an_input_error(self, tmp_path, argv):
+        # the prefactor is finite, beta at 0.3749999 overflows
+        consts = tmp_path / "consts.json"
+        consts.write_text(json.dumps({"e": 1e136}))
+        out = tmp_path / "out.csv"
+        if argv[0] == "scan":
+            argv = argv + ["--out", str(out)]
+        proc = run_cli(*argv, "--constants-file", str(consts))
+        assert_input_error(proc)
+        assert proc.stderr == ("error: beta at photon energy fraction x = 0.3749999"
+                               " is inf, not a finite number\n")
+        assert not out.exists()
+
+    def test_largest_finite_beta_is_printed(self, tmp_path):
+        consts = tmp_path / "consts.json"
+        consts.write_text(json.dumps({"e": 1e135}))
+        proc = run_cli("compute", "--x", "0.3749", "--quantity", "beta",
+                       "--constants-file", str(consts))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "4.07835138413e+306 Hz(W/m^2)^-1\n"
+
 
 class TestImportCost:
     """compute, scan and strict verify read the closed forms and the

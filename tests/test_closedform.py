@@ -5,6 +5,7 @@ import dataclasses
 import math
 import warnings
 
+import derived_reference
 import mpmath
 import pytest
 from hypothesis import given, settings
@@ -26,7 +27,6 @@ from gauge_workbench.closedform import (
     two_color_q,
 )
 from gauge_workbench.errors import DomainError
-from gauge_workbench.specfun import lerch_sum
 
 # Frozen high-precision references, computed once with 40-digit arithmetic
 # from the defining sums and pinned here against regressions.  The edge
@@ -58,39 +58,66 @@ AMPLITUDE_TABLE = {
 R2_EXACT = -512.0 * math.sqrt(2.0) / 243.0
 
 
+def _forward_error_bounds(x):
+    """The relative error bounds of Q and P stated in the closedform
+    docstring, c (1 + x/(3/8 - x)) 2^-53 with c = 9 and 7.  Next to its pole
+    Q inherits the rounding of t amplified by x / (3/8 - x)."""
+    scale = (1.0 + x / (X_MAX - x)) * 2**-53
+    return 9.0 * scale, 7.0 * scale
+
+
 @pytest.mark.parametrize("x", sorted(AMPLITUDE_TABLE))
 def test_amplitudes_match_frozen_references(x):
     q_ref, p_ref = AMPLITUDE_TABLE[x]
-    # next to its pole Q inherits the rounding of x amplified by x / (3/8 - x)
-    q_tol = max(5e-13, 4 * 2**-52 * x / (X_MAX - x))
+    q_tol, p_tol = _forward_error_bounds(x)
     assert math.isclose(q_length(x), q_ref, rel_tol=q_tol)
-    assert math.isclose(p_velocity(x), p_ref, rel_tol=5e-13)
+    assert math.isclose(p_velocity(x), p_ref, rel_tol=p_tol)
 
 
-def _q_folded_mp(x):
-    """The folded Q at 40 digits, its tail summed to convergence."""
+def _folded_mp(x):
+    """The folded Q and P at the working precision, the shared tail summed
+    to convergence."""
     t = mpmath.sqrt(1 - 2 * x)
     z, a = (1 - t) * (1 - 2 * t) / ((1 + t) * (1 + 2 * t)), 3 - 1 / t
     tail = mpmath.nsum(lambda j: z**j / (j + a), [0, mpmath.inf])
-    smooth = (mpmath.polyval(closedform._Q_SMOOTH_NUM, t)
-              / mpmath.polyval(closedform._Q_SMOOTH_DEN, t))
-    return mpmath.sqrt(2) * (smooth + 4096 * (1 - t) / (3 * (1 + t)**5 * (1 + 2 * t)**6) * tail)
+    q_smooth = (mpmath.polyval(closedform._Q_SMOOTH_NUM, t)
+                / mpmath.polyval(closedform._Q_SMOOTH_DEN, t))
+    p_smooth = (mpmath.polyval(closedform._P_SMOOTH_NUM, t)
+                / mpmath.polyval(closedform._P_SMOOTH_DEN, t))
+    q = q_smooth + 4096 * (1 - t) / (3 * (1 + t)**5 * (1 + 2 * t)**6) * tail
+    p = p_smooth + 256 * (1 - t)**2 * (1 - 2 * t) / (3 * (1 + t)**4 * (1 + 2 * t)**5) * tail
+    return mpmath.sqrt(2) * q, mpmath.sqrt(2) * p
+
+
+def test_forward_error_bound_over_the_window():
+    # uniform over the window, and geometric toward both edges
+    xs = ([X_MAX * (i + 0.5) / 200 for i in range(200)]
+          + [X_MAX - 10.0**(-1 - 15 * i / 49) for i in range(50)]
+          + [10.0**(-1 - 299 * i / 49) for i in range(50)])
+    with mpmath.workdps(40):
+        for x in xs:
+            q_ref, p_ref = _folded_mp(mpmath.mpf(x))
+            q, p = derived_pair(x)
+            q_tol, p_tol = _forward_error_bounds(x)
+            assert abs(q / q_ref - 1) <= q_tol
+            assert abs(p / p_ref - 1) <= p_tol
 
 
 class TestQSlope:
     @pytest.mark.parametrize("x", sorted(AMPLITUDE_TABLE) + [5e-324])
     def test_matches_mpmath_derivative(self, x):
         with mpmath.workdps(40):
-            ref = mpmath.diff(_q_folded_mp, mpmath.mpf(x))
+            ref = mpmath.diff(lambda v: _folded_mp(v)[0], mpmath.mpf(x))
             rel = float(abs(q_slope(x) / ref - 1))
-        # the Q rule of the frozen table, doubled for the derivative
+        # next to the pole the slope, like Q, inherits the rounding of t
+        # amplified by x / (3/8 - x)
         assert rel <= max(5e-15, 8 * 2**-52 * x / (X_MAX - x))
 
     @pytest.mark.parametrize("x", sorted(AMPLITUDE_TABLE) + [5e-324])
     def test_first_order_t_equals_the_complex_square_root(self, x):
         h = closedform._COMPLEX_STEP
         t = cmath.sqrt(1.0 - 2.0 * complex(x, h))
-        assert q_slope(x) == closedform._q_derived(t, closedform._tail(t)).imag / h
+        assert q_slope(x) == closedform._q(t).imag / h
 
     @pytest.mark.parametrize("x", [0.0, X_MAX, math.nan])
     def test_outside_the_window_is_a_domain_error(self, x):
@@ -99,14 +126,14 @@ class TestQSlope:
 
 
 class TestWindow:
-    @pytest.mark.parametrize("x", [0.0, X_MAX, 0.5, -1e-12])
+    # NaN fails every comparison, so only a window test written as "not
+    # inside" rejects it
+    @pytest.mark.parametrize("x", [0.0, X_MAX, 0.5, -1e-12, math.nan, math.inf, -math.inf])
     def test_amplitudes_reject_out_of_window(self, x):
-        with pytest.raises(DomainError):
-            q_length(x)
-        with pytest.raises(DomainError):
-            p_velocity(x)
-        with pytest.raises(DomainError):
-            two_color_q(x)
+        for evaluate in (q_length, p_velocity, derived_pair, gauge_pair, q_slope,
+                         two_color_q, rabi.beta):
+            with pytest.raises(DomainError, match="outside"):
+                evaluate(x)
 
     def test_unknown_variant_rejected(self):
         with pytest.raises(DomainError, match="unknown formula variant"):
@@ -261,26 +288,29 @@ class TestVariants:
             SOURCES[variant](0.5)
 
 
-def _counted(monkeypatch, name):
-    """Record the calls of closedform's global ``name`` in a list."""
+def _counted(monkeypatch, *names):
+    """Record the calls of closedform's globals ``names`` in one list."""
     calls = []
-    real = getattr(closedform, name)
 
-    def counted(*args):
-        calls.append(args)
-        return real(*args)
+    def counting(real):
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+        return counted
 
-    monkeypatch.setattr(closedform, name, counted)
+    for name in names:
+        monkeypatch.setattr(closedform, name, counting(getattr(closedform, name)))
     return calls
 
 
 class TestHotPaths:
-    """Each derived evaluator sums one tail per photon energy and makes no
-    lerch_sum call; only the alternates call lerch_sum."""
+    """Each derived evaluator makes one kernel call, and so sums one tail,
+    per photon energy and makes no lerch_sum call; only the alternates call
+    lerch_sum."""
 
     @pytest.fixture
-    def tail_calls(self, monkeypatch):
-        return _counted(monkeypatch, "_tail")
+    def kernel_calls(self, monkeypatch):
+        return _counted(monkeypatch, "_q", "_pair")
 
     @pytest.fixture
     def lerch_calls(self, monkeypatch):
@@ -292,11 +322,11 @@ class TestHotPaths:
         pytest.param(lambda x: GaugeAmplitudes.at(x, derived_pair), 1,
                      id="GaugeAmplitudes.at-1"),
     ])
-    def test_lerch_sums_per_call(self, tail_calls, lerch_calls, evaluate, expected):
+    def test_lerch_sums_per_call(self, kernel_calls, lerch_calls, evaluate, expected):
         for x in (0.01, 0.1875, 0.3):
-            tail_calls.clear()
+            kernel_calls.clear()
             evaluate(x)
-            assert len(tail_calls) == expected
+            assert len(kernel_calls) == expected
         assert lerch_calls == []
 
     @pytest.mark.parametrize("variant", ["alt-a", "alt-b"])
@@ -305,30 +335,26 @@ class TestHotPaths:
         assert len(lerch_calls) == 1
 
 
-class TestSmoothParts:
-    """The unrolled numerators and denominators of the rational parts are
-    the Horner sums of the coefficient tables, bit for bit."""
-
-    # dense real t over the window's [1/2, 1], and the complex step of
-    # q_slope at each of them
-    REAL_T = [0.5 + 0.5 * i / 4000 for i in range(4001)]
-    T = REAL_T + [complex(t, -closedform._COMPLEX_STEP / t) for t in REAL_T]
-
-    @pytest.mark.parametrize("smooth,num,den", [
-        (closedform._q_smooth, closedform._Q_SMOOTH_NUM, closedform._Q_SMOOTH_DEN),
-        (closedform._p_smooth, closedform._P_SMOOTH_NUM, closedform._P_SMOOTH_DEN),
-    ], ids=["Q", "P"])
-    def test_unrolled_forms_are_the_table_horner_sums(self, smooth, num, den):
-        horner = closedform._horner
-        for t in self.T:
-            assert smooth(t) == (horner(num, t), horner(den, t))
+def _outcome(evaluate, t):
+    """The value at t, or ZeroDivisionError on S_Q's pole at real t = 1/2."""
+    try:
+        return evaluate(t)
+    except ZeroDivisionError:
+        return ZeroDivisionError
 
 
-class TestWrittenOutTail:
-    """The written-out tail is lerch_sum over TAIL_TERMS terms, bit for bit,
-    at the real t of the window and at q_slope's complex step."""
+class TestKernels:
+    """The written-out kernels are the composition of the coefficient
+    tables and lerch_sum (tests/derived_reference.py), bit for bit, at the
+    real t of the window and at q_slope's complex step."""
 
-    def test_tail_is_the_lerch_sum(self):
-        for t in TestSmoothParts.T:
-            assert closedform._tail(t) == lerch_sum(
-                closedform._z_arg(t), 3.0 - 1.0 / t, closedform.TAIL_TERMS)
+    def test_q_kernel_is_the_composition(self):
+        for t in derived_reference.T:
+            assert _outcome(closedform._q, t) == _outcome(derived_reference.q, t)
+
+    def test_pair_kernel_is_the_composition(self):
+        def reference(t):
+            return derived_reference.q(t), derived_reference.p(t)
+
+        for t in derived_reference.T:
+            assert _outcome(closedform._pair, t) == _outcome(reference, t)

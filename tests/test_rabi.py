@@ -17,6 +17,7 @@ from gauge_workbench.rabi import (
     beta_slope,
     load_constants,
     rabi_frequency,
+    require_finite,
 )
 
 
@@ -104,6 +105,33 @@ class TestRabiFrequency:
     def test_non_finite_intensity_rejected(self, intensity):
         with pytest.raises(DomainError, match="nonnegative and finite"):
             RabiInput(0.1875, intensity)
+
+    def test_overflowing_frequency_names_x(self):
+        # beta is finite there; the intensity scales it past the largest double
+        assert 0.0 < beta(0.3749999) < math.inf
+        with pytest.raises(DomainError, match=r"Rabi frequency at .* x = 0\.3749999 is inf"):
+            rabi_frequency(RabiInput(0.3749999, 1e308))
+
+
+class TestNonFiniteBeta:
+    # e = 1e136 leaves the prefactor finite (1.8e304), but beta overflows
+    # where |Q| passes ~1e4; one decade less of e keeps it finite at 0.3749
+    def test_overflowing_beta_names_x(self):
+        k = replace(DEFAULT_CONSTANTS, e=1e136)
+        with pytest.raises(DomainError, match=r"beta at .* x = 0\.3749999 is inf"):
+            beta(0.3749999, k)
+
+    def test_largest_finite_beta_is_returned(self):
+        k = replace(DEFAULT_CONSTANTS, e=1e135)
+        assert f"{beta(0.3749, k):.11e}" == "4.07835138413e+306"
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_the_rule_rejects_every_non_finite_value(self, value):
+        with pytest.raises(DomainError, match="x = 0.2 is"):
+            require_finite(value, 0.2, "beta")
+
+    def test_the_rule_returns_finite_values(self):
+        assert require_finite(-1.5e308, 0.2, "beta") == -1.5e308
 
 
 class TestLinearizedBeta:
