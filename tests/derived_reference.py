@@ -35,18 +35,23 @@ def z_arg(t):
     return (1.0 - t) * (1.0 - 2.0 * t) / ((1.0 + t) * (1.0 + 2.0 * t))
 
 
-def tail(t):
-    """Phi(Z, 1, 3 - 1/t) summed by lerch_sum over TAIL_TERMS terms."""
-    return lerch_sum(z_arg(t), 3.0 - 1.0 / t, TAIL_TERMS)
+def tail(t, terms=TAIL_TERMS):
+    """Phi(Z, 1, 3 - 1/t) summed by lerch_sum over ``terms`` terms."""
+    return lerch_sum(z_arg(t), 3.0 - 1.0 / t, terms)
 
 
-def q(t):
+def q(t, terms=TAIL_TERMS):
     return (SQRT2 * _horner(_Q_SMOOTH_NUM, t) / _horner(_Q_SMOOTH_DEN, t)
             + _Q_TAIL_SCALE * (1.0 - t)
-            / (3.0 * (1.0 + t) ** 5 * (1.0 + 2.0 * t) ** 6) * tail(t))
+            / (3.0 * (1.0 + t) ** 5 * (1.0 + 2.0 * t) ** 6) * tail(t, terms))
 
 
-def p(t):
+def p(t, terms=TAIL_TERMS):
     return (SQRT2 * _horner(_P_SMOOTH_NUM, t) / _horner(_P_SMOOTH_DEN, t)
             + _P_TAIL_SCALE * (1.0 - t) ** 2 * (1.0 - 2.0 * t)
-            / (3.0 * (1.0 + t) ** 4 * (1.0 + 2.0 * t) ** 5) * tail(t))
+            / (3.0 * (1.0 + t) ** 4 * (1.0 + 2.0 * t) ** 5) * tail(t, terms))
+
+
+def pair(t, terms=TAIL_TERMS):
+    """(Q, P), the values of ``closedform._pair``."""
+    return q(t, terms), p(t, terms)

@@ -343,18 +343,33 @@ def _outcome(evaluate, t):
         return ZeroDivisionError
 
 
-class TestKernels:
-    """The written-out kernels are the composition of the coefficient
-    tables and lerch_sum (tests/derived_reference.py), bit for bit, at the
-    real t of the window and at q_slope's complex step."""
+class TestSmoothParts:
+    """The kernels' unrolled Horner forms, and the tail they share, are the
+    composition of the coefficient tables and lerch_sum
+    (tests/derived_reference.py), bit for bit, at the real t of the window
+    and at q_slope's complex step."""
 
-    def test_q_kernel_is_the_composition(self):
+    @pytest.mark.parametrize("kernel,reference", [
+        (closedform._q, derived_reference.q),
+        (closedform._pair, derived_reference.pair),
+    ], ids=["Q", "P"])
+    def test_unrolled_forms_are_the_table_horner_sums(self, kernel, reference):
         for t in derived_reference.T:
-            assert _outcome(closedform._q, t) == _outcome(derived_reference.q, t)
+            assert _outcome(kernel, t) == _outcome(reference, t)
 
-    def test_pair_kernel_is_the_composition(self):
-        def reference(t):
-            return derived_reference.q(t), derived_reference.p(t)
 
-        for t in derived_reference.T:
-            assert _outcome(closedform._pair, t) == _outcome(reference, t)
+class TestWrittenOutTail:
+    """The tail written out in both kernels is lerch_sum over TAIL_TERMS
+    terms: the composition whose tail sums TAIL_TERMS terms is each kernel
+    bit for bit, and one summed over a term fewer or a term more is not."""
+
+    def test_tail_is_the_lerch_sum(self):
+        def matches(kernel, reference, terms):
+            return all(_outcome(kernel, t) == _outcome(lambda s: reference(s, terms), t)
+                       for t in derived_reference.T)
+
+        for terms in (closedform.TAIL_TERMS - 1, closedform.TAIL_TERMS,
+                      closedform.TAIL_TERMS + 1):
+            expected = terms == closedform.TAIL_TERMS
+            assert matches(closedform._q, derived_reference.q, terms) is expected
+            assert matches(closedform._pair, derived_reference.pair, terms) is expected
