@@ -26,9 +26,9 @@ import sys
 import tempfile
 from typing import TYPE_CHECKING
 
-from .closedform import SOURCES, X_MAX, GaugeAmplitudes, source_named, two_color_combination
+from .closedform import SOURCES, X_MAX, gauge_pair, two_color_q
 from .errors import ConvergenceError, DomainError
-from .rabi import load_constants, require_finite
+from .rabi import beta, load_constants
 
 if TYPE_CHECKING:
     from .identities import VerificationReport
@@ -81,23 +81,23 @@ def _resolve_grid(args: argparse.Namespace) -> RadialGrid | None:
         if kwargs:
             raise DomainError("grid options apply to --profile oracle")
         return None
-    from .oracle import RadialGrid
+    try:
+        from .oracle import RadialGrid
+    except ImportError as exc:
+        raise DomainError(f"--profile oracle needs numpy and scipy: {exc}") from exc
 
     return RadialGrid(**kwargs)
 
 
 def cmd_compute(args: argparse.Namespace) -> int:
     k = load_constants(args.constants_file)
-    source = source_named(args.formula_variant)
     x = args.x
     if args.quantity == "two_color_q":
-        value, unit = two_color_combination(x, lambda xi: source(xi)[0]), _DIMENSIONLESS
+        value, unit = two_color_q(x), _DIMENSIONLESS
     elif args.quantity == "beta":
-        value = require_finite(-k.beta_prefactor * source(x)[0], x, "beta")
-        unit = _BETA_UNIT
+        value, unit = beta(x, k), _BETA_UNIT
     else:
-        value = getattr(GaugeAmplitudes.at(x, source), args.quantity)
-        unit = _DIMENSIONLESS
+        value, unit = getattr(gauge_pair(x), args.quantity), _DIMENSIONLESS
     print(f"{_fmt(value)} {unit}")
     return EXIT_OK
 
@@ -121,8 +121,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
             f"got [{args.x_min}, {args.x_max}]"
         )
     extras = _parse_columns(args.columns)
-    prefactor = load_constants(args.constants_file).beta_prefactor
-    source = source_named(args.formula_variant)
+    k = load_constants(args.constants_file)
 
     # all rows are evaluated before the file is opened, so a domain error
     # in any row leaves no partial output
@@ -131,13 +130,9 @@ def cmd_scan(args: argparse.Namespace) -> int:
     for i in range(args.steps):
         # x_min + i step can round the last row past x_max, out of the window
         x = args.x_max if i == args.steps - 1 else args.x_min + i * step
-        pair = GaugeAmplitudes.at(x, source)
+        pair = gauge_pair(x)
         row = [x, pair.f1, pair.f2, pair.delta]
-        for name in extras:
-            if name == "beta":
-                row.append(require_finite(-prefactor * pair.q, x, "beta"))
-            else:
-                row.append(getattr(pair, name))
+        row.extend(beta(x, k) if name == "beta" else getattr(pair, name) for name in extras)
         lines.append(",".join(_fmt(v) for v in row))
     _atomic_write(args.out, "\n".join(lines) + "\n")
     return EXIT_OK
@@ -221,10 +216,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--constants-file", default=None,
                         help="JSON file overriding physical constants "
                              "(falls back to GAUGE_WORKBENCH_CONSTANTS)")
-    parser.add_argument("--formula-variant", default="derived",
-                        choices=tuple(SOURCES),
-                        help="closed-form variant; the alternates exist as "
-                             "negative controls for the verifier")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -269,6 +260,11 @@ def build_parser() -> argparse.ArgumentParser:
                           help="radial box size override, Bohr radii "
                                "(--profile oracle only)")
     _add_common(p_verify)
+    p_verify.add_argument("--formula-variant", default="derived",
+                          choices=tuple(SOURCES),
+                          help="closed-form source of the checks; the alternates "
+                               "are wrong transcriptions, negative controls that "
+                               "make verification fail")
     p_verify.set_defaults(func=cmd_verify)
 
     return parser

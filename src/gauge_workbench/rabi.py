@@ -155,9 +155,10 @@ def rabi_frequency(inp: RabiInput, k: PhysicalConstants = DEFAULT_CONSTANTS) -> 
 
 
 def beta_slope(k: PhysicalConstants = DEFAULT_CONSTANTS) -> float:
-    """d beta / dx at the resonance, in Hz per (W/m^2).
+    """d beta / dx at the resonance, in Hz per (W/m^2); a DomainError
+    naming x = 3/16 when it is not finite.
 
     The prefactor times -dQ/dx, with dQ/dx from the complex step of
     ``closedform.q_slope``: one evaluation of the folded Q at x + ih,
     accurate to rounding (7e-16 relative at 3/16)."""
-    return -k.beta_prefactor * q_slope(X_RESONANCE)
+    return require_finite(-k.beta_prefactor * q_slope(X_RESONANCE), X_RESONANCE, "beta slope")

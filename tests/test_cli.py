@@ -13,8 +13,6 @@ import sys
 import pytest
 
 import gauge_workbench
-from gauge_workbench.closedform import SOURCES
-from gauge_workbench.rabi import DEFAULT_CONSTANTS
 
 CLI = [sys.executable, "-m", "gauge_workbench.cli"]
 # The subprocess imports the same copy of the package as this process,
@@ -191,24 +189,6 @@ class TestCompute:
         assert proc.returncode == 0
         assert proc.stdout == "-3.46495423080e+16 dimensionless\n"
 
-    def test_t_rounding_to_one_is_a_pole_for_alternates(self):
-        proc = run_cli("compute", "--x", "1e-17", "--quantity", "q",
-                       "--formula-variant", "alt-a")
-        assert proc.returncode == 2
-        assert proc.stdout == ""
-        assert "error:" in proc.stderr
-        assert "Traceback" not in proc.stderr
-
-    def test_beta_reads_the_chosen_source(self):
-        # the alternate's pole at t = 1 reaches beta too
-        assert_input_error(run_cli("compute", "--x", "1e-17", "--quantity", "beta",
-                                   "--formula-variant", "alt-a"))
-        proc = run_cli("compute", "--x", "0.1875", "--quantity", "beta",
-                       "--formula-variant", "alt-a")
-        assert proc.returncode == 0
-        expected = -DEFAULT_CONSTANTS.beta_prefactor * SOURCES["alt-a"](0.1875)[0]
-        assert proc.stdout == f"{expected:.11e} Hz(W/m^2)^-1\n"
-
 
 class TestScan:
     def test_small_window(self, tmp_path):
@@ -230,19 +210,6 @@ class TestScan:
         run_cli("scan", "--x-min", "0.1", "--x-max", "0.2", "--steps", "2",
                 "--out", str(out))
         assert out.read_text().splitlines()[0] == "x,f1,f2,delta"
-
-    def test_beta_column_reads_the_chosen_source(self, tmp_path):
-        out = tmp_path / "scan.csv"
-        proc = run_cli("scan", "--x-min", "0.1", "--x-max", "0.3", "--steps", "5",
-                       "--columns", "q,beta", "--formula-variant", "alt-b",
-                       "--out", str(out))
-        assert proc.returncode == 0
-        header, *rows = out.read_text().splitlines()
-        assert header == "x,f1,f2,delta,q,beta"
-        for row in rows:
-            q, b = (float(v) for v in row.split(",")[4:])
-            assert q > 0.0  # the alternate, not the derived Q < 0
-            assert math.isclose(b, -DEFAULT_CONSTANTS.beta_prefactor * q, rel_tol=1e-11)
 
     def test_byte_determinism(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -364,6 +331,26 @@ class TestVerify:
         *lines, overall = proc.stdout.splitlines()
         assert overall == f"overall: {verdict}"
         assert lines == STRICT_REPORT_LINES[variant]
+
+    @pytest.mark.parametrize("argv,code", [
+        (["compute", "--x", "0.1875", "--quantity", "q"], 2),
+        (["scan", "--x-min", "0.1", "--x-max", "0.3", "--steps", "5"], 2),
+        (["verify", "--profile", "strict"], 1),
+    ], ids=["compute", "scan", "verify"])
+    def test_formula_variant_is_an_option_of_verify_alone(self, tmp_path, argv, code):
+        # the alternates are negative controls: only verify checks what they give
+        out = tmp_path / "out"
+        if argv[0] != "compute":
+            argv = argv + ["--out", str(out)]
+        proc = run_cli(*argv, "--formula-variant", "alt-a")
+        assert proc.returncode == code
+        if code == 2:
+            assert_input_error(proc)
+            assert "--formula-variant" in proc.stderr
+            assert not out.exists()
+        else:
+            assert proc.stdout.endswith("overall: FAIL\n")
+            assert json.loads(out.read_text())["formula_variant"] == "alt-a"
 
     def test_oracle_profile_passes(self):
         proc = run_cli("verify", "--profile", "oracle")
@@ -534,6 +521,18 @@ class TestConstantsFile:
                                " is inf, not a finite number\n")
         assert not out.exists()
 
+    def test_non_finite_beta_slope_is_an_input_error(self, tmp_path):
+        # beta at 3/16 stays finite (3.2e307), its slope there overflows; exit 1
+        # would report a verification failure for an input the report cannot hold
+        consts = tmp_path / "consts.json"
+        consts.write_text(json.dumps({"e": 1.5e137}))
+        out = tmp_path / "report.json"
+        proc = run_cli("verify", "--constants-file", str(consts), "--out", str(out))
+        assert_input_error(proc)
+        assert proc.stderr == ("error: beta slope at photon energy fraction x = 0.1875"
+                               " is inf, not a finite number\n")
+        assert not out.exists()
+
     def test_largest_finite_beta_is_printed(self, tmp_path):
         consts = tmp_path / "consts.json"
         consts.write_text(json.dumps({"e": 1e135}))
@@ -608,6 +607,20 @@ class TestImportCost:
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                               text=True, env=_subprocess_env())
         assert proc.returncode == 0, proc.stderr
+
+    @pytest.mark.parametrize("hidden", ["scipy", "numpy"])
+    def test_oracle_verify_without_its_dependencies_is_an_input_error(self, tmp_path, hidden):
+        # the same None entry as below; the command names what it needs
+        out = tmp_path / "report.json"
+        code = (f"import sys\nsys.modules[{hidden!r}] = None\n"
+                "from gauge_workbench.cli import main\nsys.exit(main(sys.argv[1:]))")
+        proc = subprocess.run([sys.executable, "-c", code, "verify", "--profile", "oracle",
+                               "--out", str(out)],
+                              capture_output=True, text=True, env=_subprocess_env())
+        assert_input_error(proc)
+        assert proc.stderr.startswith("error: --profile oracle needs numpy and scipy: ")
+        assert len(proc.stderr.splitlines()) == 1
+        assert not out.exists()
 
     def test_oracle_import_without_scipy_is_an_import_error(self):
         # a None entry in sys.modules hides an installed package from

@@ -125,6 +125,14 @@ class TestNonFiniteBeta:
         k = replace(DEFAULT_CONSTANTS, e=1e135)
         assert f"{beta(0.3749, k):.11e}" == "4.07835138413e+306"
 
+    def test_overflowing_beta_slope_names_the_resonance(self):
+        # at e = 1.5e137 beta(3/16) is 3.2e307, but its slope overflows
+        k = replace(DEFAULT_CONSTANTS, e=1.5e137)
+        assert beta(X_RESONANCE, k) < math.inf
+        with pytest.raises(DomainError, match=r"beta slope at .* x = 0\.1875 is inf"):
+            beta_slope(k)
+        assert beta_slope(replace(DEFAULT_CONSTANTS, e=1.2e137)) < math.inf
+
     @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
     def test_the_rule_rejects_every_non_finite_value(self, value):
         with pytest.raises(DomainError, match="x = 0.2 is"):
