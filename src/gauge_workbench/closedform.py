@@ -29,16 +29,18 @@ velocity-gauge coupling to the degenerate n = 2 level is zero.  The tail's
 denominators j + 3 - 1/t are at least 1, so a fixed number of terms reaches
 double precision on the whole window; it is summed once per x for Q and P.
 
-The derived path is written out in two straight-line kernels: ``_q(t)``
-returns Q, and ``_pair(t)`` returns (Q, P) from one shared tail.  Each
-holds Z, the nested TAIL_TERMS-term tail, the Horner numerators and
-denominators of S_Q (and S_P) and c_Q (and c_P) in one frame, with the
-operations of ``specfun.lerch_sum`` and of a Horner loop over the
-coefficient tables ``_Q_SMOOTH_*`` and ``_P_SMOOTH_*`` in their order: the
-same bits, without the loops' and the calls' interpreter cost.  The tables
-and ``lerch_sum`` stay the single statement of the coefficients and the
-tail, and the tests hold both kernels to their composition bit for bit,
-at real t and at the complex t of ``q_slope``.
+The derived path is written out in three straight-line kernels: ``_q(t)``
+returns Q, ``_p(t)`` returns P, and ``_pair(t)`` returns (Q, P) from one
+shared tail.  Each holds Z, the nested TAIL_TERMS-term tail, and the Horner
+numerators and denominators of S_Q and c_Q, of S_P and c_P, or of all four,
+in one frame, with the operations of ``specfun.lerch_sum`` and of a Horner
+loop over the coefficient tables ``_Q_SMOOTH_*`` and ``_P_SMOOTH_*`` in
+their order: the same bits, without the loops' and the calls' interpreter
+cost.  ``_p`` performs ``_pair``'s P operations in ``_pair``'s order, so
+``_p(t)`` is ``_pair(t)[1]`` bit for bit.  The tables and ``lerch_sum``
+stay the single statement of the coefficients and the tail, and the tests
+hold all three kernels to their composition bit for bit, at real t and at
+the complex t of ``q_slope``.
 
 Measured against the folded forms at 40 digits (mpmath) at 34 051 x,
 spread over the window and clustered toward both edges, the relative
@@ -102,8 +104,9 @@ _COMPLEX_STEP = 1e-20
 # Terms of the tail Phi(Z, 1, 3 - 1/t).  On [1/2, 1], |Z| <= 0.0295 and the
 # shift lies in [1, 2], so the dropped remainder is at most
 # |Z|^11 / (12 (1 - |Z|)) < 1.3e-18, below 2.6e-18 relative to Phi >= 1/2.
-# The bound sets the length of the written-out tail in _q and _pair, which
-# has exactly this many terms; the tests hold it to lerch_sum with this count.
+# The bound sets the length of the written-out tail in _q, _p and _pair,
+# which has exactly this many terms; the tests hold it to lerch_sum with
+# this count.
 TAIL_TERMS = 11
 
 # Terms of Phi(z, 1, 1 - t) in the alternates' 2F1 = 1 - t z Phi.  There
@@ -144,7 +147,7 @@ def _checked_t(x: float) -> float:
     return math.sqrt(1.0 - 2.0 * x)
 
 
-# The two kernels of the module docstring, for real t and for the complex
+# The three kernels of the module docstring, for real t and for the complex
 # t of q_slope.  A value used twice, such as 1 - t, is computed once: the
 # same operation gives the same bits.  The first Horner step, 0 * z +
 # 1/(a + 10) or 0 * t + c, is exactly its second term, for complex t too,
@@ -197,6 +200,25 @@ def _pair(t: float) -> tuple[float, float]:
     return q, p
 
 
+def _p(t: float) -> float:
+    u = 1.0 - t
+    v = 1.0 + t
+    s = 2.0 * t
+    m = 1.0 - s
+    w = 1.0 + s
+    z = u * m / (v * w)
+    a = 3.0 - 1.0 / t
+    tail = ((((((((((1.0 / (a + 10.0) * z + 1.0 / (a + 9.0)) * z + 1.0 / (a + 8.0)) * z
+                   + 1.0 / (a + 7.0)) * z + 1.0 / (a + 6.0)) * z + 1.0 / (a + 5.0)) * z
+                + 1.0 / (a + 4.0)) * z + 1.0 / (a + 3.0)) * z + 1.0 / (a + 2.0)) * z
+             + 1.0 / (a + 1.0)) * z + 1.0 / a)
+    return (SQRT2 * (((((256.0 * t + 1280.0) * t + 1984.0) * t + 3008.0) * t - 1088.0) * t
+                     + 1472.0)
+            / (((((((1296.0 * t + 6480.0) * t + 13608.0) * t + 15552.0) * t + 10449.0) * t
+                 + 4131.0) * t + 891.0) * t + 81.0)
+            + _P_TAIL_SCALE * u ** 2 * m / (3.0 * v ** 4 * w ** 5) * tail)
+
+
 def _alt_hyp(t: float) -> float:
     """2F1(1, -t; 1 - t; z) = 1 - t z Phi(z, 1, 1 - t) at the alternates'
     argument z = (1-t)(2-t)/((1+t)(2+t)); PoleError when t is ~ a positive
@@ -244,7 +266,9 @@ def p_velocity(x: float) -> float:
     Positive and finite on the whole window; unlike Q it stays bounded as
     x -> 3/8 because the velocity coupling between the degenerate n = 2
     states vanishes."""
-    return derived_pair(x)[1]
+    if not 0.0 < x < X_MAX:
+        require_window(x)
+    return _p(math.sqrt(1.0 - 2.0 * x))
 
 
 def q_slope(x: float) -> float:
@@ -332,6 +356,18 @@ def gauge_pair(x: float) -> GaugeAmplitudes:
     return GaugeAmplitudes.at(x, derived_pair)
 
 
+def _partner(x1: float) -> float:
+    """The partner x2 = 3/8 - x1 of a photon energy fraction x1 in the
+    window; DomainError naming both values when it rounds to 3/8."""
+    if not 0.0 < x1 < X_MAX:
+        require_window(x1)
+    x2 = X_MAX - x1
+    if x2 == X_MAX:
+        raise DomainError(f"partner x2 = {X_MAX} - x1 of photon energy fraction"
+                          f" x1 = {x1} rounds to {x2}, outside (0, {X_MAX})")
+    return x2
+
+
 def two_color_combination(x1: float, q: Callable[[float], float]) -> float:
     """(3/4) [q(x1) + q(x2)], x2 = 3/8 - x1, for any evaluation q of Q.
 
@@ -341,15 +377,13 @@ def two_color_combination(x1: float, q: Callable[[float], float]) -> float:
     3/8 - x1 rounds to 3/8, on the pole; that x1 is a DomainError naming
     both values.  The two terms are the two possible time orderings of the
     absorptions."""
-    require_window(x1)
-    x2 = X_MAX - x1
-    if x2 == X_MAX:
-        raise DomainError(f"partner x2 = {X_MAX} - x1 of photon energy fraction"
-                          f" x1 = {x1} rounds to {x2}, outside (0, {X_MAX})")
+    x2 = _partner(x1)
     return 0.75 * (q(x1) + q(x2))
 
 
 def two_color_q(x1: float) -> float:
     """Two-color resonant combination (3/4) [Q(x1) + Q(x2)], x2 = 3/8 - x1,
-    from the derived Q alone."""
-    return two_color_combination(x1, q_length)
+    from the derived Q alone: two_color_combination(x1, q_length), with the
+    kernel called directly at both photon energies."""
+    x2 = _partner(x1)
+    return 0.75 * (_q(math.sqrt(1.0 - 2.0 * x1)) + _q(math.sqrt(1.0 - 2.0 * x2)))

@@ -11,10 +11,10 @@ reaches double precision with no runtime convergence test.  Each caller
 fixes its own term count next to the bound that justifies it.
 
 The alternate transcriptions in ``closedform`` call ``lerch_sum``.  The
-derived closed forms sum their tail inside the kernels ``closedform._q``
-and ``closedform._pair``, the same sum written out at a fixed length; the
-tests hold both kernels to a composition of ``lerch_sum`` and the
-coefficient tables bit for bit.
+derived closed forms sum their tail inside the three kernels
+``closedform._q``, ``closedform._p`` and ``closedform._pair``, the same sum
+written out at a fixed length; the tests hold all three kernels to a
+composition of ``lerch_sum`` and the coefficient tables bit for bit.
 """
 
 from __future__ import annotations

@@ -1,13 +1,14 @@
 """The derived closed forms composed from their single statements.
 
-``closedform._q`` and ``closedform._pair`` write Q and (Q, P) out in one
-frame each.  This module composes the same values from the pieces that
-state them once: ``_horner`` over the ``_*_SMOOTH_*`` coefficient tables,
-the tail ``specfun.lerch_sum(Z, 3 - 1/t, TAIL_TERMS)`` and the tail
-coefficients c_Q and c_P of the ``closedform`` docstring.  The tests hold
-both kernels to this composition bit for bit, over real t and the complex
-t of ``q_slope``, so a property shown here (the tail's remainder bound,
-its agreement with mpmath) holds for the production path.
+``closedform._q``, ``closedform._p`` and ``closedform._pair`` write Q, P
+and (Q, P) out in one frame each.  This module composes the same values
+from the pieces that state them once: ``_horner`` over the ``_*_SMOOTH_*``
+coefficient tables, the tail ``specfun.lerch_sum(Z, 3 - 1/t, TAIL_TERMS)``
+and the tail coefficients c_Q and c_P of the ``closedform`` docstring.  The
+tests hold all three kernels to this composition bit for bit, over real t
+and the complex t of ``q_slope``, so a property shown here (the tail's
+remainder bound, its agreement with mpmath) holds for the production path.
+It imports only the package and the standard library.
 """
 
 from gauge_workbench import closedform
@@ -30,6 +31,14 @@ REAL_T = [0.5 + 0.5 * i / 4000 for i in range(4001)]
 T = REAL_T + [complex(t, -closedform._COMPLEX_STEP / t) for t in REAL_T]
 
 
+def outcome(evaluate, t):
+    """The value at t, or ZeroDivisionError on S_Q's pole at real t = 1/2."""
+    try:
+        return evaluate(t)
+    except ZeroDivisionError:
+        return ZeroDivisionError
+
+
 def z_arg(t):
     """The hypergeometric argument Z(t) = (1 - t)(1 - 2t) / ((1 + t)(1 + 2t))."""
     return (1.0 - t) * (1.0 - 2.0 * t) / ((1.0 + t) * (1.0 + 2.0 * t))
@@ -47,6 +56,7 @@ def q(t, terms=TAIL_TERMS):
 
 
 def p(t, terms=TAIL_TERMS):
+    """P, the value of ``closedform._p`` and of ``closedform._pair(t)[1]``."""
     return (SQRT2 * _horner(_P_SMOOTH_NUM, t) / _horner(_P_SMOOTH_DEN, t)
             + _P_TAIL_SCALE * (1.0 - t) ** 2 * (1.0 - 2.0 * t)
             / (3.0 * (1.0 + t) ** 4 * (1.0 + 2.0 * t) ** 5) * tail(t, terms))

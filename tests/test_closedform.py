@@ -8,6 +8,8 @@ import warnings
 import derived_reference
 import mpmath
 import pytest
+import test_output_digest
+from derived_reference import outcome
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -24,6 +26,7 @@ from gauge_workbench.closedform import (
     q_length,
     q_slope,
     source_named,
+    two_color_combination,
     two_color_q,
 )
 from gauge_workbench.errors import DomainError
@@ -53,6 +56,8 @@ AMPLITUDE_TABLE = {
     0.37499: (-223468.247594444119, 0.651759629372146962),
     0.374999: (-2234794.20169876726, 0.65181269931084832),
 }
+
+DIGEST_XS = test_output_digest.grid_xs()
 
 # <2S| r^2 |1S> enters the master identity with a 1/3 angular factor.
 R2_EXACT = -512.0 * math.sqrt(2.0) / 243.0
@@ -226,6 +231,19 @@ class TestTwoColor:
     def test_frozen_table_entry(self):
         assert math.isclose(two_color_q(0.35), -62.6594736335306, rel_tol=1e-13)
 
+    def test_direct_kernel_calls_are_the_combination_of_q_length(self):
+        for x1 in DIGEST_XS:
+            assert two_color_q(x1) == two_color_combination(x1, q_length)
+
+    @pytest.mark.parametrize("x1", [1e-17, 2.7e-17])
+    def test_partner_on_the_pole_is_the_same_error_as_the_combination(self, x1):
+        messages = []
+        for evaluate in (two_color_q, lambda x: two_color_combination(x, q_length)):
+            with pytest.raises(DomainError, match=f"x1 = {x1} rounds to") as raised:
+                evaluate(x1)
+            messages.append(str(raised.value))
+        assert messages[0] == messages[1]
+
     def test_velocity_combination_matches_length_combination(self):
         # P(x1) + P(x2) = -x1 x2 [Q(x1) + Q(x2)] whenever x1 + x2 = 3/8
         xs = [0.005 + i * (0.365 / 49.0) for i in range(50)]
@@ -273,6 +291,10 @@ class TestVariants:
     def test_derived_source_matches_the_scalar_evaluators(self, x):
         assert derived_pair(x) == (q_length(x), p_velocity(x))
 
+    def test_velocity_kernel_is_the_pairs_p(self):
+        for x in DIGEST_XS:
+            assert p_velocity(x) == derived_pair(x)[1]
+
     @pytest.mark.parametrize("variant", ["alt-a", "alt-b"])
     def test_alternates_deviate_measurably(self, variant):
         # the alternates transcribe the amplitude with a different
@@ -292,14 +314,14 @@ def _counted(monkeypatch, *names):
     """Record the calls of closedform's globals ``names`` in one list."""
     calls = []
 
-    def counting(real):
+    def counting(name, real):
         def counted(*args):
-            calls.append(args)
+            calls.append((name, args))
             return real(*args)
         return counted
 
     for name in names:
-        monkeypatch.setattr(closedform, name, counting(getattr(closedform, name)))
+        monkeypatch.setattr(closedform, name, counting(name, getattr(closedform, name)))
     return calls
 
 
@@ -310,7 +332,7 @@ class TestHotPaths:
 
     @pytest.fixture
     def kernel_calls(self, monkeypatch):
-        return _counted(monkeypatch, "_q", "_pair")
+        return _counted(monkeypatch, "_q", "_p", "_pair")
 
     @pytest.fixture
     def lerch_calls(self, monkeypatch):
@@ -329,18 +351,20 @@ class TestHotPaths:
             assert len(kernel_calls) == expected
         assert lerch_calls == []
 
+    @pytest.mark.parametrize("evaluate,kernels", [
+        (p_velocity, ["_p"]), (q_length, ["_q"]), (two_color_q, ["_q", "_q"]),
+        (gauge_pair, ["_pair"]), (derived_pair, ["_pair"]),
+    ])
+    def test_each_evaluator_calls_its_own_kernel(self, kernel_calls, evaluate, kernels):
+        for x in (0.01, 0.1875, 0.3):
+            kernel_calls.clear()
+            evaluate(x)
+            assert [name for name, _ in kernel_calls] == kernels
+
     @pytest.mark.parametrize("variant", ["alt-a", "alt-b"])
     def test_alternates_share_one_hypergeometric_per_pair(self, lerch_calls, variant):
         SOURCES[variant](0.1)
         assert len(lerch_calls) == 1
-
-
-def _outcome(evaluate, t):
-    """The value at t, or ZeroDivisionError on S_Q's pole at real t = 1/2."""
-    try:
-        return evaluate(t)
-    except ZeroDivisionError:
-        return ZeroDivisionError
 
 
 class TestSmoothParts:
@@ -352,20 +376,21 @@ class TestSmoothParts:
     @pytest.mark.parametrize("kernel,reference", [
         (closedform._q, derived_reference.q),
         (closedform._pair, derived_reference.pair),
-    ], ids=["Q", "P"])
+        (closedform._p, derived_reference.p),
+    ], ids=["Q", "P", "P-alone"])
     def test_unrolled_forms_are_the_table_horner_sums(self, kernel, reference):
         for t in derived_reference.T:
-            assert _outcome(kernel, t) == _outcome(reference, t)
+            assert outcome(kernel, t) == outcome(reference, t)
 
 
 class TestWrittenOutTail:
-    """The tail written out in both kernels is lerch_sum over TAIL_TERMS
+    """The tail written out in all three kernels is lerch_sum over TAIL_TERMS
     terms: the composition whose tail sums TAIL_TERMS terms is each kernel
     bit for bit, and one summed over a term fewer or a term more is not."""
 
     def test_tail_is_the_lerch_sum(self):
         def matches(kernel, reference, terms):
-            return all(_outcome(kernel, t) == _outcome(lambda s: reference(s, terms), t)
+            return all(outcome(kernel, t) == outcome(lambda s: reference(s, terms), t)
                        for t in derived_reference.T)
 
         for terms in (closedform.TAIL_TERMS - 1, closedform.TAIL_TERMS,
@@ -373,3 +398,4 @@ class TestWrittenOutTail:
             expected = terms == closedform.TAIL_TERMS
             assert matches(closedform._q, derived_reference.q, terms) is expected
             assert matches(closedform._pair, derived_reference.pair, terms) is expected
+            assert matches(closedform._p, derived_reference.p, terms) is expected

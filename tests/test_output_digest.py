@@ -34,10 +34,14 @@ OTHER_CONSTANTS = replace(DEFAULT_CONSTANTS, alpha=7.3e-3, hbar=1.05e-34)
 EXPECTED_DIGEST = "183bbd85cf2b61c4672523c88d46e02192928ae6c9d93d15a3759c22026d433a"
 
 
+def grid_xs() -> list[float]:
+    """The dense x grid of the digest."""
+    return [X_LO + (X_HI - X_LO) * i / (GRID_POINTS - 1) for i in range(GRID_POINTS)]
+
+
 def _outputs():
     alt_a, alt_b = SOURCES["alt-a"], SOURCES["alt-b"]
-    for i in range(GRID_POINTS):
-        x = X_LO + (X_HI - X_LO) * i / (GRID_POINTS - 1)
+    for x in grid_xs():
         g = gauge_pair(x)
         yield from (g.x, g.q, g.p, g.f1, g.f2, g.delta)
         yield from derived_pair(x)
