@@ -10,7 +10,9 @@ are tridiagonal (Rotenberg, Ann. Phys. 19, 262 (1962); Heller & Yamani,
 Phys. Rev. A 9, 1201 (1974)).  Their entries come from closed recurrences
 (_pencil), so a resolvent solve (H - E S) c = b is one O(N) LDL^T sweep
 without pivoting: below the l = 1 spectrum H - E S is positive definite,
-and a non-positive pivot is a ConvergenceError, never a fallback.
+and a non-positive pivot is a ConvergenceError, never a fallback.  The
+sweep eliminates every right-hand side as it factors, so one sweep serves
+both gauges' columns.
 
 At LAMBDA = 1 the single l = 0 function 2 r e^-r is the exact 1S state, so
 E_1S and <1S|1S> are its own H and S entries, and both gauges' driving
@@ -38,7 +40,6 @@ from __future__ import annotations
 
 import functools
 import math
-from collections.abc import Callable
 
 from .closedform import require_window
 from .errors import ConvergenceError
@@ -93,35 +94,49 @@ def _product(diag: tuple[float, ...], off: tuple[float, ...], v: list[float]) ->
 
 
 def _dot(a: list[float], b: list[float]) -> float:
-    return sum(x * y for x, y in zip(a, b))
+    """sum a_k b_k, accumulated left to right in plain double precision.
+    sum() of floats compensates its rounding from Python 3.12 on, so the
+    residuals would depend on the interpreter's version."""
+    acc = 0.0
+    for x, y in zip(a, b):
+        acc += x * y
+    return acc
 
 
-def _factor(pencil: Pencil, energy: float) -> Callable[[list[float]], list[float]]:
-    """Factor H - energy S = L D L^T; return the solve c = (H - energy S)^-1 b."""
+def _indefinite(energy: float, k: int) -> ConvergenceError:
+    return ConvergenceError(f"H - E S is not positive definite at energy {energy!r} (pivot {k})")
+
+
+def _factor(pencil: Pencil, energy: float, *columns: list[float]) -> list[list[float]]:
+    """Factor H - energy S = L D L^T and solve (H - energy S) c = b for
+    every column b in the same sweep.
+
+    The factor pass eliminates every column as it forms each multiplier;
+    one backward pass then divides by the pivots and substitutes back in
+    all columns.  With no column it only tests the pivots."""
     h_diag, h_off, s_diag, s_off = pencil
-    off = [h - energy * s for h, s in zip(h_off, s_off)]
+    solutions = [list(b) for b in columns]
     pivots, multipliers = [], []
-    for k, (h, s) in enumerate(zip(h_diag, s_diag)):
-        pivot = h - energy * s
-        if k:
-            multipliers.append(off[k - 1] / pivots[-1])
-            pivot -= multipliers[-1] * off[k - 1]
+    pivot = h_diag[0] - energy * s_diag[0]
+    for k, h, s, h_k, s_k in zip(range(1, len(h_diag)), h_diag[1:], s_diag[1:], h_off, s_off):
         # a NaN pivot fails this test too
         if not pivot > 0.0:
-            raise ConvergenceError(
-                f"H - E S is not positive definite at energy {energy!r} (pivot {k})")
+            raise _indefinite(energy, k - 1)
         pivots.append(pivot)
-
-    def solve(b: list[float]) -> list[float]:
-        c = list(b)
-        for k, m in enumerate(multipliers):
-            c[k + 1] -= m * c[k]
-        c = [y / d for y, d in zip(c, pivots)]
-        for k in range(len(multipliers) - 1, -1, -1):
-            c[k] -= multipliers[k] * c[k + 1]
-        return c
-
-    return solve
+        off = h_k - energy * s_k
+        m = off / pivot
+        multipliers.append(m)
+        pivot = h - energy * s - m * off
+        for c in solutions:
+            c[k] -= m * c[k - 1]
+    if not pivot > 0.0:
+        raise _indefinite(energy, len(pivots))
+    for c in solutions:
+        c[-1] /= pivot
+    for k, m, d in zip(range(len(pivots) - 1, -1, -1), reversed(multipliers), reversed(pivots)):
+        for c in solutions:
+            c[k] = c[k] / d - m * c[k + 1]
+    return solutions
 
 
 def _driving_terms() -> tuple[list[float], list[float]]:
@@ -138,10 +153,9 @@ def _state_2p(pencil: Pencil) -> tuple[float, list[float]]:
     """Lowest eigenpair (E_2P, c) of the l = 1 pencil H c = E S c, c
     normalized in S."""
     h_diag, h_off, s_diag, s_off = pencil
-    solve = _factor(pencil, -0.125 - _SHIFT_BELOW_LEVEL)
     c = [1.0] + [0.0] * (len(h_diag) - 1)
     for _ in range(_MAX_STEPS):
-        v = solve(_product(s_diag, s_off, c))
+        (v,) = _factor(pencil, -0.125 - _SHIFT_BELOW_LEVEL, _product(s_diag, s_off, c))
         norm = math.sqrt(_dot(v, _product(s_diag, s_off, v)))
         v = [x / norm for x in v]
         change = max(abs(a - b) for a, b in zip(v, c))
@@ -158,8 +172,8 @@ def diagonal_elements(x: float) -> tuple[float, float]:
     H - E S is positive definite.  <1S|1S> is NORM_1S, exactly 1."""
     require_window(abs(x))
     b_len, b_vel = _driving_terms()
-    solve = _factor(_pencil(1, BASIS_SIZE), _E_1S + x)
-    return _dot(b_len, solve(b_len)), _dot(b_vel, solve(b_vel))
+    c_len, c_vel = _factor(_pencil(1, BASIS_SIZE), _E_1S + x, b_len, b_vel)
+    return _dot(b_len, c_len), _dot(b_vel, c_vel)
 
 
 def one_photon_elements() -> tuple[float, float, float]:

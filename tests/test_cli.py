@@ -11,6 +11,7 @@ import subprocess
 import sys
 
 import pytest
+from strict_golden import STRICT_REPORT_LINES, expected_run
 
 import gauge_workbench
 
@@ -27,82 +28,6 @@ CHECK_ORDER = [
     "delta_linear",
     "one_photon_ratio",
 ]
-
-# Sturmian lines of ``verify --profile strict``; they read no closed form, so
-# they are the same for every variant.
-_STURMIAN_LINES = (
-    "PASS ac_stark: max residual 4.99600361081e-16"
-    " (tolerance 1.00000000000e-09, 4 points)",
-    "PASS one_photon_ratio: max residual 0.00000000000e+00"
-    " (tolerance 1.00000000000e-09, 3 points)",
-)
-
-# Exact stdout lines of ``verify --profile strict``, all computed in pure
-# Python, so they must not move by a single byte unless a change means to
-# move them.
-STRICT_REPORT_LINES = {
-    "derived": [
-        "PASS master_identity: max residual 3.33066907388e-16"
-        " (tolerance 1.00000000000e-09, 20 points)",
-        "PASS resonance_pq: max residual 5.55111512313e-17"
-        " (tolerance 1.00000000000e-09, 1 points)",
-        _STURMIAN_LINES[0],
-        "PASS two_color: max residual 4.44089209850e-16"
-        " (tolerance 1.00000000000e-09, 3 points)",
-        "PASS delta_linear: max residual 1.58206781009e-15"
-        " (tolerance 1.00000000000e-09, 200 points)",
-        _STURMIAN_LINES[1],
-        "PASS resonance_q: computed -7.85365542235e+00 vs published -7.85365542200e+00"
-        " (relative error 4.47464106718e-11)",
-        "PASS two_color_q: computed -6.26594736335e+01 vs published -6.26594736330e+01"
-        " (relative error 8.46637038563e-12)",
-        "PASS beta_resonance: computed 3.68110645721e-05 vs published 3.68111000000e-05"
-        " (relative error 9.62424290552e-07)",
-        "PASS beta_slope: computed 2.32293391278e-04 vs published 2.32293000000e-04"
-        " (relative error 1.68441453720e-06)",
-    ],
-    "alt-a": [
-        "FAIL master_identity: max residual 6.14190747753e+03"
-        " (tolerance 1.00000000000e-09, 20 points)",
-        "FAIL resonance_pq: max residual 1.64434014004e+02"
-        " (tolerance 1.00000000000e-09, 1 points)",
-        _STURMIAN_LINES[0],
-        "FAIL two_color: max residual 4.72868968320e+03"
-        " (tolerance 1.00000000000e-09, 3 points)",
-        "FAIL delta_linear: max residual 1.33538970709e+04"
-        " (tolerance 1.00000000000e-09, 200 points)",
-        _STURMIAN_LINES[1],
-        "FAIL resonance_q: computed 4.22545491781e+03 vs published -7.85365542200e+00"
-        " (relative error 5.39023976195e+02)",
-        "FAIL two_color_q: computed 4.02266866733e+05 vs published -6.26594736330e+01"
-        " (relative error 6.42088901933e+03)",
-        "PASS beta_resonance: computed 3.68110645721e-05 vs published 3.68111000000e-05"
-        " (relative error 9.62424290552e-07)",
-        "PASS beta_slope: computed 2.32293391278e-04 vs published 2.32293000000e-04"
-        " (relative error 1.68441453720e-06)",
-    ],
-    "alt-b": [
-        "FAIL master_identity: max residual 5.70287162173e+02"
-        " (tolerance 1.00000000000e-09, 20 points)",
-        "FAIL resonance_pq: max residual 4.28728557387e+01"
-        " (tolerance 1.00000000000e-09, 1 points)",
-        _STURMIAN_LINES[0],
-        "FAIL two_color: max residual 4.67963032337e+02"
-        " (tolerance 1.00000000000e-09, 3 points)",
-        "FAIL delta_linear: max residual 1.13236370454e+03"
-        " (tolerance 1.00000000000e-09, 200 points)",
-        _STURMIAN_LINES[1],
-        "FAIL resonance_q: computed 7.67715304924e+02 vs published -7.85365542200e+00"
-        " (relative error 9.87526086482e+01)",
-        "FAIL two_color_q: computed 3.70617252311e+04 vs published -6.26594736330e+01"
-        " (relative error 5.92478400349e+02)",
-        "PASS beta_resonance: computed 3.68110645721e-05 vs published 3.68111000000e-05"
-        " (relative error 9.62424290552e-07)",
-        "PASS beta_slope: computed 2.32293391278e-04 vs published 2.32293000000e-04"
-        " (relative error 1.68441453720e-06)",
-    ],
-}
-
 
 def _subprocess_env(env_extra=None):
     env = os.environ.copy()
@@ -325,12 +250,9 @@ class TestVerify:
 
     @pytest.mark.parametrize("variant", sorted(STRICT_REPORT_LINES))
     def test_strict_report_lines_are_golden(self, strict_report, variant):
+        # byte for byte, overall line and exit code included
         proc, _ = strict_report(variant)
-        verdict = "PASS" if variant == "derived" else "FAIL"
-        assert proc.returncode == (0 if variant == "derived" else 1)
-        *lines, overall = proc.stdout.splitlines()
-        assert overall == f"overall: {verdict}"
-        assert lines == STRICT_REPORT_LINES[variant]
+        assert (proc.returncode, proc.stdout) == expected_run(variant)
 
     @pytest.mark.parametrize("argv,code", [
         (["compute", "--x", "0.1875", "--quantity", "q"], 2),

@@ -4,8 +4,10 @@ import dataclasses
 import math
 
 import pytest
+import strict_reference
+from strict_golden import EXPECTED_STRICT_DIGEST, strict_digest
 
-from gauge_workbench.closedform import gauge_pair
+from gauge_workbench.closedform import SOURCES, gauge_pair
 from gauge_workbench.errors import DomainError
 from gauge_workbench.identities import (
     BASIS,
@@ -105,6 +107,12 @@ class TestIndividualChecks:
         assert len(check.x_values) == 200
         assert check.passed
 
+    @pytest.mark.parametrize("variant", sorted(SOURCES))
+    def test_delta_linear_equals_the_gauge_amplitudes_residual(self, variant):
+        # bit for bit the residual read through GaugeAmplitudes.at
+        check = check_delta_linear(closed_form_source(variant))
+        assert check.residuals == strict_reference.delta_residuals(SOURCES[variant])
+
     def test_grid_atom_as_the_source_of_three_claims(self, default_grid):
         # independent numerical evidence for the resonance lock, the
         # two-color law and the straight gauge difference: each check reads
@@ -150,6 +158,11 @@ class TestReport:
             "one_photon_ratio")
         assert report.overall_pass
         assert all(c.passed for c in report.checks)
+
+    def test_strict_report_values_are_pinned(self):
+        # every residual and constant of every source, to the last bit: the
+        # printed lines show 12 digits only
+        assert strict_digest() == EXPECTED_STRICT_DIGEST
 
     def test_oracle_profile_swaps_master_source(self, default_grid):
         strict = build_report("strict")

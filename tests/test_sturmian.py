@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+import strict_reference
 from numpy.polynomial.laguerre import laggauss
 from scipy.linalg import eigh
 from scipy.special import eval_genlaguerre
@@ -207,9 +208,10 @@ class TestInputs:
     def test_negative_x_reads_e_1s_minus_x(self):
         # a signed read: -0.1 is the E_1S - 0.1 term, not a window error
         b_len, b_vel = sturmian._driving_terms()
-        solve = sturmian._factor(sturmian._pencil(1, sturmian.BASIS_SIZE), -0.5 - 0.1)
+        c_len, c_vel = sturmian._factor(sturmian._pencil(1, sturmian.BASIS_SIZE), -0.5 - 0.1,
+                                        b_len, b_vel)
         assert sturmian.diagonal_elements(-0.1) == (
-            sturmian._dot(b_len, solve(b_len)), sturmian._dot(b_vel, solve(b_vel)))
+            sturmian._dot(b_len, c_len), sturmian._dot(b_vel, c_vel))
 
     def test_close_to_the_2p_pole_is_computed(self, monkeypatch):
         x = 0.3749999
@@ -218,3 +220,43 @@ class TestInputs:
         monkeypatch.setattr(identities, "AC_STARK_POINTS", (x,))
         (residual,) = check_ac_stark(BASIS).residuals
         assert abs(residual) <= 1e-9 * x * x * (up + down)
+
+
+class TestOneSweep:
+    """One L D L^T sweep for every column gives the bits of one sweep per
+    column (tests/strict_reference.py)."""
+
+    def test_diagonal_elements_equal_one_sweep_per_column(self):
+        points = strict_reference.SIGNED_X + [s for x in AC_STARK_POINTS for s in (x, -x)]
+        assert 0.3749 in points and -0.3749 in points
+        for x in points:
+            assert sturmian.diagonal_elements(x) == strict_reference.diagonal_elements(x), x
+
+    def test_one_photon_elements_equal_one_sweep_per_column(self):
+        pencil = sturmian._pencil(1, sturmian.BASIS_SIZE)
+        assert sturmian._state_2p(pencil) == strict_reference.state_2p(pencil)
+        assert sturmian.one_photon_elements() == strict_reference.one_photon_elements()
+
+    def test_one_factor_serves_both_columns(self, monkeypatch):
+        # diagonal_elements factors once and hands both columns to that
+        # factor's one backward pass; inverse iteration solves one column
+        # per step
+        calls = []
+        real = sturmian._factor
+
+        def factor(pencil, energy, *columns):
+            calls.append(len(columns))
+            return real(pencil, energy, *columns)
+
+        monkeypatch.setattr(sturmian, "_factor", factor)
+        sturmian.diagonal_elements(0.1)
+        assert calls == [2]
+        calls.clear()
+        sturmian.one_photon_elements()
+        assert calls and set(calls) == {1}
+
+    def test_dot_adds_left_to_right(self):
+        # compensated summation, which sum() of floats uses from Python 3.12
+        # on, gives 1.0 here; plain left-to-right addition loses the 1.0
+        assert sturmian._dot([1.0, 1.0, 1.0], [1e16, 1.0, -1e16]) == 0.0
+        assert sturmian._dot([2.0, 3.0], [0.5, 4.0]) == 13.0
