@@ -1,6 +1,7 @@
-"""What ``verify --profile strict`` must produce, bit for bit.
+"""What ``verify --profile strict``, ``scan`` and ``compute`` must produce,
+bit for bit.
 
-Two pins, in a module that imports no pytest, so the stdlib-only CI job
+Four pins, in a module that imports no pytest, so the stdlib-only CI job
 checks them with a bare interpreter:
 
 - ``STRICT_REPORT_LINES``: the stdout lines of ``verify --profile strict
@@ -9,13 +10,18 @@ checks them with a bare interpreter:
 - ``EXPECTED_STRICT_DIGEST``: a SHA-256 over every residual and computed
   constant of ``build_report("strict", variant=V)`` for every source, as
   little-endian doubles, so a move of one ulp in any of them shows.
+- ``EXPECTED_SCAN_SHA256``: the SHA-256 of the CSV that ``scan`` writes
+  for ``SCAN_ARGS``: 2000 rows of x, f1, f2, delta, q, p and beta.
+- ``COMPUTE_LINES``: the stdout line of ``compute --x X --quantity Q`` for
+  the gauge comparison f1, f2 and delta below, at and above the resonance.
 
 Every value is computed in pure Python with a fixed order of float
-operations, so neither pin depends on the interpreter's version.
+operations, so no pin depends on the interpreter's version.
 """
 
 import hashlib
 import struct
+from pathlib import Path
 
 from gauge_workbench.closedform import SOURCES
 from gauge_workbench.identities import build_report
@@ -100,6 +106,29 @@ STRICT_REPORT_LINES = {
 # report for each source in sorted(SOURCES), packed as little-endian
 # doubles.  Only a change of the arithmetic itself may move it.
 EXPECTED_STRICT_DIGEST = "d4c1451cc5a395562506a4a6500fabcc4a435906ca5afd30044647c48dd7cdef"
+
+# ``scan`` arguments before ``--out``, and the SHA-256 of the file they write.
+# Every row reads f1, f2 and delta through gauge_pair.
+SCAN_ARGS = ("scan", "--x-min", "0.001", "--x-max", "0.3749", "--steps", "2000",
+             "--columns", "q,p,beta")
+EXPECTED_SCAN_SHA256 = "a1a14a9fb506886ba05ec758436022c6d4db1bd9496240dbd45bf84b82686d71"
+
+# stdout line of ``compute --x X --quantity Q``, keyed by (Q, X).
+COMPUTE_LINES = {
+    ("f1", "0.05"): "2.03328687818e-01 dimensionless",
+    ("f1", "0.1875"): "2.76105073442e-01 dimensionless",
+    ("f1", "0.3"): "4.07703875043e-01 dimensionless",
+    ("f2", "0.05"): "6.67571723295e-02 dimensionless",
+    ("f2", "0.1875"): "2.76105073442e-01 dimensionless",
+    ("f2", "0.3"): "5.19444205897e-01 dimensionless",
+    ("delta", "0.05"): "1.36571515488e-01 dimensionless",
+    ("delta", "0.1875"): "5.55111512313e-17 dimensionless",
+    ("delta", "0.3"): "-1.11740330854e-01 dimensionless",
+}
+
+
+def file_sha256(path):
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 def expected_run(variant):

@@ -11,7 +11,14 @@ import subprocess
 import sys
 
 import pytest
-from strict_golden import STRICT_REPORT_LINES, expected_run
+from strict_golden import (
+    COMPUTE_LINES,
+    EXPECTED_SCAN_SHA256,
+    SCAN_ARGS,
+    STRICT_REPORT_LINES,
+    expected_run,
+    file_sha256,
+)
 
 import gauge_workbench
 
@@ -84,6 +91,11 @@ class TestCompute:
         value = float(proc.stdout.split()[0])
         assert math.isclose(value, -0.06207796158565026, rel_tol=1e-11)
 
+    @pytest.mark.parametrize("quantity,x", sorted(COMPUTE_LINES))
+    def test_gauge_comparison_lines_are_golden(self, quantity, x):
+        proc = run_cli("compute", "--x", x, "--quantity", quantity)
+        assert (proc.returncode, proc.stdout) == (0, COMPUTE_LINES[quantity, x] + "\n")
+
     @pytest.mark.parametrize("x", ["0.5", "0.375", "0", "-0.1"])
     def test_out_of_window_exits_2(self, x):
         proc = run_cli("compute", "--x", x, "--quantity", "q")
@@ -143,6 +155,12 @@ class TestScan:
         run_cli(*args, "--out", str(a))
         run_cli(*args, "--out", str(b))
         assert a.read_bytes() == b.read_bytes()
+
+    def test_csv_bytes_are_golden(self, tmp_path):
+        out = tmp_path / "scan.csv"
+        proc = run_cli(*SCAN_ARGS, "--out", str(out))
+        assert (proc.returncode, proc.stdout) == (0, "")
+        assert file_sha256(out) == EXPECTED_SCAN_SHA256
 
     def test_difference_column_crosses_zero_once(self, tmp_path):
         out = tmp_path / "window.csv"
