@@ -58,9 +58,7 @@ denominator attached to the hypergeometric term).  The alternates are
 negative controls: the verification suite must be able to demonstrate
 that it can reject a wrong reading, not merely confirm the right one.
 The grid oracle's ``gauge_pair_oracle`` has the same shape once its grid
-is bound.  ``gauge_pair`` returns a ``GaugeAmplitudes`` record that holds
-x, Q and P only; the gauge comparison f1 = P, f2 = (3/8 - x)(-x) Q and
-delta = f1 - f2 is derived from them on each read.
+is bound.
 """
 
 from __future__ import annotations
@@ -320,23 +318,33 @@ def source_named(name: str) -> AmplitudeSource:
 
 @dataclass(frozen=True)
 class GaugeAmplitudes:
-    """x, Q and P at one photon energy; f1, f2 and delta derive from q and p."""
+    """Both gauge amplitudes at a single photon energy, plus the comparison
+    functions f1 = P and f2 = (3/8 - x)(-x) Q and their difference."""
 
     x: float
     q: float
     p: float
+    f1: float
+    f2: float
+    delta: float
 
-    @property
-    def f1(self) -> float:
-        return self.p
-
-    @property
-    def f2(self) -> float:
-        return (X_MAX - self.x) * (-self.x) * self.q
-
-    @property
-    def delta(self) -> float:
-        return self.p - self.f2
+    @classmethod
+    def at(cls, x: float, source: AmplitudeSource) -> GaugeAmplitudes:
+        """Evaluate source once at x and package the gauge comparison."""
+        q, p = source(x)
+        f2 = (X_MAX - x) * (-x) * q
+        # The generated frozen __init__ sets each field through
+        # object.__setattr__; filling the instance dict directly builds the
+        # same object (equal, same hash and repr) at a fraction of the cost.
+        pair = object.__new__(cls)
+        fields = pair.__dict__
+        fields["x"] = x
+        fields["q"] = q
+        fields["p"] = p
+        fields["f1"] = p
+        fields["f2"] = f2
+        fields["delta"] = p - f2
+        return pair
 
 
 def gauge_pair(x: float) -> GaugeAmplitudes:
@@ -345,15 +353,7 @@ def gauge_pair(x: float) -> GaugeAmplitudes:
 
     f1 and f2 agree only at x = 3/16; their difference is exactly linear,
     delta = DELTA_SLOPE * (x - 3/16)."""
-    q, p = derived_pair(x)
-    # Builds what GaugeAmplitudes(x, q, p) builds (equal hash and repr) but
-    # skips its object.__setattr__ calls, which cost a 2000-point scan 6-15 %.
-    pair = object.__new__(GaugeAmplitudes)
-    fields = pair.__dict__
-    fields["x"] = x
-    fields["q"] = q
-    fields["p"] = p
-    return pair
+    return GaugeAmplitudes.at(x, derived_pair)
 
 
 def _partner(x1: float) -> float:

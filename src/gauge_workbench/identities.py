@@ -241,8 +241,8 @@ def check_delta_linear(source: Source) -> IdentityCheck:
     residuals = []
     for x in DELTA_GRID:
         q, p = pair(x)
-        # delta = f1 - f2 in the operations of the GaugeAmplitudes.delta
-        # property, without building the record
+        # delta = f1 - f2 in the operations of GaugeAmplitudes.at, without
+        # building the record
         residuals.append(p - (X_MAX - x) * (-x) * q - DELTA_SLOPE * (x - X_RESONANCE))
     return IdentityCheck("delta_linear", DELTA_GRID, tuple(residuals), source.tolerance,
                          source.name)

@@ -7,10 +7,10 @@ factors H - E S, and ``identities.check_delta_linear`` forms f1 - f2 from
 (Q, P) without building a record.  This module keeps the forms they
 replace: a factor that returns a solve for one column at a time,
 ``diagonal_elements``, ``_state_2p`` and ``one_photon_elements`` built on
-it, and the residual read from the ``delta`` property of the record
-``GaugeAmplitudes(x, *pair(x))``.  The tests hold the rewrites to these bit
-for bit.  Its dot product adds left to right with reduce, independently of
-``sturmian._dot``.  It imports only the package and the standard library.
+it, and the residual taken from ``GaugeAmplitudes.at(x, pair).delta``.
+The tests hold the rewrites to these bit for bit.  Its dot product adds
+left to right with reduce, independently of ``sturmian._dot``.  It imports
+only the package and the standard library.
 """
 
 import math
@@ -88,5 +88,5 @@ def one_photon_elements():
 
 def delta_residuals(pair):
     """The delta_linear residuals of pair, x -> (Q, P), over DELTA_GRID."""
-    return tuple(GaugeAmplitudes(x, *pair(x)).delta - DELTA_SLOPE * (x - X_RESONANCE)
+    return tuple(GaugeAmplitudes.at(x, pair).delta - DELTA_SLOPE * (x - X_RESONANCE)
                  for x in DELTA_GRID)

@@ -181,35 +181,20 @@ class TestGaugePair:
         assert worst < 1e-9
 
     @pytest.mark.parametrize("source", ["derived", "alt-a", "alt-b"])
-    def test_record_derives_the_comparison_from_q_and_p(self, source):
+    def test_at_builds_the_constructed_record(self, source):
         x = 0.1
         q, p = SOURCES[source](x)
         f2 = (X_MAX - x) * (-x) * q
-        built = GaugeAmplitudes(x, q, p)
-        assert (built.f1, built.f2, built.delta) == (p, f2, p - f2)
-        assert dataclasses.astuple(built) == (x, q, p)
-
-    def test_gauge_pair_builds_the_constructed_record(self):
-        built = gauge_pair(0.1)
-        expected = GaugeAmplitudes(0.1, *derived_pair(0.1))
+        built = GaugeAmplitudes.at(x, SOURCES[source])
+        expected = GaugeAmplitudes(x, q, p, p, f2, p - f2)
         assert built == expected
         assert hash(built) == hash(expected)
         assert repr(built) == repr(expected)
-
-    def test_record_holds_x_q_and_p_only(self):
-        assert [f.name for f in dataclasses.fields(GaugeAmplitudes)] == ["x", "q", "p"]
-        assert not hasattr(GaugeAmplitudes, "at")
-        with pytest.raises(TypeError):
-            GaugeAmplitudes(0.1, 1.0, 2.0, 2.0, 3.0, -1.0)
-
-    def test_replaced_record_derives_from_its_own_fields(self):
-        pair = dataclasses.replace(gauge_pair(0.1), q=0.0)
-        f2 = (X_MAX - pair.x) * (-pair.x) * pair.q
-        assert (pair.f1, pair.f2, pair.delta) == (pair.p, f2, pair.p - f2)
+        assert dataclasses.astuple(built) == (x, q, p, p, f2, p - f2)
 
     @pytest.mark.parametrize("field", ["x", "q", "p", "f1", "f2", "delta"])
     def test_fields_stay_frozen(self, field):
-        for pair in (gauge_pair(0.1), GaugeAmplitudes(0.1, 1.0, 2.0)):
+        for pair in (gauge_pair(0.1), GaugeAmplitudes(0.1, 1.0, 2.0, 2.0, 3.0, -1.0)):
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(pair, field, 0.0)
             with pytest.raises(dataclasses.FrozenInstanceError):
@@ -356,6 +341,8 @@ class TestHotPaths:
     @pytest.mark.parametrize("evaluate,expected", [
         (gauge_pair, 1), (derived_pair, 1), (q_length, 1), (p_velocity, 1),
         (q_slope, 1), (two_color_q, 2), (rabi.beta, 1),
+        pytest.param(lambda x: GaugeAmplitudes.at(x, derived_pair), 1,
+                     id="GaugeAmplitudes.at-1"),
     ])
     def test_lerch_sums_per_call(self, kernel_calls, lerch_calls, evaluate, expected):
         for x in (0.01, 0.1875, 0.3):
