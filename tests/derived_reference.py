@@ -8,7 +8,8 @@ and the tail coefficients c_Q and c_P of the ``closedform`` docstring.  The
 tests hold all three kernels to this composition bit for bit, over real t
 and the complex t of ``q_slope``, so a property shown here (the tail's
 remainder bound, its agreement with mpmath) holds for the production path.
-It imports only the package and the standard library.
+It imports only the package and the standard library, so
+``test_closedform.py`` also runs in the stdlib-floor CI job.
 """
 
 from gauge_workbench import closedform

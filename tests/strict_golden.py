@@ -1,8 +1,9 @@
 """What ``verify --profile strict``, ``scan`` and ``compute`` must produce,
 bit for bit.
 
-Four pins, in a module that imports no pytest, so the stdlib-only CI job
-checks them with a bare interpreter:
+Four pins, held by ``test_cli.py`` and ``test_identities.py``, which need
+no numpy, so the stdlib-floor CI job checks them on 3.10, 3.12 and 3.13
+with neither numpy nor scipy installed:
 
 - ``STRICT_REPORT_LINES``: the stdout lines of ``verify --profile strict
   --formula-variant V`` before the overall line, for each closed-form

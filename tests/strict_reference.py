@@ -10,7 +10,8 @@ replace: a factor that returns a solve for one column at a time,
 it, and the residual taken from ``GaugeAmplitudes.at(x, pair).delta``.
 The tests hold the rewrites to these bit for bit.  Its dot product adds
 left to right with reduce, independently of ``sturmian._dot``.  It imports
-only the package and the standard library.
+only the package and the standard library, so ``test_identities.py`` also
+runs in the stdlib-floor CI job.
 """
 
 import math

@@ -7,8 +7,10 @@ boundary, so everything here shells out to the installed module.
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from strict_golden import (
@@ -26,6 +28,7 @@ CLI = [sys.executable, "-m", "gauge_workbench.cli"]
 # The subprocess imports the same copy of the package as this process,
 # whether it came from PYTHONPATH, pytest's ``pythonpath`` or an install.
 PACKAGE_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(gauge_workbench.__file__)))
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 CHECK_ORDER = [
     "master_identity",
@@ -68,6 +71,15 @@ def assert_input_error(proc):
     assert "Traceback" not in proc.stderr
 
 
+def readme_compute_examples():
+    """(argv, stdout) of each ``$ gauge-workbench compute`` line of README.md,
+    with the line under it as its output."""
+    lines = README.read_text(encoding="utf-8").splitlines()
+    return [(shlex.split(command)[2:], output + "\n")
+            for command, output in zip(lines, lines[1:])
+            if command.startswith("$ gauge-workbench compute ")]
+
+
 class TestCompute:
     def test_resonance_q_formatting(self):
         proc = run_cli("compute", "--x", "0.1875", "--quantity", "q")
@@ -90,6 +102,14 @@ class TestCompute:
         proc = run_cli("compute", "--x", "0.25", "--quantity", "delta")
         value = float(proc.stdout.split()[0])
         assert math.isclose(value, -0.06207796158565026, rel_tol=1e-11)
+
+    def test_readme_examples_are_the_output(self):
+        # byte for byte and exit 0; README shows q, beta and two_color_q
+        examples = readme_compute_examples()
+        assert len(examples) == 3
+        runs = [(argv, run_cli(*argv)) for argv, _ in examples]
+        assert [(argv, proc.returncode, proc.stdout) for argv, proc in runs] == [
+            (argv, 0, stdout) for argv, stdout in examples]
 
     @pytest.mark.parametrize("quantity,x", sorted(COMPUTE_LINES))
     def test_gauge_comparison_lines_are_golden(self, quantity, x):
@@ -292,6 +312,7 @@ class TestVerify:
             assert proc.stdout.endswith("overall: FAIL\n")
             assert json.loads(out.read_text())["formula_variant"] == "alt-a"
 
+    @pytest.mark.usefixtures("oracle_extra")
     def test_oracle_profile_passes(self):
         proc = run_cli("verify", "--profile", "oracle")
         assert proc.returncode == 0
@@ -303,6 +324,7 @@ class TestVerify:
         run_cli("verify", "--out", str(b))
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.usefixtures("oracle_extra")
     def test_report_records_the_resolved_grid(self, strict_report, tmp_path):
         # a strict report builds no grid and records the Sturmian basis; an
         # oracle report writes defaulted options as the grid they resolved
@@ -353,19 +375,28 @@ class TestVerify:
         shifted = float(proc.stdout.split()[0])
         assert not math.isclose(shifted, 3.68110645721e-05, rel_tol=1e-4)
 
+    # The grid checks below run where the oracle imports: without numpy the
+    # command exits 2 as well, with the missing-dependency line.
+    @pytest.mark.usefixtures("oracle_extra")
     def test_grid_override_is_validated(self):
         proc = run_cli("verify", "--profile", "oracle", "--grid-points", "100")
-        assert proc.returncode == 2
+        assert_input_error(proc)
+        assert proc.stderr == "error: n_points = 100 below the 2000 floor\n"
 
+    @pytest.mark.usefixtures("oracle_extra")
     def test_grid_above_the_ceiling_is_an_input_error(self):
         # rejected before any array is allocated, not a MemoryError traceback
-        assert_input_error(run_cli("verify", "--profile", "oracle",
-                                   "--grid-points", "1000000000"))
+        proc = run_cli("verify", "--profile", "oracle", "--grid-points", "1000000000")
+        assert_input_error(proc)
+        assert proc.stderr.startswith("error: n_points = 1000000000 above the 200000 ceiling ")
 
+    @pytest.mark.usefixtures("oracle_extra")
     @pytest.mark.parametrize("r_max", ["nan", "inf", "1e300", "1000", "1e20"])
     def test_unusable_r_max_is_an_input_error(self, r_max):
         # exit 1 would claim a verification failure; the grid never existed
-        assert_input_error(run_cli("verify", "--profile", "oracle", "--r-max", r_max))
+        proc = run_cli("verify", "--profile", "oracle", "--r-max", r_max)
+        assert_input_error(proc)
+        assert proc.stderr.startswith(f"error: r_max = {float(r_max)} outside [60, 700] ")
 
     @pytest.mark.parametrize("options", [
         ["--grid-points", "2000"],
@@ -380,6 +411,7 @@ class TestVerify:
         assert "grid options apply to --profile oracle" in proc.stderr
         assert not out.exists()
 
+    @pytest.mark.usefixtures("oracle_extra")
     def test_failed_solve_exits_4_and_writes_no_report(self, tmp_path):
         # the grid builds, but a resolvent solve perturbed to zero misses
         # its componentwise backward-error target; the bound states' 1S and
@@ -485,8 +517,11 @@ class TestConstantsFile:
 class TestImportCost:
     """compute, scan and strict verify read the closed forms and the
     Sturmian basis only, and must run on the stdlib; compute and scan do
-    not load the Sturmian basis or json either."""
+    not load the Sturmian basis or json either.  A probe that finds no
+    numpy where numpy is not installed shows nothing, so every test here
+    but the one that hides numpy or scipy needs the oracle extra."""
 
+    @pytest.mark.usefixtures("oracle_extra")
     @pytest.mark.parametrize("argv,loads_sturmian_and_json", [
         (["compute", "--x", "0.1875", "--quantity", "beta"], False),
         (["scan", "--x-min", "0.1", "--x-max", "0.3", "--steps", "5",
@@ -504,19 +539,23 @@ class TestImportCost:
                 f"assert ('json' in sys.modules) is {loads_sturmian_and_json}")
         assert heavy_modules_after(code) == "[]"
 
+    @pytest.mark.usefixtures("oracle_extra")
     def test_identities_import_loads_no_numpy_or_scipy(self):
         assert heavy_modules_after("import gauge_workbench.identities") == "[]"
 
+    @pytest.mark.usefixtures("oracle_extra")
     def test_oracle_verify_is_detected(self, tmp_path):
         # negative control: the grid profile does load both
         argv = ["verify", "--profile", "oracle", "--out", str(tmp_path / "report.json")]
         code = f"from gauge_workbench.cli import main\nassert main({argv!r}) == 0"
         assert heavy_modules_after(code) == "['numpy', 'scipy']"
 
+    @pytest.mark.usefixtures("oracle_extra")
     def test_package_import_and_all_names_load_no_numpy_or_scipy(self):
         # the star import fails if a name in __all__ does not resolve
         assert heavy_modules_after("from gauge_workbench import *") == "[]"
 
+    @pytest.mark.usefixtures("oracle_extra")
     def test_verify_stack_loads_no_scipy_special(self):
         # the bound-state seeds use a numpy Laguerre recurrence, which keeps
         # scipy.special (~70 ms) out of every cold verify; the oracle loads
@@ -531,10 +570,12 @@ class TestImportCost:
                               text=True, env=_subprocess_env())
         assert proc.returncode == 0, proc.stderr
 
+    @pytest.mark.usefixtures("oracle_extra")
     def test_oracle_import_is_detected(self):
         # negative control: the probe does see both once the oracle loads
         assert heavy_modules_after("import gauge_workbench.oracle") == "['numpy', 'scipy']"
 
+    @pytest.mark.usefixtures("oracle_extra")
     def test_oracle_import_runs_no_scipy_init(self):
         # the oracle finds scipy's directory without importing the package:
         # only the LAPACK extension is loaded, under its own dotted name, and
@@ -562,6 +603,7 @@ class TestImportCost:
         assert len(proc.stderr.splitlines()) == 1
         assert not out.exists()
 
+    @pytest.mark.usefixtures("oracle_extra")
     def test_oracle_import_without_scipy_is_an_import_error(self):
         # a None entry in sys.modules hides an installed package from
         # importlib.util.find_spec as well as from import

@@ -1,4 +1,5 @@
-"""Verification-report tests: the six checks, determinism, negative controls."""
+"""Verification-report tests: the six checks, determinism, negative controls,
+and the Sturmian solve of the strict report held to its plain form."""
 
 import dataclasses
 import math
@@ -7,9 +8,11 @@ import pytest
 import strict_reference
 from strict_golden import EXPECTED_STRICT_DIGEST, strict_digest
 
+from gauge_workbench import sturmian
 from gauge_workbench.closedform import SOURCES, gauge_pair
 from gauge_workbench.errors import DomainError
 from gauge_workbench.identities import (
+    AC_STARK_POINTS,
     BASIS,
     TOL_ORACLE,
     ConstantComparison,
@@ -270,3 +273,43 @@ class TestNegativeControls:
     def test_gauge_difference_is_real_off_resonance(self):
         assert abs(gauge_pair(0.10).delta) > 1e-2
         assert abs(gauge_pair(0.25).delta) > 1e-2
+
+
+class TestOneSweep:
+    """One L D L^T sweep for every column gives the bits of one sweep per
+    column (tests/strict_reference.py)."""
+
+    def test_diagonal_elements_equal_one_sweep_per_column(self):
+        points = strict_reference.SIGNED_X + [s for x in AC_STARK_POINTS for s in (x, -x)]
+        assert 0.3749 in points and -0.3749 in points
+        for x in points:
+            assert sturmian.diagonal_elements(x) == strict_reference.diagonal_elements(x), x
+
+    def test_one_photon_elements_equal_one_sweep_per_column(self):
+        pencil = sturmian._pencil(1, sturmian.BASIS_SIZE)
+        assert sturmian._state_2p(pencil) == strict_reference.state_2p(pencil)
+        assert sturmian.one_photon_elements() == strict_reference.one_photon_elements()
+
+    def test_one_factor_serves_both_columns(self, monkeypatch):
+        # diagonal_elements factors once and hands both columns to that
+        # factor's one backward pass; inverse iteration solves one column
+        # per step
+        calls = []
+        real = sturmian._factor
+
+        def factor(pencil, energy, *columns):
+            calls.append(len(columns))
+            return real(pencil, energy, *columns)
+
+        monkeypatch.setattr(sturmian, "_factor", factor)
+        sturmian.diagonal_elements(0.1)
+        assert calls == [2]
+        calls.clear()
+        sturmian.one_photon_elements()
+        assert calls and set(calls) == {1}
+
+    def test_dot_adds_left_to_right(self):
+        # compensated summation, which sum() of floats uses from Python 3.12
+        # on, gives 1.0 here; plain left-to-right addition loses the 1.0
+        assert sturmian._dot([1.0, 1.0, 1.0], [1e16, 1.0, -1e16]) == 0.0
+        assert sturmian._dot([2.0, 3.0], [0.5, 4.0]) == 13.0
