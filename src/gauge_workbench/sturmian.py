@@ -8,11 +8,10 @@ expanded in the Coulomb-Sturmian functions
 in which the overlap S and the Hamiltonian H = -(1/2) d^2/dr^2 + 1/r^2 - 1/r
 are tridiagonal (Rotenberg, Ann. Phys. 19, 262 (1962); Heller & Yamani,
 Phys. Rev. A 9, 1201 (1974)).  Their entries come from closed recurrences
-(_pencil), so a resolvent solve (H - E S) c = b is one O(N) LDL^T sweep
-without pivoting: below the l = 1 spectrum H - E S is positive definite,
-and a non-positive pivot is a ConvergenceError, never a fallback.  The
-sweep eliminates every right-hand side as it factors, so one sweep serves
-both gauges' columns.
+(_pencil), so H - E S = L D L^T factors in O(N) without pivoting: below
+the l = 1 spectrum it is positive definite, and a non-positive pivot is a
+ConvergenceError, never a fallback.  One factor per energy serves both
+gauges' columns and every step of the 2P inverse iteration.
 
 At LAMBDA = 1 the single l = 0 function 2 r e^-r is the exact 1S state, so
 E_1S and <1S|1S> are its own H and S entries, and both gauges' driving
@@ -103,40 +102,39 @@ def _dot(a: list[float], b: list[float]) -> float:
     return acc
 
 
-def _indefinite(energy: float, k: int) -> ConvergenceError:
-    return ConvergenceError(f"H - E S is not positive definite at energy {energy!r} (pivot {k})")
-
-
-def _factor(pencil: Pencil, energy: float, *columns: list[float]) -> list[list[float]]:
-    """Factor H - energy S = L D L^T and solve (H - energy S) c = b for
-    every column b in the same sweep.
-
-    The factor pass eliminates every column as it forms each multiplier;
-    one backward pass then divides by the pivots and substitutes back in
-    all columns.  With no column it only tests the pivots."""
+def _factor(pencil: Pencil, energy: float) -> tuple[list[float], list[float]]:
+    """(pivots, multipliers): D and L's subdiagonal in H - energy S = L D L^T."""
     h_diag, h_off, s_diag, s_off = pencil
-    solutions = [list(b) for b in columns]
     pivots, multipliers = [], []
     pivot = h_diag[0] - energy * s_diag[0]
-    for k, h, s, h_k, s_k in zip(range(1, len(h_diag)), h_diag[1:], s_diag[1:], h_off, s_off):
+    for h, s, h_k, s_k in zip(h_diag[1:], s_diag[1:], h_off, s_off):
         # a NaN pivot fails this test too
         if not pivot > 0.0:
-            raise _indefinite(energy, k - 1)
+            break
         pivots.append(pivot)
         off = h_k - energy * s_k
-        m = off / pivot
-        multipliers.append(m)
+        multipliers.append(m := off / pivot)
         pivot = h - energy * s - m * off
-        for c in solutions:
-            c[k] -= m * c[k - 1]
-    if not pivot > 0.0:
-        raise _indefinite(energy, len(pivots))
-    for c in solutions:
-        c[-1] /= pivot
-    for k, m, d in zip(range(len(pivots) - 1, -1, -1), reversed(multipliers), reversed(pivots)):
-        for c in solutions:
-            c[k] = c[k] / d - m * c[k + 1]
-    return solutions
+    else:
+        # the last pivot, tested the same way
+        if pivot > 0.0:
+            pivots.append(pivot)
+            return pivots, multipliers
+    raise ConvergenceError(f"H - E S is not positive definite at energy {energy!r} "
+                           f"(pivot {len(pivots)})")
+
+
+def _solve(factor: tuple[list[float], list[float]], b: list[float]) -> list[float]:
+    """c = (H - E S)^-1 b: forward by L, then division by D and back by L^T."""
+    pivots, multipliers = factor
+    c = list(b)
+    y = c[0]
+    for k, m in enumerate(multipliers, 1):
+        y = c[k] = c[k] - m * y
+    y = c[-1] = y / pivots[-1]
+    for k in range(len(multipliers) - 1, -1, -1):
+        y = c[k] = c[k] / pivots[k] - multipliers[k] * y
+    return c
 
 
 def _driving_terms() -> tuple[list[float], list[float]]:
@@ -153,9 +151,10 @@ def _state_2p(pencil: Pencil) -> tuple[float, list[float]]:
     """Lowest eigenpair (E_2P, c) of the l = 1 pencil H c = E S c, c
     normalized in S."""
     h_diag, h_off, s_diag, s_off = pencil
+    factor = _factor(pencil, -0.125 - _SHIFT_BELOW_LEVEL)
     c = [1.0] + [0.0] * (len(h_diag) - 1)
     for _ in range(_MAX_STEPS):
-        (v,) = _factor(pencil, -0.125 - _SHIFT_BELOW_LEVEL, _product(s_diag, s_off, c))
+        v = _solve(factor, _product(s_diag, s_off, c))
         norm = math.sqrt(_dot(v, _product(s_diag, s_off, v)))
         v = [x / norm for x in v]
         change = max(abs(a - b) for a, b in zip(v, c))
@@ -172,8 +171,8 @@ def diagonal_elements(x: float) -> tuple[float, float]:
     H - E S is positive definite.  <1S|1S> is NORM_1S, exactly 1."""
     require_window(abs(x))
     b_len, b_vel = _driving_terms()
-    c_len, c_vel = _factor(_pencil(1, BASIS_SIZE), _E_1S + x, b_len, b_vel)
-    return _dot(b_len, c_len), _dot(b_vel, c_vel)
+    factor = _factor(_pencil(1, BASIS_SIZE), _E_1S + x)
+    return _dot(b_len, _solve(factor, b_len)), _dot(b_vel, _solve(factor, b_vel))
 
 
 def one_photon_elements() -> tuple[float, float, float]:

@@ -2,16 +2,18 @@
 solve with one sweep per column, and the delta_linear residual read
 through a GaugeAmplitudes record.
 
-``sturmian._factor`` eliminates every right-hand side in the pass that
-factors H - E S, and ``identities.check_delta_linear`` forms f1 - f2 from
-(Q, P) without building a record.  This module keeps the forms they
-replace: a factor that returns a solve for one column at a time,
-``diagonal_elements``, ``_state_2p`` and ``one_photon_elements`` built on
-it, and the residual taken from ``GaugeAmplitudes.at(x, pair).delta``.
-The tests hold the rewrites to these bit for bit.  Its dot product adds
-left to right with reduce, independently of ``sturmian._dot``.  It imports
-only the package and the standard library, so ``test_identities.py`` also
-runs in the stdlib-floor CI job.
+``sturmian._factor`` and ``sturmian._solve`` factor H - E S once per
+energy and solve each column with that factor, and
+``identities.check_delta_linear`` forms f1 - f2 from (Q, P) without
+building a record.  This module keeps independent forms of both: a
+factor written as one loop over the pivots, which returns a solve for one
+column at a time in three plain sweeps, ``diagonal_elements``,
+``_state_2p`` and ``one_photon_elements`` built on it, and the residual
+taken from ``GaugeAmplitudes.at(x, pair).delta``.  The tests hold the
+package to these bit for bit.  Its dot product adds left to right with
+reduce, independently of ``sturmian._dot``.  It imports only the package
+and the standard library, so ``test_identities.py`` also runs in the
+stdlib-floor CI job.
 """
 
 import math

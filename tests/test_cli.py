@@ -38,6 +38,9 @@ CHECK_ORDER = [
     "delta_linear",
     "one_photon_ratio",
 ]
+# the grid and basis fields of a report's generated_inputs
+INPUT_FIELDS = ("grid_points", "r_max", "r_min", "basis_size", "basis_lambda")
+
 
 def _subprocess_env(env_extra=None):
     env = os.environ.copy()
@@ -54,10 +57,11 @@ def run_cli(*args, env_extra=None):
                           text=True, env=_subprocess_env(env_extra))
 
 
-def heavy_modules_after(code):
-    """The numpy/scipy packages a fresh interpreter holds after running code."""
+def heavy_modules_after(code, packages=("numpy", "scipy")):
+    """The packages, numpy and scipy by default, that a fresh interpreter
+    holds after running code."""
     probe = ("\nimport sys\nprint(sorted({m.partition('.')[0] for m in sys.modules}"
-             " & {'numpy', 'scipy'}), file=sys.stderr)")
+             f" & {set(packages)!r}), file=sys.stderr)")
     proc = subprocess.run([sys.executable, "-c", code + probe], capture_output=True,
                           text=True, env=_subprocess_env())
     assert proc.returncode == 0, proc.stderr
@@ -81,23 +85,6 @@ def readme_compute_examples():
 
 
 class TestCompute:
-    def test_resonance_q_formatting(self):
-        proc = run_cli("compute", "--x", "0.1875", "--quantity", "q")
-        assert proc.returncode == 0
-        assert proc.stdout == "-7.85365542235e+00 dimensionless\n"
-
-    def test_two_color_value(self):
-        proc = run_cli("compute", "--x", "0.35", "--quantity", "two_color_q")
-        assert proc.returncode == 0
-        assert proc.stdout.startswith("-6.26594736335e+01")
-
-    def test_beta_unit_tag(self):
-        proc = run_cli("compute", "--x", "0.1875", "--quantity", "beta")
-        assert proc.returncode == 0
-        value, unit = proc.stdout.split()
-        assert unit == "Hz(W/m^2)^-1"
-        assert math.isclose(float(value), 3.68110645721e-05, rel_tol=1e-11)
-
     def test_delta_value(self):
         proc = run_cli("compute", "--x", "0.25", "--quantity", "delta")
         value = float(proc.stdout.split()[0])
@@ -324,24 +311,27 @@ class TestVerify:
         run_cli("verify", "--out", str(b))
         assert a.read_bytes() == b.read_bytes()
 
-    @pytest.mark.usefixtures("oracle_extra")
-    def test_report_records_the_resolved_grid(self, strict_report, tmp_path):
-        # a strict report builds no grid and records the Sturmian basis; an
-        # oracle report writes defaulted options as the grid they resolved
-        # to, so a report names its grid whatever the defaults of its version
-        # were
-        fields = ("grid_points", "r_max", "r_min", "basis_size", "basis_lambda")
+    def test_strict_report_records_the_sturmian_basis(self, strict_report):
+        # a strict report builds no grid and records the Sturmian basis
         _, out = strict_report("derived")
         doc = json.loads(out.read_text())
-        assert tuple(doc["generated_inputs"][f] for f in fields) == (None, None, None, 30, 1.0)
+        assert tuple(doc["generated_inputs"][f] for f in INPUT_FIELDS) == (
+            None, None, None, 30, 1.0)
         assert [c["source"] for c in doc["checks"]] == [
             "closed_form", "closed_form", "sturmian", "closed_form", "closed_form", "sturmian"]
+
+    @pytest.mark.usefixtures("oracle_extra")
+    def test_report_records_the_resolved_grid(self, tmp_path):
+        # an oracle report writes defaulted options as the grid they resolved
+        # to, so a report names its grid whatever the defaults of its version
+        # were
         override = tmp_path / "override.json"
         proc = run_cli("verify", "--profile", "oracle", "--grid-points", "2000",
                        "--r-max", "100", "--out", str(override))
         assert proc.returncode == 0
         doc = json.loads(override.read_text())
-        assert tuple(doc["generated_inputs"][f] for f in fields) == (2000, 100.0, 1e-4, None, None)
+        assert tuple(doc["generated_inputs"][f] for f in INPUT_FIELDS) == (
+            2000, 100.0, 1e-4, None, None)
         assert [c["source"] for c in doc["checks"]] == [
             "grid", "closed_form", "grid", "closed_form", "closed_form", "grid"]
 
@@ -514,30 +504,54 @@ class TestConstantsFile:
         assert proc.stdout == "4.07835138413e+306 Hz(W/m^2)^-1\n"
 
 
+def closed_form_command(argv, loads_sturmian_and_json, tmp_path):
+    """Code that runs the CLI command argv in-process and asserts whether it
+    loaded the Sturmian basis and json; verify-strict is the negative
+    control of both assertions: its --out writes the JSON report."""
+    if argv[0] != "compute":
+        argv = argv + ["--out", str(tmp_path / "out")]
+    return (f"import sys\nfrom gauge_workbench.cli import main\nassert main({argv!r}) == 0\n"
+            f"assert ('gauge_workbench.sturmian' in sys.modules) is {loads_sturmian_and_json}\n"
+            f"assert ('json' in sys.modules) is {loads_sturmian_and_json}")
+
+
+CLOSED_FORM_COMMANDS = pytest.mark.parametrize("argv,loads_sturmian_and_json", [
+    (["compute", "--x", "0.1875", "--quantity", "beta"], False),
+    (["scan", "--x-min", "0.1", "--x-max", "0.3", "--steps", "5",
+      "--columns", "q,p,beta"], False),
+    (["verify", "--profile", "strict"], True),
+], ids=["compute", "scan", "verify-strict"])
+
+# stdlib modules of 2-3 ms import each; code that needs them imports them
+# where it is used, so the commands above do not pay for them
+LAZY_STDLIB = ("fractions", "decimal")
+
+
 class TestImportCost:
     """compute, scan and strict verify read the closed forms and the
     Sturmian basis only, and must run on the stdlib; compute and scan do
-    not load the Sturmian basis or json either.  A probe that finds no
-    numpy where numpy is not installed shows nothing, so every test here
-    but the one that hides numpy or scipy needs the oracle extra."""
+    not load the Sturmian basis or json either, and none of the three loads
+    fractions or decimal.  A probe that finds no numpy where numpy is not
+    installed shows nothing, so every numpy or scipy probe here but the one
+    that hides numpy or scipy needs the oracle extra."""
 
     @pytest.mark.usefixtures("oracle_extra")
-    @pytest.mark.parametrize("argv,loads_sturmian_and_json", [
-        (["compute", "--x", "0.1875", "--quantity", "beta"], False),
-        (["scan", "--x-min", "0.1", "--x-max", "0.3", "--steps", "5",
-          "--columns", "q,p,beta"], False),
-        (["verify", "--profile", "strict"], True),
-    ], ids=["compute", "scan", "verify-strict"])
+    @CLOSED_FORM_COMMANDS
     def test_closed_form_commands_load_no_numpy_or_scipy(self, tmp_path, argv,
                                                          loads_sturmian_and_json):
-        if argv[0] != "compute":
-            argv = argv + ["--out", str(tmp_path / "out")]
-        # verify-strict is the negative control of both probes: its --out
-        # writes the JSON report
-        code = (f"import sys\nfrom gauge_workbench.cli import main\nassert main({argv!r}) == 0\n"
-                f"assert ('gauge_workbench.sturmian' in sys.modules) is {loads_sturmian_and_json}\n"
-                f"assert ('json' in sys.modules) is {loads_sturmian_and_json}")
+        code = closed_form_command(argv, loads_sturmian_and_json, tmp_path)
         assert heavy_modules_after(code) == "[]"
+
+    @CLOSED_FORM_COMMANDS
+    def test_closed_form_commands_load_no_fractions_or_decimal(self, tmp_path, argv,
+                                                               loads_sturmian_and_json):
+        code = closed_form_command(argv, loads_sturmian_and_json, tmp_path)
+        assert heavy_modules_after(code, LAZY_STDLIB) == "[]"
+
+    def test_fractions_import_is_detected(self):
+        # negative control: fractions imports decimal, and the probe sees both
+        code = "import gauge_workbench.identities\nimport fractions"
+        assert heavy_modules_after(code, LAZY_STDLIB) == "['decimal', 'fractions']"
 
     @pytest.mark.usefixtures("oracle_extra")
     def test_identities_import_loads_no_numpy_or_scipy(self):

@@ -276,8 +276,8 @@ class TestNegativeControls:
 
 
 class TestOneSweep:
-    """One L D L^T sweep for every column gives the bits of one sweep per
-    column (tests/strict_reference.py)."""
+    """One L D L^T factor per energy, solved for each column, gives the
+    bits of one sweep per column (tests/strict_reference.py)."""
 
     def test_diagonal_elements_equal_one_sweep_per_column(self):
         points = strict_reference.SIGNED_X + [s for x in AC_STARK_POINTS for s in (x, -x)]
@@ -291,22 +291,26 @@ class TestOneSweep:
         assert sturmian.one_photon_elements() == strict_reference.one_photon_elements()
 
     def test_one_factor_serves_both_columns(self, monkeypatch):
-        # diagonal_elements factors once and hands both columns to that
-        # factor's one backward pass; inverse iteration solves one column
-        # per step
+        # diagonal_elements factors once and solves both columns with that
+        # factor; inverse iteration factors once and solves once per step
         calls = []
-        real = sturmian._factor
+        real_factor, real_solve = sturmian._factor, sturmian._solve
 
-        def factor(pencil, energy, *columns):
-            calls.append(len(columns))
-            return real(pencil, energy, *columns)
+        def factor(pencil, energy):
+            calls.append("factor")
+            return real_factor(pencil, energy)
+
+        def solve(factor, b):
+            calls.append("solve")
+            return real_solve(factor, b)
 
         monkeypatch.setattr(sturmian, "_factor", factor)
+        monkeypatch.setattr(sturmian, "_solve", solve)
         sturmian.diagonal_elements(0.1)
-        assert calls == [2]
+        assert calls == ["factor", "solve", "solve"]
         calls.clear()
         sturmian.one_photon_elements()
-        assert calls and set(calls) == {1}
+        assert calls == ["factor"] + ["solve"] * 4
 
     def test_dot_adds_left_to_right(self):
         # compensated summation, which sum() of floats uses from Python 3.12

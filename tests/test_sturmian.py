@@ -1,14 +1,14 @@
 """Coulomb-Sturmian resolvent tests: the recurrences against an independent
 quadrature assembly, the resolvent elements against the radial grid, and
-negative controls that the exact Galerkin algebra must fail."""
+negative controls that the exact Galerkin algebra must fail.
+
+The quadrature, eigh and the grid need numpy and scipy, which the tests
+that use them import inside and mark with the oracle_extra fixture; the
+rest are stdlib, so this module also runs in the stdlib-floor CI job."""
 
 import math
 
-import numpy as np
 import pytest
-from numpy.polynomial.laguerre import laggauss
-from scipy.linalg import eigh
-from scipy.special import eval_genlaguerre
 
 from gauge_workbench import identities, sturmian
 from gauge_workbench.errors import ConvergenceError, DomainError
@@ -20,7 +20,6 @@ from gauge_workbench.identities import (
     check_ac_stark,
     check_one_photon,
 )
-from gauge_workbench.oracle import diagonal_elements, one_photon_elements
 
 
 def _quadrature(n, l, times_e_r=None):
@@ -31,6 +30,10 @@ def _quadrature(n, l, times_e_r=None):
     Returns (H, S) dense, or, given times_e_r, the projections <phi_k | g>
     of g(r) = times_e_r(r) e^(-r) (LAMBDA = 1 only).  Every integrand is a
     polynomial times e^-s, so n + 12 nodes integrate it exactly."""
+    import numpy as np
+    from numpy.polynomial.laguerre import laggauss
+    from scipy.special import eval_genlaguerre
+
     lam = sturmian.LAMBDA
     s, weights = laggauss(n + 12)
     alpha = 2 * l + 1
@@ -51,6 +54,8 @@ def _quadrature(n, l, times_e_r=None):
 
 
 def _dense(diag, off):
+    import numpy as np
+
     return np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
 
 
@@ -58,14 +63,18 @@ class TestPencil:
     # Three times the worst entry measured at N = 12, 20 and 30, scaled by
     # sqrt(S_jj S_kk): 6.3e-14 in S and 1.5e-14 in H, the roundoff of the
     # quadrature sums, not of the recurrences (entries are exact at LAMBDA = 1).
+    @pytest.mark.usefixtures("oracle_extra")
     @pytest.mark.parametrize("n", [12, 20, 30])
     def test_entries_match_the_quadrature_assembly(self, n):
+        import numpy as np
+
         h_diag, h_off, s_diag, s_off = sturmian._pencil(1, n)
         h, s = _quadrature(n, 1)
         scale = np.sqrt(np.outer(s_diag, s_diag))
         assert np.max(np.abs(_dense(s_diag, s_off) - s) / scale) <= 1.9e-13
         assert np.max(np.abs(_dense(h_diag, h_off) - h) / scale) <= 4.5e-14
 
+    @pytest.mark.usefixtures("oracle_extra")
     def test_1s_is_the_exact_ground_state(self):
         # S_00 = 1, so the bounds above apply unscaled
         h, s = _quadrature(1, 0)
@@ -73,8 +82,11 @@ class TestPencil:
         assert abs(h[0, 0] + 0.5) <= 4.5e-14
         assert abs(s[0, 0] - 1.0) <= 1.9e-13
 
+    @pytest.mark.usefixtures("oracle_extra")
     def test_driving_terms_match_the_quadrature(self):
         # r u_1S and u_1S' - u_1S/r for u_1S = 2 r e^-r, times e^r
+        import numpy as np
+
         b_len, b_vel = sturmian._driving_terms()
         n = sturmian.BASIS_SIZE
         assert np.allclose(b_len, _quadrature(n, 1, lambda r: 2.0 * r * r),
@@ -82,7 +94,11 @@ class TestPencil:
         assert np.allclose(b_vel, _quadrature(n, 1, lambda r: -2.0 * r),
                            rtol=0.0, atol=1e-12)
 
+    @pytest.mark.usefixtures("oracle_extra")
     def test_2p_is_the_lowest_eigenpair(self):
+        import numpy as np
+        from scipy.linalg import eigh
+
         energy, c = sturmian._state_2p(sturmian._pencil(1, sturmian.BASIS_SIZE))
         h_diag, h_off, s_diag, s_off = sturmian._pencil(1, sturmian.BASIS_SIZE)
         h, s = _dense(h_diag, h_off), _dense(s_diag, s_off)
@@ -117,6 +133,8 @@ class TestIdentities:
             4.666490853672337e-16, -4.2327252813834093e-16, -4.996003610813204e-16, 0.0)
 
     def test_elements_agree_with_the_grid(self, default_grid):
+        from gauge_workbench.oracle import diagonal_elements, one_photon_elements
+
         # The difference is the grid's own error, which scatters from one
         # point count to the next.  Over the default grid's point count +-10
         # (3239 to 3259 from r_min = 1e-4) the worst difference at +-x of
@@ -187,6 +205,7 @@ class TestIdentities:
         assert not check.passed
         assert min(abs(r) for r in check.residuals) > 1e3 * TOL_CLOSED
 
+    @pytest.mark.usefixtures("oracle_extra")
     def test_flipped_u_over_r_fails_both_checks(self, monkeypatch):
         # negative control: u_1S' + u_1S/r in place of u_1S' - u_1S/r,
         # projected by quadrature: (1, 4, 4, ...)
@@ -207,10 +226,10 @@ class TestInputs:
     def test_negative_x_reads_e_1s_minus_x(self):
         # a signed read: -0.1 is the E_1S - 0.1 term, not a window error
         b_len, b_vel = sturmian._driving_terms()
-        c_len, c_vel = sturmian._factor(sturmian._pencil(1, sturmian.BASIS_SIZE), -0.5 - 0.1,
-                                        b_len, b_vel)
+        factor = sturmian._factor(sturmian._pencil(1, sturmian.BASIS_SIZE), -0.5 - 0.1)
         assert sturmian.diagonal_elements(-0.1) == (
-            sturmian._dot(b_len, c_len), sturmian._dot(b_vel, c_vel))
+            sturmian._dot(b_len, sturmian._solve(factor, b_len)),
+            sturmian._dot(b_vel, sturmian._solve(factor, b_vel)))
 
     def test_close_to_the_2p_pole_is_computed(self, monkeypatch):
         x = 0.3749999
