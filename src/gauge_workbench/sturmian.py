@@ -18,8 +18,9 @@ E_1S and <1S|1S> are its own H and S entries, and both gauges' driving
 terms are exact and sparse: r u_1S = phi_0 / 2 gives b_L = S e_0 / 2 =
 (6, -6, 0, ...), and u_1S' - u_1S/r = -2 r e^-r gives b_V = (-3, 0, ...).
 The 2P state is the lowest eigenpair of the l = 1 pencil, by inverse
-iteration.  The pencil depends on (l, n) alone, so _pencil is cached for
-the process; its entries are tuples, so no caller can change a cached one.
+iteration.  The pencil depends on (l, n) alone and 2P on the pencil, so
+_pencil and _state_2p are cached for the process, and each report after
+the first reads both; their entries are tuples, which no caller can change.
 
 Both gauge identities therefore hold exactly in the Galerkin algebra:
 since r u_1S lies in the basis, (H - E_1S S) e_0 / 2 = -b_V entry by
@@ -147,7 +148,8 @@ def _driving_terms() -> tuple[list[float], list[float]]:
     return [6.0, -6.0] + pad, [-3.0, 0.0] + pad
 
 
-def _state_2p(pencil: Pencil) -> tuple[float, list[float]]:
+@functools.lru_cache(maxsize=None)
+def _state_2p(pencil: Pencil) -> tuple[float, tuple[float, ...]]:
     """Lowest eigenpair (E_2P, c) of the l = 1 pencil H c = E S c, c
     normalized in S."""
     h_diag, h_off, s_diag, s_off = pencil
@@ -160,7 +162,7 @@ def _state_2p(pencil: Pencil) -> tuple[float, list[float]]:
         change = max(abs(a - b) for a, b in zip(v, c))
         c = v
         if change <= _CONVERGED:
-            return _dot(c, _product(h_diag, h_off, c)), c
+            return _dot(c, _product(h_diag, h_off, c)), tuple(c)
     raise ConvergenceError(f"2P inverse iteration stalled at vector change {change:.2e}")
 
 

@@ -287,12 +287,15 @@ class TestOneSweep:
 
     def test_one_photon_elements_equal_one_sweep_per_column(self):
         pencil = sturmian._pencil(1, sturmian.BASIS_SIZE)
-        assert sturmian._state_2p(pencil) == strict_reference.state_2p(pencil)
+        (energy, c), (reference_energy, reference_c) = \
+            sturmian._state_2p(pencil), strict_reference.state_2p(pencil)
+        assert energy == reference_energy and c == tuple(reference_c)
         assert sturmian.one_photon_elements() == strict_reference.one_photon_elements()
 
     def test_one_factor_serves_both_columns(self, monkeypatch):
         # diagonal_elements factors once and solves both columns with that
-        # factor; inverse iteration factors once and solves once per step
+        # factor; inverse iteration factors once and solves once per step,
+        # on a cold cache, and a warm one reads the cached 2P pair
         calls = []
         real_factor, real_solve = sturmian._factor, sturmian._solve
 
@@ -309,8 +312,12 @@ class TestOneSweep:
         sturmian.diagonal_elements(0.1)
         assert calls == ["factor", "solve", "solve"]
         calls.clear()
+        sturmian._state_2p.cache_clear()
         sturmian.one_photon_elements()
         assert calls == ["factor"] + ["solve"] * 4
+        calls.clear()
+        sturmian.one_photon_elements()
+        assert calls == []
 
     def test_dot_adds_left_to_right(self):
         # compensated summation, which sum() of floats uses from Python 3.12

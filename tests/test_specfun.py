@@ -1,13 +1,16 @@
 """Series tests: the fixed-length Lerch sum, its term counts, and the 2F1
-reductions built on it."""
+reductions built on it.
+
+The comparisons with scipy's hyp2f1 and the numpy sweep import numpy and
+scipy inside and are marked with the oracle_extra fixture; the rest need
+only the stdlib, mpmath and hypothesis, so this module also runs in the
+stdlib-floor CI job."""
 
 import math
 
 import derived_reference
 import mpmath
-import numpy as np
 import pytest
-import scipy.special as sp
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -91,8 +94,11 @@ class TestShiftTable:
 
 
 class TestTailLength:
+    @pytest.mark.usefixtures("oracle_extra")
     def test_tail_argument_stays_small(self):
         # TAIL_TERMS is justified by |Z| <= 0.0295 over the whole window
+        import numpy as np
+
         t = np.linspace(0.5, 1.0, 100_001)
         z = (1.0 - t) * (1.0 - 2.0 * t) / ((1.0 + t) * (1.0 + 2.0 * t))
         assert np.max(np.abs(z)) < 0.0295
@@ -117,19 +123,25 @@ class TestTailLength:
 
 
 class TestHyp2F1Special:
+    @pytest.mark.usefixtures("oracle_extra")
     @pytest.mark.parametrize("b", [0.6, 1.1, 1.5, 1.9])
     @pytest.mark.parametrize("z", [-0.5, -0.03, 0.02, 0.5])
     def test_matches_scipy(self, b, z):
         # the Lerch reduction 2F1(1,-b;1-b;z) = 1 - b z Phi(z, 1, 1-b)
+        import scipy.special as sp
+
         mine = 1.0 - b * z * lerch_sum(z, 1.0 - b, MANY)
         ref = sp.hyp2f1(1.0, -b, 1.0 - b, z)
         assert math.isclose(mine, ref, rel_tol=1e-12)
 
+    @pytest.mark.usefixtures("oracle_extra")
     @settings(deadline=None, max_examples=200)
     @given(t=st.floats(0.5, 1.0, exclude_min=True, exclude_max=True))
     def test_lerch_reduction_identity(self, t):
         # the alternates evaluate 2F1(1,-t;1-t;z) through the same reduction
         # with ALT_TERMS terms, at their argument z = (1-t)(2-t)/((1+t)(2+t))
+        import scipy.special as sp
+
         assume(abs(t - 1.0) >= 1e-12)
         z = (1.0 - t) * (2.0 - t) / ((1.0 + t) * (2.0 + t))
         assert math.isclose(_alt_hyp(t), sp.hyp2f1(1.0, -t, 1.0 - t, z), rel_tol=1e-15)
@@ -146,8 +158,11 @@ class TestHyp2F1Special:
             with pytest.raises(PoleError):
                 SOURCES[variant](1e-13)
 
+    @pytest.mark.usefixtures("oracle_extra")
     def test_tail_plus_head_reassembles_full_value(self):
         # folding the k <= 1 head out of 2F1(1,-b;1-b;z) leaves -b z^2 Phi(z, 1, 2-b)
+        import scipy.special as sp
+
         b, z = 1.25, 0.4
         full = sp.hyp2f1(1.0, -b, 1.0 - b, z)
         head = 1.0 + (-b * z / (1.0 - b))

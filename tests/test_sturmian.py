@@ -74,11 +74,14 @@ class TestPencil:
         assert np.max(np.abs(_dense(s_diag, s_off) - s) / scale) <= 1.9e-13
         assert np.max(np.abs(_dense(h_diag, h_off) - h) / scale) <= 4.5e-14
 
+    def test_1s_entries_are_exact(self):
+        # the H and S entries of 2 r e^-r at LAMBDA = 1, on the stdlib alone
+        assert (sturmian._E_1S, sturmian.NORM_1S) == (-0.5, 1.0)
+
     @pytest.mark.usefixtures("oracle_extra")
     def test_1s_is_the_exact_ground_state(self):
         # S_00 = 1, so the bounds above apply unscaled
         h, s = _quadrature(1, 0)
-        assert (sturmian._E_1S, sturmian.NORM_1S) == (-0.5, 1.0)
         assert abs(h[0, 0] + 0.5) <= 4.5e-14
         assert abs(s[0, 0] - 1.0) <= 1.9e-13
 
@@ -115,9 +118,16 @@ class TestPencil:
             sturmian._factor(sturmian._pencil(1, sturmian.BASIS_SIZE), -0.1)
 
     def test_stalled_inverse_iteration_is_a_convergence_error(self, monkeypatch):
+        # on a cold cache, so that the iteration runs; a stall is not cached,
+        # so the next call runs it and stalls again
         monkeypatch.setattr(sturmian, "_MAX_STEPS", 2)
-        with pytest.raises(ConvergenceError, match="stalled"):
-            sturmian._state_2p(sturmian._pencil(1, sturmian.BASIS_SIZE))
+        sturmian._state_2p.cache_clear()
+        pencil = sturmian._pencil(1, sturmian.BASIS_SIZE)
+        for _ in range(2):
+            with pytest.raises(ConvergenceError, match="stalled"):
+                sturmian._state_2p(pencil)
+        info = sturmian._state_2p.cache_info()
+        assert (info.misses, info.currsize) == (2, 0)
 
 
 class TestIdentities:
@@ -153,26 +163,22 @@ class TestIdentities:
         assert abs((m_vel / m_len) / (grid_vel / grid_len) - 1.0) <= 1.7e-10
         assert abs(gap / grid_gap - 1.0) <= 1.6e-10
 
-    def test_strict_report_builds_one_pencil_and_one_2p_state(self, monkeypatch):
-        # the pencils are cached for the process, and the 1S inputs are read
-        # at import, so two reports build the l = 1 pencil once; every report
-        # solves 2P once
+    def test_strict_report_builds_one_pencil_and_one_2p_state(self):
+        # the pencils and the 2P pair are cached for the process, and the 1S
+        # inputs are read at import, so two reports build the l = 1 pencil
+        # once and solve 2P once
         sturmian._pencil.cache_clear()
-        solves = []
-        real_2p = sturmian._state_2p
-
-        def state_2p(pencil):
-            solves.append(pencil)
-            return real_2p(pencil)
-
-        monkeypatch.setattr(sturmian, "_state_2p", state_2p)
+        sturmian._state_2p.cache_clear()
         first = build_report("strict")
         second = build_report("strict")
         info = sturmian._pencil.cache_info()
         assert (info.misses, info.currsize) == (1, 1)
-        assert len(solves) == 2 and solves[0] is solves[1]
+        info = sturmian._state_2p.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
         # a cached entry cannot be changed in place
-        assert all(isinstance(part, tuple) for part in sturmian._pencil(1, sturmian.BASIS_SIZE))
+        pencil = sturmian._pencil(1, sturmian.BASIS_SIZE)
+        assert all(isinstance(part, tuple) for part in pencil)
+        assert isinstance(sturmian._state_2p(pencil)[1], tuple)
         assert first == second
         assert first.checks[2].residuals == check_ac_stark(BASIS).residuals
         assert first.checks[5].residuals == check_one_photon(BASIS).residuals
