@@ -61,7 +61,11 @@ def _fmt(value: float) -> str:
 def _atomic_write(path: str, text: str) -> None:
     """Write text via a temp file in the target directory, then rename."""
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".gw-", suffix=".tmp")
+    try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".gw-", suffix=".tmp")
+    except OSError as exc:
+        # name the path the user asked for, not the random temp name
+        raise OSError(exc.errno, exc.strerror, path) from exc
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)

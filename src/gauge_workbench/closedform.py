@@ -328,24 +328,6 @@ class GaugeAmplitudes:
     f2: float
     delta: float
 
-    @classmethod
-    def at(cls, x: float, source: AmplitudeSource) -> GaugeAmplitudes:
-        """Evaluate source once at x and package the gauge comparison."""
-        q, p = source(x)
-        f2 = (X_MAX - x) * (-x) * q
-        # The generated frozen __init__ sets each field through
-        # object.__setattr__; filling the instance dict directly builds the
-        # same object (equal, same hash and repr) at a fraction of the cost.
-        pair = object.__new__(cls)
-        fields = pair.__dict__
-        fields["x"] = x
-        fields["q"] = q
-        fields["p"] = p
-        fields["f1"] = p
-        fields["f2"] = f2
-        fields["delta"] = p - f2
-        return pair
-
 
 def gauge_pair(x: float) -> GaugeAmplitudes:
     """Evaluate Q and P once, sharing one tail sum, and package the gauge
@@ -353,7 +335,22 @@ def gauge_pair(x: float) -> GaugeAmplitudes:
 
     f1 and f2 agree only at x = 3/16; their difference is exactly linear,
     delta = DELTA_SLOPE * (x - 3/16)."""
-    return GaugeAmplitudes.at(x, derived_pair)
+    if not 0.0 < x < X_MAX:
+        require_window(x)
+    q, p = _pair(math.sqrt(1.0 - 2.0 * x))
+    f2 = (X_MAX - x) * (-x) * q
+    # The generated frozen __init__ sets each field through
+    # object.__setattr__; filling the instance dict directly builds the
+    # same object (equal, same hash and repr) at a fraction of the cost.
+    pair = object.__new__(GaugeAmplitudes)
+    fields = pair.__dict__
+    fields["x"] = x
+    fields["q"] = q
+    fields["p"] = p
+    fields["f1"] = p
+    fields["f2"] = f2
+    fields["delta"] = p - f2
+    return pair
 
 
 def _partner(x1: float) -> float:

@@ -1,6 +1,6 @@
 """Two kernels of the strict report in their plain forms: the Sturmian
-solve with one sweep per column, and the delta_linear residual read
-through a GaugeAmplitudes record.
+solve with one sweep per column, and the delta_linear residual formed
+as the gauge_pair record forms its f2 and delta.
 
 ``sturmian._factor`` and ``sturmian._solve`` factor H - E S once per
 energy and solve each column with that factor, and
@@ -9,7 +9,7 @@ building a record.  This module keeps independent forms of both: a
 factor written as one loop over the pivots, which returns a solve for one
 column at a time in three plain sweeps, ``diagonal_elements``,
 ``_state_2p`` and ``one_photon_elements`` built on it, and the residual
-taken from ``GaugeAmplitudes.at(x, pair).delta``.  The tests hold the
+formed from (Q, P) in the operations of ``gauge_pair``.  The tests hold the
 package to these bit for bit.  Its dot product adds left to right with
 reduce, independently of ``sturmian._dot``.  It imports only the package
 and the standard library, so ``test_identities.py`` also runs in the
@@ -21,7 +21,7 @@ import operator
 from functools import reduce
 
 from gauge_workbench import sturmian
-from gauge_workbench.closedform import DELTA_SLOPE, X_RESONANCE, GaugeAmplitudes
+from gauge_workbench.closedform import DELTA_SLOPE, X_MAX, X_RESONANCE
 from gauge_workbench.errors import ConvergenceError
 from gauge_workbench.identities import DELTA_GRID
 
@@ -90,6 +90,11 @@ def one_photon_elements():
 
 
 def delta_residuals(pair):
-    """The delta_linear residuals of pair, x -> (Q, P), over DELTA_GRID."""
-    return tuple(GaugeAmplitudes.at(x, pair).delta - DELTA_SLOPE * (x - X_RESONANCE)
-                 for x in DELTA_GRID)
+    """The delta_linear residuals of pair, x -> (Q, P), over DELTA_GRID:
+    f2 = (3/8 - x)(-x) Q and f1 - f2 = P - f2, as gauge_pair forms them."""
+    residuals = []
+    for x in DELTA_GRID:
+        q, p = pair(x)
+        f2 = (X_MAX - x) * (-x) * q
+        residuals.append((p - f2) - DELTA_SLOPE * (x - X_RESONANCE))
+    return tuple(residuals)

@@ -75,6 +75,13 @@ def assert_input_error(proc):
     assert "Traceback" not in proc.stderr
 
 
+def assert_names_requested_path(proc, path):
+    """The one error line names the --out path, not the temp file beside it."""
+    assert proc.stderr.startswith("error:")
+    assert path in proc.stderr
+    assert ".gw-" not in proc.stderr
+
+
 def readme_compute_examples():
     """(argv, stdout) of each ``$ gauge-workbench compute`` line of README.md,
     with the line under it as its output."""
@@ -236,6 +243,7 @@ class TestScan:
         proc = run_cli("scan", "--x-min", "0.1", "--x-max", "0.2",
                        "--steps", "3", "--out", "/nonexistent-dir/out.csv")
         assert proc.returncode == 3
+        assert_names_requested_path(proc, "/nonexistent-dir/out.csv")
 
 
 @pytest.fixture(scope="module")
@@ -298,6 +306,11 @@ class TestVerify:
         else:
             assert proc.stdout.endswith("overall: FAIL\n")
             assert json.loads(out.read_text())["formula_variant"] == "alt-a"
+
+    def test_unwritable_path_exits_3(self):
+        proc = run_cli("verify", "--out", "/nonexistent-dir/report.json")
+        assert proc.returncode == 3
+        assert_names_requested_path(proc, "/nonexistent-dir/report.json")
 
     @pytest.mark.usefixtures("oracle_extra")
     def test_oracle_profile_passes(self):

@@ -9,11 +9,12 @@ import strict_reference
 from strict_golden import EXPECTED_STRICT_DIGEST, strict_digest
 
 from gauge_workbench import sturmian
-from gauge_workbench.closedform import SOURCES, gauge_pair
+from gauge_workbench.closedform import DELTA_SLOPE, SOURCES, X_RESONANCE, gauge_pair
 from gauge_workbench.errors import DomainError
 from gauge_workbench.identities import (
     AC_STARK_POINTS,
     BASIS,
+    DELTA_GRID,
     TOL_ORACLE,
     ConstantComparison,
     IdentityCheck,
@@ -112,9 +113,13 @@ class TestIndividualChecks:
 
     @pytest.mark.parametrize("variant", sorted(SOURCES))
     def test_delta_linear_equals_the_gauge_amplitudes_residual(self, variant):
-        # bit for bit the residual read through GaugeAmplitudes.at
+        # bit for bit f1 - f2 formed from (Q, P) as gauge_pair forms it, and
+        # for the derived source the residual read through gauge_pair itself
         check = check_delta_linear(closed_form_source(variant))
         assert check.residuals == strict_reference.delta_residuals(SOURCES[variant])
+        if variant == "derived":
+            assert check.residuals == tuple(
+                gauge_pair(x).delta - DELTA_SLOPE * (x - X_RESONANCE) for x in DELTA_GRID)
 
     def test_grid_atom_as_the_source_of_three_claims(self, default_grid):
         # independent numerical evidence for the resonance lock, the
