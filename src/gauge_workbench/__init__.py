@@ -19,7 +19,6 @@ from .errors import (
 )
 from .rabi import (
     PhysicalConstants,
-    RabiInput,
     beta,
     beta_slope,
     load_constants,
@@ -35,7 +34,6 @@ __all__ = [
     "NearResonanceError",
     "PhysicalConstants",
     "PoleError",
-    "RabiInput",
     "X_MAX",
     "X_RESONANCE",
     "beta",

@@ -23,7 +23,6 @@ import argparse
 import contextlib
 import os
 import sys
-import tempfile
 from typing import TYPE_CHECKING
 
 from .closedform import SOURCES, X_MAX, gauge_pair, two_color_q
@@ -59,16 +58,30 @@ def _fmt(value: float) -> str:
 
 
 def _atomic_write(path: str, text: str) -> None:
-    """Write text via a temp file in the target directory, then rename."""
-    directory = os.path.dirname(os.path.abspath(path))
+    """Write text via a temp file in the target directory, then rename.
+
+    The file gets the mode ``open(path, "w")`` would give it: a file that
+    exists keeps its mode, and a new one gets 0o666 less the umask, which
+    the kernel applies as it creates the temp file."""
     try:
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".gw-", suffix=".tmp")
+        mode = os.stat(path).st_mode & 0o7777
+    except OSError:
+        mode = None
+    tmp = os.path.join(os.path.dirname(os.path.abspath(path)),
+                       f".gw-{os.urandom(8).hex()}.tmp")
+    try:
+        # O_EXCL: a taken name is an error, never a file overwritten;
+        # O_BINARY (Windows only) keeps the newlines as written
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0),
+                     0o666)
     except OSError as exc:
         # name the path the user asked for, not the random temp name
         raise OSError(exc.errno, exc.strerror, path) from exc
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
+        if mode is not None:
+            os.chmod(tmp, mode)
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(OSError):

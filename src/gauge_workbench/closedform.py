@@ -309,13 +309,6 @@ SOURCES: dict[str, AmplitudeSource] = {
 }
 
 
-def source_named(name: str) -> AmplitudeSource:
-    """The registered source for a name; DomainError for any other name."""
-    if name not in SOURCES:
-        raise DomainError(f"unknown formula variant {name!r}; choose from {tuple(SOURCES)}")
-    return SOURCES[name]
-
-
 @dataclass(frozen=True)
 class GaugeAmplitudes:
     """Both gauge amplitudes at a single photon energy, plus the comparison

@@ -54,10 +54,10 @@ from typing import TYPE_CHECKING
 from . import sturmian
 from .closedform import (
     DELTA_SLOPE,
+    SOURCES,
     X_MAX,
     X_RESONANCE,
     AmplitudeSource,
-    source_named,
     two_color_combination,
 )
 from .errors import DomainError
@@ -97,7 +97,9 @@ class Source:
 def closed_form_source(variant: str = "derived") -> Source:
     """The closed-form amplitudes ``closedform.SOURCES[variant]`` with the
     exact <2S| r^2 |1S>; DomainError for an unknown variant."""
-    return Source("closed_form", TOL_CLOSED, pair=source_named(variant), r2=R2_OVERLAP_EXACT)
+    if variant not in SOURCES:
+        raise DomainError(f"unknown formula variant {variant!r}; choose from {tuple(SOURCES)}")
+    return Source("closed_form", TOL_CLOSED, pair=SOURCES[variant], r2=R2_OVERLAP_EXACT)
 
 
 BASIS = Source("sturmian", TOL_CLOSED, diagonal=sturmian.diagonal_elements,

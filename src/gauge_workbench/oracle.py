@@ -243,7 +243,6 @@ class RadialGrid:
 class BoundState:
     """One radial eigenstate: u(r) = r R(r) sampled on the grid."""
 
-    label: tuple[int, int]
     energy: float
     radial_values: np.ndarray
 
@@ -503,7 +502,7 @@ def _solve_on_state(state: OracleState, n: int, l: int) -> BoundState:
     nodes = _count_nodes(u)
     if nodes != n - l - 1:
         raise ConvergenceError(f"state {what} shows {nodes} nodes, expected {n - l - 1}")
-    return BoundState(label=(n, l), energy=energy, radial_values=u)
+    return BoundState(energy=energy, radial_values=u)
 
 
 @functools.lru_cache(maxsize=8)

@@ -114,18 +114,6 @@ def load_constants(path: str | None = None) -> PhysicalConstants:
     return PhysicalConstants.from_file(path)
 
 
-@dataclass(frozen=True)
-class RabiInput:
-    """A photon energy fraction together with a laser intensity in W/m^2."""
-
-    x: float
-    intensity: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.intensity < math.inf:
-            raise DomainError(f"intensity must be nonnegative and finite, got {self.intensity}")
-
-
 def require_finite(value: float, x: float, name: str) -> float:
     """The rule for every SI output: a beta or Rabi frequency that is not
     finite is a DomainError naming x.  Q is finite on the window, but a
@@ -147,11 +135,16 @@ def beta(x: float, k: PhysicalConstants = DEFAULT_CONSTANTS) -> float:
     return value
 
 
-def rabi_frequency(inp: RabiInput, k: PhysicalConstants = DEFAULT_CONSTANTS) -> float:
-    """Angular Rabi frequency 2 (2 pi beta) I_L in rad/s; linear in intensity,
-    and a DomainError when it is not finite."""
-    return require_finite(2.0 * (2.0 * math.pi * beta(inp.x, k)) * inp.intensity,
-                          inp.x, "Rabi frequency")
+def rabi_frequency(x: float, intensity: float,
+                   k: PhysicalConstants = DEFAULT_CONSTANTS) -> float:
+    """Angular Rabi frequency 2 (2 pi beta) I_L in rad/s at an intensity I_L
+    in W/m^2; linear in intensity.  A DomainError for an intensity that is
+    negative or not finite, checked before x, and when the result is not
+    finite."""
+    if not 0.0 <= intensity < math.inf:
+        raise DomainError(f"intensity must be nonnegative and finite, got {intensity}")
+    return require_finite(2.0 * (2.0 * math.pi * beta(x, k)) * intensity,
+                          x, "Rabi frequency")
 
 
 def beta_slope(k: PhysicalConstants = DEFAULT_CONSTANTS) -> float:

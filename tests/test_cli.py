@@ -7,6 +7,7 @@ boundary, so everything here shells out to the installed module.
 import json
 import math
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -52,9 +53,9 @@ def _subprocess_env(env_extra=None):
     return env
 
 
-def run_cli(*args, env_extra=None):
+def run_cli(*args, env_extra=None, umask=-1):
     return subprocess.run(CLI + list(args), capture_output=True,
-                          text=True, env=_subprocess_env(env_extra))
+                          text=True, env=_subprocess_env(env_extra), umask=umask)
 
 
 def heavy_modules_after(code, packages=("numpy", "scipy")):
@@ -82,6 +83,27 @@ def assert_names_requested_path(proc, path):
     assert ".gw-" not in proc.stderr
 
 
+# the umask of the runs that check an --out file's mode: a new file gets
+# 0o664, which is neither a temp file's 0o600 nor the usual 0o644
+OUT_UMASK = 0o002
+SMALL_SCAN = ("scan", "--x-min", "0.1", "--x-max", "0.3", "--steps", "5")
+
+
+def mode_after_run(argv, out):
+    """The permission bits of out after a successful run of argv --out out
+    under OUT_UMASK; the run leaves out alone in its directory."""
+    proc = run_cli(*argv, "--out", str(out), umask=OUT_UMASK)
+    assert proc.returncode == 0, proc.stderr
+    assert os.listdir(out.parent) == [out.name]
+    return out.stat().st_mode & 0o7777
+
+
+def existing_file(path, mode):
+    path.write_text("old\n")
+    path.chmod(mode)
+    return path
+
+
 def readme_compute_examples():
     """(argv, stdout) of each ``$ gauge-workbench compute`` line of README.md,
     with the line under it as its output."""
@@ -89,6 +111,12 @@ def readme_compute_examples():
     return [(shlex.split(command)[2:], output + "\n")
             for command, output in zip(lines, lines[1:])
             if command.startswith("$ gauge-workbench compute ")]
+
+
+def readme_python_blocks():
+    """The body of each ```python block of README.md, in order."""
+    return re.findall(r"^```python\n(.*?)^```$", README.read_text(encoding="utf-8"),
+                      re.DOTALL | re.MULTILINE)
 
 
 class TestCompute:
@@ -104,6 +132,16 @@ class TestCompute:
         runs = [(argv, run_cli(*argv)) for argv, _ in examples]
         assert [(argv, proc.returncode, proc.stdout) for argv, proc in runs] == [
             (argv, 0, stdout) for argv, stdout in examples]
+
+    @pytest.mark.usefixtures("oracle_extra")
+    def test_readme_library_blocks_run(self):
+        # in one fresh interpreter and one namespace, as a reader pastes them:
+        # a later block reads the names an earlier one imported
+        blocks = readme_python_blocks()
+        assert len(blocks) == 2
+        proc = subprocess.run([sys.executable, "-c", "\n".join(blocks)], capture_output=True,
+                              text=True, env=_subprocess_env())
+        assert proc.returncode == 0, proc.stderr
 
     @pytest.mark.parametrize("quantity,x", sorted(COMPUTE_LINES))
     def test_gauge_comparison_lines_are_golden(self, quantity, x):
@@ -245,6 +283,17 @@ class TestScan:
         assert proc.returncode == 3
         assert_names_requested_path(proc, "/nonexistent-dir/out.csv")
 
+    def test_new_out_file_gets_the_mode_open_gives(self, tmp_path):
+        # 0o666 less the umask, as open(path, "w") creates it
+        out = tmp_path / "scan.csv"
+        assert mode_after_run(SMALL_SCAN, out) == 0o666 & ~OUT_UMASK
+        assert out.read_text().startswith("x,f1,f2,delta\n")
+
+    def test_existing_out_file_keeps_its_mode(self, tmp_path):
+        out = existing_file(tmp_path / "scan.csv", 0o640)
+        assert mode_after_run(SMALL_SCAN, out) == 0o640
+        assert out.read_text().startswith("x,f1,f2,delta\n")
+
 
 @pytest.fixture(scope="module")
 def strict_report(tmp_path_factory):
@@ -311,6 +360,16 @@ class TestVerify:
         proc = run_cli("verify", "--out", "/nonexistent-dir/report.json")
         assert proc.returncode == 3
         assert_names_requested_path(proc, "/nonexistent-dir/report.json")
+
+    def test_new_out_file_gets_the_mode_open_gives(self, tmp_path):
+        out = tmp_path / "report.json"
+        assert mode_after_run(["verify"], out) == 0o666 & ~OUT_UMASK
+        assert json.loads(out.read_text())["overall_pass"] is True
+
+    def test_existing_out_file_keeps_its_mode(self, tmp_path):
+        out = existing_file(tmp_path / "report.json", 0o640)
+        assert mode_after_run(["verify"], out) == 0o640
+        assert json.loads(out.read_text())["overall_pass"] is True
 
     @pytest.mark.usefixtures("oracle_extra")
     def test_oracle_profile_passes(self):

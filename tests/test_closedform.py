@@ -25,7 +25,6 @@ from gauge_workbench.closedform import (
     p_velocity,
     q_length,
     q_slope,
-    source_named,
     two_color_combination,
     two_color_q,
 )
@@ -139,10 +138,6 @@ class TestWindow:
                          two_color_q, rabi.beta):
             with pytest.raises(DomainError, match="outside"):
                 evaluate(x)
-
-    def test_unknown_variant_rejected(self):
-        with pytest.raises(DomainError, match="unknown formula variant"):
-            source_named("no-such-thing")
 
     def test_divergence_toward_upper_edge(self):
         # Q has a simple pole at the n = 2 crossing; P stays bounded
@@ -285,7 +280,6 @@ class TestVariants:
     def test_variant_registry(self):
         assert tuple(SOURCES) == ("derived", "alt-a", "alt-b")
         assert SOURCES["derived"] is derived_pair
-        assert all(source_named(name) is SOURCES[name] for name in SOURCES)
 
     @pytest.mark.parametrize("x", [1e-8, 0.01, 0.1875, 0.35, 0.374999])
     def test_derived_source_matches_the_scalar_evaluators(self, x):

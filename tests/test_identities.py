@@ -280,6 +280,16 @@ class TestNegativeControls:
         assert abs(gauge_pair(0.25).delta) > 1e-2
 
 
+class TestClosedFormSource:
+    def test_each_variant_reads_its_registered_source(self):
+        assert all(closed_form_source(name).pair is SOURCES[name] for name in SOURCES)
+
+    def test_unknown_variant_rejected(self):
+        with pytest.raises(DomainError, match=r"unknown formula variant 'no-such-thing'; "
+                                              r"choose from \('derived', 'alt-a', 'alt-b'\)"):
+            closed_form_source("no-such-thing")
+
+
 class TestOneSweep:
     """One L D L^T factor per energy, solved for each column, gives the
     bits of one sweep per column (tests/strict_reference.py)."""

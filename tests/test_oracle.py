@@ -121,10 +121,14 @@ class TestRadialGrid:
         assert grid.refined().n_points == 6498
 
 
+def _states_by_label(state):
+    """The oracle's bound states keyed by (n, l): 1S, 2S and 2P."""
+    return {(1, 0): state.s1, (2, 0): state.s2, (2, 1): state.s2p}
+
+
 def _bound_state(grid, n, l):
     """The (n, l) state of the grid's oracle: 1S, 2S or 2P."""
-    state = build_oracle(grid)
-    return {(1, 0): state.s1, (2, 0): state.s2, (2, 1): state.s2p}[n, l]
+    return _states_by_label(build_oracle(grid))[n, l]
 
 
 class TestBoundStates:
@@ -135,7 +139,6 @@ class TestBoundStates:
         w = state.sqrt_r * bound.radial_values
         assert abs(bound.energy + 0.5 / (n * n)) < 1e-8
         assert abs(state.integrate(w, w) - 1.0) < 1e-10
-        assert bound.label == (n, l)
 
     def test_sign_convention_is_positive_near_origin(self, default_grid):
         for n, l in [(1, 0), (2, 0), (2, 1)]:
@@ -527,8 +530,7 @@ class TestInverseIteration:
         state = OracleState(RadialGrid(200000, r_max=80.0, r_min=1e-3))
         assert lapack_calls["dpbtrf"] == 2 and lapack_calls["dgbtrf"] == 1
         assert lapack_calls["dpbtrs"] <= 6 and lapack_calls["dgbtrs"] <= 3
-        for bound in (state.s1, state.s2, state.s2p):
-            n, _ = bound.label
+        for (n, _), bound in _states_by_label(state).items():
             assert abs(bound.energy + 0.5 / (n * n)) < 1e-6
 
     def test_r_min_cap_matches_rayleigh_iteration(self, lapack_calls):
@@ -537,8 +539,7 @@ class TestInverseIteration:
         # the states and energies of the iteration that factors at every step
         state = OracleState(RadialGrid(6000, r_min=1e-2))
         assert lapack_calls["dgbtrf"] == 1 and lapack_calls["dpbtrf"] == 2
-        for bound in (state.s1, state.s2, state.s2p):
-            n, l = bound.label
+        for (n, l), bound in _states_by_label(state).items():
             u = bound.radial_values
             live = u[np.abs(u) > 1e-7 * np.max(np.abs(u))]
             assert int(np.sum(live[1:] * live[:-1] < 0.0)) == n - l - 1
@@ -551,8 +552,8 @@ class TestInverseIteration:
         # the band layouts, shifted per factorization, and the reused K v
         # change no bit of any state
         state = build_oracle(grid)
-        for bound in (state.s1, state.s2, state.s2p):
-            energy, u = _inverse_iteration_reference(state, *bound.label)
+        for (n, l), bound in _states_by_label(state).items():
+            energy, u = _inverse_iteration_reference(state, n, l)
             assert bound.energy == energy
             assert np.array_equal(bound.radial_values, u)
 

@@ -12,7 +12,6 @@ from gauge_workbench.rabi import (
     DEFAULT_CONSTANTS,
     ENV_CONSTANTS,
     PhysicalConstants,
-    RabiInput,
     beta,
     beta_slope,
     load_constants,
@@ -86,31 +85,36 @@ class TestPrefactorPerRecord:
 class TestRabiFrequency:
     def test_reference_intensity(self):
         # at 1e4 W/m^2 the resonant angular rate is a desk-checkable number
-        omega = rabi_frequency(RabiInput(X_RESONANCE, 1e4))
+        omega = rabi_frequency(X_RESONANCE, 1e4)
         assert math.isclose(omega, 4.625814801221556, rel_tol=1e-10)
 
     def test_linear_in_intensity(self):
-        base = rabi_frequency(RabiInput(0.1875, 250.0))
-        assert math.isclose(rabi_frequency(RabiInput(0.1875, 500.0)),
-                            2.0 * base, rel_tol=1e-14)
+        base = rabi_frequency(0.1875, 250.0)
+        assert math.isclose(rabi_frequency(0.1875, 500.0), 2.0 * base, rel_tol=1e-14)
 
     def test_zero_intensity_is_allowed(self):
-        assert rabi_frequency(RabiInput(0.1875, 0.0)) == 0.0
+        assert rabi_frequency(0.1875, 0.0) == 0.0
 
     def test_negative_intensity_rejected(self):
-        with pytest.raises(DomainError):
-            RabiInput(0.1875, -1.0)
+        with pytest.raises(DomainError, match="nonnegative and finite, got -1.0"):
+            rabi_frequency(0.1875, -1.0)
 
     @pytest.mark.parametrize("intensity", [math.nan, math.inf])
     def test_non_finite_intensity_rejected(self, intensity):
         with pytest.raises(DomainError, match="nonnegative and finite"):
-            RabiInput(0.1875, intensity)
+            rabi_frequency(0.1875, intensity)
+
+    def test_intensity_is_checked_before_x(self):
+        # both arguments are out of range: the intensity is reported, not the window
+        with pytest.raises(DomainError, match="intensity") as info:
+            rabi_frequency(0.5, -1.0)
+        assert "photon energy fraction" not in str(info.value)
 
     def test_overflowing_frequency_names_x(self):
         # beta is finite there; the intensity scales it past the largest double
         assert 0.0 < beta(0.3749999) < math.inf
         with pytest.raises(DomainError, match=r"Rabi frequency at .* x = 0\.3749999 is inf"):
-            rabi_frequency(RabiInput(0.3749999, 1e308))
+            rabi_frequency(0.3749999, 1e308)
 
 
 class TestNonFiniteBeta:
