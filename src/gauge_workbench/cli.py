@@ -62,13 +62,16 @@ def _atomic_write(path: str, text: str) -> None:
 
     The file gets the mode ``open(path, "w")`` would give it: a file that
     exists keeps its mode, and a new one gets 0o666 less the umask, which
-    the kernel applies as it creates the temp file."""
+    the kernel applies as it creates the temp file.  A path through a
+    symlink, dangling or not, is resolved first, as ``open`` follows it:
+    the link's target gets the bytes and the link stays a link.  Errors
+    name ``path`` as given."""
+    target = os.path.realpath(path)
     try:
-        mode = os.stat(path).st_mode & 0o7777
+        mode = os.stat(target).st_mode & 0o7777
     except OSError:
         mode = None
-    tmp = os.path.join(os.path.dirname(os.path.abspath(path)),
-                       f".gw-{os.urandom(8).hex()}.tmp")
+    tmp = os.path.join(os.path.dirname(target), f".gw-{os.urandom(8).hex()}.tmp")
     try:
         # O_EXCL: a taken name is an error, never a file overwritten;
         # O_BINARY (Windows only) keeps the newlines as written
@@ -82,7 +85,7 @@ def _atomic_write(path: str, text: str) -> None:
             fh.write(text)
         if mode is not None:
             os.chmod(tmp, mode)
-        os.replace(tmp, path)
+        os.replace(tmp, target)
     except BaseException:
         with contextlib.suppress(OSError):
             os.unlink(tmp)

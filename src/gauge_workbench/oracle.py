@@ -15,10 +15,11 @@ turns that into an ordinary symmetric eigenproblem K w = E w with
     K = D [ -(1/2) d^2/dy^2 + l(l+1)/2 + 1/8 - r ] D,      D = diag(1/r),
 
 where w = sqrt(r) u and the y-grid quadrature is simply h * sum (the
-trapezoid weights of a decaying integrand on a uniform grid).  Every grid
-derivative comes from a weight table with its own denominator, _STENCIL
-for -(1/2) d^2/dy^2 in K and _DERIVATIVE for d/dy in the velocity-gauge
-driving term u' - u/r.  Past r_max both take u = 0.  Below r_min, K
+trapezoid weights of a decaying integrand on a uniform grid).  Every
+derivative of K and of the driving term comes from a weight table with
+its own denominator, _STENCIL for -(1/2) d^2/dy^2 in K and _DERIVATIVE
+for d/dy in the velocity-gauge driving term u' - u/r.  Past r_max both
+take u = 0.  Below r_min, K
 takes ghost points on the first two terms of the regular solution, D w ~
 r^(l + 1/2) (1 - r / (l + 1)), which fold into its first _KD diagonal
 entries (_hamiltonian_bands); the driving term keeps u = 0 there.  No
@@ -26,28 +27,39 @@ edge row is written out, and the order of the discretization (fourth) is
 stated in the tables alone.  K has half-bandwidth _KD = 2 and is stored
 once per state in LAPACK's lower symmetric band storage (row k holds
 K[j + k, j] at column j; row 0 is the diagonal); every consumer reads
-that one layout: K w, the backward-error gates, banded Cholesky, and
-the pivoted-LU layout expanded from it where LU runs (2S alone).
-Resolvent solves factor K - E by banded Cholesky (dpbtrf/dpbtrs, called
-directly; lower storage gives their BLAS calls unit stride), O(n) per
-right-hand side.
-That is valid because every resolvent energy here lies below the whole
-l = 1 spectrum: E_1S +- x with 0 < x < 3/8, at least 1e-6 Hartree below
-the grid's 2P level, so K - E is positive definite.  One factorization
-and one componentwise backward-error gate serve both gauges at the same
-energy, and every 2S and 1S element there is read from that solve
-(_elements); the gate forms the residual and |K - E| |x| in one pass,
-from K's stored bands and the energy, through one product buffer.
+that one layout: K w, the eigenpair gate, banded Cholesky, and the
+pivoted-LU layout expanded from it where LU runs (2S alone).
+
+The resolvent does not use K.  green_solve discretizes the l = 1
+resolvent equation on Numerov's three-point scheme (Numerov, Astron.
+Nachr. 230, 359 (1927); as a matrix method, Pillai, Goglio and Walker,
+Am. J. Phys. 80, 1017 (2012)), fourth order like K, as one symmetric
+tridiagonal system per energy whose entries stay O(1), where K's
+diagonal reaches 1/(h r_min)^2.  LAPACK's dptsv factors and solves it,
+O(n) per right-hand side.  That is valid because every resolvent energy
+here lies below the whole l = 1 spectrum: E_1S +- x with 0 < x < 3/8, at
+least 1e-6 Hartree below the grid's 2P level, so the system is positive
+definite.  One factorization serves both gauges at the same energy,
+each column passes a componentwise backward-error gate on the three
+bands, and every 2S and 1S element there is read from that solve
+(_elements).  The system's energy-independent rows are built once per
+state; green_solve states the system, and _numerov_rows the rule that
+drops its rows past r ~ 100 at the corners of the domain where
+Numerov's c = 1 - h^2 F / 12 would fall to zero.
 
 Every banded factorization, dpbtrf or dgbtrf, factors one private
 column-major copy of the bands in place (overwrite_ab=1), shifted there;
 K's stored bands are only read, and nothing of a call outlives it.  A
-C-ordered copy would be copied again by f2py, and a shifted copy kept for
-the gate would sit next to the factor.  The reason is measured: on the
-24000-point grid each resolvent solve allocated and freed about 3 MB,
-which glibc returned to the kernel after each solve, so the 8 solves of
-one cross-check took about 6.3k minor page faults; with one private copy
-they take under 400 and about a third less time.
+C-ordered copy would be copied again by f2py.  The reason is measured:
+on the 24000-point grid each five-band resolvent solve allocated and
+freed about 3 MB, which glibc returned to the kernel after each solve,
+so the 8 solves of one cross-check took about 6.3k minor page faults;
+with one private copy they took under 400 and about a third less time.
+The tridiagonal solve keeps its temporaries small for the same reason:
+its gate runs one column at a time and its back-transform is written in
+place, so a two-column solve at 3249 points peaks at 240 kB of arrays.
+With the gate over both columns at once (340 kB), a loop of such solves
+took 57 minor page faults per solve and 1.3 times the time (2-vCPU VM).
 
 LAPACK comes from scipy's f2py extension scipy/linalg/_flapack, loaded
 from its file (_load_lapack) in the directory importlib.util.find_spec
@@ -67,20 +79,25 @@ roundoff in the Rayleigh quotient grows like eps / h^2, because the
 diagonal of K reaches 1/(h r_min)^2; together they leave E_1S scattered
 by up to a few 1e-11 from one point count to the next.  That floor is
 why r_min stops at 1e-4: smaller values only add points below r = 1e-4
-at the same spacing, h = 0.0041848 for the default 3249 points.  On the
-default grid Q reads 6e-12 relative at x = 3/16 and 3e-11 at x = 0.37,
-up to 2e-10 and 4e-9 within 10 points of the default count, the error
-growing like 1 / (3/8 - x) toward the 2P pole (up to 2e-7 at
+at the same spacing, h = 0.0041848 for the default 3249 points.  The
+bound states come from K and the resolvent from Numerov's scheme, so
+their errors no longer cancel as they did when K served both (Q at
+x = 0.37 read 1.5e-11 then).  On the default grid Q reads 2.2e-11
+relative at x = 3/16 and 1.9e-10 at x = 0.37, and P 1.6e-10 and 1.3e-9;
+within 10 points of the default count Q reads up to 2.0e-10 and 4.2e-9,
+the error growing like 1 / (3/8 - x) toward the 2P pole (up to 2.0e-7 at
 x = 0.3749).  The driving term's u = 0 below r_min meets l = 1 partners
-that vanish like r^(5/2) in w: at r_min = 1e-4 it moves P by 2e-12 to
-5e-12 relative against ghosts on u ~ r (1 - r), far under the grid's own
-1e-10 to 1e-9 error in P.
+that vanish like r^(5/2) in w: at r_min = 1e-4 it moved P by 2e-12 to
+5e-12 relative against ghosts on u ~ r (1 - r) (measured on K), far
+under the grid's own 1e-10 to 1e-9 error in P.  Numerov's psi = 0 below
+r_min admixes the irregular solution r^(-3/2) of phi with a weight
+r_min^3 against the regular r^(3/2).
 
 RadialGrid states the grid's domain with a reason for each bound: r_min
 in [1e-12, 1e-2], where the closure error -2 r_min^3 stays under 2e-6
 Hartree and every 1/r^2 band entry is finite, and r_max in [60, 700],
 short of r ~ 708, where the 1S tail e^-r falls below the smallest normal
-double (from r_max = 1000 the l = 1 resolvent misses its gate).
+double.
 
 Every bound state comes from one routine, _inverse_iteration: a fixed
 shift, K - shift factored once, one pair of triangular solves per step,
@@ -90,7 +107,7 @@ two solves, and a scaled backward-error gate on the result
 Hartree of its hydrogen level.  1S and 2P are the lowest levels of their
 channels, so a shift _BELOW_LEVEL = 1e-5 Hartree under the level leaves
 K - shift positive definite, and they are factored by banded Cholesky
-through the helper the resolvent uses (_shifted_cholesky); a failed
+through the helper the pseudostate sum uses (_shifted_cholesky); a failed
 factorization is an error that names the state, never a fallback.  2S
 lies above 1S, where K_0 - E is indefinite, so it is factored at its
 hydrogen level by pivoted banded LU, on the LU layout expanded for it,
@@ -101,8 +118,9 @@ on 200000 points from r_min = 1e-2.
 
 The pseudostate sum takes its l = 1 modes from the spectral-transformation
 Lanczos method (Ericsson and Ruhe, Math. Comp. 35, 1251 (1980)) on the
-resolvent G = (K_1 - E)^-1 at the sum's own energy E = E_1S + x, applied
-through the resolvent's one banded Cholesky factor (_lanczos).  The
+resolvent G = (K_1 - E)^-1 of K itself at the sum's own energy
+E = E_1S + x, applied through one banded Cholesky factor of K_1 - E
+(_lanczos).  The
 lowest modes of K_1 are the largest eigenvalues theta = 1 / (lambda - E)
 of G, so the denominators of the sum are 1 / theta, with no cancellation.
 There is no O(n^2) band reduction and no factorization per mode: time
@@ -118,7 +136,7 @@ import importlib.util
 import math
 import numbers
 import os
-from collections.abc import Callable, Iterator
+from collections.abc import Callable
 from dataclasses import dataclass
 from types import ModuleType
 
@@ -191,6 +209,7 @@ if _scipy is None:
 _flapack = _load_lapack(os.path.join(_scipy.submodule_search_locations[0], "linalg"))
 dgbtrf, dgbtrs = _flapack.dgbtrf, _flapack.dgbtrs
 dpbtrf, dpbtrs = _flapack.dpbtrf, _flapack.dpbtrs
+dptsv = _flapack.dptsv
 
 
 def _is_a(value: object, kind: type) -> bool:
@@ -250,7 +269,8 @@ class BoundState:
 class OracleState:
     """Grid plus cached bound states and resolvent elements.
 
-    ``bands[l]`` is K_l for l = 0 and l = 1, the channels of 1S, 2S and 2P.
+    ``bands[l]`` is K_l for l = 0 and l = 1, the channels of 1S, 2S and 2P;
+    the l = 1 resolvent reads its own energy-independent Numerov rows.
     Everything but ``_amplitudes`` is fixed after construction; the memo
     maps a signed x to the _elements solved at E_1S + x and lives and dies
     with the state, so ``build_oracle.cache_clear()`` drops it too."""
@@ -272,12 +292,22 @@ class OracleState:
         # Velocity-gauge driving terms u' - u/r, kept in the w representation.
         self.wd1 = self._velocity_reduce(self.s1.radial_values)
         self.wd2 = self._velocity_reduce(self.s2.radial_values)
-        # Both gauges' driving terms, r w1 and wd1, stacked column-major: the
-        # layout green_solve passes to LAPACK without a copy.
+        # Both gauges' driving terms, r w1 and wd1, stacked column-major:
+        # their transpose is the C-contiguous rows green_solve works on.
         self._driving = np.asfortranarray(np.column_stack((self.r * self.w1, self.wd1)))
         # the length-gauge bra r w2 that every <2S| r G r |1S> integral reads
         self._bra = self.w2 * self.r
         self._amplitudes: dict[float, tuple[float, float, float, float]] = {}
+        # green_solve's Numerov system, its energy-independent rows: with
+        # F = 9/4 - 2r - 2E r^2, c = 1 - h^2 F / 12 and 2 + 5 h^2 F / 6 are
+        # each a0 + E a1, a0 in _numerov[0] and a1 in _numerov[1]; the
+        # source 2 h^2 r and the back-transform's (h^2 / 6) r multiply b
+        h2, r2, f0 = self.h * self.h, self.r * self.r, 2.25 - 2.0 * self.r
+        self._numerov = np.array([[1.0 - h2 / 12.0 * f0, 2.0 + 5.0 * h2 / 6.0 * f0],
+                                  [h2 / 6.0 * r2, -5.0 * h2 / 3.0 * r2]])
+        self._source = 2.0 * h2 * self.r
+        self._back = h2 / 6.0 * self.r
+        self._off_diagonal = np.full(self.r.size - 1, -1.0)
 
     def _velocity_reduce(self, u: np.ndarray) -> np.ndarray:
         """w representation of u'(r) - u(r)/r for an l = 0 state: du/dr is
@@ -337,23 +367,13 @@ def _full_banded(ab: np.ndarray) -> np.ndarray:
     return full
 
 
-def _band_products(ab: np.ndarray, w: np.ndarray) -> Iterator[tuple[tuple, np.ndarray]]:
-    """The off-diagonal products of K w as (target slice, product), two
-    per off-diagonal, in the order _apply_bands sums them.  Every product
-    is written into one buffer, so each holds only until the next is
-    yielded."""
-    buffer = np.empty_like(w)
-    for k in range(1, _KD + 1):
-        coef, product = ab[k, :-k], buffer[..., :-k]
-        yield np.s_[..., k:], np.multiply(coef, w[..., :-k], out=product)
-        yield np.s_[..., :-k], np.multiply(coef, w[..., k:], out=product)
-
-
 def _apply_bands(ab: np.ndarray, w: np.ndarray) -> np.ndarray:
     """K w for the lower symmetric bands ab, applied along the last axis of w."""
     out = ab[0] * w
-    for rows, product in _band_products(ab, w):
-        out[rows] += product
+    for k in range(1, _KD + 1):
+        coef = ab[k, :-k]
+        out[..., k:] += coef * w[..., :-k]
+        out[..., :-k] += coef * w[..., k:]
     return out
 
 
@@ -511,37 +531,55 @@ def build_oracle(grid: RadialGrid) -> OracleState:
     return OracleState(grid)
 
 
-def _componentwise_backward_error(ab: np.ndarray, energy: float, x: np.ndarray,
-                                  b: np.ndarray) -> np.ndarray:
-    """Oettli-Prager backward error of A x = b for A = K - energy, K given
-    by its lower bands ``ab``.
+def _numerov_rows(state: OracleState, energy: float) -> tuple[int, np.ndarray, np.ndarray]:
+    """(m, c, diagonal) of green_solve's Numerov system at ``energy``: the
+    count m of rows kept, then c = 1 - h^2 F / 12 and the diagonal
+    2 + h^2 F / c = (2 + 5 h^2 F / 6) / c on those rows.
+
+    The rows kept are those before the first point where c <= 1/2, all of
+    them where there is none; past it green_solve takes w = 0.  Where
+    c > 1/2 the diagonal stays below 14 and the back-transform's division
+    by c is well conditioned.  For E < 0, F is convex in r and near
+    9/4 at r_min, far below the 6 / h^2 where c = 1/2, so c <= 1/2 holds
+    on a suffix of the grid and the rule cuts only that suffix."""
+    rows = state._numerov[1] * energy
+    rows += state._numerov[0]
+    c, diagonal = rows
+    cut = c <= 0.5
+    m = int(np.argmax(cut))
+    if not cut[m]:
+        m = c.size
+    return m, c[:m], np.divide(diagonal[:m], c[:m], out=diagonal[:m])
+
+
+def _backward_error(diagonal: np.ndarray, x: np.ndarray, b: np.ndarray) -> float:
+    """Oettli-Prager backward error of A x = b for one column x, b and the
+    symmetric positive definite tridiagonal A with ``diagonal`` on its
+    diagonal and -1 on both off-diagonals.
 
     max_i |r_i| / ((|A| |x|)_i + |b_i|) is the smallest relative perturbation
-    of each entry of A and b that makes x exact.  x and b hold one system
-    (n,) or one system per row (k, n); the result has one entry per
-    system.  A's diagonal is formed as the one row ab[0] - energy, the
-    same bits as the diagonal of a shifted copy of the bands, and its
-    off-diagonals are read from ab itself.  Unlike the unscaled
-    |r| / |b| it stays at roundoff level for a backward-stable solve however
-    ill-conditioned A is.  Rows where the denominator is zero have r_i = 0
-    and count as 0.  A column whose products overflow comes back as NaN,
-    which no ``<=`` test accepts.
-
-    One pass over the bands: each product p = a x goes into the residual
-    and |p| into |A| |x|.  |a x| = |a| |x| exactly in IEEE arithmetic and
-    both sums run in _apply_bands order, so this equals the two-pass
-    |A x - b| and |A| |x| + |b| bit for bit."""
+    of each entry of A and b that makes x exact.  Both A x - b and
+    |A| |x| + |b| sum the diagonal term, the left neighbour's, the right
+    neighbour's and b's, in that order; d |x| is |d x|, since a positive
+    definite diagonal is positive.  Unlike the unscaled |r| / |b| it stays
+    at roundoff level for a backward-stable solve however ill-conditioned
+    A is.  Rows where the denominator is zero have r_i = 0 and count as 0.
+    A column whose products overflow comes back as NaN, which no ``<=``
+    test accepts."""
     with np.errstate(over="ignore", invalid="ignore"):
-        residual = (ab[0] - energy) * x
-        scale = np.abs(residual)
-        for rows, product in _band_products(ab, x):
-            residual[rows] += product
-            scale[rows] += np.abs(product, out=product)
+        magnitude = np.abs(x)
+        residual = diagonal * x
+        scale = diagonal * magnitude
+        residual[1:] -= x[:-1]
+        scale[1:] += magnitude[:-1]
+        residual[:-1] -= x[1:]
+        scale[:-1] += magnitude[1:]
         residual -= b
+        scale += np.abs(b, out=magnitude)
+        if not math.isfinite(np.max(scale)):
+            return math.nan
         np.abs(residual, out=residual)
-        scale += np.abs(b)
-        ratio = np.divide(residual, scale, out=np.zeros_like(residual), where=scale > 0.0)
-    return np.where(np.isfinite(scale).all(axis=-1), ratio.max(axis=-1), np.nan)
+        return float(np.max(np.divide(residual, scale, out=residual, where=scale > 0.0)))
 
 
 def green_solve(state: OracleState, energy: float, driving_w: np.ndarray) -> np.ndarray:
@@ -550,30 +588,54 @@ def green_solve(state: OracleState, energy: float, driving_w: np.ndarray) -> np.
     ``driving_w`` is one column (n,) or a stack (n, k) in the symmetrized
     w = sqrt(r) u representation; the solution comes back in the same
     shape.  The l = 1 channel is the only intermediate one of a dipole
-    transition out of an S state.  One banded Cholesky factorization of
-    K_1 - energy (LAPACK ``dpbtrf``, then ``dpbtrs``, through
-    _shifted_cholesky, as for 1S and 2P) serves every column.  The
-    state's bands are already in LAPACK's lower storage, where the
-    unblocked factorization's BLAS calls run at unit stride; dpbtrf
-    factors one private column-major copy of them in place, dropped once
-    the columns are solved, and the gate reads the state's bands and the
-    energy (the module docstring gives the measured reason).  The energy
-    must lie below the spectrum of H_1: a matrix that is not positive
-    definite, a non-finite solution or a column whose componentwise
-    backward error exceeds the target is a ConvergenceError, never a
-    fallback to another solver."""
-    # column-major, so that each column is one contiguous row of the
-    # transpose the gate works on
-    driving = np.asfortranarray(driving_w)
+    transition out of an S state.
+
+    The equation is solved on Numerov's three-point scheme, not on K_1.
+    With phi = w / r, y = ln r and b a driving column, it reads
+    phi'' = F phi - 2 r b, F = 9/4 - 2r - 2E r^2.  With c = 1 - h^2 F / 12
+    and psi = c phi + (h^2 / 6) r b, Numerov's scheme is exactly the
+    symmetric tridiagonal system
+
+        (-tridiag(1, -2, 1) + diag(h^2 F / c)) psi = 2 h^2 r b / c,
+
+    with psi = 0 past both ends, fourth order in h on three points, and
+    w = r (psi - (h^2 / 6) r b) / c.  Below the l = 1 spectrum the matrix
+    is positive definite, and one LAPACK ``dptsv`` call factors it once
+    and solves every column.  The rows come from _numerov_rows, which
+    keeps those before the first point where c <= 1/2; past it the
+    solution is w = 0.  That cut happens only at corners of RadialGrid's
+    domain with r_max = 700 and few points, where c falls to 1/2 beyond
+    r ~ 100 and the 1S tail is below e^-100; c stays above 0.76 on every
+    grid with r_max = 80 (0.98 on the default grid).  The driving columns
+    are taken as C-contiguous rows (k, n) and handed to LAPACK transposed,
+    so no layout is copied.  A matrix that is not positive definite, a
+    non-finite solution or a column whose componentwise backward error
+    on the three bands exceeds _RESOLVENT_TARGET is a ConvergenceError,
+    never a fallback to another solver."""
     what = f"the l = 1 resolvent at energy {energy!r}"
-    ab = state.bands[1]
-    # the factor is dropped once solved, before the gate allocates
-    sol = _shifted_cholesky(ab, energy, what)(driving)
-    worst = float(np.max(_componentwise_backward_error(ab, energy, sol.T, driving.T)))
-    if not worst <= _RESOLVENT_TARGET:
-        raise ConvergenceError(
-            f"componentwise backward error {worst:.2e} above {_RESOLVENT_TARGET} for {what}")
-    return sol
+    rows = np.ascontiguousarray(np.atleast_2d(driving_w.T))
+    m, c, diagonal = _numerov_rows(state, energy)
+    b = rows[:, :m]
+    rhs = np.multiply(state._source[:m], b)
+    rhs /= c
+    psi, info = dptsv(diagonal, state._off_diagonal[:m - 1], rhs.T)[2:]
+    if info > 0:
+        raise ConvergenceError(f"the Numerov system is not positive definite for {what}")
+    psi = psi.T
+    if not np.all(np.isfinite(psi)):
+        raise ConvergenceError(f"non-finite solve for {what}")
+    for x, b_row in zip(psi, rhs):
+        error = _backward_error(diagonal, x, b_row)
+        if not error <= _RESOLVENT_TARGET:
+            raise ConvergenceError(
+                f"componentwise backward error {error:.2e} above {_RESOLVENT_TARGET} for {what}")
+    # w = r (psi - (h^2 / 6) r b) / c, in place on psi, with rhs as scratch
+    np.subtract(psi, np.multiply(state._back[:m], b, out=rhs), out=psi)
+    psi *= state.r[:m]
+    psi /= c
+    if m < rows.shape[1]:
+        psi = np.concatenate((psi, np.zeros((rows.shape[0], rows.shape[1] - m))), axis=1)
+    return psi.T if driving_w.ndim == 2 else psi[0]
 
 
 def _intermediate_energy(state: OracleState, x: float) -> float:
@@ -739,14 +801,15 @@ def pseudostate_q(grid: RadialGrid, x: float, count: int = 30) -> np.ndarray:
     """Partial sums of the length-gauge amplitude over discrete l = 1 modes.
 
     Truncating the spectral representation after k modes gives a sequence
-    that approaches the direct resolvent solve from one side while the
-    intermediate energy lies below the whole l = 1 spectrum; useful as an
-    independent consistency path, not as the primary evaluator.
+    that approaches K_1's own resolvent value from one side while the
+    intermediate energy lies below the whole l = 1 spectrum, and with it
+    the direct solve on Numerov's scheme to within the grid error; useful
+    as an independent consistency path, not as the primary evaluator.
 
     The ``count`` lowest modes of K_1 come from _lanczos on the resolvent
     (K_1 - E)^-1 at the sum's energy E = E_1S + x, applied through one
-    banded Cholesky factor of K_1 - E (_shifted_cholesky, the resolvent's
-    own): one dpbtrf, then one dpbtrs per Lanczos step.  Each Ritz value
+    banded Cholesky factor of K_1 - E (_shifted_cholesky, as for 1S and
+    2P): one dpbtrf, then one dpbtrs per Lanczos step.  Each Ritz value
     theta gives a mode's denominator lambda - E = 1 / theta directly and
     its eigenvalue lambda = E + 1 / theta, and every Ritz pair must pass
     _eigenpair_gate, the bound states' gate.  ``count`` is at most

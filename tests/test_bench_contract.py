@@ -65,6 +65,19 @@ def test_crosscheck_grids_are_distinct():
     assert len(set(grids)) == len(grids)
 
 
+def test_crosscheck_grids_keep_every_numerov_row():
+    # green_solve cuts its Numerov rows only where c = 1 - h^2 F / 12 falls
+    # to 1/2; on the 80-Bohr grids of grid_sweep it cuts none, even at the
+    # lowest resolvent energy E_1S - 3/8, where c is lowest (0.977 on 6000
+    # points from 1e-11)
+    from gauge_workbench import oracle
+
+    for grid in workloads.CROSSCHECK_GRIDS:
+        state = oracle.build_oracle(grid)
+        m, c, _ = oracle._numerov_rows(state, state.s1.energy - 0.375)
+        assert m == grid.n_points and c.min() > 0.97, grid
+
+
 def test_tracer_loads_and_restores_every_binding():
     # the tracer may name functions that no longer exist (it records them
     # as missing), so only the import and the rebinding round trip are held

@@ -104,6 +104,22 @@ def existing_file(path, mode):
     return path
 
 
+def target_after_run_through_link(argv, directory, target_exists):
+    """(target, its mode) after a successful run of argv --out link under
+    OUT_UMASK, where link is a symlink to target: an existing 0o640 file,
+    or a dangling name.  The link stays a link to the same target, and the
+    run leaves nothing else in the directory."""
+    target, link = directory / "target.out", directory / "link.out"
+    if target_exists:
+        existing_file(target, 0o640)
+    link.symlink_to(target)
+    proc = run_cli(*argv, "--out", str(link), umask=OUT_UMASK)
+    assert proc.returncode == 0, proc.stderr
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    assert sorted(os.listdir(directory)) == ["link.out", "target.out"]
+    return target, target.stat().st_mode & 0o7777
+
+
 def readme_compute_examples():
     """(argv, stdout) of each ``$ gauge-workbench compute`` line of README.md,
     with the line under it as its output."""
@@ -294,6 +310,14 @@ class TestScan:
         assert mode_after_run(SMALL_SCAN, out) == 0o640
         assert out.read_text().startswith("x,f1,f2,delta\n")
 
+    @pytest.mark.parametrize("target_exists", [True, False], ids=["file", "dangling"])
+    def test_out_through_a_symlink_writes_its_target(self, tmp_path, target_exists):
+        # as open(path, "w") does: the target gets the bytes, an existing
+        # one keeps its mode and a new one gets 0o666 less the umask
+        target, mode = target_after_run_through_link(SMALL_SCAN, tmp_path, target_exists)
+        assert target.read_text().startswith("x,f1,f2,delta\n")
+        assert mode == (0o640 if target_exists else 0o666 & ~OUT_UMASK)
+
 
 @pytest.fixture(scope="module")
 def strict_report(tmp_path_factory):
@@ -370,6 +394,12 @@ class TestVerify:
         out = existing_file(tmp_path / "report.json", 0o640)
         assert mode_after_run(["verify"], out) == 0o640
         assert json.loads(out.read_text())["overall_pass"] is True
+
+    @pytest.mark.parametrize("target_exists", [True, False], ids=["file", "dangling"])
+    def test_out_through_a_symlink_writes_its_target(self, tmp_path, target_exists):
+        target, mode = target_after_run_through_link(["verify"], tmp_path, target_exists)
+        assert json.loads(target.read_text())["overall_pass"] is True
+        assert mode == (0o640 if target_exists else 0o666 & ~OUT_UMASK)
 
     @pytest.mark.usefixtures("oracle_extra")
     def test_oracle_profile_passes(self):
@@ -476,18 +506,17 @@ class TestVerify:
     @pytest.mark.usefixtures("oracle_extra")
     def test_failed_solve_exits_4_and_writes_no_report(self, tmp_path):
         # the grid builds, but a resolvent solve perturbed to zero misses
-        # its componentwise backward-error target; the bound states' 1S and
-        # 2P solves, one column each, pass through, and every resolvent
-        # solve of the report has two columns
+        # its componentwise backward-error target; the bound states do not
+        # call dptsv, which only the resolvent solves
         out = tmp_path / "report.json"
         code = ("import sys\n"
                 "import numpy as np\n"
                 "from gauge_workbench import cli, oracle\n"
-                "real = oracle.dpbtrs\n"
-                "def zeroed(factor, rhs, **kwargs):\n"
-                "    sol, info = real(factor, rhs, **kwargs)\n"
-                "    return (np.zeros_like(sol) if rhs.ndim == 2 else sol), info\n"
-                "oracle.dpbtrs = zeroed\n"
+                "real = oracle.dptsv\n"
+                "def zeroed(*args, **kwargs):\n"
+                "    d, e, psi, info = real(*args, **kwargs)\n"
+                "    return d, e, np.zeros_like(psi), info\n"
+                "oracle.dptsv = zeroed\n"
                 "sys.exit(cli.main(sys.argv[1:]))\n")
         proc = subprocess.run(
             [sys.executable, "-c", code, "verify", "--profile", "oracle", "--grid-points", "2000",

@@ -216,10 +216,35 @@ def _dense_from_lu_layout(full):
 
 
 def _assert_shared_arrays_intact(state):
-    """The state's bands and driving terms hold what they were built with."""
+    """The state's bands, driving terms and Numerov rows hold what they
+    were built with."""
     for l in (0, 1):
         assert np.array_equal(state.bands[l], oracle._hamiltonian_bands(l, state.h, state.r))
     assert np.array_equal(state._driving, np.column_stack((state.r * state.w1, state.wd1)))
+    for energy in (0.0, 1.0):
+        m, c, diagonal = oracle._numerov_rows(state, energy)
+        reference = _numerov_by_hand(state, energy)
+        assert m == reference[0]
+        assert np.array_equal(c, reference[1]) and np.array_equal(diagonal, reference[2])
+    h2 = state.h * state.h
+    assert np.array_equal(state._source, 2.0 * h2 * state.r)
+    assert np.array_equal(state._back, h2 / 6.0 * state.r)
+    assert np.array_equal(state._off_diagonal, np.full(state.r.size - 1, -1.0))
+
+
+def _numerov_by_hand(state, energy):
+    """(m, c, diagonal) of green_solve's Numerov system at ``energy``,
+    written out from F = 9/4 - 2r - 2E r^2: c = 1 - h^2 F / 12 and
+    2 + 5 h^2 F / 6, each formed as a0 + E a1, and the diagonal
+    (2 + 5 h^2 F / 6) / c, on the m rows before the first point with
+    c <= 1/2."""
+    h2, r = state.h * state.h, state.r
+    f0 = 2.25 - 2.0 * r
+    c = (1.0 - h2 / 12.0 * f0) + energy * (h2 / 6.0 * (r * r))
+    numerator = (2.0 + 5.0 * h2 / 6.0 * f0) + energy * (-5.0 * h2 / 3.0 * (r * r))
+    cut = np.flatnonzero(c <= 0.5)
+    m = int(cut[0]) if cut.size else r.size
+    return m, c[:m], numerator[:m] / c[:m]
 
 
 class TestBandStorage:
@@ -250,25 +275,31 @@ class TestBandStorage:
     def test_factorizations_run_in_place_on_private_copies(self, fresh_grid, lapack_calls,
                                                            case):
         # every dpbtrf and dgbtrf gets an array f2py factors without a
-        # copy, and none of them is the state's bands or driving terms
+        # copy, and none of them is the state's bands or driving terms; a
+        # resolvent solve makes no banded factorization, only one dptsv,
+        # and leaves the state's Numerov rows as they were built
         state = build_oracle(fresh_grid)
         if case != "cold-build":
             lapack_calls.factored.clear()
+            lapack_calls.update(dict.fromkeys(lapack_calls, 0))
         if case == "resolvent":
             green_solve(state, state.s1.energy + 0.1, state._driving)
         elif case == "not-positive-definite":
             with pytest.raises(ConvergenceError, match="not positive definite"):
                 green_solve(state, state.s2p.energy + 0.01, state._driving)
-        expected = {"cold-build": ["dpbtrf", "dgbtrf", "dpbtrf"], "resolvent": ["dpbtrf"],
-                    "not-positive-definite": ["dpbtrf"]}[case]
+        expected = {"cold-build": ["dpbtrf", "dgbtrf", "dpbtrf"], "resolvent": [],
+                    "not-positive-definite": []}[case]
         assert lapack_calls.factored == [(name, True, True) for name in expected]
+        assert lapack_calls["dptsv"] == (0 if case == "cold-build" else 1)
         _assert_shared_arrays_intact(state)
 
 
 def _lapack_results(routines, state):
-    """Every output of the four bound LAPACK routines on one banded system
-    of the state: Cholesky of K_1 - (E_1S + 0.1) and pivoted LU of the
-    indefinite K_1 - (E_2P + 1e-3), each with a two-column solve."""
+    """Every output of the five bound LAPACK routines on one system of the
+    state each: Cholesky of K_1 - (E_1S + 0.1) and pivoted LU of the
+    indefinite K_1 - (E_2P + 1e-3), each with a two-column solve, and the
+    tridiagonal Numerov system at E_1S + 0.1, factored and solved for both
+    driving columns."""
     shifted = state.bands[1].copy()
     shifted[0] -= state.s1.energy + 0.1
     factor, info = routines.dpbtrf(shifted, lower=1)
@@ -277,7 +308,10 @@ def _lapack_results(routines, state):
     layout[2 * oracle._KD] -= state.s2p.energy + 1e-3
     lu, piv, luinfo = routines.dgbtrf(layout, oracle._KD, oracle._KD)
     v, vinfo = routines.dgbtrs(lu, oracle._KD, oracle._KD, state._driving, piv)
-    return factor, sol, lu, piv, v, (info, sinfo, luinfo, vinfo)
+    m, c, diagonal = _numerov_by_hand(state, state.s1.energy + 0.1)
+    d, e, psi, tinfo = routines.dptsv(diagonal, np.full(m - 1, -1.0),
+                                      state._source[:, None] * state._driving / c[:, None])
+    return factor, sol, lu, piv, v, d, e, psi, (info, sinfo, luinfo, vinfo, tinfo)
 
 
 class TestLapackBinding:
@@ -288,7 +322,7 @@ class TestLapackBinding:
         state = build_oracle(small_grid)
         ours = _lapack_results(oracle, state)
         public = _lapack_results(lapack, state)
-        assert ours[-1] == public[-1] == (0, 0, 0, 0)
+        assert ours[-1] == public[-1] == (0, 0, 0, 0, 0)
         for mine, theirs in zip(ours[:-1], public[:-1]):
             assert np.array_equal(mine, theirs)
 
@@ -370,27 +404,73 @@ def _apply_bands_reference(ab, w):
     return out
 
 
-def _two_pass_backward_error(shifted, x, b):
-    """The componentwise backward error from two band applications,
-    |A x - b| and |A| |x| + |b|, each computed on its own."""
+def _apply_tridiagonal_reference(diagonal, x, off=-1.0):
+    """A x for the tridiagonal A with ``diagonal`` and ``off`` on both
+    off-diagonals, summed term by term: the diagonal term, the left
+    neighbour's, then the right neighbour's."""
+    out = diagonal * x
+    out[1:] += off * x[:-1]
+    out[:-1] += off * x[1:]
+    return out
+
+
+def _two_pass_backward_error(diagonal, x, b):
+    """The componentwise backward error of one column from two
+    tridiagonal applications, |A x - b| and |A| |x| + |b|, each computed
+    on its own."""
     with np.errstate(over="ignore", invalid="ignore"):
-        residual = np.abs(_apply_bands_reference(shifted, x) - b)
-        scale = _apply_bands_reference(np.abs(shifted), np.abs(x)) + np.abs(b)
+        residual = np.abs(_apply_tridiagonal_reference(diagonal, x) - b)
+        scale = _apply_tridiagonal_reference(np.abs(diagonal), np.abs(x), off=1.0) + np.abs(b)
         ratio = np.divide(residual, scale, out=np.zeros_like(residual), where=scale > 0.0)
-    return np.where(np.isfinite(scale).all(axis=-1), ratio.max(axis=-1), np.nan)
+    return float(ratio.max()) if np.all(np.isfinite(scale)) else math.nan
 
 
 def _green_solve_reference(state, energy, driving):
-    """The resolvent solve as scipy.linalg.lapack's dpbtrf and dpbtrs make it
-    with their default arguments, on a C-ordered copy of the l = 1 bands
-    shifted by the energy."""
-    shifted = state.bands[1].copy()
-    shifted[0] -= energy
-    factor, info = dpbtrf(shifted, lower=1)
-    assert info == 0
-    sol, info = dpbtrs(factor, driving, lower=1)
-    assert info == 0
-    return sol
+    """The resolvent solve as green_solve states it: the Numerov system
+    written out by _numerov_by_hand, solved by scipy.linalg.solveh_banded
+    (LAPACK ptsv) on upper storage, whose row 0 holds the off-diagonal -1
+    from column 1 on and row 1 the diagonal, then w = r (psi - (h^2 / 6)
+    r b) / c on the kept rows and w = 0 past them."""
+    m, c, diagonal = _numerov_by_hand(state, energy)
+    h2, r = state.h * state.h, state.r[:m]
+    rows = np.atleast_2d(np.asarray(driving).T)[:, :m]
+    upper = np.vstack((np.full(m, -1.0), diagonal))
+    rhs = (2.0 * h2 * r) * rows / c
+    psi = solveh_banded(upper, rhs.T).T
+    w = np.zeros((rows.shape[0], state.r.size))
+    w[:, :m] = r * (psi - (h2 / 6.0 * r) * rows) / c
+    return w.T if np.ndim(driving) == 2 else w[0]
+
+
+def _numerov_psi(state, energy, driving):
+    """(diagonal, psi, rhs) of the Numerov system at ``energy`` for the
+    driving rows (k, n), written out by _numerov_by_hand and solved by
+    solveh_banded."""
+    m, c, diagonal = _numerov_by_hand(state, energy)
+    rhs = (2.0 * state.h * state.h * state.r[:m]) * np.atleast_2d(driving)[:, :m] / c
+    psi = solveh_banded(np.vstack((np.full(m, -1.0), diagonal)), rhs.T).T
+    return diagonal, psi, rhs
+
+
+def _numerov_recurrence_error(state, energy, w, b):
+    """Largest componentwise relative residual of Numerov's recurrence
+
+        c_(i+1) phi_(i+1) - 2 (1 + 5 h^2 F_i / 12) phi_i + c_(i-1) phi_(i-1)
+            = (h^2 / 12) (g_(i+1) + 10 g_i + g_(i-1))
+
+    for phi = w / r and g = -2 r b, with F = 9/4 - 2r - 2E r^2 and
+    c = 1 - h^2 F / 12 formed directly, at every interior kept row: each
+    row's sum over the sum of its six terms' magnitudes."""
+    m = oracle._numerov_rows(state, energy)[0]
+    r, h2 = state.r, state.h * state.h
+    f = 2.25 - 2.0 * r - 2.0 * energy * r * r
+    c, phi, g = 1.0 - h2 * f / 12.0, w / r, -2.0 * r * b
+    i = np.arange(1, m - 1)
+    terms = np.array([c[i + 1] * phi[i + 1], -2.0 * (1.0 + 5.0 * h2 * f[i] / 12.0) * phi[i],
+                      c[i - 1] * phi[i - 1], -h2 / 12.0 * g[i + 1], -10.0 * h2 / 12.0 * g[i],
+                      -h2 / 12.0 * g[i - 1]])
+    scale = np.abs(terms).sum(axis=0)
+    return float(np.max(np.abs(terms.sum(axis=0)) / np.where(scale > 0.0, scale, 1.0)))
 
 
 def _full_banded_reference(ab, shift):
@@ -473,15 +553,17 @@ def _count_calls(monkeypatch, *names, when=lambda: True):
 @pytest.fixture
 def lapack_calls(monkeypatch):
     """Counts of the banded-LU and banded Cholesky factorizations and
-    solves made through oracle, and how each factorization was called."""
-    return _count_calls(monkeypatch, "dgbtrf", "dgbtrs", "dpbtrf", "dpbtrs")
+    solves and of the tridiagonal dptsv calls made through oracle, and how
+    each banded factorization was called."""
+    return _count_calls(monkeypatch, "dgbtrf", "dgbtrs", "dpbtrf", "dpbtrs", "dptsv")
 
 
 @pytest.fixture
 def resolvent_calls(monkeypatch):
-    """Counts of the banded Cholesky factorizations and solves made through
-    oracle outside OracleState construction: the resolvent's, not those of
-    the 1S and 2P eigensolves."""
+    """Counts of the banded Cholesky factorizations and solves and of the
+    tridiagonal dptsv calls made through oracle outside OracleState
+    construction: the resolvent's dptsv, not the 1S and 2P eigensolves'
+    Cholesky."""
     building = []
     real_init = OracleState.__init__
 
@@ -493,7 +575,7 @@ def resolvent_calls(monkeypatch):
             building.pop()
 
     monkeypatch.setattr(OracleState, "__init__", init)
-    return _count_calls(monkeypatch, "dpbtrf", "dpbtrs", when=lambda: not building)
+    return _count_calls(monkeypatch, "dpbtrf", "dpbtrs", "dptsv", when=lambda: not building)
 
 
 @pytest.fixture
@@ -670,12 +752,12 @@ class TestEigensolveGates:
             _l1_mode(state, 0.5 * (vals[0] + vals[1]), np.ones(small_grid.n_points))
 
     def test_resolvent_backward_error(self, fresh_grid, monkeypatch):
-        # a solve perturbed to zero leaves the residual -b, so every row
-        # with b_i != 0 has backward error |b_i| / |b_i| = 1 exactly; the
-        # state is built first, since its 1S and 2P solves are dpbtrs too,
-        # and fresh, so no memoized solve answers the read
+        # a Numerov solve perturbed to zero leaves the residual -b, so every
+        # row with b_i != 0 has backward error |b_i| / |b_i| = 1 exactly; the
+        # state is fresh, so no memoized solve answers the read
         build_oracle(fresh_grid)
-        _stub_outputs(monkeypatch, "dpbtrs", lambda sol, info: (np.zeros_like(sol), info))
+        _stub_outputs(monkeypatch, "dptsv",
+                      lambda d, e, psi, info: (d, e, np.zeros_like(psi), info))
         try:
             with pytest.raises(ConvergenceError,
                                match=r"componentwise backward error 1\.00e\+00 above 1e-12"):
@@ -699,18 +781,28 @@ class TestR2Overlap:
         assert abs(fine - coarse) < 1e-8
 
 
-class TestGreenSolve:
-    def test_solution_satisfies_the_linear_system(self, default_grid):
-        from gauge_workbench.oracle import _apply_bands
+# 2000 points from r_min = 1e-12 to r_max = 700, the corner of the domain
+# where green_solve's Numerov system loses the most rows past r ~ 110
+_CUT_CORNER = RadialGrid(2000, 700.0, 1e-12)
 
-        state = build_oracle(default_grid)
-        energy = state.s1.energy + 0.1
-        driving = state.r * state.w1
-        solution = green_solve(state, energy, driving)
-        resid = (_apply_bands(state.bands[1], solution)
-                 - energy * solution - driving)
-        rel = np.sqrt(np.dot(resid, resid) / np.dot(driving, driving))
-        assert rel < 1e-8
+
+class TestGreenSolve:
+    def test_solution_satisfies_the_linear_system(self):
+        # the returned w satisfies Numerov's recurrence for phi = w / r,
+        # written from F and c directly, at roundoff (4.6e-16 at most
+        # here): this holds the psi system, its right-hand side and the
+        # back-transform together, on the kept rows of the cut corner too
+        try:
+            for grid in (RadialGrid(), RadialGrid(24000), _CUT_CORNER):
+                state = build_oracle(grid)
+                for offset in (0.001, 0.1875, 0.37, -0.15, -0.37):
+                    energy = state.s1.energy + offset
+                    w = green_solve(state, energy, state._driving)
+                    for k in range(2):
+                        assert _numerov_recurrence_error(
+                            state, energy, w[:, k], state._driving[:, k]) <= 2e-15
+        finally:
+            build_oracle.cache_clear()
 
     def test_overflowing_solve_is_an_error(self, small_grid):
         # A driving term that overflows next to the 2P level must raise,
@@ -736,13 +828,19 @@ class TestGreenSolve:
 
     @pytest.mark.parametrize("offset", [0.001, 0.1875, 0.37, -0.15])
     def test_cholesky_agrees_with_pivoted_lu(self, default_grid, offset):
+        # dptsv's LDL^T factor against a pivoted tridiagonal LU (dgtsv,
+        # through solve_banded) of the same psi system, column by column
         state = build_oracle(default_grid)
         energy = state.s1.energy + offset
         driving = np.column_stack((state.r * state.w1, state.wd1))
         solution = green_solve(state, energy, driving)
         assert solution.shape == driving.shape
+        m, c, diagonal = _numerov_by_hand(state, energy)
+        h2, r = state.h * state.h, state.r
+        bands = np.vstack((np.full(m, -1.0), diagonal, np.full(m, -1.0)))
         for k in range(driving.shape[1]):
-            lu = solve_banded((2, 2), _lu_bands(_upper(state.bands[1]), energy), driving[:, k])
+            psi = solve_banded((1, 1), bands, 2.0 * h2 * r * driving[:, k] / c)
+            lu = r * (psi - h2 / 6.0 * r * driving[:, k]) / c
             assert np.max(np.abs(solution[:, k] - lu)) <= 1e-10 * np.max(np.abs(lu))
 
     def test_stacked_call_with_one_overflowing_column_is_an_error(self, small_grid):
@@ -753,7 +851,7 @@ class TestGreenSolve:
             green_solve(state, state.s2p.energy - 1e-9, driving)
 
     def test_zero_driving_column_passes_the_gate(self, small_grid):
-        # rows with |K - E| |x| + |b| = 0 carry no residual, not a 0/0
+        # rows with |A| |psi| + |b| = 0 carry no residual, not a 0/0
         state = build_oracle(small_grid)
         driving = np.column_stack((state.r * state.w1, np.zeros(small_grid.n_points)))
         solution = green_solve(state, state.s1.energy + 0.1, driving)
@@ -762,40 +860,50 @@ class TestGreenSolve:
     @pytest.mark.parametrize("grid", [RadialGrid(), RadialGrid(24000)], ids=["default", "24000"])
     @pytest.mark.parametrize("offset", [0.001, 0.1875, 0.37, -0.15])
     def test_matches_a_shifted_copy_solved_by_scipy_bit_for_bit(self, grid, offset):
+        # the Numerov system written out at the energy and solved by
+        # solveh_banded, for the stacked columns and for each alone
         state = build_oracle(grid)
         energy = state.s1.energy + offset
         assert np.array_equal(green_solve(state, energy, state._driving),
                               _green_solve_reference(state, energy, state._driving))
+        column = np.ascontiguousarray(state._driving[:, 1])
+        assert np.array_equal(green_solve(state, energy, column),
+                              _green_solve_reference(state, energy, column))
 
     def test_stacked_solve_makes_one_factorization_and_one_solve(self, small_grid,
                                                                   resolvent_calls):
+        # one dptsv factors the psi system and solves both columns
         state = build_oracle(small_grid)
         green_solve(state, state.s1.energy + 0.1, state._driving)
-        assert resolvent_calls == {"dpbtrf": 1, "dpbtrs": 1}
+        assert resolvent_calls == {"dpbtrf": 0, "dpbtrs": 0, "dptsv": 1}
 
     @pytest.mark.parametrize("case", ["solve-0.001", "solve-0.1875", "solve-0.37", "perturbed",
                                       "zero-column", "overflow", "one-dimensional"])
     def test_one_pass_gate_equals_two_passes_bit_for_bit(self, default_grid, case):
+        # the gate's one pass over the three bands against |A psi - b| and
+        # |A| |psi| + |b| from two tridiagonal applications, column by column
         state = build_oracle(default_grid)
         offset = float(case.split("-")[1]) if case.startswith("solve-") else 0.1
-        energy = state.s1.energy + offset
-        shifted = state.bands[1].copy()
-        shifted[0] -= energy
         b = np.array(state._driving.T)
         if case == "zero-column":
             b[1] = 0.0
-        x = green_solve(state, energy, b.T).T
-        if case == "perturbed":
-            x = x * (1.0 + 1e-9 * np.cos(np.arange(x.shape[-1])))
-        elif case == "overflow":
-            x[1] = b[1] = 1e300
         elif case == "one-dimensional":
-            x, b = x[0], b[0]
-        gate = oracle._componentwise_backward_error(state.bands[1], energy, x, b)
-        assert np.array_equal(gate, _two_pass_backward_error(_upper(shifted), x, b),
-                              equal_nan=True)
+            b = b[1:]
+        diagonal, psi, rhs = _numerov_psi(state, state.s1.energy + offset, b)
+        if case == "perturbed":
+            psi = psi * (1.0 + 1e-9 * np.cos(np.arange(psi.shape[-1])))
+        elif case == "overflow":
+            psi[1] = rhs[1] = 1e308
+        for x, column in zip(psi, rhs):
+            before = (x.copy(), column.copy())
+            gate = oracle._backward_error(diagonal, x, column)
+            expected = _two_pass_backward_error(diagonal, x, column)
+            assert gate == expected or (math.isnan(gate) and math.isnan(expected))
+            # the gate reads its arguments and writes neither
+            assert np.array_equal(x, before[0]) and np.array_equal(column, before[1])
         if case == "overflow":
-            assert gate[0] <= oracle._RESOLVENT_TARGET and np.isnan(gate[1])
+            assert oracle._backward_error(diagonal, psi[0], rhs[0]) <= oracle._RESOLVENT_TARGET
+            assert math.isnan(oracle._backward_error(diagonal, psi[1], rhs[1]))
 
     def test_energy_inside_the_l1_spectrum_is_rejected(self, default_grid):
         # Negative control for the Cholesky route: between 2P and 3P the
@@ -805,18 +913,78 @@ class TestGreenSolve:
             green_solve(state, state.s2p.energy + 0.01, state.r * state.w1)
 
     def test_backward_error_gate_sees_a_perturbed_solution(self, default_grid):
-        # Negative control for the componentwise gate: the exact solve sits
-        # at roundoff, a 1e-9 relative perturbation of it does not.
-        from gauge_workbench.oracle import _RESOLVENT_TARGET, _componentwise_backward_error
-
+        # Negative control for the componentwise gate: the exact solve of
+        # the psi system sits at roundoff, a 1e-9 relative perturbation of
+        # it does not.
         state = build_oracle(default_grid)
-        energy = state.s1.energy + 0.1
-        driving = state.r * state.w1
-        solution = green_solve(state, energy, driving)
-        perturbed = solution * (1.0 + 1e-9 * np.cos(np.arange(solution.size)))
-        ab = state.bands[1]
-        assert _componentwise_backward_error(ab, energy, solution, driving) <= 1e-15
-        assert _componentwise_backward_error(ab, energy, perturbed, driving) > _RESOLVENT_TARGET
+        diagonal, psi, rhs = _numerov_psi(state, state.s1.energy + 0.1, state.r * state.w1)
+        perturbed = psi[0] * (1.0 + 1e-9 * np.cos(np.arange(psi.shape[-1])))
+        assert oracle._backward_error(diagonal, psi[0], rhs[0]) <= 1e-15
+        assert oracle._backward_error(diagonal, perturbed, rhs[0]) > oracle._RESOLVENT_TARGET
+
+
+class TestNumerovRows:
+    """The rows of green_solve's Numerov system, and the rule that keeps
+    those before the first point where c = 1 - h^2 F / 12 <= 1/2."""
+
+    @pytest.mark.parametrize("grid", [RadialGrid(), _CUT_CORNER], ids=["default", "cut-corner"])
+    def test_rows_are_the_scheme_written_out(self, grid):
+        # bit for bit against _numerov_by_hand's a0 + E a1, and within
+        # roundoff of c and 2 + h^2 F / c formed from F directly
+        state = build_oracle(grid)
+        try:
+            for offset in (-0.37, 0.001, 0.1875, 0.37):
+                energy = state.s1.energy + offset
+                m, c, diagonal = oracle._numerov_rows(state, energy)
+                reference = _numerov_by_hand(state, energy)
+                assert m == reference[0]
+                assert np.array_equal(c, reference[1])
+                assert np.array_equal(diagonal, reference[2])
+                h2, r = state.h * state.h, state.r[:m]
+                f = 2.25 - 2.0 * r - 2.0 * energy * r * r
+                assert np.max(np.abs(c / (1.0 - h2 * f / 12.0) - 1.0)) <= 2e-15
+                assert np.max(np.abs(diagonal / (2.0 + h2 * f / (1.0 - h2 * f / 12.0)) - 1.0)) <= 2e-15
+        finally:
+            build_oracle.cache_clear()
+
+    def test_corner_grid_cuts_rows_and_its_report_passes(self):
+        # at the domain's corner c falls to 1/2 past r ~ 110 at E_1S - 0.37
+        # and past r ~ 290 at E_1S + 0.37: the rows from the first point
+        # with c <= 1/2 on are cut, c <= 1/2 on every one of them (F is
+        # convex in r for E < 0), w = 0 there, and the oracle report passes
+        state = build_oracle(_CUT_CORNER)
+        try:
+            cut_at = {}
+            for offset in (-0.37, 0.001, 0.37):
+                energy = state.s1.energy + offset
+                m = oracle._numerov_rows(state, energy)[0]
+                f = 2.25 - 2.0 * state.r - 2.0 * energy * state.r * state.r
+                c = 1.0 - state.h * state.h * f / 12.0
+                assert np.all(c[:m] > 0.5) and np.all(c[m:] <= 0.5)
+                w = green_solve(state, energy, state._driving)
+                assert np.all(np.isfinite(w)) and not np.any(w[m:])
+                cut_at[offset] = state.r[m]
+            assert 100.0 < cut_at[-0.37] < cut_at[0.001] < cut_at[0.37] < 300.0
+            report = identities.build_report("oracle", grid=_CUT_CORNER)
+            assert report.overall_pass
+        finally:
+            build_oracle.cache_clear()
+
+    @pytest.mark.parametrize("grid,floor", [(RadialGrid(), 0.98),
+                                            (RadialGrid(2000, 80.0, 1e-12), 0.76)],
+                             ids=["default", "coarsest-r_max-80"])
+    def test_no_row_is_cut_at_r_max_80(self, grid, floor):
+        # c is lowest at the lowest resolvent energy, E_1S - 3/8, and at
+        # r_max; the coarsest spacing with r_max = 80 (2000 points from
+        # 1e-12) bounds every 80-Bohr grid of the domain
+        state = build_oracle(grid)
+        try:
+            m, c, _ = oracle._numerov_rows(state, state.s1.energy - 0.375)
+            assert m == grid.n_points
+            assert c.min() > floor
+        finally:
+            if grid != RadialGrid():
+                build_oracle.cache_clear()
 
 
 class TestAmplitudeOracles:
@@ -842,16 +1010,16 @@ class TestAmplitudeOracles:
     @pytest.mark.parametrize("grid", [RadialGrid(), RadialGrid(24000, r_min=1e-11)],
                              ids=["default", "24000-r_min-1e-11"])
     def test_gauge_pair_matches_upper_storage_cholesky(self, grid):
+        # each x's Numerov system written out and solved by solveh_banded on
+        # upper storage (LAPACK ptsv, an LDL^T factor), one call per x
         state = build_oracle(grid)
         driving = np.column_stack((state.r * state.w1, state.wd1))
         for x in (0.001, 0.02, 0.05, 0.1, 0.15, 0.1875, 0.25, 0.3, 0.35, 0.37):
-            shifted = state.bands[1].copy()
-            shifted[0] -= state.s1.energy + x
-            psi = solveh_banded(_upper(shifted), driving)
+            w = _green_solve_reference(state, state.s1.energy + x, driving)
             q, p = gauge_pair_oracle(grid, x)
-            assert math.isclose(q, state.integrate(state.w2 * state.r, psi[:, 0]) / 3.0,
+            assert math.isclose(q, state.integrate(state.w2 * state.r, w[:, 0]) / 3.0,
                                 rel_tol=1e-12)
-            assert math.isclose(p, state.integrate(state.wd2, psi[:, 1]) / 3.0, rel_tol=1e-12)
+            assert math.isclose(p, state.integrate(state.wd2, w[:, 1]) / 3.0, rel_tol=1e-12)
 
     @pytest.mark.parametrize("x", [0.3749, 0.37499])
     def test_close_to_the_2p_pole_is_computed(self, default_grid, x):
@@ -918,39 +1086,40 @@ class TestAmplitudeMemo:
         q = q_oracle(fresh_grid, 0.1)
         p = p_oracle(fresh_grid, 0.1)
         assert gauge_pair_oracle(fresh_grid, 0.1) == (q, p)
-        assert resolvent_calls["dpbtrf"] == 1
+        assert resolvent_calls["dptsv"] == 1
 
     def test_pair_then_1s_read_make_one_solve(self, fresh_grid, resolvent_calls):
         # the 2S and 1S elements at one x come from one solve; -x is its own
         gauge_pair_oracle(fresh_grid, 0.1)
         diagonal_elements(fresh_grid, 0.1)
-        assert resolvent_calls["dpbtrf"] == 1
+        assert resolvent_calls["dptsv"] == 1
         diagonal_elements(fresh_grid, -0.1)
-        assert resolvent_calls["dpbtrf"] == 2
+        assert resolvent_calls["dptsv"] == 2
         assert list(build_oracle(fresh_grid)._amplitudes) == [0.1, -0.1]
 
     def test_cold_oracle_report_solve_count(self, lapack_calls):
         # 1S and 2P by banded Cholesky and 2S by pivoted LU, then one
-        # resolvent factorization per signed x: the 20 master points and the
-        # 4 ac-Stark points at +-x, all 28 held in the memo at once
+        # tridiagonal resolvent solve per signed x: the 20 master points and
+        # the 4 ac-Stark points at +-x, all 28 held in the memo at once
         build_oracle.cache_clear()
         identities.build_report("oracle")
-        assert lapack_calls["dpbtrf"] == 30 and lapack_calls["dgbtrf"] == 1
+        assert lapack_calls["dpbtrf"] == 2 and lapack_calls["dgbtrf"] == 1
+        assert lapack_calls["dptsv"] == 28
         memo = build_oracle(RadialGrid())._amplitudes
         signed = [s for x in identities.AC_STARK_POINTS for s in (x, -x)]
         assert list(memo) == list(identities.MASTER_GRID) + signed
         for x in identities.MASTER_GRID:
             gauge_pair_oracle(RadialGrid(), x)
-        assert lapack_calls["dpbtrf"] == 30
+        assert lapack_calls["dpbtrf"] == 2 and lapack_calls["dptsv"] == 28
 
     def test_cache_clear_starts_the_count_over(self, fresh_grid, resolvent_calls):
         q_oracle(fresh_grid, 0.1)
         p_oracle(fresh_grid, 0.1)
-        assert resolvent_calls["dpbtrf"] == 1
+        assert resolvent_calls["dptsv"] == 1
         build_oracle.cache_clear()
         p_oracle(fresh_grid, 0.1)
         q_oracle(fresh_grid, 0.1)
-        assert resolvent_calls["dpbtrf"] == 2
+        assert resolvent_calls["dptsv"] == 2
 
     def test_memo_is_bounded(self, fresh_grid, resolvent_calls):
         size = oracle._AMPLITUDE_MEMO_SIZE
@@ -959,13 +1128,13 @@ class TestAmplitudeMemo:
         for x in xs:
             gauge_pair_oracle(fresh_grid, x)
             assert len(state._amplitudes) <= size
-        assert resolvent_calls["dpbtrf"] == len(xs)
+        assert resolvent_calls["dptsv"] == len(xs)
         # the newest pairs are still held, the oldest were dropped
         for x in xs[-size:]:
             q_oracle(fresh_grid, x)
-        assert resolvent_calls["dpbtrf"] == len(xs)
+        assert resolvent_calls["dptsv"] == len(xs)
         q_oracle(fresh_grid, xs[0])
-        assert resolvent_calls["dpbtrf"] == len(xs) + 1
+        assert resolvent_calls["dptsv"] == len(xs) + 1
 
     @pytest.mark.parametrize("x,error", [(0.4, DomainError), (0.3749995, NearResonanceError)],
                              ids=["out-of-window", "guard-edge"])
@@ -975,7 +1144,7 @@ class TestAmplitudeMemo:
                 with pytest.raises(error):
                     amplitude(fresh_grid, x)
         assert not build_oracle(fresh_grid)._amplitudes
-        assert resolvent_calls["dpbtrf"] == 0
+        assert resolvent_calls["dptsv"] == 0
 
     @_ABOVE_THE_2P_LEVEL
     def test_energy_above_the_2p_level_is_near_resonance(self, resolvent_calls, monkeypatch,
@@ -989,11 +1158,11 @@ class TestAmplitudeMemo:
                 with pytest.raises(NearResonanceError):
                     amplitude(grid, x)
         assert not state._amplitudes
-        assert resolvent_calls["dpbtrf"] == 0
+        assert resolvent_calls["dptsv"] == 0
         # negative control: just below the level the pair is computed
         q, p = gauge_pair_oracle(grid, state.s2p.energy - state.s1.energy - 1e-5)
         assert math.isfinite(q) and math.isfinite(p)
-        assert resolvent_calls["dpbtrf"] == 1
+        assert resolvent_calls["dptsv"] == 1
 
     def test_failed_velocity_column_fails_q_and_is_not_stored(self, fresh_grid, monkeypatch):
         # both columns are solved together, so a bad velocity column fails
@@ -1126,6 +1295,29 @@ class TestDefaultGridAccuracy:
         )
         for check, bound in checks:
             assert check.max_residual < bound, check.name
+
+    @pytest.mark.parametrize("scheme", ["second-order", "source-sign"])
+    def test_wrong_resolvent_scheme_fails(self, default_grid, monkeypatch, scheme):
+        # Negative controls for the scheme's order, each on a state of its
+        # own: the second-order system (c = 1 without the h^2 F / 12
+        # correction, psi = phi, diagonal 2 + h^2 F) and Numerov with its
+        # source term's sign flipped (psi = c phi - (h^2 / 6) r b) both
+        # leave an O(h^2) error, Q at 3/16 off by 6.9e-7 and 2.0e-5, and
+        # fail both tests above at their first resolvent reading.
+        state = OracleState(default_grid)
+        h2, r = state.h * state.h, state.r
+        if scheme == "second-order":
+            state._numerov = np.array([[np.ones_like(r), 2.0 + h2 * (2.25 - 2.0 * r)],
+                                       [np.zeros_like(r), -2.0 * h2 * r * r]])
+            state._back = np.zeros_like(r)
+        else:
+            state._back = -state._back
+        monkeypatch.setattr(oracle, "build_oracle", lambda grid: state)
+        with pytest.raises(AssertionError, match="< 7e-10"):
+            self.test_energy_and_matrix_elements(default_grid)
+        with pytest.raises(AssertionError, match="^master_identity"):
+            self.test_grid_checks(default_grid)
+        assert _relative_error(q_oracle(default_grid, 3.0 / 16.0), q_length(3.0 / 16.0)) > 1e-7
 
     def test_r_min_error_is_cubic(self):
         # E_1S + 1/2 = -2 r_min^3 with the cusp-corrected closure (-2e-6 and
@@ -1261,7 +1453,8 @@ class TestPseudostateSum:
         lapack_calls.update(dict.fromkeys(lapack_calls, 0))
         pseudostate_q(small_grid, 0.1, count=30)
         steps = lapack_calls["dpbtrs"]
-        assert lapack_calls == {"dgbtrf": 0, "dgbtrs": 0, "dpbtrf": 1, "dpbtrs": steps}
+        assert lapack_calls == {"dgbtrf": 0, "dgbtrs": 0, "dpbtrf": 1, "dpbtrs": steps,
+                                "dptsv": 0}
         assert steps in itertools.takewhile(lambda m: m <= 100, _check_schedule(30))
 
     def test_krylov_cap_below_the_needed_dimension_is_a_convergence_error(
