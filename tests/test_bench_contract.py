@@ -58,6 +58,16 @@ def test_negative_controls_are_flagged(context):
         control()
 
 
+@pytest.mark.parametrize("x", [0.02, 0.1, 0.1875, 0.3, 0.37])
+def test_pseudostate_checker_passes_across_the_seeded_range(x):
+    # grid_sweep draws each seed's x from U(0.02, 0.37); its checker must
+    # pass at both ends of that range and inside it, not at seed 7's x alone
+    from gauge_workbench import closedform, oracle
+
+    partials = oracle.pseudostate_q(workloads.PSEUDOSTATE_GRID, x, count=30)
+    assert workloads.check_pseudostate(closedform.q_length(x), partials)
+
+
 def test_crosscheck_grids_are_distinct():
     # build_oracle caches by grid, so two equal grids would silently drop one
     # size from the sweep; a change of RadialGrid's defaults can cause that
@@ -74,7 +84,7 @@ def test_crosscheck_grids_keep_every_numerov_row():
 
     for grid in workloads.CROSSCHECK_GRIDS:
         state = oracle.build_oracle(grid)
-        m, c, _ = oracle._numerov_rows(state, state.s1.energy - 0.375)
+        m, c, _ = oracle._numerov_rows(state._numerov[1], state.s1.energy - 0.375)
         assert m == grid.n_points and c.min() > 0.97, grid
 
 

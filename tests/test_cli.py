@@ -699,7 +699,7 @@ class TestImportCost:
                 "assert 'scipy' not in sys.modules, 'scipy imported'\n"
                 "assert sys.modules['scipy.linalg._flapack'] is oracle._flapack\n"
                 "from scipy.linalg import lapack\n"
-                "assert lapack.dpbtrf is oracle.dpbtrf and lapack.dstev is oracle._flapack.dstev")
+                "assert lapack.dgttrf is oracle.dgttrf and lapack.dstev is oracle._flapack.dstev")
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                               text=True, env=_subprocess_env())
         assert proc.returncode == 0, proc.stderr

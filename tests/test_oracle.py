@@ -1,7 +1,7 @@
 """Grid oracle tests: eigensolves, resolvent solves, and self-consistency.
 
 The default grid is built once per session (construction is cached), so
-these tests mostly cost one banded solve each.
+these tests mostly cost one tridiagonal solve each.
 """
 
 import dataclasses
@@ -12,8 +12,8 @@ import types
 
 import numpy as np
 import pytest
-from scipy.linalg import eig_banded, lapack, solve_banded, solveh_banded
-from scipy.linalg.lapack import dgbtrf, dgbtrs, dpbtrf, dpbtrs
+from scipy.linalg import lapack, solve_banded, solveh_banded
+from scipy.linalg.lapack import dgttrf, dgttrs
 from scipy.special import eval_genlaguerre
 
 from gauge_workbench import identities, oracle
@@ -41,29 +41,6 @@ from gauge_workbench.oracle import (
 R2_EXACT = -512.0 * math.sqrt(2.0) / 243.0
 
 
-def _upper(ab):
-    """Lower symmetric bands (row k holds K[j + k, j]) in the upper layout
-    that solveh_banded and eig_banded(lower=False) take (row 2 - k holds
-    K[j - k, j]), written out row by row."""
-    upper = np.zeros_like(ab)
-    upper[0, 2:] = ab[2, :-2]
-    upper[1, 1:] = ab[1, :-1]
-    upper[2, :] = ab[0, :]
-    return upper
-
-
-def _lu_bands(ab, shift):
-    """K - shift in the (2,2)-banded layout that solve_banded takes."""
-    n = ab.shape[1]
-    full = np.zeros((5, n))
-    full[0, 2:] = ab[0, 2:]
-    full[1, 1:] = ab[1, 1:]
-    full[2, :] = ab[2, :] - shift
-    full[3, :-1] = ab[1, 1:]
-    full[4, :-2] = ab[0, 2:]
-    return full
-
-
 class TestRadialGrid:
     def test_defaults_satisfy_floors(self):
         grid = RadialGrid()
@@ -83,8 +60,9 @@ class TestRadialGrid:
             {"r_min": math.nan},
             {"n_points": 200001},
             {"n_points": 10**9},
-            # past the domain's edges: r^2 overflows at 1e300 and the bands
-            # at 1e-200; the 1S tail underflows past r ~ 708; the closure
+            # past the domain's edges: r^2 overflows at 1e300, and 1e-200
+            # lies far under the r_min floor; the 1S tail underflows past
+            # r ~ 708; the closure
             # error passes 2e-6 Hartree above r_min = 1e-2
             {"r_max": 1e300},
             {"r_min": 1e-200},
@@ -119,6 +97,16 @@ class TestRadialGrid:
     def test_refined_doubles_points(self):
         grid = RadialGrid()
         assert grid.refined().n_points == 6498
+
+    @pytest.mark.parametrize("r_max", [80.0, 700.0])
+    def test_oracle_report_passes_at_the_point_ceiling(self, r_max):
+        # 200000 points, where roundoff has grown past the stencil error:
+        # master_identity reads 2.8e-7 / 2.1e-7 and one_photon_ratio
+        # 9.0e-9 / 1.8e-9 at r_max = 80 / 700, under 1e-6 and 1e-8
+        try:
+            assert identities.build_report("oracle", grid=RadialGrid(200000, r_max)).overall_pass
+        finally:
+            build_oracle.cache_clear()
 
 
 def _states_by_label(state):
@@ -158,71 +146,14 @@ class TestBoundStates:
         assert abs(state.integrate(state.w1, state.w2)) < 1e-10
 
 
-def _dense_operator(l, h, r):
-    """K_l as a dense matrix, entry by entry from the five-point formula:
-    (30, -16, 1) / (24 h^2) on the diagonal and the first two off-diagonals,
-    conjugated by diag(1/r), plus (l(l+1)/2 + 1/8 - r) / r^2 on the diagonal.
-    The ghost points below the grid, (D w)_i e^(-k a h) f(r_i e^(-k h)) /
-    f(r_i) for the neighbour k steps below row i, with a = l + 1/2 and
-    f(r) = 1 - c r, c = 1/(l + 1), add (-16 e^(-ah) f(r_0 e^-h) +
-    e^(-2ah) f(r_0 e^(-2h))) / (f(r_0) 24 h^2) to row 0 and
-    e^(-2ah) f(r_1 e^(-2h)) / (f(r_1) 24 h^2) to row 1 before the division
-    by r^2."""
-    n = r.size
-    a, c = l + 0.5, 1.0 / (l + 1)
-    ghost = np.zeros(n)
-    ghost[0] = ((-16.0 * math.exp(-a * h) * (1.0 - c * r[0] * math.exp(-h))
-                 + 1.0 * math.exp(-2.0 * a * h) * (1.0 - c * r[0] * math.exp(-2.0 * h)))
-                / ((1.0 - c * r[0]) * (24.0 * h * h)))
-    ghost[1] = (1.0 * math.exp(-2.0 * a * h) * (1.0 - c * r[1] * math.exp(-2.0 * h))
-                / ((1.0 - c * r[1]) * (24.0 * h * h)))
-    dense = np.zeros((n, n))
-    for i in range(n):
-        dense[i, i] = (30.0 / (24.0 * h * h) + ghost[i] + 0.5 * l * (l + 1) + 0.125
-                       - r[i]) / (r[i] * r[i])
-        for k, weight in ((1, -16.0), (2, 1.0)):
-            if i + k < n:
-                dense[i, i + k] = dense[i + k, i] = weight / (24.0 * h * h) / (r[i] * r[i + k])
-    return dense
-
-
-def _dense_from_lower(ab):
-    """Unpack lower symmetric band storage: ab[k, j] is K[j + k, j]; the
-    last k slots of row k lie outside the matrix and must hold zero."""
-    rows, n = ab.shape
-    dense = np.zeros((n, n))
-    for k in range(rows):
-        for j in range(n):
-            if j + k < n:
-                dense[j + k, j] = dense[j, j + k] = ab[k, j]
-            else:
-                assert ab[k, j] == 0.0
-    return dense
-
-
-def _dense_from_lu_layout(full):
-    """Unpack the (2, 2) dgbtrf layout: K[i, j] is full[4 + i - j, j]; the
-    two workspace rows and every slot outside the matrix must hold zero."""
-    rows, n = full.shape
-    dense = np.zeros((n, n))
-    for row in range(rows):
-        for j in range(n):
-            i = row - 4 + j
-            if row >= 2 and 0 <= i < n:
-                dense[i, j] = full[row, j]
-            else:
-                assert full[row, j] == 0.0
-    return dense
-
-
 def _assert_shared_arrays_intact(state):
-    """The state's bands, driving terms and Numerov rows hold what they
-    were built with."""
+    """The state's Numerov rows and driving terms hold what they were
+    built with."""
     for l in (0, 1):
-        assert np.array_equal(state.bands[l], oracle._hamiltonian_bands(l, state.h, state.r))
+        assert np.array_equal(state._numerov[l], oracle._channel_rows(l, state.h, state.r))
     assert np.array_equal(state._driving, np.column_stack((state.r * state.w1, state.wd1)))
     for energy in (0.0, 1.0):
-        m, c, diagonal = oracle._numerov_rows(state, energy)
+        m, c, diagonal = oracle._numerov_rows(state._numerov[1], energy)
         reference = _numerov_by_hand(state, energy)
         assert m == reference[0]
         assert np.array_equal(c, reference[1]) and np.array_equal(diagonal, reference[2])
@@ -248,36 +179,25 @@ def _numerov_by_hand(state, energy):
 
 
 class TestBandStorage:
-    """The one band layout every consumer of K_l reads, pinned against a
-    dense matrix written out by hand."""
-
-    @pytest.mark.parametrize("l", [0, 1])
-    def test_lower_bands_and_lu_layout_unpack_to_the_dense_operator(self, l):
-        y = np.linspace(math.log(0.01), math.log(5.0), 12)
-        h, r = float(y[1] - y[0]), np.exp(y)
-        dense = _dense_operator(l, h, r)
-        ab = oracle._hamiltonian_bands(l, h, r)
-        full = oracle._full_banded(ab)
-        assert ab.shape == (3, 12) and full.shape == (7, 12)
-        assert full.flags.f_contiguous
-        assert np.array_equal(_dense_from_lower(ab), dense)
-        assert np.array_equal(_dense_from_lu_layout(full), dense)
+    """The Numerov rows every solve reads, states, modes and resolvent
+    alike, and the factorizations that read them."""
 
     def test_nothing_factors_the_shared_operator_in_place(self, small_grid):
         state = build_oracle(small_grid)
         green_solve(state, state.s1.energy + 0.1, state._driving)
         for n, l in [(1, 0), (2, 0), (2, 1)]:
             oracle._solve_on_state(state, n, l)
+        pseudostate_q(small_grid, 0.1, count=5)
         assert build_oracle(small_grid) is state
         _assert_shared_arrays_intact(state)
 
     @pytest.mark.parametrize("case", ["cold-build", "resolvent", "not-positive-definite"])
     def test_factorizations_run_in_place_on_private_copies(self, fresh_grid, lapack_calls,
                                                            case):
-        # every dpbtrf and dgbtrf gets an array f2py factors without a
-        # copy, and none of them is the state's bands or driving terms; a
-        # resolvent solve makes no banded factorization, only one dptsv,
-        # and leaves the state's Numerov rows as they were built
+        # every dgttrf factors a fresh diagonal in place, without an f2py
+        # copy, one per state; a resolvent solve makes no such
+        # factorization, only one dptsv; and none of them changes the
+        # state's Numerov rows or driving terms
         state = build_oracle(fresh_grid)
         if case != "cold-build":
             lapack_calls.factored.clear()
@@ -287,31 +207,27 @@ class TestBandStorage:
         elif case == "not-positive-definite":
             with pytest.raises(ConvergenceError, match="not positive definite"):
                 green_solve(state, state.s2p.energy + 0.01, state._driving)
-        expected = {"cold-build": ["dpbtrf", "dgbtrf", "dpbtrf"], "resolvent": [],
-                    "not-positive-definite": []}[case]
-        assert lapack_calls.factored == [(name, True, True) for name in expected]
+        expected = 3 if case == "cold-build" else 0
+        assert lapack_calls.factored == [("dgttrf", True, True)] * expected
+        assert lapack_calls["dgttrs"] == (6 if case == "cold-build" else 0)
         assert lapack_calls["dptsv"] == (0 if case == "cold-build" else 1)
         _assert_shared_arrays_intact(state)
 
 
 def _lapack_results(routines, state):
-    """Every output of the five bound LAPACK routines on one system of the
-    state each: Cholesky of K_1 - (E_1S + 0.1) and pivoted LU of the
-    indefinite K_1 - (E_2P + 1e-3), each with a two-column solve, and the
-    tridiagonal Numerov system at E_1S + 0.1, factored and solved for both
-    driving columns."""
-    shifted = state.bands[1].copy()
-    shifted[0] -= state.s1.energy + 0.1
-    factor, info = routines.dpbtrf(shifted, lower=1)
-    sol, sinfo = routines.dpbtrs(factor, state._driving, lower=1)
-    layout = oracle._full_banded(state.bands[1])
-    layout[2 * oracle._KD] -= state.s2p.energy + 1e-3
-    lu, piv, luinfo = routines.dgbtrf(layout, oracle._KD, oracle._KD)
-    v, vinfo = routines.dgbtrs(lu, oracle._KD, oracle._KD, state._driving, piv)
+    """Every output of the three bound LAPACK routines on one system of
+    the state each: the indefinite l = 0 Numerov system at the 2S level,
+    factored by pivoted tridiagonal LU and solved for both driving
+    columns, and the positive definite l = 1 system at E_1S + 0.1,
+    factored and solved for both driving columns by dptsv."""
+    m, c, diagonal = oracle._numerov_rows(state._numerov[0], -0.125)
+    off = np.full(m - 1, -1.0)
+    dl, d, du, du2, ipiv, info = routines.dgttrf(off, diagonal, off)
+    sol, sinfo = routines.dgttrs(dl, d, du, du2, ipiv, state._driving[:m])
     m, c, diagonal = _numerov_by_hand(state, state.s1.energy + 0.1)
-    d, e, psi, tinfo = routines.dptsv(diagonal, np.full(m - 1, -1.0),
-                                      state._source[:, None] * state._driving / c[:, None])
-    return factor, sol, lu, piv, v, d, e, psi, (info, sinfo, luinfo, vinfo, tinfo)
+    pd, pe, psi, tinfo = routines.dptsv(diagonal, np.full(m - 1, -1.0),
+                                        state._source[:, None] * state._driving / c[:, None])
+    return dl, d, du, du2, ipiv, sol, pd, pe, psi, (info, sinfo, tinfo)
 
 
 class TestLapackBinding:
@@ -322,7 +238,7 @@ class TestLapackBinding:
         state = build_oracle(small_grid)
         ours = _lapack_results(oracle, state)
         public = _lapack_results(lapack, state)
-        assert ours[-1] == public[-1] == (0, 0, 0, 0, 0)
+        assert ours[-1] == public[-1] == (0, 0, 0)
         for mine, theirs in zip(ours[:-1], public[:-1]):
             assert np.array_equal(mine, theirs)
 
@@ -342,8 +258,8 @@ def _five_point_driving_term(state, u):
 
 
 class TestStencilTables:
-    """Every grid derivative comes from _STENCIL or _DERIVATIVE, applied with
-    u = 0 past both ends of the grid."""
+    """The velocity-gauge driving term's derivative comes from _DERIVATIVE,
+    applied with u = 0 past both ends of the grid."""
 
     @pytest.mark.parametrize("grid", [RadialGrid(), RadialGrid(2000)], ids=["default", "2000"])
     def test_driving_terms_equal_the_zero_padded_five_point_formula(self, grid):
@@ -352,56 +268,51 @@ class TestStencilTables:
         assert np.array_equal(state.wd2, _five_point_driving_term(state, state.s2.radial_values))
 
     def test_sixth_order_tables_pass_every_gate(self, monkeypatch):
-        # -(1/2) d^2/dy^2 = (490, -270, 27, -2) / (360 h^2) and
-        # f' = (45 (f1 - f-1) - 9 (f2 - f-2) + (f3 - f-3)) / (60 h)
-        monkeypatch.setattr(oracle, "_STENCIL", ((490.0, -270.0, 27.0, -2.0), 360.0))
-        monkeypatch.setattr(oracle, "_KD", 3)
+        # f' = (45 (f1 - f-1) - 9 (f2 - f-2) + (f3 - f-3)) / (60 h); the
+        # Numerov system has no table of its own
         monkeypatch.setattr(oracle, "_DERIVATIVE", ((45.0, -9.0, 1.0), 60.0))
-        try:
-            # built directly, so no sixth-order state enters build_oracle's cache
-            state = OracleState(RadialGrid(3000))
-            assert state.bands[1].shape == (4, 3000)
-            assert oracle._full_banded(state.bands[1]).shape == (10, 3000)
-            assert not np.array_equal(
-                state.wd1, _five_point_driving_term(state, state.s1.radial_values))
-            for x in (0.05, 3.0 / 16.0, 0.37):
-                psi = green_solve(state, state.s1.energy + x, state._driving)
-                q = state.integrate(state.w2 * state.r, psi[:, 0]) / 3.0
-                p = state.integrate(state.wd2, psi[:, 1]) / 3.0
-                assert math.isclose(q, q_length(x), rel_tol=TOL_ORACLE)
-                assert math.isclose(p, p_velocity(x), rel_tol=TOL_ORACLE)
-        finally:
-            build_oracle.cache_clear()
+        # built directly, so no sixth-order state enters build_oracle's cache
+        state = OracleState(RadialGrid(3000))
+        assert not np.array_equal(
+            state.wd1, _five_point_driving_term(state, state.s1.radial_values))
+        for x in (0.05, 3.0 / 16.0, 0.37):
+            psi = green_solve(state, state.s1.energy + x, state._driving)
+            q = state.integrate(state.w2 * state.r, psi[:, 0]) / 3.0
+            p = state.integrate(state.wd2, psi[:, 1]) / 3.0
+            assert math.isclose(q, q_length(x), rel_tol=TOL_ORACLE)
+            assert math.isclose(p, p_velocity(x), rel_tol=TOL_ORACLE)
+
+
+def _seed(state, n, l):
+    """The start of the (n, l) eigensolve: r^(l+1) e^(-r/n) times the
+    Laguerre factor L_(n-l-1)^(2l+1)(2r/n), in the w representation."""
+    r = state.r
+    poly = eval_genlaguerre(n - l - 1, 2 * l + 1, 2.0 * r / n)
+    return r ** (l + 1) * np.exp(-r / n) * poly * state.sqrt_r
 
 
 def _rayleigh_quotient_iteration(state, n, l):
-    """Energy of (n, l) by Rayleigh-quotient iteration with a new pivoted LU
-    (solve_banded) at every step, stopping at a change below 1e-13 or after
-    12 steps: the eigensolve the factor-once inverse iteration replaced."""
-    ab, h, r = _upper(state.bands[l]), state.h, state.r
-    poly = eval_genlaguerre(n - l - 1, 2 * l + 1, 2.0 * r / n)
-    w = r ** (l + 1) * np.exp(-r / n) * poly * state.sqrt_r
-    w /= np.sqrt(h * np.dot(w, w))
+    """Energy of (n, l) by Rayleigh-quotient iteration: channel l's
+    Numerov system factored anew at every step, at the latest quotient, by
+    a pivoted tridiagonal LU (solve_banded), the quotient
+    E + v.w / v.v of the solve v = (H - E)^-1 w, and a stop at a change
+    below 1e-13 or after 12 steps: the eigensolve the factor-once inverse
+    iteration replaced."""
+    h, r = state.h, state.r
+    w = _seed(state, n, l)
     energy = -0.5 / (n * n)
     for step in range(12):
-        v = solve_banded((2, 2), _lu_bands(ab, energy), w)
-        v /= np.sqrt(h * np.dot(v, v))
-        updated = h * float(np.dot(v, _apply_bands_reference(ab, v)))
+        m, c, diagonal = oracle._numerov_rows(state._numerov[l], energy)
+        bands = np.vstack((np.full(m, -1.0), diagonal, np.full(m, -1.0)))
+        psi = solve_banded((1, 1), bands, 2.0 * h * h * r[:m] * w[:m] / c)
+        v = np.zeros_like(w)
+        v[:m] = r[:m] * (psi - h * h / 6.0 * r[:m] * w[:m]) / c
+        updated = energy + np.dot(v, w) / np.dot(v, v)
         done = step > 0 and abs(updated - energy) < 1e-13
-        w, energy = v, updated
+        w, energy = v / np.sqrt(h * np.dot(v, v)), updated
         if done:
             break
     return energy
-
-
-def _apply_bands_reference(ab, w):
-    """K w from the symmetric upper bands, written out term by term."""
-    out = ab[2] * w
-    out[..., 1:] += ab[1, 1:] * w[..., :-1]
-    out[..., :-1] += ab[1, 1:] * w[..., 1:]
-    out[..., 2:] += ab[0, 2:] * w[..., :-2]
-    out[..., :-2] += ab[0, 2:] * w[..., 2:]
-    return out
 
 
 def _apply_tridiagonal_reference(diagonal, x, off=-1.0):
@@ -461,7 +372,7 @@ def _numerov_recurrence_error(state, energy, w, b):
     for phi = w / r and g = -2 r b, with F = 9/4 - 2r - 2E r^2 and
     c = 1 - h^2 F / 12 formed directly, at every interior kept row: each
     row's sum over the sum of its six terms' magnitudes."""
-    m = oracle._numerov_rows(state, energy)[0]
+    m = oracle._numerov_rows(state._numerov[1], energy)[0]
     r, h2 = state.r, state.h * state.h
     f = 2.25 - 2.0 * r - 2.0 * energy * r * r
     c, phi, g = 1.0 - h2 * f / 12.0, w / r, -2.0 * r * b
@@ -473,48 +384,28 @@ def _numerov_recurrence_error(state, energy, w, b):
     return float(np.max(np.abs(terms.sum(axis=0)) / np.where(scale > 0.0, scale, 1.0)))
 
 
-def _full_banded_reference(ab, shift):
-    """K - shift in the 7-row column-major layout dgbtrf factors in place."""
-    n = ab.shape[1]
-    full = np.zeros((7, n), order="F")
-    full[2:, :] = _lu_bands(ab, shift)
-    return full
-
-
 def _inverse_iteration_reference(state, n, l):
     """(energy, u) of (n, l) by the inverse iteration of oracle._solve_on_state,
-    with K v applied by _apply_bands_reference and one factorization: for
-    the nodeless 1S and 2P a banded Cholesky of the lower bands 1e-5
-    Hartree below the hydrogen level, for 2S a pivoted LU built from the
-    upper bands at the level itself.  The seed's Laguerre factor
-    L_(n-l-1)^(2l+1)(x), x = 2r/n, is written out: 1 for the nodeless states,
-    2 - x for 2S."""
-    ab, h, r = _upper(state.bands[l]), state.h, state.r
-    x = 2.0 * r / n
-    poly = np.ones_like(x) if n == l + 1 else 2.0 - x
-    w = (r ** (l + 1) * np.exp(-r / n) * poly) * state.sqrt_r
-    w /= np.sqrt(h * np.dot(w, w))
-
-    energy = -0.5 / (n * n)
-    if n == l + 1:
-        lower = np.array(state.bands[l])
-        lower[0] -= energy - 1e-5
-        factor, info = dpbtrf(lower, lower=1)
-
-        def solve(rhs):
-            return dpbtrs(factor, rhs, lower=1)[0]
-    else:
-        lu, piv, info = dgbtrf(_full_banded_reference(ab, energy), 2, 2, overwrite_ab=1)
-
-        def solve(rhs):
-            return dgbtrs(lu, 2, 2, rhs, piv)[0]
+    written out: channel l's Numerov system at the hydrogen level from
+    oracle._numerov_rows, factored once by scipy's dgttrf, then per step
+    one dgttrs on (2 h^2 r / c) w, v = (r / c) (psi - (h^2 / 6) r w) on the
+    kept rows, the quotient shift + v.w / v.v, the quadrature norm, and a
+    stop at a change of at most 1e-10 max(1, |E|) after the second solve."""
+    h, r = state.h, state.r
+    w = _seed(state, n, l)
+    shift = energy = -0.5 / (n * n)
+    m, c, diagonal = oracle._numerov_rows(state._numerov[l], shift)
+    off = np.full(m - 1, -1.0)
+    dl, d, du, du2, ipiv, info = dgttrf(off, diagonal, off)
     assert info == 0
     for step in range(12):
-        v = solve(w)
-        v /= np.sqrt(h * np.dot(v, v))
-        updated = h * float(np.dot(v, _apply_bands_reference(ab, v)))
+        psi = dgttrs(dl, d, du, du2, ipiv, (2.0 * (h * h) * r[:m] / c) * w[:m])[0]
+        v = np.zeros_like(w)
+        v[:m] = (r[:m] / c) * (psi - (h * h / 6.0 * r[:m]) * w[:m])
+        vv = float(np.dot(v, v))
+        updated = shift + float(np.dot(v, w)) / vv
         change = abs(updated - energy)
-        w, energy = v, updated
+        w, energy = v / math.sqrt(h * vv), updated
         if step > 0 and change <= 1e-10 * max(1.0, abs(energy)):
             break
     u = w / state.sqrt_r
@@ -524,16 +415,16 @@ def _inverse_iteration_reference(state, n, l):
 
 class _Calls(dict):
     """Call counts by entry point name.  ``factored`` lists, for each
-    dpbtrf and dgbtrf call, (name, whether the array was F-contiguous
-    float64, whether overwrite_ab=1 was passed): with both, f2py factors
-    the caller's array itself; without either, it factors a hidden copy."""
+    dgttrf call, (name, whether the diagonal was a contiguous float64
+    array, whether overwrite_d=1 was passed): with both, f2py factors the
+    caller's diagonal itself; without either, it factors a hidden copy."""
 
     factored: list[tuple[str, bool, bool]]
 
 
 def _count_calls(monkeypatch, *names, when=lambda: True):
     """Counts of the calls made through the named LAPACK entry points of
-    oracle while ``when()`` holds, with the factorizations' arrays
+    oracle while ``when()`` holds, with the factorizations' diagonals
     recorded in ``factored``."""
     calls = _Calls.fromkeys(names, 0)
     calls.factored = []
@@ -541,10 +432,10 @@ def _count_calls(monkeypatch, *names, when=lambda: True):
         def counted(*args, _real=getattr(oracle, name), _name=name, **kwargs):
             if when():
                 calls[_name] += 1
-                if _name in ("dpbtrf", "dgbtrf"):
-                    ab = args[0]
-                    calls.factored.append((_name, ab.flags.f_contiguous and ab.dtype == np.float64,
-                                           kwargs.get("overwrite_ab") == 1))
+                if _name == "dgttrf":
+                    d = args[1]
+                    calls.factored.append((_name, d.flags.c_contiguous and d.dtype == np.float64,
+                                           kwargs.get("overwrite_d") == 1))
             return _real(*args, **kwargs)
         monkeypatch.setattr(oracle, name, counted)
     return calls
@@ -552,18 +443,18 @@ def _count_calls(monkeypatch, *names, when=lambda: True):
 
 @pytest.fixture
 def lapack_calls(monkeypatch):
-    """Counts of the banded-LU and banded Cholesky factorizations and
-    solves and of the tridiagonal dptsv calls made through oracle, and how
-    each banded factorization was called."""
-    return _count_calls(monkeypatch, "dgbtrf", "dgbtrs", "dpbtrf", "dpbtrs", "dptsv")
+    """Counts of the pivoted tridiagonal factorizations and solves and of
+    the dptsv calls made through oracle, and how each factorization was
+    called."""
+    return _count_calls(monkeypatch, "dgttrf", "dgttrs", "dptsv")
 
 
 @pytest.fixture
 def resolvent_calls(monkeypatch):
-    """Counts of the banded Cholesky factorizations and solves and of the
-    tridiagonal dptsv calls made through oracle outside OracleState
-    construction: the resolvent's dptsv, not the 1S and 2P eigensolves'
-    Cholesky."""
+    """Counts of the pivoted tridiagonal factorizations and solves and of
+    the dptsv calls made through oracle outside OracleState construction:
+    the resolvent's dptsv and the pseudostate sum's factorization, not
+    the bound states' eigensolves."""
     building = []
     real_init = OracleState.__init__
 
@@ -575,7 +466,7 @@ def resolvent_calls(monkeypatch):
             building.pop()
 
     monkeypatch.setattr(OracleState, "__init__", init)
-    return _count_calls(monkeypatch, "dpbtrf", "dpbtrs", "dptsv", when=lambda: not building)
+    return _count_calls(monkeypatch, "dgttrf", "dgttrs", "dptsv", when=lambda: not building)
 
 
 @pytest.fixture
@@ -595,23 +486,20 @@ class TestInverseIteration:
         "grid", [RadialGrid(), RadialGrid(24000), *_DOMAIN_CORNERS.values()],
         ids=["default", "24000", *_DOMAIN_CORNERS])
     def test_one_factorization_per_state(self, lapack_calls, grid):
-        # the nodeless 1S and 2P by banded Cholesky, 2S by pivoted LU
+        # each state's Numerov system factored once at its hydrogen level,
+        # then two solves: the first quotient and the one that confirms it
         state = build_oracle(grid)
-        for n, l, factor, solve in [(1, 0, "dpbtrf", "dpbtrs"), (2, 0, "dgbtrf", "dgbtrs"),
-                                    (2, 1, "dpbtrf", "dpbtrs")]:
+        for n, l in [(1, 0), (2, 0), (2, 1)]:
             lapack_calls.update(dict.fromkeys(lapack_calls, 0))
             oracle._solve_on_state(state, n, l)
-            assert lapack_calls[factor] == 1
-            assert 2 <= lapack_calls[solve] <= 3
-            assert sum(lapack_calls.values()) == 1 + lapack_calls[solve]
+            assert lapack_calls == {"dgttrf": 1, "dgttrs": 2, "dptsv": 0}
 
     def test_grid_where_the_shift_on_the_level_stalled_builds(self, lapack_calls):
-        # factored at the 1S hydrogen level by pivoted LU, the quotient on
-        # this grid kept changing by ~2e-10 per step and the 1S eigensolve
-        # stalled; 1e-5 Hartree below the level it converges in 3 solves
+        # on this grid the five-band K factored at the 1S level stalled
+        # (its quotient kept changing by ~2e-10 per step); the quotient
+        # from the solve, shift + v.w / v.v, converges in two solves
         state = OracleState(RadialGrid(200000, r_max=80.0, r_min=1e-3))
-        assert lapack_calls["dpbtrf"] == 2 and lapack_calls["dgbtrf"] == 1
-        assert lapack_calls["dpbtrs"] <= 6 and lapack_calls["dgbtrs"] <= 3
+        assert lapack_calls["dgttrf"] == 3 and lapack_calls["dgttrs"] == 6
         for (n, _), bound in _states_by_label(state).items():
             assert abs(bound.energy + 0.5 / (n * n)) < 1e-6
 
@@ -620,7 +508,7 @@ class TestInverseIteration:
         # hydrogen level; one factorization per state still converges, to
         # the states and energies of the iteration that factors at every step
         state = OracleState(RadialGrid(6000, r_min=1e-2))
-        assert lapack_calls["dgbtrf"] == 1 and lapack_calls["dpbtrf"] == 2
+        assert lapack_calls["dgttrf"] == 3
         for (n, l), bound in _states_by_label(state).items():
             u = bound.radial_values
             live = u[np.abs(u) > 1e-7 * np.max(np.abs(u))]
@@ -631,8 +519,9 @@ class TestInverseIteration:
         "grid", [RadialGrid(), RadialGrid(6000, r_min=1e-9), RadialGrid(6000, r_min=1e-2)],
         ids=["default", "6000-r_min-1e-9", "r_min-1e-2"])
     def test_bound_states_match_a_per_shift_layout_bit_for_bit(self, grid):
-        # the band layouts, shifted per factorization, and the reused K v
-        # change no bit of any state
+        # the diagonal factored in place, the quotient read from the solve
+        # and the gate change no bit of any state against the iteration
+        # written out on scipy's own dgttrf and dgttrs
         state = build_oracle(grid)
         for (n, l), bound in _states_by_label(state).items():
             energy, u = _inverse_iteration_reference(state, n, l)
@@ -646,19 +535,16 @@ def _stub_outputs(monkeypatch, name, alter):
     monkeypatch.setattr(oracle, name, lambda *args, **kwargs: alter(*real(*args, **kwargs)))
 
 
-def _two_lowest_l1_eigenvalues(state):
-    vals = eig_banded(_upper(state.bands[1]), lower=False, eigvals_only=True,
-                      select="i", select_range=(0, 1))
-    return [float(val) for val in vals]
-
-
 def _l1_mode(state, shift, start):
-    """(energy, w) from oracle._inverse_iteration on K_1 with a pivoted LU at
+    """(energy, w) of an l = 1 mode by oracle._inverse_iteration at
     ``shift``, from ``start``."""
-    ab = state.bands[1]
-    what = f"l = 1 mode at {shift!r}"
-    solve = oracle._shifted_lu(ab, shift, what)
-    return oracle._inverse_iteration(ab, state.h, solve, start, shift, what)
+    return oracle._inverse_iteration(state, 1, shift, start, f"l = 1 mode at {shift!r}")
+
+
+def _two_lowest_l1_modes(state):
+    """The grid's 2P and 3P modes, from all ones at their hydrogen levels."""
+    ones = np.ones(state.r.size)
+    return [_l1_mode(state, -0.5 / (n * n), ones) for n in (2, 3)]
 
 
 class TestEigensolveGates:
@@ -667,56 +553,29 @@ class TestEigensolveGates:
     cleared after the test, so no broken state stays in build_oracle's cache."""
 
     def test_wrong_node_count(self, small_grid, monkeypatch):
-        # the (2,0) state factored at the 3S level, -1/18, converges onto 3S
-        real = oracle._shifted_lu
+        # the (2,0) state iterated at the 3S level, -1/18, converges onto 3S
+        real = oracle._inverse_iteration
 
-        def at_3s(ab, shift, what):
-            return real(ab, -1.0 / 18.0 if what == "(n,l)=(2,0)" else shift, what)
+        def at_3s(state, l, shift, w, what):
+            return real(state, l, -1.0 / 18.0 if what == "(n,l)=(2,0)" else shift, w, what)
 
-        monkeypatch.setattr(oracle, "_shifted_lu", at_3s)
+        monkeypatch.setattr(oracle, "_inverse_iteration", at_3s)
         with pytest.raises(ConvergenceError,
                            match=r"state \(n,l\)=\(2,0\) shows 2 nodes, expected 1"):
             OracleState(small_grid)
 
     def test_singular_lu(self, small_grid, monkeypatch):
-        # 2S is the one state factored by pivoted LU
-        _stub_outputs(monkeypatch, "dgbtrf", lambda lu, piv, info: (lu, piv, 1))
-        with pytest.raises(ConvergenceError, match=r"singular banded LU .* for \(n,l\)=\(2,0\)"):
+        # a zero pivot names the shift and the state, 1S the first built
+        _stub_outputs(monkeypatch, "dgttrf", lambda *outputs: (*outputs[:-1], 1))
+        with pytest.raises(ConvergenceError,
+                           match=r"singular Numerov system at shift -0\.5 for \(n,l\)=\(1,0\)"):
             OracleState(small_grid)
 
     def test_non_finite_solve(self, small_grid, monkeypatch):
-        # 2S is the one state solved by dgbtrs
-        _stub_outputs(monkeypatch, "dgbtrs", lambda v, info: (np.full_like(v, np.nan), info))
-        with pytest.raises(ConvergenceError, match="non-finite banded solve"):
-            OracleState(small_grid)
-
-    def test_non_finite_cholesky_solve(self, small_grid, monkeypatch):
-        _stub_outputs(monkeypatch, "dpbtrs", lambda v, info: (np.full_like(v, np.nan), info))
-        with pytest.raises(ConvergenceError, match=r"non-finite solve for \(n,l\)=\(1,0\)"):
-            OracleState(small_grid)
-
-    def test_shift_above_the_1s_level_is_not_positive_definite(self, small_grid, lapack_calls,
-                                                               monkeypatch):
-        # 1e-3 Hartree above the level K_0 - shift has one negative
-        # eigenvalue: the factorization fails and names the state, and no
-        # LU takes over
-        monkeypatch.setattr(oracle, "_BELOW_LEVEL", -1e-3)
+        _stub_outputs(monkeypatch, "dgttrs", lambda v, info: (np.full_like(v, np.nan), info))
         with pytest.raises(ConvergenceError,
-                           match=r"not positive definite for \(n,l\)=\(1,0\)"):
+                           match=r"non-finite solve at shift -0\.5 for \(n,l\)=\(1,0\)"):
             OracleState(small_grid)
-        assert lapack_calls["dpbtrf"] == 1
-        assert lapack_calls["dgbtrf"] == lapack_calls["dpbtrs"] == 0
-
-    def test_shift_above_the_2p_level_is_not_positive_definite(self, small_grid, lapack_calls,
-                                                               monkeypatch):
-        state = build_oracle(small_grid)
-        monkeypatch.setattr(oracle, "_BELOW_LEVEL", -1e-3)
-        lapack_calls.update(dict.fromkeys(lapack_calls, 0))
-        with pytest.raises(ConvergenceError,
-                           match=r"not positive definite for \(n,l\)=\(2,1\)"):
-            oracle._solve_on_state(state, 2, 1)
-        assert lapack_calls["dpbtrf"] == 1
-        assert lapack_calls["dgbtrf"] == lapack_calls["dpbtrs"] == 0
 
     def test_backward_error(self, small_grid, monkeypatch):
         monkeypatch.setattr(oracle, "_RESIDUAL_TARGET", 0.0)
@@ -729,27 +588,26 @@ class TestEigensolveGates:
         monkeypatch.setattr(oracle, "_STALL", -1.0)
         with pytest.raises(ConvergenceError, match=r"eigensolve stalled .* for \(n,l\)=\(1,0\)"):
             OracleState(small_grid)
-        assert lapack_calls["dpbtrf"] == 1 and lapack_calls["dpbtrs"] == 12
+        assert lapack_calls["dgttrf"] == 1 and lapack_calls["dgttrs"] == 12
 
     def test_mode_between_two_eigenvalues_is_rejected(self, small_grid):
-        # Negative control for the per-mode residual gate: at a shift midway
-        # between two eigenvalues, the sum of their modes maps to their
-        # difference and back, so the quotient stalls at once on the
-        # midpoint, a mixture whose backward error is of the order of the gap.
+        # Negative control for the gate: at a shift midway between two
+        # eigenvalues, the sum of their modes maps to their difference and
+        # back, so the quotient shift + v.w / v.v sits on the midpoint at
+        # once and stalls there, on a mixture whose backward error (7.9e-5)
+        # is of the order of the gap.
         state = build_oracle(small_grid)
-        vals = _two_lowest_l1_eigenvalues(state)
-        ones = np.ones(small_grid.n_points)
-        modes = [_l1_mode(state, val, ones)[1] for val in vals]
+        (low, low_mode), (high, high_mode) = _two_lowest_l1_modes(state)
         with pytest.raises(ConvergenceError, match="backward error"):
-            _l1_mode(state, 0.5 * (vals[0] + vals[1]), modes[0] + modes[1])
+            _l1_mode(state, 0.5 * (low + high), low_mode + high_mode)
 
     def test_mode_between_two_eigenvalues_from_ones_stalls(self, small_grid):
         # Negative control for the stall stop: from all ones, the quotient
         # at the midpoint still changes by ~1e-7 per step after 12 solves.
         state = build_oracle(small_grid)
-        vals = _two_lowest_l1_eigenvalues(state)
+        (low, _), (high, _) = _two_lowest_l1_modes(state)
         with pytest.raises(ConvergenceError, match="stalled"):
-            _l1_mode(state, 0.5 * (vals[0] + vals[1]), np.ones(small_grid.n_points))
+            _l1_mode(state, 0.5 * (low + high), np.ones(small_grid.n_points))
 
     def test_resolvent_backward_error(self, fresh_grid, monkeypatch):
         # a Numerov solve perturbed to zero leaves the residual -b, so every
@@ -875,7 +733,7 @@ class TestGreenSolve:
         # one dptsv factors the psi system and solves both columns
         state = build_oracle(small_grid)
         green_solve(state, state.s1.energy + 0.1, state._driving)
-        assert resolvent_calls == {"dpbtrf": 0, "dpbtrs": 0, "dptsv": 1}
+        assert resolvent_calls == {"dgttrf": 0, "dgttrs": 0, "dptsv": 1}
 
     @pytest.mark.parametrize("case", ["solve-0.001", "solve-0.1875", "solve-0.37", "perturbed",
                                       "zero-column", "overflow", "one-dimensional"])
@@ -906,7 +764,7 @@ class TestGreenSolve:
             assert math.isnan(oracle._backward_error(diagonal, psi[1], rhs[1]))
 
     def test_energy_inside_the_l1_spectrum_is_rejected(self, default_grid):
-        # Negative control for the Cholesky route: between 2P and 3P the
+        # Negative control for the dptsv route: between 2P and 3P the
         # shifted operator is indefinite, so there is no solution to return.
         state = build_oracle(default_grid)
         with pytest.raises(ConvergenceError, match="not positive definite"):
@@ -935,7 +793,7 @@ class TestNumerovRows:
         try:
             for offset in (-0.37, 0.001, 0.1875, 0.37):
                 energy = state.s1.energy + offset
-                m, c, diagonal = oracle._numerov_rows(state, energy)
+                m, c, diagonal = oracle._numerov_rows(state._numerov[1], energy)
                 reference = _numerov_by_hand(state, energy)
                 assert m == reference[0]
                 assert np.array_equal(c, reference[1])
@@ -947,6 +805,25 @@ class TestNumerovRows:
         finally:
             build_oracle.cache_clear()
 
+    @pytest.mark.parametrize("energy", [-0.5, -0.125, 0.0, 1.0])
+    def test_s_channel_rows_carry_the_cusp_ghost(self, default_grid, energy):
+        # within roundoff of c and 2 + h^2 F / c formed from
+        # F = 1/4 - 2r - 2E r^2 directly, and on the first row the ghost
+        # psi_-1 = (c_-1 / c_0) e^(-h/2) (1 - r_-1) / (1 - r_0) psi_0 at
+        # r_-1 = r_0 e^-h taken off the diagonal, c_-1 formed at the same E
+        state = build_oracle(default_grid)
+        h, r = state.h, state.r
+        m, c, diagonal = oracle._numerov_rows(state._numerov[0], energy)
+        assert m == r.size
+        f = 0.25 - 2.0 * r - 2.0 * energy * r * r
+        assert np.max(np.abs(c / (1.0 - h * h * f / 12.0) - 1.0)) <= 2e-15
+        plain = 2.0 + h * h * f / (1.0 - h * h * f / 12.0)
+        assert np.max(np.abs(diagonal[1:] / plain[1:] - 1.0)) <= 2e-15
+        below = r[0] * math.exp(-h)
+        c_below = 1.0 - h * h * (0.25 - 2.0 * below - 2.0 * energy * below * below) / 12.0
+        ghost = c_below / c[0] * math.exp(-0.5 * h) * (1.0 - below) / (1.0 - r[0])
+        assert abs(diagonal[0] / (plain[0] - ghost) - 1.0) <= 2e-15
+
     def test_corner_grid_cuts_rows_and_its_report_passes(self):
         # at the domain's corner c falls to 1/2 past r ~ 110 at E_1S - 0.37
         # and past r ~ 290 at E_1S + 0.37: the rows from the first point
@@ -957,7 +834,7 @@ class TestNumerovRows:
             cut_at = {}
             for offset in (-0.37, 0.001, 0.37):
                 energy = state.s1.energy + offset
-                m = oracle._numerov_rows(state, energy)[0]
+                m = oracle._numerov_rows(state._numerov[1], energy)[0]
                 f = 2.25 - 2.0 * state.r - 2.0 * energy * state.r * state.r
                 c = 1.0 - state.h * state.h * f / 12.0
                 assert np.all(c[:m] > 0.5) and np.all(c[m:] <= 0.5)
@@ -979,7 +856,7 @@ class TestNumerovRows:
         # 1e-12) bounds every 80-Bohr grid of the domain
         state = build_oracle(grid)
         try:
-            m, c, _ = oracle._numerov_rows(state, state.s1.energy - 0.375)
+            m, c, _ = oracle._numerov_rows(state._numerov[1], state.s1.energy - 0.375)
             assert m == grid.n_points
             assert c.min() > floor
         finally:
@@ -1058,9 +935,9 @@ def _lifted_1s_state(monkeypatch, r_min):
 
     The lift, 2e-4 at r_min = 1e-2 and 2e-6 at 1e-3, is the shift of a
     closure on the power law alone; it lets x < 3/8 put E_1S + x above the
-    grid's 2P level, where K - E is indefinite.  The cusp-corrected closure
-    leaves E_1S 2 r_min^3 below -1/2 on every grid of the domain, so a stub
-    lifts it."""
+    grid's 2P level, where the l = 1 system is indefinite.  The
+    cusp-corrected closure leaves E_1S 2 r_min^3 below -1/2 on every grid
+    of the domain, so a stub lifts it."""
     real = oracle._solve_on_state
 
     def lifted(state, n, l):
@@ -1098,19 +975,19 @@ class TestAmplitudeMemo:
         assert list(build_oracle(fresh_grid)._amplitudes) == [0.1, -0.1]
 
     def test_cold_oracle_report_solve_count(self, lapack_calls):
-        # 1S and 2P by banded Cholesky and 2S by pivoted LU, then one
+        # one pivoted tridiagonal LU per state, then one positive definite
         # tridiagonal resolvent solve per signed x: the 20 master points and
         # the 4 ac-Stark points at +-x, all 28 held in the memo at once
         build_oracle.cache_clear()
         identities.build_report("oracle")
-        assert lapack_calls["dpbtrf"] == 2 and lapack_calls["dgbtrf"] == 1
+        assert lapack_calls["dgttrf"] == 3
         assert lapack_calls["dptsv"] == 28
         memo = build_oracle(RadialGrid())._amplitudes
         signed = [s for x in identities.AC_STARK_POINTS for s in (x, -x)]
         assert list(memo) == list(identities.MASTER_GRID) + signed
         for x in identities.MASTER_GRID:
             gauge_pair_oracle(RadialGrid(), x)
-        assert lapack_calls["dpbtrf"] == 2 and lapack_calls["dptsv"] == 28
+        assert lapack_calls["dgttrf"] == 3 and lapack_calls["dptsv"] == 28
 
     def test_cache_clear_starts_the_count_over(self, fresh_grid, resolvent_calls):
         q_oracle(fresh_grid, 0.1)
@@ -1273,7 +1150,7 @@ class TestDefaultGridAccuracy:
     r_min = 1e-6, a former default, whose scatter is the roundoff floor
     ~eps/h^2 in the energies.  The cusp-corrected closure keeps 3249 points
     from 1e-4, at the same spacing, under every bound: over 3239 to 3259
-    points the worst value reads 0.2 to 0.4 of its bound.  With the
+    points the worst value reads 0.04 to 0.43 of its bound.  With the
     u(r_min) = 0 closure at an older default (6000 points from 1e-9) every
     column but the two roundoff-level checks reads 13 to 29 times its bound."""
 
@@ -1299,17 +1176,21 @@ class TestDefaultGridAccuracy:
     @pytest.mark.parametrize("scheme", ["second-order", "source-sign"])
     def test_wrong_resolvent_scheme_fails(self, default_grid, monkeypatch, scheme):
         # Negative controls for the scheme's order, each on a state of its
-        # own: the second-order system (c = 1 without the h^2 F / 12
-        # correction, psi = phi, diagonal 2 + h^2 F) and Numerov with its
-        # source term's sign flipped (psi = c phi - (h^2 / 6) r b) both
-        # leave an O(h^2) error, Q at 3/16 off by 6.9e-7 and 2.0e-5, and
-        # fail both tests above at their first resolvent reading.
-        state = OracleState(default_grid)
-        h2, r = state.h * state.h, state.r
+        # own.  The second-order system (c = 1 without the h^2 F / 12
+        # correction, psi = phi, diagonal 2 + h^2 F), in the rows that the
+        # bound states and the resolvent share, moves E_1S by -4.6e-7;
+        # Numerov with its source term's sign flipped (psi = c phi -
+        # (h^2 / 6) r b) moves the resolvent alone.  Each leaves an O(h^2)
+        # error, Q at 3/16 off by 4.0e-6 and 2.0e-5, and fails both tests
+        # above at their first resolvent reading.  The default grid's own
+        # state is cached first, so no patched state enters the cache.
+        build_oracle(default_grid)
         if scheme == "second-order":
-            state._numerov = np.array([[np.ones_like(r), 2.0 + h2 * (2.25 - 2.0 * r)],
-                                       [np.zeros_like(r), -2.0 * h2 * r * r]])
-            state._back = np.zeros_like(r)
+            monkeypatch.setattr(oracle, "_channel_rows", _second_order_rows)
+        state = OracleState(default_grid)
+        if scheme == "second-order":
+            assert abs(state.s1.energy + 0.5) > 1e-7
+            state._back = np.zeros_like(state.r)
         else:
             state._back = -state._back
         monkeypatch.setattr(oracle, "build_oracle", lambda grid: state)
@@ -1328,12 +1209,20 @@ class TestDefaultGridAccuracy:
         assert 35.0 < lifts[1e-2] / lifts[3e-3] < 39.0
 
     def test_power_law_closure_error_is_quadratic(self, monkeypatch):
-        # negative control: without the first-order factor the ghosts lie on
-        # r^(l + 1/2) alone and E_1S + 1/2 = +2 r_min^2, less an r_min^3
-        # term (0.968x and 0.989x here)
-        monkeypatch.setattr(oracle, "_hamiltonian_bands", _power_law_bands)
+        # negative control: without the first-order factor the ghost lies
+        # on phi ~ r^(1/2) alone and E_1S + 1/2 = +2 r_min^2, less an
+        # r_min^3 term (0.968x and 0.989x here)
+        monkeypatch.setattr(oracle, "_channel_rows", _rows_with_ghost(
+            lambda h, r0: math.exp(-0.5 * h)))
         for r_min, lift in _closure_lifts().items():
             assert math.isclose(lift, 2.0 * r_min * r_min, rel_tol=0.05)
+
+    def test_no_ghost_closure_error_is_linear(self, monkeypatch):
+        # negative control: with psi = 0 below r_min, as for l = 1,
+        # E_1S + 1/2 is about +2 r_min (0.893x and 0.958x here)
+        monkeypatch.setattr(oracle, "_channel_rows", _rows_with_ghost(None))
+        for r_min, lift in _closure_lifts().items():
+            assert 0.85 < lift / (2.0 * r_min) < 1.0
 
     def test_default_keeps_the_former_spacing(self, default_grid):
         # 3249 points from 1e-4 keep the h of 4350 points from 1e-6
@@ -1348,33 +1237,59 @@ def _closure_lifts():
             for r_min in (1e-2, 3e-3)}
 
 
-def _power_law_bands(l, h, r, _bands=oracle._hamiltonian_bands):
-    """K_l with its ghost points on the power law D w ~ r^(l + 1/2) alone,
-    k steps below row i at (D w)_i e^(-k (l + 1/2) h)."""
-    ab = _bands(l, h, r)
-    weights, denominator = oracle._STENCIL
-    scale = denominator * h * h
-    for i in range(oracle._KD):
-        ghost = sum(weights[k] * math.exp(-k * (l + 0.5) * h)
-                    for k in range(i + 1, oracle._KD + 1))
-        ab[0, i] = ((weights[0] + ghost) / scale + 0.5 * l * (l + 1) + 0.125 - r[i]) / r[i] ** 2
-    return ab
+def _rows_with_ghost(ratio):
+    """A stand-in for oracle._channel_rows whose l = 0 ghost is
+    psi_-1 = (c_-1 / c_0) ratio(h, r_0) psi_0 at r_-1 = r_0 e^-h, written
+    out from F = 1/4 - 2r - 2E r^2, or psi = 0 below r_min for a ratio of
+    None; the l = 1 rows are the oracle's."""
+    real = oracle._channel_rows
+
+    def rows(l, h, r):
+        out = real(l, h, r)
+        if l == 0:
+            h2, r0 = h * h, float(r[0])
+            out[:, 1, 0] = (2.0 + 5.0 * h2 / 6.0 * (0.25 - 2.0 * r0), -5.0 * h2 / 3.0 * r0 * r0)
+            if ratio is not None:
+                below = r0 * math.exp(-h)
+                out[:, 1, 0] -= ratio(h, r0) * np.array(
+                    [1.0 - h2 / 12.0 * (0.25 - 2.0 * below), h2 / 6.0 * below * below])
+        return out
+
+    return rows
+
+
+def _second_order_rows(l, h, r):
+    """Channel l's rows of the second-order scheme, c = 1 and the diagonal
+    2 + h^2 F, with the cusp ghost psi_-1 = e^(-h/2) (1 - r_-1) / (1 - r_0)
+    psi_0 for l = 0."""
+    h2 = h * h
+    rows = np.array([[np.ones_like(r), 2.0 + h2 * ((l + 0.5) ** 2 - 2.0 * r)],
+                     [np.zeros_like(r), -2.0 * h2 * r * r]])
+    if l == 0:
+        below = float(r[0]) * math.exp(-h)
+        rows[0, 1, 0] -= math.exp(-0.5 * h) * (1.0 - below) / (1.0 - float(r[0]))
+    return rows
 
 
 def _pseudostate_reference(grid, xs, count=30):
-    """Partial sums from the full eig_banded eigenvector matrix, O(n^3),
-    with each mode's Rayleigh quotient v.K v as its eigenvalue.
+    """Partial sums from the ``count`` lowest l = 1 modes found one at a
+    time, each by inverse iteration (_l1_mode) from all ones at a shift
+    on its eigenvalue, with the eigenvalue that iteration converges to.
 
-    Unit-Euclidean columns, so each bra * ket product carries one net
-    factor of h; one eigensolve serves every x."""
+    The shifts are the Ritz values of one Lanczos run at E_1S + 0.1; the
+    k-th mode must show k - 1 nodes, so none is skipped or repeated.  A
+    dense eigensolve of the grid operator, whose r^-2 weight spans 16
+    orders of magnitude on the grid, missed these eigenvalues by up to
+    5e-4.  Quadrature-normalized modes, so each projection is an
+    h-weighted sum; one set of modes serves every x."""
     state = build_oracle(grid)
-    ab = _upper(state.bands[1])
-    _, vecs = eig_banded(ab, lower=False, select="i", select_range=(0, count - 1))
-    vals = np.einsum("ij,ij->j", vecs, _apply_bands_reference(ab, vecs.T).T)
-    bra = (state.w2 * state.r) @ vecs
-    ket = (state.r * state.w1) @ vecs
-    return [np.cumsum(state.h * bra * ket / (vals - state.s1.energy - x) / 3.0)
-            for x in xs]
+    ones = np.ones(grid.n_points)
+    modes = [_l1_mode(state, float(val), ones) for val in _lanczos_modes(state, 0.1, count)[0]]
+    assert [oracle._count_nodes(w) for _, w in modes] == list(range(count))
+    vals = np.array([val for val, _ in modes])
+    bra = state.h * np.array([np.dot(state.w2 * state.r, w) for _, w in modes])
+    ket = state.h * np.array([np.dot(state.r * state.w1, w) for _, w in modes])
+    return [np.cumsum(bra * ket / (vals - state.s1.energy - x) / 3.0) for x in xs]
 
 
 def _stub_tridiagonal(monkeypatch, name, info):
@@ -1407,7 +1322,7 @@ def _lanczos_modes(state, x, count=30):
     """(eigenvalues, quadrature-normalized rows) of the ``count`` lowest
     l = 1 modes as pseudostate_q takes them from _lanczos at E_1S + x."""
     energy = state.s1.energy + x
-    solve = oracle._shifted_cholesky(state.bands[1], energy, "test")
+    solve = oracle._shifted_solve(state, 1, energy, "test")[1]
     theta, modes = oracle._lanczos(solve, state.grid.n_points, count, "test")
     modes /= np.sqrt(state.h * np.einsum("ij,ij->i", modes, modes))[:, None]
     return energy + 1.0 / theta, modes
@@ -1427,10 +1342,19 @@ class TestPseudostateSum:
     def test_partial_sums_approach_resolvent_value_on_default_grid(self, default_grid):
         _assert_partial_sums_close_on_resolvent(default_grid)
 
+    def test_modes_pass_the_gate_at_the_smallest_r_min(self):
+        # Lanczos starts from the resolvent of the all-ones vector; from
+        # the all-ones vector itself the basis kept roundoff at r_min,
+        # which psi = c w / r reads amplified by 1 / r_min, and on this
+        # grid every Ritz pair failed the gate (7.3e-5 at worst)
+        grid = RadialGrid(2000, 80.0, 1e-12)
+        try:
+            _assert_partial_sums_close_on_resolvent(grid)
+        finally:
+            build_oracle.cache_clear()
+
     def test_matches_full_eigenvector_reference(self, small_grid):
-        # the reference's denominators are its modes' Rayleigh quotients;
-        # the eigenvalues of the banded eigensolver dsbevx missed them by
-        # 5e-12, which the 2P pole amplified to 1.1e-9 at x = 0.37
+        # against the modes found one at a time, to 2.6e-12 at x = 0.37
         xs = (0.02, 0.1, 0.1875, 0.3, 0.37)
         for x, reference in zip(xs, _pseudostate_reference(small_grid, xs)):
             partial = pseudostate_q(small_grid, x, count=30)
@@ -1438,33 +1362,33 @@ class TestPseudostateSum:
 
     def test_mode_eigenvalues_match_inverse_iteration_quotients(self, default_grid):
         # each mode's eigenvalue E + 1 / theta against the Rayleigh quotient
-        # _inverse_iteration converges to from all ones at that shift; the
-        # eigenvalues of dsbevx missed them by up to 1.7e-11 on this grid
+        # _inverse_iteration converges to from all ones at that shift
         state = build_oracle(default_grid)
         vals, _ = _lanczos_modes(state, 0.1)
         ones = np.ones(default_grid.n_points)
         for val in map(float, vals):
             assert abs(_l1_mode(state, val, ones)[0] - val) <= 1e-12
 
-    def test_one_cholesky_and_one_solve_per_lanczos_step(self, small_grid, lapack_calls):
-        # one factorization of K_1 - E and no LU; the solves are the
-        # Lanczos steps, which end on a convergence test
+    def test_one_factorization_and_one_solve_per_lanczos_step(self, small_grid, lapack_calls):
+        # one factorization of the l = 1 Numerov system at E; the solves
+        # are the start vector's and the Lanczos steps, which end on a
+        # convergence test
         build_oracle(small_grid)
         lapack_calls.update(dict.fromkeys(lapack_calls, 0))
         pseudostate_q(small_grid, 0.1, count=30)
-        steps = lapack_calls["dpbtrs"]
-        assert lapack_calls == {"dgbtrf": 0, "dgbtrs": 0, "dpbtrf": 1, "dpbtrs": steps,
-                                "dptsv": 0}
+        steps = lapack_calls["dgttrs"] - 1
+        assert lapack_calls == {"dgttrf": 1, "dgttrs": steps + 1, "dptsv": 0}
         assert steps in itertools.takewhile(lambda m: m <= 100, _check_schedule(30))
 
     def test_krylov_cap_below_the_needed_dimension_is_a_convergence_error(
             self, small_grid, lapack_calls, monkeypatch):
-        # 30 modes on this grid take 72 to 84 steps; a cap of 69 stops at
-        # the schedule's second test and names m and the count
+        # 30 modes on this grid take 80 to 92 steps; a cap of 69 stops at
+        # the schedule's second test and names m and the count; the solves
+        # are the start vector's and one per step
         monkeypatch.setattr(oracle, "_MAX_KRYLOV", 69)
         with pytest.raises(ConvergenceError, match=r"the 30 lowest modes .* m = 69 Lanczos"):
             pseudostate_q(small_grid, 0.1, count=30)
-        assert lapack_calls["dpbtrs"] == 69
+        assert lapack_calls["dgttrs"] == 70
 
     def test_unconverged_ritz_pairs_fail_the_eigenpair_gate(self, small_grid, monkeypatch):
         # Negative control for the per-mode gate, the bound states' own: the
@@ -1472,21 +1396,20 @@ class TestPseudostateSum:
         # stops at its first test, m = 60 for 30 modes, and the pairs of
         # that basis fail it, read directly and inside pseudostate_q
         state = build_oracle(small_grid)
-        ab = state.bands[1]
+        m = small_grid.n_points
         vals, modes = _lanczos_modes(state, 0.1)
-        oracle._eigenpair_gate(ab, state.h, vals, modes, oracle._apply_bands(ab, modes), "test")
+        oracle._eigenpair_gate(state, 1, m, vals, modes, "test")
         monkeypatch.setattr(oracle, "_RITZ_TOL", math.inf)
         vals, modes = _lanczos_modes(state, 0.1)
         with pytest.raises(ConvergenceError, match="eigensolve backward error"):
-            oracle._eigenpair_gate(ab, state.h, vals, modes, oracle._apply_bands(ab, modes),
-                                   "test")
+            oracle._eigenpair_gate(state, 1, m, vals, modes, "test")
         with pytest.raises(ConvergenceError, match="eigensolve backward error"):
             pseudostate_q(small_grid, 0.1, count=30)
 
     @pytest.mark.parametrize("count", [30, 200])
     def test_dense_low_spectrum_converges(self, count):
         # r_max = 700 and r_min = 1e-2 crowd the low l = 1 spectrum, the
-        # slowest corner of the domain: m = 396 to 508 at x = 0.001
+        # slowest corner of the domain: m = 288 and 460 at x = 0.001
         grid = RadialGrid(2000, r_max=700.0, r_min=1e-2)
         try:
             partial = pseudostate_q(grid, 0.001, count=count)
@@ -1495,13 +1418,13 @@ class TestPseudostateSum:
         assert partial.shape == (count,) and np.all(np.isfinite(partial))
 
     def test_factorizations_run_in_place_on_private_copies(self, fresh_grid, lapack_calls):
-        # each sum factors its own copy of K_1 - E in place, once, and
-        # leaves the shared state as it was built
+        # each sum factors its own diagonal of the l = 1 system at E in
+        # place, once, and leaves the shared state as it was built
         state = build_oracle(fresh_grid)
         lapack_calls.factored.clear()
         first = pseudostate_q(fresh_grid, 0.1, count=30)
         assert np.array_equal(pseudostate_q(fresh_grid, 0.1, count=30), first)
-        assert lapack_calls.factored == [("dpbtrf", True, True)] * 2
+        assert lapack_calls.factored == [("dgttrf", True, True)] * 2
         assert build_oracle(fresh_grid) is state
         _assert_shared_arrays_intact(state)
 
@@ -1512,7 +1435,7 @@ class TestPseudostateSum:
         for _ in range(2):
             with pytest.raises(NearResonanceError):
                 pseudostate_q(grid, x)
-        assert resolvent_calls["dpbtrf"] == 0
+        assert resolvent_calls["dgttrf"] == 0
 
     def test_count_validation(self, small_grid):
         with pytest.raises(DomainError):
@@ -1533,7 +1456,8 @@ class TestPseudostateSum:
         assert np.all(np.isfinite(partial))
 
     def test_reads_no_lapack_routine_but_the_tridiagonal_ones(self, small_grid, monkeypatch):
-        # _flapack reduced to dstev and dstein: no dsbevx, no dgbtrf
+        # _flapack reduced to dstev and dstein: the factorization and its
+        # solves are the module's dgttrf and dgttrs bindings
         expected = pseudostate_q(small_grid, 0.1, count=5)
         real = oracle._flapack
         monkeypatch.setattr(oracle, "_flapack",
