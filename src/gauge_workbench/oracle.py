@@ -33,9 +33,8 @@ the rows past r ~ 100 at the corners of the domain where c would fall to
 zero.  psi = 0 past r_max.  Below r_min the s channel takes one ghost
 point on the first two terms of the regular solution, phi ~ r^(1/2)
 (1 - r), which folds into its first diagonal entry; the l = 1 channel
-takes psi = 0 there, and the driving terms u = 0.  The one other grid
-derivative, d/dy in the velocity-gauge driving term u' - u/r, comes from
-the weight table _DERIVATIVE.
+takes psi = 0 there, and the driving terms u = 0.  The velocity-gauge
+driving term u' - u/r takes d/dy as the five-point central difference.
 
 Two LAPACK paths solve the system.  The resolvent (green_solve) works at
 E_1S +- x with 0 < x < 3/8, at least 1e-6 Hartree below the grid's 2P
@@ -139,11 +138,6 @@ _NEAR_RESONANCE_GAP = 1e-6
 # inverse iteration stops once the energy changes by at most this, relative
 # to max(1, |E|)
 _STALL = 1e-10
-
-# The velocity-gauge driving term's d/dy, as (weights, denominator): offsets
-# 1, 2, ... over denominator * h; offset -k takes minus the weight; u = 0
-# past the grid.
-_DERIVATIVE = ((8.0, -1.0), 12.0)
 
 # Solves kept per OracleState, as the 2S and 1S elements at one signed x; the
 # oldest is dropped beyond this, so a long sweep holds at most this many.
@@ -286,17 +280,12 @@ class OracleState:
 
     def _velocity_reduce(self, u: np.ndarray) -> np.ndarray:
         """w representation of u'(r) - u(r)/r for an l = 0 state: du/dr is
-        (du/dy)/r, with du/dy from _DERIVATIVE and u = 0 past both ends of
-        the grid, summed from offset -m up to +m."""
-        weights, denominator = _DERIVATIVE
-        m, n, r = len(weights), u.size, self.r
-        padded = np.concatenate((np.zeros(m), u, np.zeros(m)))
-        du = np.zeros_like(u)
-        for k in range(m, 0, -1):
-            du -= weights[k - 1] * padded[m - k:m - k + n]
-        for k in range(1, m + 1):
-            du += weights[k - 1] * padded[m + k:m + k + n]
-        return self.sqrt_r * (du / (denominator * self.h) / r - u / r)
+        (du/dy)/r, with du/dy the five-point difference
+        (u[i-2] - 8 u[i-1] + 8 u[i+1] - u[i+2]) / (12 h) and u = 0 past
+        both ends of the grid."""
+        padded = np.concatenate((np.zeros(2), u, np.zeros(2)))
+        du = (padded[:-4] - 8.0 * padded[1:-3] + 8.0 * padded[3:-1] - padded[4:]) / (12.0 * self.h)
+        return self.sqrt_r * (du / self.r - u / self.r)
 
     def integrate(self, wa: np.ndarray, wb: np.ndarray) -> float:
         """Radial integral of a*b dr from w-representation arrays."""
@@ -337,13 +326,17 @@ def _numerov_rows(rows: np.ndarray, energy: float) -> tuple[int, np.ndarray, np.
     c > 1/2 the diagonal stays below 14 and the back-transform's division
     by c is well conditioned.  For E < 0, F is convex in r and near
     (l + 1/2)^2 at r_min, far below the 6 / h^2 where c = 1/2, so c <= 1/2
-    holds on a suffix of the grid and the rule cuts only that suffix."""
+    holds on a suffix of the grid and the rule cuts only that suffix.  An
+    energy so far below zero that c <= 1/2 already at r_min keeps no row,
+    a ConvergenceError."""
     c, diagonal = values = rows[1] * energy
     values += rows[0]
     cut = c <= 0.5
     m = int(np.argmax(cut))
     if not cut[m]:
         m = c.size
+    elif m == 0:
+        raise ConvergenceError(f"no Numerov row has c > 1/2 at energy {energy!r}")
     return m, c[:m], np.divide(diagonal[:m], c[:m], out=diagonal[:m])
 
 
@@ -381,11 +374,10 @@ def _shifted_solve(state: OracleState, l: int, shift: float,
     through it, in the w representation, for one column z (n,).
 
     m is the count of rows _numerov_rows keeps at the shift.  A solve maps
-    z to psi and back as green_solve does: psi solves the system with the
-    right-hand side 2 h^2 r z / c, then v = r (psi - (h^2 / 6) r z) / c on
-    the kept rows and v = 0 past them.  Each solve reuses the factors, one
-    dgttrs at O(n).  The state's rows are only read: the diagonal is a
-    fresh array, factored in place, and f2py copies the off-diagonals.
+    z to psi and back by the scheme of the module docstring, with v = 0
+    past the kept rows.  Each solve reuses the factors, one dgttrs at
+    O(n).  The state's rows are only read: the diagonal is a fresh array,
+    factored in place, and f2py copies the off-diagonals.
     Inverse iteration shifts onto an eigenvalue on purpose, so an exactly
     singular factor or a non-finite solution means the shift is unusable,
     a ConvergenceError, never a fallback to another solver."""
@@ -523,29 +515,21 @@ def green_solve(state: OracleState, energy: float, driving_w: np.ndarray) -> np.
     shape.  The l = 1 channel is the only intermediate one of a dipole
     transition out of an S state.
 
-    The equation is solved on the l = 1 Numerov system that 2P and the
-    pseudostate modes are eigenpairs of.  With phi = w / r, y = ln r and b
-    a driving column, it reads
-    phi'' = F phi - 2 r b, F = 9/4 - 2r - 2E r^2.  With c = 1 - h^2 F / 12
-    and psi = c phi + (h^2 / 6) r b, Numerov's scheme is exactly the
-    symmetric tridiagonal system
-
-        (-tridiag(1, -2, 1) + diag(h^2 F / c)) psi = 2 h^2 r b / c,
-
-    with psi = 0 past both ends, fourth order in h on three points, and
-    w = r (psi - (h^2 / 6) r b) / c.  Below the l = 1 spectrum the matrix
-    is positive definite, and one LAPACK ``dptsv`` call factors it once
-    and solves every column.  The rows come from _numerov_rows, which
-    keeps those before the first point where c <= 1/2; past it the
-    solution is w = 0.  That cut happens only at corners of RadialGrid's
-    domain with r_max = 700 and few points, where c falls to 1/2 beyond
-    r ~ 100 and the 1S tail is below e^-100; c stays above 0.76 on every
-    grid with r_max = 80 (0.98 on the default grid).  The driving columns
-    are taken as C-contiguous rows (k, n) and handed to LAPACK transposed,
-    so no layout is copied.  A matrix that is not positive definite, a
-    non-finite solution or a column whose componentwise backward error
-    on the three bands exceeds _RESOLVENT_TARGET is a ConvergenceError,
-    never a fallback to another solver."""
+    The equation is solved on the l = 1 Numerov system of the module
+    docstring, the one that 2P and the pseudostate modes are eigenpairs
+    of.  Below the l = 1 spectrum that system is positive definite, and
+    one LAPACK ``dptsv`` call factors it once and solves every column.
+    The rows come from _numerov_rows, which keeps those before the first
+    point where c <= 1/2; past it the solution is w = 0.  That cut happens
+    only at corners of RadialGrid's domain with r_max = 700 and few
+    points, where c falls to 1/2 beyond r ~ 100 and the 1S tail is below
+    e^-100; c stays above 0.76 on every grid with r_max = 80 (0.98 on the
+    default grid).  The driving columns are taken as C-contiguous rows
+    (k, n) and handed to LAPACK transposed, so no layout is copied.  A
+    matrix that is not positive definite, a non-finite solution or a
+    column whose componentwise backward error on the three bands exceeds
+    _RESOLVENT_TARGET is a ConvergenceError, never a fallback to another
+    solver."""
     what = f"the l = 1 resolvent at energy {energy!r}"
     rows = np.ascontiguousarray(np.atleast_2d(driving_w.T))
     m, c, diagonal = _numerov_rows(state._numerov[1], energy)
@@ -759,8 +743,7 @@ def pseudostate_q(grid: RadialGrid, x: float, count: int = 30) -> np.ndarray:
 
     Cost: m Lanczos steps take time ~ 2 n m^2 and memory ~ n m.  Best of 7
     on a busy 2-vCPU VM: 30 modes on 2000 points take m = 80 to 92 steps
-    and 20-26 ms (18-25 ms for the five-band Cholesky path this replaced,
-    interleaved).  A dense low spectrum needs more steps, and
+    and 20-26 ms.  A dense low spectrum needs more steps, and
     reorthogonalization then dominates: on 2000 points, r_max = 700 and
     r_min = 1e-2, 30 modes at x = 0.001 take m = 288 and 133-151 ms,
     200 modes m = 460 and 253-279 ms; 200 modes at r_max = 80 take m = 400

@@ -17,6 +17,10 @@ import sys
 
 import pytest
 
+# needs the oracle extra; skipped at collection without it
+pytest.importorskip("numpy")
+pytest.importorskip("scipy")
+
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 

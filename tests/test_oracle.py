@@ -10,8 +10,13 @@ import math
 import re
 import types
 
-import numpy as np
 import pytest
+
+# needs the oracle extra; skipped at collection without it
+pytest.importorskip("numpy")
+pytest.importorskip("scipy")
+
+import numpy as np
 from scipy.linalg import lapack, solve_banded, solveh_banded
 from scipy.linalg.lapack import dgttrf, dgttrs
 from scipy.special import eval_genlaguerre
@@ -98,11 +103,12 @@ class TestRadialGrid:
         grid = RadialGrid()
         assert grid.refined().n_points == 6498
 
-    @pytest.mark.parametrize("r_max", [80.0, 700.0])
+    @pytest.mark.parametrize("r_max", [60.0, 80.0, 700.0])
     def test_oracle_report_passes_at_the_point_ceiling(self, r_max):
-        # 200000 points, where roundoff has grown past the stencil error:
-        # master_identity reads 2.8e-7 / 2.1e-7 and one_photon_ratio
-        # 9.0e-9 / 1.8e-9 at r_max = 80 / 700, under 1e-6 and 1e-8
+        # 200000 points, where roundoff has grown past the stencil error, at
+        # each r_max corner of the domain: master_identity reads 2.8e-7 /
+        # 2.8e-7 / 2.1e-7 and one_photon_ratio 7.9e-9 / 9.0e-9 / 1.8e-9 at
+        # r_max = 60 / 80 / 700, under 1e-6 and 1e-8
         try:
             assert identities.build_report("oracle", grid=RadialGrid(200000, r_max)).overall_pass
         finally:
@@ -258,29 +264,14 @@ def _five_point_driving_term(state, u):
 
 
 class TestStencilTables:
-    """The velocity-gauge driving term's derivative comes from _DERIVATIVE,
-    applied with u = 0 past both ends of the grid."""
+    """The velocity-gauge driving term's derivative is the five-point
+    difference, applied with u = 0 past both ends of the grid."""
 
     @pytest.mark.parametrize("grid", [RadialGrid(), RadialGrid(2000)], ids=["default", "2000"])
     def test_driving_terms_equal_the_zero_padded_five_point_formula(self, grid):
         state = build_oracle(grid)
         assert np.array_equal(state.wd1, _five_point_driving_term(state, state.s1.radial_values))
         assert np.array_equal(state.wd2, _five_point_driving_term(state, state.s2.radial_values))
-
-    def test_sixth_order_tables_pass_every_gate(self, monkeypatch):
-        # f' = (45 (f1 - f-1) - 9 (f2 - f-2) + (f3 - f-3)) / (60 h); the
-        # Numerov system has no table of its own
-        monkeypatch.setattr(oracle, "_DERIVATIVE", ((45.0, -9.0, 1.0), 60.0))
-        # built directly, so no sixth-order state enters build_oracle's cache
-        state = OracleState(RadialGrid(3000))
-        assert not np.array_equal(
-            state.wd1, _five_point_driving_term(state, state.s1.radial_values))
-        for x in (0.05, 3.0 / 16.0, 0.37):
-            psi = green_solve(state, state.s1.energy + x, state._driving)
-            q = state.integrate(state.w2 * state.r, psi[:, 0]) / 3.0
-            p = state.integrate(state.wd2, psi[:, 1]) / 3.0
-            assert math.isclose(q, q_length(x), rel_tol=TOL_ORACLE)
-            assert math.isclose(p, p_velocity(x), rel_tol=TOL_ORACLE)
 
 
 def _seed(state, n, l):
@@ -846,6 +837,23 @@ class TestNumerovRows:
             assert report.overall_pass
         finally:
             build_oracle.cache_clear()
+
+    def test_an_energy_that_keeps_no_row_is_a_convergence_error(self, small_grid):
+        # on 2000 points c <= 1/2 holds at r_min from E ~ -6.5e12 on: at
+        # -1e13 both solvers stop where the rows are formed, at -1e12 the
+        # first 138 rows are kept and both solve
+        state = build_oracle(small_grid)
+        message = "^no Numerov row has c > 1/2 at energy -10000000000000.0$"
+        with pytest.raises(ConvergenceError, match=message):
+            green_solve(state, -1e13, state._driving)
+        with pytest.raises(ConvergenceError, match=message):
+            oracle._shifted_solve(state, 1, -1e13, "the l = 1 modes")
+        assert oracle._numerov_rows(state._numerov[1], -1e12)[0] == 138
+        w = green_solve(state, -1e12, state._driving)
+        assert np.all(np.isfinite(w)) and np.any(w[:138]) and not np.any(w[138:])
+        m, solve = oracle._shifted_solve(state, 1, -1e12, "the l = 1 modes")
+        v = solve(state.w2p)
+        assert m == 138 and np.any(v[:138]) and not np.any(v[138:])
 
     @pytest.mark.parametrize("grid,floor", [(RadialGrid(), 0.98),
                                             (RadialGrid(2000, 80.0, 1e-12), 0.76)],
